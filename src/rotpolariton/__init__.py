@@ -31,6 +31,7 @@ from .dynamics import (
     free_evolve,
     magnus_wavefunction,
     propagate,
+    propagate_batch,
     to_interaction,
     to_schrodinger,
     unit_state,

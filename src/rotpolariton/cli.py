@@ -138,14 +138,24 @@ def _deep_merge(base, override):
     return out
 
 
+def _lookup(cfg, path):
+    """The mapping that holds a dotted config path, and its last key."""
+    *parents, key = path.split(".")
+    for part in parents:
+        cfg = cfg[part]
+    return cfg, key
+
+
 def _as_float(cfg, path, allow_none=False, positive=False, nonnegative=False):
-    val = cfg
-    for part in path.split("."):
-        val = val[part]
+    """Validate a number in place: the resolved config keeps the float."""
+    node, key = _lookup(cfg, path)
+    val = node[key]
     if val is None:
         if allow_none:
             return None
         raise ConfigError(f"{path}: value required")
+    if isinstance(val, bool):
+        raise ConfigError(f"{path}: expected a number, got {val!r}")
     try:
         val = float(val)
     except (TypeError, ValueError):
@@ -154,13 +164,16 @@ def _as_float(cfg, path, allow_none=False, positive=False, nonnegative=False):
         raise ConfigError(f"{path}: must be positive")
     if nonnegative and val < 0:
         raise ConfigError(f"{path}: must be nonnegative")
+    node[key] = val
     return val
 
 
 def _as_int(cfg, path, minimum=None):
-    val = cfg
-    for part in path.split("."):
-        val = val[part]
+    """Validate an integer in place: the resolved config keeps the int."""
+    node, key = _lookup(cfg, path)
+    val = node[key]
+    if isinstance(val, bool):
+        raise ConfigError(f"{path}: expected an integer, got {val!r}")
     try:
         ival = int(val)
     except (TypeError, ValueError):
@@ -169,13 +182,21 @@ def _as_int(cfg, path, minimum=None):
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
     if minimum is not None and ival < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
+    node[key] = ival
     return ival
 
 
+def _as_bool(cfg, path):
+    """A true boolean; strings such as "false" are rejected, never coerced."""
+    node, key = _lookup(cfg, path)
+    if not isinstance(node[key], bool):
+        raise ConfigError(f"{path}: expected true or false, got {node[key]!r}")
+    return node[key]
+
+
 def _as_choice(cfg, path, choices):
-    val = cfg
-    for part in path.split("."):
-        val = val[part]
+    node, key = _lookup(cfg, path)
+    val = node[key]
     if val not in choices:
         raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {val!r}")
     return val
@@ -264,7 +285,7 @@ def resolve_config(raw, preset=None):
     cfg["system"]["dipole_au"] = _quantity(cfg["system"]["dipole"], "system.dipole",
                                            ("debye", "au-dipole"), "debye")
     _as_float(cfg, "system.coupling_ratio", positive=True)
-    cfg["system"]["cavity"] = bool(cfg["system"]["cavity"])
+    _as_bool(cfg, "system.cavity")
     _as_int(cfg, "system.j_max", minimum=1)
     _as_int(cfg, "system.n_max", minimum=0)
     if cfg["system"]["cavity"] and cfg["system"]["n_max"] < 1:
@@ -299,7 +320,7 @@ def resolve_config(raw, preset=None):
     # experiment
     if cfg["experiment"]["dressed"] is None:
         cfg["experiment"]["dressed"] = cfg["system"]["cavity"]
-    cfg["experiment"]["dressed"] = bool(cfg["experiment"]["dressed"])
+    _as_bool(cfg, "experiment.dressed")
     if cfg["experiment"]["dressed"] and not cfg["system"]["cavity"]:
         raise ConfigError("experiment.dressed: no resonant cavity to dress (system.cavity is off)")
     if not cfg["experiment"]["dressed"] and cfg["system"]["cavity"]:
@@ -318,15 +339,13 @@ def resolve_config(raw, preset=None):
     if not isinstance(cav, (list, tuple)) or not cav or \
             any(not isinstance(c, bool) for c in cav):
         raise ConfigError("scan.cavity: expected a nonempty list of booleans")
-    cfg["scan"]["cavity"] = [bool(c) for c in cav]
-    cfg["scan"]["write_spectra"] = bool(cfg["scan"]["write_spectra"])
+    _as_bool(cfg, "scan.write_spectra")
     _as_float(cfg, "scan.reference_bandwidth_g", positive=True)
 
     # integrator
     _as_choice(cfg, "integrator.method", {"yoshida4", "strang", "midpoint"})
     _as_float(cfg, "integrator.tol", positive=True)
-    if cfg["integrator"]["dt"] is not None:
-        _as_float(cfg, "integrator.dt", positive=True)
+    _as_float(cfg, "integrator.dt", allow_none=True, positive=True)
     _as_int(cfg, "integrator.max_halvings", minimum=0)
 
     # output
@@ -414,8 +433,15 @@ def _write_json(path, payload):
 def _fmt(v):
     if v is None:
         return "nan"
+    if isinstance(v, bool):
+        return str(int(v))
     v = float(v)
     return repr(v)
+
+
+def _per(value, unit):
+    """value / unit, or None (written as nan) when the record lacks the value."""
+    return None if value is None else value / unit
 
 
 def _write_tsv(path, columns, rows):
@@ -538,21 +564,15 @@ def cmd_scan(cfg, args):
         )
         for cav in sc["cavity"]:
             for bw in sc["bandwidths_g"]:
-                rows = []
-                for rec in result.records:
-                    if rec["cavity"] != cav or abs(rec["bandwidth"] - bw * g_ref) > 1e-15 * g_ref:
-                        continue
-                    if not rec.get("converged", True):
-                        continue
-                    rows.append((rec["detuning"] / g_ref, rec["orientation_max"],
-                                 rec["orientation_snapshot"],
-                                 rec["t_max"] / tau,
-                                 None if rec["revival_period"] is None
-                                 else rec["revival_period"] / tau))
+                rows = [(rec["detuning"] / g_ref, rec.get("orientation_max"),
+                         rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
+                         _per(rec.get("revival_period"), tau), rec["converged"])
+                        for rec in result.records if rec["cavity"] == cav
+                        and abs(rec["bandwidth"] - bw * g_ref) <= 1e-15 * g_ref]
                 name = f"orientation_cav{'on' if cav else 'off'}_bw{bw:g}.tsv"
                 _write_tsv(os.path.join(outdir, name),
                            ["detuning_g", "orientation_max", "orientation_snapshot",
-                            "t_max_tau", "revival_tau"], rows)
+                            "t_max_tau", "revival_tau", "converged"], rows)
         if sc["write_spectra"]:
             for i, rec in enumerate(result.records):
                 spec = rec.get("spectrum")
@@ -571,13 +591,13 @@ def cmd_scan(cfg, args):
             threads=args.threads,
             integrator=_integrator_kwargs(cfg),
         )
-        rows = [(rec["bandwidth"] / g_ref, rec["orientation_max_exact"],
-                 rec["orientation_max_magnus"], rec["max_population_diff"],
-                 None if rec["revival_period"] is None else rec["revival_period"] / tau)
-                for rec in result.records if rec.get("converged", True)]
+        rows = [(rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
+                 rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
+                 _per(rec.get("revival_period"), tau), rec["converged"])
+                for rec in result.records]
         _write_tsv(os.path.join(outdir, "composite_bandwidth.tsv"),
                    ["bandwidth_g", "orientation_max_exact", "orientation_max_magnus",
-                    "max_population_diff", "revival_tau"], rows)
+                    "max_population_diff", "revival_tau", "converged"], rows)
 
     with open(os.path.join(outdir, "records.jsonl"), "w") as fh:
         for i, rec in enumerate(result.records):
@@ -646,7 +666,8 @@ def _build_parser():
                         help="named base config to layer --config over")
     common.add_argument("--out", help="output directory (overrides output.directory)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for scans")
+                        help="worker processes for scans; a detuning scan gives each "
+                             "(cavity, bandwidth) group to one process")
     common.add_argument("--seed", type=int, default=None,
                         help="recorded in the manifest; runs are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -682,6 +703,8 @@ def main(argv=None):
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config is not valid YAML: {exc}") from None
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         cfg = resolve_config(raw, preset=args.preset)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -21,7 +21,13 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 from scipy import optimize
 
-from .dynamics import magnus_wavefunction, propagate, to_schrodinger, unit_state
+from .dynamics import (
+    magnus_wavefunction,
+    propagate,
+    propagate_batch,
+    to_schrodinger,
+    unit_state,
+)
 from .errors import DesignInfeasible, NoRevivalFound, NotConverged, QuadratureNotConverged
 from .model import (
     OperatorMatrix,
@@ -289,49 +295,31 @@ def _bare_cos_operator(params):
     return OperatorMatrix(full, basis="product", label="cos_theta")
 
 
-def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
-                  snapshot_offset=None, peaks_rel_height=0.05, tol=1e-8,
-                  keep_series=False, keep_spectrum=False, n_pulse_samples=2,
-                  integrator=None):
-    """Propagate one pulse and summarize the post-pulse orientation.
+def _kick_setup(params, fld, dressed):
+    """Hamiltonian, initial state, cos theta and drift energies of a kick."""
+    if dressed:
+        h0, v, basis = build_dressed_hamiltonian(params)
+        state0 = unit_state(basis.labels, "0;0", basis="dressed", time=fld.t_start)
+        return h0, v, state0, dressed_cos_matrix(params), basis.energies
+    if params.coupling != 0.0:
+        raise ValueError("product-basis kick response expects an uncoupled cavity; "
+                         "zero the coupling or use dressed=True")
+    h0, v = build_full_hamiltonian(params)
+    labels = tuple(f"J{j},n{n}" for n in range(params.n_max + 1)
+                   for j in range(params.j_max + 1))
+    state0 = unit_state(labels, 0, basis="product", time=fld.t_start)
+    return h0, v, state0, _bare_cos_operator(params), np.diag(h0.matrix).real
 
-    dressed=True runs in the polariton eigenbasis (cavity on resonance);
-    dressed=False runs in the rotor x photon product basis with whatever
-    coupling the params carry, which is the bare molecule when g = 0.  The
-    product-basis drift must stay diagonal for the closed-form trace, so
-    dressed=False with g > 0 is rejected.  Returns a plain dict: orientation
-    max (parabola-refined), value at the snapshot offset after the pulse,
-    revival period (None if undetected), spectral peaks, final populations.
-    keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
-    spectrum, and in-pulse trajectory under non-JSON keys for file export.
-    """
+
+def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=None,
+                  n_trace=16384, snapshot_offset=None, peaks_rel_height=0.05,
+                  keep_series=False, keep_spectrum=False):
+    """Post-pulse record of one propagated kick; see kick_response."""
     tau = params.revival_time
     if trace_window is None:
         trace_window = 40.0 * tau
     if snapshot_offset is None:
         snapshot_offset = 6.75 * tau
-    if dressed:
-        h0, v, basis = build_dressed_hamiltonian(params)
-        cos_op = dressed_cos_matrix(params)
-        energies = basis.energies
-        labels = basis.labels
-        state0 = unit_state(labels, "0;0", basis="dressed", time=fld.t_start)
-    else:
-        if params.coupling != 0.0:
-            raise ValueError("product-basis kick response expects an uncoupled cavity; "
-                             "zero the coupling or use dressed=True")
-        h0, v = build_full_hamiltonian(params)
-        cos_op = _bare_cos_operator(params)
-        energies = np.diag(h0.matrix).real
-        labels = tuple(f"J{j},n{n}" for n in range(params.n_max + 1)
-                       for j in range(params.j_max + 1))
-        state0 = unit_state(labels, 0, basis="product", time=fld.t_start)
-
-    integ = dict(integrator or {})
-    integ.setdefault("tol", tol)
-    n_samples = max(2, int(n_pulse_samples))
-    traj = propagate(h0, v, fld, state0,
-                     np.linspace(fld.t_start, fld.t_end, n_samples), **integ)
     end = traj.state_at(len(traj) - 1)
 
     vmax, t_max, series = _refined_trace_max(end, energies, cos_op,
@@ -344,7 +332,7 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
     spec = spectrum(series)
     pw, ph = spectrum_peaks(spec, rel_height=peaks_rel_height)
 
-    pops = {lab: float(abs(a) ** 2) for lab, a in zip(labels, end.amplitudes)}
+    pops = {lab: float(abs(a) ** 2) for lab, a in zip(traj.labels, end.amplitudes)}
     rec = {
         "dressed": bool(dressed),
         "orientation_max": vmax,
@@ -366,9 +354,42 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
         rec["series"] = series
     if keep_spectrum:
         rec["spectrum"] = spec
-    if n_samples > 2:
+    if len(traj) > 2:
         rec["trajectory"] = traj
     return rec
+
+
+def _integrator_kwargs(integrator, tol):
+    integ = dict(integrator or {})
+    integ.setdefault("tol", tol)
+    return integ
+
+
+def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
+                  snapshot_offset=None, peaks_rel_height=0.05, tol=1e-8,
+                  keep_series=False, keep_spectrum=False, n_pulse_samples=2,
+                  integrator=None):
+    """Propagate one pulse and summarize the post-pulse orientation.
+
+    dressed=True runs in the polariton eigenbasis (cavity on resonance);
+    dressed=False runs in the rotor x photon product basis with whatever
+    coupling the params carry, which is the bare molecule when g = 0.  The
+    product-basis drift must stay diagonal for the closed-form trace, so
+    dressed=False with g > 0 is rejected.  Returns a plain dict: orientation
+    max (parabola-refined), value at the snapshot offset after the pulse,
+    revival period (None if undetected), spectral peaks, final populations.
+    keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
+    spectrum, and in-pulse trajectory under non-JSON keys for file export.
+    """
+    h0, v, state0, cos_op, energies = _kick_setup(params, fld, dressed)
+    n_samples = max(2, int(n_pulse_samples))
+    traj = propagate(h0, v, fld, state0, np.linspace(fld.t_start, fld.t_end, n_samples),
+                     **_integrator_kwargs(integrator, tol))
+    return _kick_summary(params, fld, traj, cos_op, energies, dressed,
+                         trace_window=trace_window, n_trace=n_trace,
+                         snapshot_offset=snapshot_offset,
+                         peaks_rel_height=peaks_rel_height,
+                         keep_series=keep_series, keep_spectrum=keep_spectrum)
 
 
 def composite_response(params, fld, trace_window=None, n_trace=16384, tol=1e-8,
@@ -377,12 +398,11 @@ def composite_response(params, fld, trace_window=None, n_trace=16384, tol=1e-8,
     tau = params.revival_time
     if trace_window is None:
         trace_window = 40.0 * tau
-    integ = dict(integrator or {})
-    integ.setdefault("tol", tol)
     h0, v, basis = build_dressed_hamiltonian(params)
     cos_op = dressed_cos_matrix(params)
     state0 = unit_state(basis.labels, "0;0", basis="dressed", time=fld.t_start)
-    traj = propagate(h0, v, fld, state0, np.array([fld.t_start, fld.t_end]), **integ)
+    traj = propagate(h0, v, fld, state0, np.array([fld.t_start, fld.t_end]),
+                     **_integrator_kwargs(integrator, tol))
     end = traj.state_at(len(traj) - 1)
     vmax, t_max, series = _refined_trace_max(end, basis.energies, cos_op,
                                              fld.t_end, trace_window, n_trace)
@@ -429,18 +449,26 @@ class ScanResult:
         return {"meta": dict(self.meta), "records": [dict(r) for r in self.records]}
 
 
-def _kick_worker(payload):
-    idx, pdict, fdict, dressed, kw = payload
+def _kick_worker(params, fld, traj, cos_op, energies, dressed, kw):
+    """One detuning-scan record, from its propagated trajectory or its failure."""
+    if isinstance(traj, NotConverged):
+        return {"converged": False, "error": str(traj)}
+    rec = _kick_summary(params, fld, traj, cos_op, energies, dressed, **kw)
+    return {**rec, "converged": True}
+
+
+def _kick_group_worker(payload):
+    """All detunings of one (cavity, bandwidth) group, propagated as one batch."""
+    pdict, fdicts, dressed, integ, kw = payload
     from .pulse import field_from_dict
 
     params = SystemParams(**pdict)
-    fld = field_from_dict(fdict)
-    try:
-        rec = kick_response(params, fld, dressed=dressed, **kw)
-        rec["converged"] = True
-    except (NotConverged, QuadratureNotConverged) as exc:
-        rec = {"converged": False, "error": str(exc)}
-    return idx, rec
+    fields = [field_from_dict(f) for f in fdicts]
+    h0, v, state0, cos_op, energies = _kick_setup(params, fields[0], dressed)
+    times = np.array([fields[0].t_start, fields[0].t_end])
+    trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, **integ)
+    return [_kick_worker(params, fld, traj, cos_op, energies, dressed, kw)
+            for fld, traj in zip(fields, trajs)]
 
 
 def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
@@ -451,43 +479,42 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
 
     Detunings and bandwidths are absolute angular frequencies; the carrier is
     omega01 + detuning.  Bare runs reuse the same parameters with the
-    coupling switched off and no photon ladder.  Records keep the axes, the
-    orientation maximum and snapshot, the revival period, and the strongest
-    spectral peaks, in deterministic axis order.
+    coupling switched off and no photon ladder.  All detunings of one
+    (cavity, bandwidth) group share the Hamiltonian and the field window, so
+    they propagate as one batch, at the finest step any of them needs; each
+    record still carries its own halvings and certified step error.  Worker
+    processes take whole groups, so no more than one process per group is
+    busy, and the records do not depend on `threads`.
+    Records keep the axes, the orientation maximum and snapshot, the revival
+    period, and the strongest spectral peaks, in deterministic axis order.
     """
     from .pulse import field_to_dict
 
     cavity = tuple(cavity) if isinstance(cavity, (tuple, list)) else (cavity,)
     kw = {"trace_window": trace_window, "n_trace": n_trace,
-          "snapshot_offset": snapshot_offset, "tol": tol,
-          "keep_spectrum": keep_spectrum, "integrator": integrator}
+          "snapshot_offset": snapshot_offset, "keep_spectrum": keep_spectrum}
+    integ = _integrator_kwargs(integrator, tol)
     jobs = []
     axes = []
     for cav in cavity:
         run_params = params if cav else SystemParams(
             rot_const=params.rot_const, dipole=params.dipole, cavity_freq=0.0,
             coupling=0.0, j_max=params.j_max, n_max=0)
-        pdict = asdict(run_params)
         for bw in bandwidths:
-            for det in detunings:
-                fld = gaussian_for_area(run_params, area, 1.0 / bw,
-                                        params.omega01 + det)
-                jobs.append((len(jobs), pdict, field_to_dict(fld), cav, kw))
-                axes.append((bool(cav), float(bw), float(det)))
+            fdicts = [field_to_dict(gaussian_for_area(run_params, area, 1.0 / bw,
+                                                      params.omega01 + det))
+                      for det in detunings]
+            jobs.append((asdict(run_params), fdicts, cav, integ, kw))
+            axes += [(bool(cav), float(bw), float(det)) for det in detunings]
 
-    results = [None] * len(jobs)
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for idx, rec in pool.map(_kick_worker, jobs, chunksize=1):
-                results[idx] = rec
+            groups = list(pool.map(_kick_group_worker, jobs, chunksize=1))
     else:
-        for job in jobs:
-            idx, rec = _kick_worker(job)
-            results[idx] = rec
+        groups = [_kick_group_worker(job) for job in jobs]
 
     records = []
-    for (cav, bw, det), rec in zip(axes, results):
-        rec = dict(rec)
+    for (cav, bw, det), rec in zip(axes, (rec for group in groups for rec in group)):
         rec.update({"cavity": cav, "bandwidth": bw, "detuning": det})
         records.append(rec)
     meta = {
@@ -530,6 +557,7 @@ def _composite_worker(payload):
         "revival_period": exact["revival_period"],
         "norm_final": exact["norm_final"],
         "halvings": exact["halvings"],
+        "step_error": exact["step_error"],
         "converged": True,
     }
     return idx, rec

@@ -1,18 +1,24 @@
 """Wavefunction propagation and the first-order analytic pulse map.
 
-The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent, so
-everything runs in the eigenframe of h0 where the drift is an exact diagonal
-phase and only the field kick needs splitting.  Outside the field window the
-evolution is applied in closed form, which makes long post-pulse traces
-essentially free.
+The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent.
+One split-step kernel propagates R state rows at once, each under its own
+field, in the eigenbasis of v: there a field kick is a diagonal phase per
+row and the drift is one dense block shared by all rows, built once per
+step size.  Strang and Yoshida-4 are two sets of composition weights for
+that kernel; the exact-exponential midpoint rule stays as a reference.
+Outside the field window the evolution is applied in closed form, which
+makes long post-pulse traces essentially free.
 
 Step control is a two-tier affair: a heuristic initial step resolves the
 fastest carrier and the drift spectral span, and the result is certified by
 comparing against a propagation at half the step, halving until two
-successive refinements agree pointwise at every requested sample.
+successive refinements agree pointwise at every requested sample.  Rows of
+one batch share the finest initial step any of them needs and leave the
+halving ladder one by one, each once its own estimate is certified.
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -26,6 +32,7 @@ __all__ = [
     "unit_state",
     "expand_to_labels",
     "propagate",
+    "propagate_batch",
     "free_evolve",
     "to_interaction",
     "to_schrodinger",
@@ -33,10 +40,6 @@ __all__ = [
 ]
 
 _PICTURES = ("schrodinger", "interaction")
-
-# Yoshida triple-jump weights: w1, w0, w1 with w0 = 1 - 2 w1 < 0.
-_Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_Y4_W0 = 1.0 - 2.0 * _Y4_W1
 
 
 @dataclass(frozen=True)
@@ -147,124 +150,139 @@ def _unpack(op, expect_basis=None):
 
 
 class _SplitFrame:
-    """Eigenframe data shared by every step of one propagation."""
+    """The eigenbasis of v, in which every propagation runs.
+
+    There a field kick exp(i c h E(t) v) is a diagonal phase on each state
+    row, and the free drift exp(-i tau h0) is one dense block for all rows.
+    States are rows: y = psi @ conj(u) and psi = y @ u.T, with u the
+    eigenvectors of v in the operators' basis.
+    """
 
     def __init__(self, h0, v):
         offdiag = h0 - np.diag(np.diag(h0))
         if np.max(np.abs(offdiag)) < 1e-14 * max(1.0, np.max(np.abs(h0))):
             self.eps = np.diag(h0).real.copy()
-            self.q = None
-            vt = np.asarray(v, dtype=complex)
+            q = None
+            self.vt = np.asarray(v, dtype=complex)
         else:
-            self.eps, self.q = np.linalg.eigh(h0)
-            vt = self.q.conj().T @ v @ self.q
-        self.w, self.wv = np.linalg.eigh(vt)
-        self.wv_h = self.wv.conj().T
-        self.vt = vt
-        self.dim = self.eps.size
+            self.eps, q = np.linalg.eigh(h0)
+            self.vt = q.conj().T @ v @ q
+        self.w, self.wv = np.linalg.eigh(self.vt)
+        self.u = self.wv if q is None else q @ self.wv
 
-    def to_frame(self, c):
-        return c if self.q is None else self.q.conj().T @ c
+    def to_frame(self, psi):
+        return psi @ self.u.conj()
 
-    def from_frame(self, c):
-        return c if self.q is None else self.q @ c
+    def from_frame(self, y):
+        return y @ self.u.T
 
-    def from_frame_batch(self, states):
-        return states if self.q is None else states @ self.q.T
+    def drift(self, tau):
+        """Free evolution of state rows over tau: (W^H exp(-i tau eps) W)^T."""
+        return (self.wv.T * np.exp(-1j * tau * self.eps)) @ self.wv.conj()
 
-
-# below this dimension per-step matrices are cheap enough that the batched
-# matrix-chain path beats the per-step matvec loop on interpreter overhead
-_CHAIN_DIM_MAX = 24
-_CHUNK = 2048
+    def free(self, y, taus):
+        """Rows y after free evolution over each of taus, shape (taus, rows, dim)."""
+        phases = np.exp(-1j * np.multiply.outer(taus, self.eps))
+        return ((y @ self.wv.T) * phases[:, None, :]) @ self.wv.conj()
 
 
-def _apply_chain(mats, c):
-    """c <- mats[-1] @ ... @ mats[0] @ c by pairwise tree reduction."""
-    eye = np.eye(mats.shape[1], dtype=complex)
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            mats = np.concatenate([mats, eye[None]], axis=0)
-        mats = mats[1::2] @ mats[0::2]
-    return mats[0] @ c
-
-
-def _kick_block(frame, phases):
-    """Batched W exp(i phi) W^dagger for an array of phase rows."""
-    return (frame.wv[None, :, :] * phases[:, None, :]) @ frame.wv_h
-
-
-def _strang_interval(frame, c, t0, h, n, field):
-    """n equal Strang steps over [t0, t0 + n h]; field evaluated at midpoints."""
-    mids = t0 + h * (np.arange(n) + 0.5)
-    e_mid = np.asarray(field_value(field, mids), dtype=float)
-    drift = np.exp(-0.5j * h * frame.eps)
-    if frame.dim <= _CHAIN_DIM_MAX:
-        for s in range(0, n, _CHUNK):
-            ph = np.exp(1j * h * e_mid[s:s + _CHUNK, None] * frame.w[None, :])
-            u = drift[None, :, None] * _kick_block(frame, ph) * drift[None, None, :]
-            c = _apply_chain(u, c)
-        return c
-    for k in range(n):
-        c = drift * c
-        c = frame.wv @ (np.exp(1j * h * e_mid[k] * frame.w) * (frame.wv_h @ c))
-        c = drift * c
-    return c
-
-
-def _yoshida_interval(frame, c, t0, h, n, field):
-    """n Yoshida-4 steps (triple-jump Strang) over [t0, t0 + n h]."""
-    h1 = _Y4_W1 * h
-    h0s = _Y4_W0 * h
-    starts = t0 + h * np.arange(n)
-    e1 = np.asarray(field_value(field, starts + 0.5 * h1), dtype=float)
-    e2 = np.asarray(field_value(field, starts + h1 + 0.5 * h0s), dtype=float)
-    e3 = np.asarray(field_value(field, starts + h1 + h0s + 0.5 * h1), dtype=float)
-    d1 = np.exp(-0.5j * h1 * frame.eps)
-    d0 = np.exp(-0.5j * h0s * frame.eps)
-    w = frame.w
-    if frame.dim <= _CHAIN_DIM_MAX:
-        d10 = d1 * d0
-        for s in range(0, n, _CHUNK):
-            sl = slice(s, s + _CHUNK)
-            k1 = _kick_block(frame, np.exp(1j * h1 * e1[sl, None] * w[None, :]))
-            k2 = _kick_block(frame, np.exp(1j * h0s * e2[sl, None] * w[None, :]))
-            k3 = _kick_block(frame, np.exp(1j * h1 * e3[sl, None] * w[None, :]))
-            u = (k2 * d10[None, None, :]) @ k1
-            u = (k3 * d10[None, None, :]) @ u
-            u = d1[None, :, None] * u * d1[None, None, :]
-            c = _apply_chain(u, c)
-        return c
-    wv, wv_h = frame.wv, frame.wv_h
-    d10 = d0 * d1
-    for k in range(n):
-        c = d1 * c
-        c = wv @ (np.exp(1j * h1 * e1[k] * w) * (wv_h @ c))
-        c = d10 * c
-        c = wv @ (np.exp(1j * h0s * e2[k] * w) * (wv_h @ c))
-        c = d10 * c
-        c = wv @ (np.exp(1j * h1 * e3[k] * w) * (wv_h @ c))
-        c = d1 * c
-    return c
-
-
-def _midpoint_interval(frame, c, t0, h, n, field):
-    """Reference integrator: exact exponential of H(t_mid) each step."""
-    mids = t0 + h * (np.arange(n) + 0.5)
-    e_mid = np.asarray(field_value(field, mids), dtype=float)
-    h0d = np.diag(frame.eps.astype(complex))
-    for k in range(n):
-        hm = h0d - e_mid[k] * frame.vt
-        ev, u = np.linalg.eigh(hm)
-        c = u @ (np.exp(-1j * h * ev) * (u.conj().T @ c))
-    return c
-
-
-_INTERVAL_KERNELS = {
-    "strang": _strang_interval,
-    "yoshida4": _yoshida_interval,
-    "midpoint": _midpoint_interval,
+# split-step composition weights: one step of length h is the product of
+# Strang sub-steps of lengths c h (Yoshida, Phys. Lett. A 150, 262, 1990)
+_Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_WEIGHTS = {
+    "strang": (1.0,),
+    "yoshida4": (_Y4_W1, 1.0 - 2.0 * _Y4_W1, _Y4_W1),
 }
+
+# field values are evaluated for this many steps at a time, and their kick
+# phases exponentiated in blocks of at most _PHASE_ELEMS complex numbers
+_CHUNK = 2048
+_PHASE_ELEMS = 1 << 16
+
+
+def _schedule(times, fa, fb, dt):
+    """Field overlap [lo, hi] of each sample interval, its step count and step."""
+    lo = np.clip(times[:-1], fa, fb)
+    hi = np.clip(times[1:], fa, fb)
+    span = hi - lo
+    on = span > 0
+    n = np.zeros(span.size, dtype=int)
+    n[on] = np.maximum(1, np.ceil(span[on] / dt))
+    h = np.zeros(span.size)
+    h[on] = span[on] / n[on]
+    return lo, hi, n, h
+
+
+def _split_steps(frame, fields, lo, n, h, weights):
+    """The split-step kernel of one run at one step size.
+
+    Returns advance(y, i, pre, post), which takes all state rows y through
+    sample interval i: a drift over `pre`, the n[i] steps of length h[i] in
+    the field, and a drift over `post`.  Kicks sit at the sub-step
+    midpoints.  The half drifts that close one sub-step and open the next
+    are fused, so a step costs len(weights) diagonal kicks and dense drifts
+    for all rows together.  Field phases are computed for the whole run in
+    chunks of _CHUNK steps, consumed in step order across intervals.
+    """
+    c = np.asarray(weights)
+    fuse = 0.5 * (c + np.roll(c, -1))
+    on = n > 0
+    starts = np.concatenate([a + b * np.arange(k) for a, b, k in zip(lo[on], h[on], n[on])])
+    hs = np.repeat(h[on], n[on])[:, None]
+    kick_t = starts[:, None] + hs * (np.cumsum(c) - 0.5 * c)
+    kick_c = hs * c
+    sub = max(1, _PHASE_ELEMS // (c.size * len(fields) * frame.w.size))
+
+    def phases():
+        for a in range(0, starts.size, _CHUNK):
+            ts = kick_t[a:a + _CHUNK]
+            arg = np.stack([field_value(f, ts) for f in fields], axis=-1)
+            arg *= kick_c[a:a + _CHUNK, :, None]
+            for b in range(0, arg.shape[0], sub):
+                kicks = np.exp(1j * arg[b:b + sub, :, :, None] * frame.w)
+                yield kicks.reshape(-1, len(fields), frame.w.size)
+
+    # one kick phase per sub-step, in step order across intervals
+    stream = chain.from_iterable(phases())
+    blocks = {}
+
+    def drift(tau):
+        # dense drift blocks, built once per distinct length
+        block = blocks.get(tau)
+        if block is None:
+            block = blocks[tau] = frame.drift(tau)
+        return block
+
+    def advance(y, i, pre, post):
+        half = 0.5 * c[0] * h[i]
+        drifts = cycle([drift(f * h[i]) for f in fuse])
+        y = np.dot(y, drift(pre + half))
+        kicked = np.empty_like(y)
+        for kick, block in zip(islice(stream, n[i] * c.size), drifts):
+            # in place, and np.dot over @: less call overhead on small operands
+            np.multiply(y, kick, out=kicked)
+            np.dot(kicked, block, out=y)
+        # the last fused drift overshoots the closing half drift by c[0] h / 2
+        return np.dot(y, drift(post - half))
+
+    return advance
+
+
+def _midpoint_steps(frame, fields, lo, n, h):
+    """Reference integrator: the exact exponential of H(t_mid), row by row."""
+    h0v = frame.wv.conj().T @ (frame.eps[:, None] * frame.wv)
+    vv = np.diag(frame.w)
+
+    def advance(y, i, pre, post):
+        y = y @ frame.drift(pre)
+        mids = lo[i] + h[i] * (np.arange(n[i]) + 0.5)
+        for r, fld in enumerate(fields):
+            for e in field_value(fld, mids):
+                ev, vec = np.linalg.eigh(h0v - e * vv)
+                y[r] = ((y[r] @ vec.conj()) * np.exp(-1j * h[i] * ev)) @ vec.T
+        return y @ frame.drift(post)
+
+    return advance
 
 
 # fourth-order splitting tolerates a far coarser trial step than the
@@ -299,26 +317,100 @@ def _default_dt(frame, fld, method):
     return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD[method]
 
 
-def _run_sampled(frame, fld, c0, times, dt, method):
-    kernel = _INTERVAL_KERNELS[method]
-    fa, fb = fld.t_start, fld.t_end
-    out = np.empty((times.size, c0.size), dtype=complex)
-    c = c0.copy()
-    out[0] = c
+def _run_sampled(frame, fields, y0, times, dt, method):
+    """Frame states of all rows at every sample time, shape (times, rows, dim)."""
+    lo, hi, n, h = _schedule(times, fields[0].t_start, fields[0].t_end, dt)
+    if method == "midpoint":
+        advance = _midpoint_steps(frame, fields, lo, n, h)
+    else:
+        advance = _split_steps(frame, fields, lo, n, h, _WEIGHTS[method])
+    out = np.empty((times.size,) + y0.shape, dtype=complex)
+    out[0] = y = y0
     for i in range(times.size - 1):
-        ta, tb = times[i], times[i + 1]
-        lo, hi = max(ta, fa), min(tb, fb)
-        if hi <= lo:
-            c = np.exp(-1j * frame.eps * (tb - ta)) * c
+        if n[i]:
+            y = advance(y, i, lo[i] - times[i], times[i + 1] - hi[i])
         else:
-            if lo > ta:
-                c = np.exp(-1j * frame.eps * (lo - ta)) * c
-            n = max(1, int(np.ceil((hi - lo) / dt)))
-            c = kernel(frame, c, lo, (hi - lo) / n, n, fld)
-            if tb > hi:
-                c = np.exp(-1j * frame.eps * (tb - hi)) * c
-        out[i + 1] = c
+            y = y @ frame.drift(times[i + 1] - times[i])
+        out[i + 1] = y
     return out
+
+
+def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
+                    tol=1e-8, max_halvings=6, labels=None):
+    """Propagate each initial state through its own field; one result per row.
+
+    Row r starts from states0[r] and feels fields[r].  The rows must share
+    basis, start time and field window; they run together at one step size,
+    the finest trial step any of their fields needs (or `dt`), and halve it
+    together.  Each row leaves the halving ladder at the first level where
+    its own Richardson estimate (the dt vs dt/2 difference over
+    2^order - 1, per-sample 2-norm) reaches `tol`.  Returns a list holding,
+    per row, its Trajectory or, when `max_halvings` runs out first, its
+    NotConverged error.
+    """
+    fields, states0 = list(fields), list(states0)
+    if not states0 or len(fields) != len(states0):
+        raise ValueError("need one field per initial state, and at least one")
+    first = states0[0]
+    if any(s.picture != "schrodinger" for s in states0):
+        raise ValueError("propagate expects schrodinger-picture states")
+    if any(s.basis != first.basis or s.dim != first.dim for s in states0):
+        raise BasisMismatch("the initial states of one batch must share their basis")
+    h0m, _ = _unpack(h0, expect_basis=first.basis)
+    vm, _ = _unpack(v, expect_basis=first.basis)
+    if h0m.shape[0] != first.dim or vm.shape != h0m.shape:
+        raise BasisMismatch("operator and state dimensions disagree")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a strictly increasing 1d array, length >= 2")
+    if any(abs(times[0] - s.time) > 1e-12 * max(1.0, abs(times[0])) for s in states0):
+        raise ValueError("times[0] must equal state0.time")
+    windows = {None if f is None else (f.t_start, f.t_end) for f in fields}
+    if len(windows) != 1:
+        raise ValueError("the fields of one batch must share their window")
+    if method not in _ORDER:
+        raise ValueError(f"unknown method {method!r}")
+    labels = labels if labels is not None else first.labels
+
+    frame = _SplitFrame(h0m, vm)
+    y0 = frame.to_frame(np.array([s.amplitudes for s in states0]))
+
+    def trajectory(y, meta):
+        return Trajectory(times, frame.from_frame(y), basis=first.basis,
+                          picture="schrodinger", labels=labels, meta=meta)
+
+    (window,) = windows
+    if window is None or window[1] <= times[0] or window[0] >= times[-1]:
+        # no field overlap: closed-form drift at the sample times
+        states = frame.free(y0, times - times[0])
+        meta = {"method": "exact", "dt": None, "halvings": 0, "step_error": 0.0}
+        return [trajectory(states[:, r], dict(meta)) for r in range(len(states0))]
+
+    dt0 = min(_default_dt(frame, f, method) for f in fields) if dt is None else float(dt)
+    richardson = 2.0 ** _ORDER[method] - 1.0
+    results = [None] * len(states0)
+    rows = np.arange(len(states0))
+    err = np.full(rows.size, np.inf)
+    used = dt0
+    prev = _run_sampled(frame, fields, y0, times, dt0, method)
+    for k in range(1, max_halvings + 1):
+        used = dt0 / 2 ** k
+        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, used, method)
+        err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / richardson
+        done = err <= tol
+        for j in np.flatnonzero(done):
+            results[rows[j]] = trajectory(cur[:, j], {"method": method, "dt": used,
+                                                      "halvings": k,
+                                                      "step_error": float(err[j])})
+        rows, err, prev = rows[~done], err[~done], cur[:, ~done]
+        if not rows.size:
+            return results
+    for r, e in zip(rows, err):
+        results[r] = NotConverged(
+            f"step halving stalled at estimated error {e:.3e} > tol {tol:g} after "
+            f"{max_halvings} halvings (dt = {used:g})"
+        )
+    return results
 
 
 def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
@@ -331,51 +423,13 @@ def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
     is certified by step halving: the Richardson estimate of the returned
     solution's error (the dt vs dt/2 difference over 2^order - 1, per-sample
     2-norm) must reach `tol`; exceeding `max_halvings` raises NotConverged.
+    This is the one-row call of propagate_batch.
     """
-    if state0.picture != "schrodinger":
-        raise ValueError("propagate expects a schrodinger-picture state")
-    h0m, basis = _unpack(h0, expect_basis=state0.basis)
-    vm, _ = _unpack(v, expect_basis=state0.basis)
-    if h0m.shape[0] != state0.dim or vm.shape != h0m.shape:
-        raise BasisMismatch("operator and state dimensions disagree")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1d array, length >= 2")
-    if abs(times[0] - state0.time) > 1e-12 * max(1.0, abs(times[0])):
-        raise ValueError("times[0] must equal state0.time")
-    if method not in _INTERVAL_KERNELS:
-        raise ValueError(f"unknown method {method!r}")
-    labels = labels if labels is not None else state0.labels
-
-    frame = _SplitFrame(h0m, vm)
-    c0 = frame.to_frame(state0.amplitudes.astype(complex))
-
-    if fld is None or fld.t_end <= times[0] or fld.t_start >= times[-1]:
-        # no field overlap: closed-form drift at the sample times
-        phases = np.exp(-1j * np.outer(times - times[0], frame.eps))
-        states = frame.from_frame_batch(phases * c0[None, :])
-        return Trajectory(times, states, basis=state0.basis, picture="schrodinger",
-                          labels=labels, meta={"method": "exact", "dt": None, "halvings": 0,
-                                               "step_error": 0.0})
-
-    dt0 = _default_dt(frame, fld, method) if dt is None else float(dt)
-    richardson = 2.0 ** _ORDER[method] - 1.0
-    prev = _run_sampled(frame, fld, c0, times, dt0, method)
-    used, err = dt0, np.inf
-    for k in range(1, max_halvings + 1):
-        used = dt0 / 2 ** k
-        cur = _run_sampled(frame, fld, c0, times, used, method)
-        err = float(np.max(np.linalg.norm(cur - prev, axis=1))) / richardson
-        if err <= tol:
-            states = frame.from_frame_batch(cur)
-            return Trajectory(times, states, basis=state0.basis, picture="schrodinger",
-                              labels=labels, meta={"method": method, "dt": used,
-                                                   "halvings": k, "step_error": err})
-        prev = cur
-    raise NotConverged(
-        f"step halving stalled at estimated error {err:.3e} > tol {tol:g} after "
-        f"{max_halvings} halvings (dt = {used:g})"
-    )
+    (result,) = propagate_batch(h0, v, [fld], [state0], times, method=method, dt=dt,
+                                tol=tol, max_halvings=max_halvings, labels=labels)
+    if isinstance(result, NotConverged):
+        raise result
+    return result
 
 
 def free_evolve(state, t_final, energies):

@@ -346,8 +346,9 @@ def test_scan_command_detuning_grid(tmp_path, capsys):
 
     for name in ("orientation_cavon_bw1.tsv", "orientation_cavoff_bw1.tsv"):
         table = np.loadtxt(out / name)
-        assert table.shape == (3, 5)
+        assert table.shape == (3, 6)
         assert list(table[:, 0]) == [-1.0, 0.0, 1.0]
+        assert list(table[:, 5]) == [1.0, 1.0, 1.0]     # the converged column
 
     meta = json.loads((out / "scan_meta.json").read_text())
     assert meta["kind"] == "detuning_bandwidth"
@@ -365,10 +366,76 @@ def test_scan_command_composite_kind(tmp_path, capsys):
     capsys.readouterr()
 
     table = np.loadtxt(out / "composite_bandwidth.tsv")
-    assert table.shape == (2, 5)
+    assert table.shape == (2, 6)
     assert list(table[:, 0]) == [0.5, 1.0]
+    assert list(table[:, 5]) == [1.0, 1.0]
     records = [json.loads(line) for line in
                (out / "records.jsonl").read_text().splitlines()]
     assert all("orientation_max_exact" in r for r in records)
+    assert all(0.0 <= r["step_error"] <= 1e-8 for r in records)
     # widening the pulse degrades the first-order description
     assert records[1]["max_population_diff"] > records[0]["max_population_diff"]
+
+
+def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):
+    frozen = {"integrator": {"tol": 1e-13, "max_halvings": 0}}
+    kinds = {"detuning": ("orientation_cavon_bw1.tsv", {"detunings_g": [-1.0, 0.0, 1.0],
+                                                        "bandwidths_g": [1.0],
+                                                        "cavity": [True]}),
+             "composite": ("composite_bandwidth.tsv", {"kind": "composite",
+                                                       "bandwidths_g": [0.5, 1.0],
+                                                       "reference_bandwidth_g": 0.1})}
+    for kind, (name, scan) in kinds.items():
+        cfg = merged(FAST, {"scan": scan}, frozen)
+        path = write_cfg(tmp_path / f"{kind}.yaml", cfg)
+        out = tmp_path / kind
+        assert main(["scan", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   (out / "records.jsonl").read_text().splitlines()]
+        assert records and not any(r["converged"] for r in records)
+        table = np.loadtxt(out / name, ndmin=2)
+        assert table.shape == (len(records), 6)
+        assert np.all(table[:, 5] == 0.0)
+        assert np.all(np.isnan(table[:, 1:5]))
+
+
+# ------------------------------------------------------- config boundary
+
+
+def test_numeric_strings_are_stored_as_numbers(tmp_path, capsys):
+    # YAML 1.1 reads a bare 1e-8 as a string
+    raw = yaml.safe_load("integrator:\n  tol: 1e-8\n")
+    assert raw["integrator"]["tol"] == "1e-8"
+    cfg = resolve_config(raw)
+    assert cfg["integrator"]["tol"] == 1e-8 and isinstance(cfg["integrator"]["tol"], float)
+    more = resolve_config(yaml.safe_load("field:\n  bandwidth_g: 5e-1\n"
+                                         "experiment:\n  trace_window_tau: 2e1\n"))
+    assert more["field"]["bandwidth_g"] == 0.5
+    assert more["experiment"]["trace_window_tau"] == 20.0
+    assert resolve_config({"system": {"j_max": "5"}})["system"]["j_max"] == 5
+    path = tmp_path / "tol.yaml"
+    path.write_text(yaml.safe_dump(merged(FAST, {"system": {"j_max": 3, "n_max": 1}}))
+                    + "integrator:\n  tol: 1e-8\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+
+
+def test_booleans_must_be_booleans(tmp_path, capsys):
+    for section, key in (("system", "cavity"), ("experiment", "dressed"),
+                         ("scan", "write_spectra")):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            resolve_config({section: {key: "false"}})
+    with pytest.raises(ConfigError, match="integrator.tol"):
+        resolve_config({"integrator": {"tol": True}})
+    path = write_cfg(tmp_path / "quoted.yaml", {"system": {"cavity": "false"}})
+    assert main(["oracle", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    assert "system.cavity" in capsys.readouterr().err
+
+
+def test_threads_below_one_exit_2(tmp_path, capsys):
+    for threads in ("0", "-1"):
+        out = tmp_path / f"run{threads}"
+        assert main(["oracle", "--threads", threads, "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()

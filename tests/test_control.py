@@ -206,13 +206,17 @@ def test_detuning_sign_selects_the_doublet_branch(narrow_scan):
 
 
 def test_scan_is_deterministic_across_thread_counts(p_cavity):
-    kw = dict(detunings=[0.0], bandwidths=[0.5 * G, 1.0 * G],
+    # three detunings per (cavity, bandwidth) group, so each group is a batch
+    kw = dict(detunings=[-G, 0.0, G], bandwidths=[0.5 * G, 1.0 * G],
               cavity=(True,), n_trace=4096)
     r1 = rp.scan_detuning_bandwidth(p_cavity, threads=1, **kw)
     r2 = rp.scan_detuning_bandwidth(p_cavity, threads=2, **kw)
+    assert len(r1) == len(r2) == 6
     for a, b in zip(r1.records, r2.records):
         assert a["orientation_max"] == b["orientation_max"]   # bit-identical
         assert a["populations"] == b["populations"]
+        assert (a["halvings"], a["step_error"]) == (b["halvings"], b["step_error"])
+        assert a["step_error"] <= 1e-8
 
 
 def test_composite_scan_reuses_reference_carriers(magnus_sweep, designed):

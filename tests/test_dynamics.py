@@ -1,12 +1,14 @@
 """Propagation: integrators, pictures, and cross-basis consistency."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
-from rotpolariton.dynamics import propagate, unit_state
+from rotpolariton.dynamics import propagate, propagate_batch, unit_state
 from conftest import B, G, unit_params
 
 
@@ -182,6 +184,169 @@ def test_sampled_field_reproduces_analytic_gaussian():
                                           np.array([fld.t_start, fld.t_end])).states[-1]
     # linear interpolation error ~ (dt_sample)^2 of the carrier
     assert np.max(np.abs(out["SampledField"] - out["GaussianPulse"])) < 1e-5
+
+
+# ------------------------------------------------------ the batched kernel
+#
+# Every row of a batch shares the Hamiltonian and the field window [-10, 10]
+# and feels its own Gaussian field.
+
+_WINDOW = (-10.0, 10.0)
+_P_BATCH = unit_params(j_max=3, n_max=2)
+
+
+def _batch_field(e0, omega0, phi0):
+    return rp.GaussianPulse(e0=e0, tau0=1.5, omega0=omega0, phi0=phi0,
+                            t_start=_WINDOW[0], t_end=_WINDOW[1])
+
+
+_fields = st.builds(_batch_field, e0=st.floats(0.0, 0.3), omega0=st.floats(1.0, 3.0),
+                    phi0=st.floats(0.0, 2.0 * np.pi))
+
+
+def _random_state(seed, labels, time=_WINDOW[0]):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    return rp.StateVector(a / np.linalg.norm(a), basis="dressed", time=time,
+                          labels=labels)
+
+
+@settings(max_examples=8, deadline=None)
+@given(fields=st.lists(_fields, min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_batch_row_keeps_its_norm(fields, seed):
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    states = [_random_state(seed + r, bas.labels) for r in range(len(fields))]
+    times = np.linspace(*_WINDOW, 5)
+    for traj in propagate_batch(h0, v, fields, states, times):
+        assert np.max(np.abs(traj.norms() - 1.0)) < 1e-10
+        assert traj.meta["step_error"] <= 1e-8
+
+
+@settings(max_examples=8, deadline=None)
+@given(fields=st.lists(_fields, min_size=2, max_size=5), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_row_equals_its_solo_run(fields, seed):
+    # a loose tol stops every row after one halving, so all runs share dt
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    states = [_random_state(seed + r, bas.labels) for r in range(len(fields))]
+    times = np.linspace(*_WINDOW, 3)
+    kw = dict(dt=0.05, tol=1.0)
+    batch = propagate_batch(h0, v, fields, states, times, **kw)
+    for fld, s0, traj in zip(fields, states, batch):
+        solo = propagate(h0, v, fld, s0, times, **kw)
+        assert traj.meta["dt"] == solo.meta["dt"] and traj.meta["halvings"] == 1
+        assert traj.meta["step_error"] == pytest.approx(solo.meta["step_error"], abs=1e-12)
+        assert np.max(np.abs(traj.states - solo.states)) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(fld=_fields, coef=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3,
+                                  max_size=3))
+def test_propagation_is_linear_in_the_initial_state(fld, coef):
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    basis = [unit_state(bas.labels, i, basis="dressed", time=_WINDOW[0]) for i in range(3)]
+    mix = rp.StateVector(sum(c * s.amplitudes for c, s in zip(coef, basis)),
+                         basis="dressed", time=_WINDOW[0], labels=bas.labels)
+    times = np.linspace(*_WINDOW, 3)
+    *rows, out = propagate_batch(h0, v, [fld] * 4, basis + [mix], times, dt=0.05, tol=1.0)
+    want = sum(c * r.states for c, r in zip(coef, rows))
+    assert np.max(np.abs(out.states - want)) <= 1e-12 * max(1.0, sum(map(abs, coef)))
+
+
+def test_rows_leave_the_ladder_one_by_one():
+    # a field-free row certifies at the first halving; a strong coarse-step
+    # row cannot, and only that row reports NotConverged
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    quiet, loud = _batch_field(0.0, 2.0, 0.0), _batch_field(0.3, 2.0, 0.0)
+    calm, stalled = propagate_batch(h0, v, [quiet, loud], [s0, s0], np.array(_WINDOW),
+                                    dt=0.5, tol=1e-11, max_halvings=1)
+    assert calm.meta["halvings"] == 1 and calm.meta["step_error"] <= 1e-11
+    assert isinstance(stalled, rp.NotConverged)
+
+
+def test_batch_rejects_fields_with_different_windows():
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    other = rp.GaussianPulse(e0=0.1, tau0=1.5, omega0=2.0, phi0=0.0,
+                             t_start=_WINDOW[0], t_end=12.0)
+    with pytest.raises(ValueError, match="window"):
+        propagate_batch(h0, v, [_batch_field(0.1, 2.0, 0.0), other], [s0, s0],
+                        np.array(_WINDOW))
+
+
+def _counting_kernel(monkeypatch):
+    """Record n[i] at every interval the split-step kernel runs, one list per level."""
+    from rotpolariton import dynamics
+
+    levels = []
+    inner = dynamics._split_steps
+
+    def counting(frame, fields, lo, n, h, weights):
+        advance = inner(frame, fields, lo, n, h, weights)
+        taken = []
+        levels.append(taken)
+
+        def counted(y, i, pre, post):
+            taken.append(int(n[i]))
+            return advance(y, i, pre, post)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_split_steps", counting)
+    return levels
+
+
+def _ladder(times, window, meta):
+    """Steps per halving level implied by the meta: max(1, ceil(span / dt_k))."""
+    spans = [min(b, window[1]) - max(a, window[0]) for a, b in zip(times[:-1], times[1:])]
+    dt0 = meta["dt"] * 2 ** meta["halvings"]
+    return [sum(max(1, math.ceil(s / (dt0 / 2 ** k))) for s in spans if s > 0)
+            for k in range(meta["halvings"] + 1)]
+
+
+def test_kernel_steps_match_the_ladder_in_the_trajectory_meta(monkeypatch):
+    # the sample grid overhangs the field window at both ends, so the first
+    # and last intervals are only partly in the field
+    levels = _counting_kernel(monkeypatch)
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    fld = _batch_field(0.3, 2.0, 0.0)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=-12.0)
+    times = np.linspace(-12.0, 12.0, 9)
+    traj = propagate(h0, v, fld, s0, times)
+    assert traj.meta["halvings"] >= 2
+    assert [sum(taken) for taken in levels] == _ladder(times, _WINDOW, traj.meta)
+    assert all(len(taken) == len(times) - 1 for taken in levels)
+
+
+def test_batch_rows_run_the_ladder_their_meta_implies(monkeypatch):
+    # every level runs all rows still on the ladder; the last row to leave
+    # accounts for every level, the others for a prefix of it
+    levels = _counting_kernel(monkeypatch)
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.02, 0.3)]
+    times = np.linspace(*_WINDOW, 5)
+    trajs = propagate_batch(h0, v, fields, [s0, s0], times)
+    steps = [sum(taken) for taken in levels]
+    ladders = [_ladder(times, _WINDOW, t.meta) for t in trajs]
+    assert ladders[0] != ladders[1]
+    assert steps == max(ladders, key=len)
+    assert all(steps[:len(lad)] == lad for lad in ladders)
+
+
+def test_large_basis_yoshida_matches_the_exact_midpoint():
+    # dim 40: the size that used to take a separate per-step code path
+    p = unit_params(j_max=1, n_max=19)
+    h0, v, bas = rp.build_dressed_hamiltonian(p)
+    assert bas.dim >= 40
+    fld = rp.gaussian_for_area(p, 1.2, tau0=1.0 / (4.0 * G), omega0=p.omega01)
+    # the strongest stretch of the pulse keeps the exponential reference cheap
+    s0 = _random_state(7, bas.labels, time=-1.0)
+    times = np.array([-1.0, 0.0, 1.0])
+    y4 = propagate(h0, v, fld, s0, times, tol=1e-10)
+    mid = propagate(h0, v, fld, s0, times, method="midpoint", dt=0.004, tol=1.0,
+                    max_halvings=1)
+    assert np.max(np.abs(y4.states - mid.states)) < 1e-6
 
 
 # ----------------------------------------------- cross-basis consistency
