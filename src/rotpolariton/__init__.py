@@ -15,7 +15,6 @@ from .control import (
     ConditionReport,
     ScanResult,
     check_conditions,
-    composite_response,
     compute_areas,
     design_composite,
     kick_response,

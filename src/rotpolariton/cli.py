@@ -398,30 +398,16 @@ def build_field(cfg, params, g_ref):
 
 
 def _json_safe(obj):
+    """obj with numpy scalars and arrays made plain; TypeError on anything else."""
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            safe = _json_safe(v)
-            if safe is not _DROP:
-                out[str(k)] = safe
-        return out
-    if isinstance(obj, (list, tuple)):
-        vals = [_json_safe(v) for v in obj]
-        return [v for v in vals if v is not _DROP]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    return _DROP
-
-
-_DROP = object()
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 def _write_json(path, payload):
@@ -601,8 +587,9 @@ def cmd_scan(cfg, args):
 
     with open(os.path.join(outdir, "records.jsonl"), "w") as fh:
         for i, rec in enumerate(result.records):
-            body = _json_safe({"index": i, **rec})
-            fh.write(json.dumps(body, sort_keys=True) + "\n")
+            # spectra go to their own files, never into the records
+            body = {k: v for k, v in rec.items() if k != "spectrum"}
+            fh.write(json.dumps(_json_safe({"index": i, **body}), sort_keys=True) + "\n")
     _write_json(os.path.join(outdir, "scan_meta.json"), result.meta)
 
     print(f"scan: {len(result)} records -> {outdir}")
@@ -678,7 +665,8 @@ def _build_parser():
     sub.add_parser("design", parents=[common],
                    help="solve the two-color phase condition")
     sub.add_parser("oracle", parents=[common],
-                   help="brute-force orientation bound on the lowest dressed states")
+                   help="orientation bound on the lowest dressed states "
+                        "(top eigenpair of cos theta)")
     return parser
 
 

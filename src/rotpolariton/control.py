@@ -10,16 +10,17 @@ w_up, w_lo the two transition frequencies, the alignment manifold is
 
 because w_lo/g and w_up/g are coprime integers for the resonant defaults and
 the torus line traced by the two free phases conserves exactly this
-combination.  The designer solves Phi(phi_up) on that manifold by bracketed
-root finding on numerically integrated areas, never on the asymptotic
-closed forms.
+combination.  The ground areas are linear in each carrier's phasor, so the
+designer integrates three single carriers once, numerically and never by the
+asymptotic closed forms, and bisects Phi(phi_up) onto that manifold with
+arithmetic on those areas.  The designed pulse is then certified by full
+quadrature.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
-from scipy import optimize
 
 from .dynamics import (
     magnus_wavefunction,
@@ -64,7 +65,6 @@ __all__ = [
     "check_conditions",
     "design_composite",
     "kick_response",
-    "composite_response",
     "ScanResult",
     "scan_detuning_bandwidth",
     "scan_composite_bandwidth",
@@ -74,6 +74,14 @@ __all__ = [
 DESIGN_AREA = np.pi * np.sqrt(2.0) / 8.0
 # single-carrier area pi/4: equal ground/excited split on one line
 KICK_AREA = np.pi / 4.0
+# the carriers resolve the doublet only up to this bandwidth, in units of g
+_MAX_BANDWIDTH_RATIO = 0.2
+# quadrature tolerance of the design areas, and the largest phase (units of
+# g) and amplitude residuals a designed pulse may keep
+_QUAD_TOL = 1e-12
+_RESIDUAL_TOL = 1e-6
+# spectral peaks reported in a kick record: lines above 5% of the strongest
+_PEAKS_REL_HEIGHT = 0.05
 
 
 def _wrap(x, period):
@@ -176,24 +184,28 @@ def check_conditions(params, fld, area_target=DESIGN_AREA, tol=1e-10):
     )
 
 
-def _ground_phase_functional(params, fld, tol):
-    w0 = doublet_energies(params, 0)
-    up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params), tol=tol)
-    w_up, w_lo = w0
-    return w_lo * np.angle(up) - w_up * np.angle(-lo)
+def _bisect(f, lo, hi):
+    """Sign change of f in [lo, hi] with f(lo) < 0 <= f(hi), to float resolution."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f(lo)) < abs(f(hi)) else hi
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def design_composite(params, bandwidth=None, tau0=None, area=DESIGN_AREA,
-                     phase_minus=0.0, branch="auto", max_bandwidth_ratio=0.2,
-                     quad_tol=1e-12, residual_tol=1e-6):
+                     phase_minus=0.0, branch="auto"):
     """Solve the upper-carrier phase of the two-color orientation pulse.
 
     Give either the bandwidth (1/tau0) or tau0.  The carriers must resolve
-    the doublet (bandwidth <= max_bandwidth_ratio * g), otherwise the phase
-    picture the design rests on is meaningless and DesignInfeasible is
-    raised.  branch selects the +g pi or -g pi root of the phase functional;
-    "auto" solves both and keeps the one with the larger predicted
-    orientation maximum (ties go to "+").  Returns (pulse, report).
+    the doublet (bandwidth <= 0.2 g), otherwise the phase picture the design
+    rests on is meaningless and DesignInfeasible is raised.  branch selects
+    the +g pi or -g pi root of the phase functional; "auto" solves both and
+    keeps the one with the larger predicted orientation maximum (ties go to
+    "+").  Returns (pulse, report).
     """
     if (bandwidth is None) == (tau0 is None):
         raise ValueError("give exactly one of bandwidth or tau0")
@@ -203,56 +215,64 @@ def design_composite(params, bandwidth=None, tau0=None, area=DESIGN_AREA,
     g = params.coupling
     if g <= 0:
         raise DesignInfeasible("design needs a coupled cavity (g > 0)")
-    if bw > max_bandwidth_ratio * g * (1 + 1e-12):
+    if bw > _MAX_BANDWIDTH_RATIO * g * (1 + 1e-12):
         raise DesignInfeasible(
             f"bandwidth {bw:g} does not resolve the doublet; "
-            f"need <= {max_bandwidth_ratio:g} g = {max_bandwidth_ratio * g:g}"
+            f"need <= {_MAX_BANDWIDTH_RATIO:g} g = {_MAX_BANDWIDTH_RATIO * g:g}"
         )
-    w_up, w_lo = doublet_energies(params, 0)
+    w0 = doublet_energies(params, 0)
+    w_up, w_lo = w0
 
     def make(phi_up):
         return composite_for_area(params, area, tau0,
                                   [(w_up, phi_up), (w_lo, phase_minus)])
 
+    # cos(wt + phi) = cos(phi) cos(wt) + sin(phi) cos(wt + pi/2): the ground
+    # areas are linear in the upper carrier's phasor, so three integrated
+    # carriers give them at every phi_up
+    up_cos, up_sin, lower = (
+        np.array(pulse_area_ground(composite_for_area(params, area, tau0, [carrier]),
+                                   w0, mu_tilde_ground(params), tol=_QUAD_TOL))
+        for carrier in ((w_up, 0.0), (w_up, 0.5 * np.pi), (w_lo, phase_minus)))
+
     def solve(sign):
         target = sign * g * np.pi
 
         def f(phi_up):
-            val = _ground_phase_functional(params, make(phi_up), quad_tol)
+            up, lo = np.cos(phi_up) * up_cos + np.sin(phi_up) * up_sin + lower
+            val = w_lo * np.angle(up) - w_up * np.angle(-lo)
             return _wrap(val - target, 2.0 * g * np.pi)
 
+        # a bracket can straddle the 2 pi jump of an angle instead of a root;
+        # only a polished point on the manifold is a root
         guess = (target + w_up * phase_minus) / w_lo
         half = np.pi * g / w_lo  # half period of the wrapped residual in phi_up
-        lo_x, hi_x = guess - 0.6 * half, guess + 0.6 * half
-        f_lo, f_hi = f(lo_x), f(hi_x)
-        if not (f_lo < 0 < f_hi):
-            grid = np.linspace(guess - 2 * half, guess + 2 * half, 33)
-            vals = [f(x) for x in grid]
-            hit = None
-            for i in range(len(grid) - 1):
-                if vals[i] < 0 <= vals[i + 1] and vals[i + 1] - vals[i] < np.pi * g:
-                    hit = (grid[i], grid[i + 1])
-                    break
-            if hit is None:
-                raise DesignInfeasible("no root of the phase condition in the scanned range")
-            lo_x, hi_x = hit
-        return float(optimize.brentq(f, lo_x, hi_x, xtol=1e-14, rtol=8.9e-16))
+        brackets = [(guess - 0.6 * half, guess + 0.6 * half)]
+        grid = np.linspace(guess - 2 * half, guess + 2 * half, 33)
+        vals = [f(x) for x in grid]
+        brackets += [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
+                     if vals[i] < 0 <= vals[i + 1] and vals[i + 1] - vals[i] < np.pi * g]
+        for lo_x, hi_x in brackets:
+            if f(lo_x) < 0 <= f(hi_x):
+                root = _bisect(f, lo_x, hi_x)
+                if abs(f(root)) <= _RESIDUAL_TOL * g:
+                    return float(root)
+        raise DesignInfeasible("no root of the phase condition in the scanned range")
 
     signs = {"+": (1.0,), "-": (-1.0,), "auto": (1.0, -1.0)}[branch]
     best = None
     for sgn in signs:  # "+" first, so it keeps ties
-        phi_up = solve(sgn)
-        cand_pulse = make(phi_up)
-        cand_report = check_conditions(params, cand_pulse, area_target=area, tol=quad_tol)
+        cand_pulse = make(solve(sgn))
+        cand_report = check_conditions(params, cand_pulse, area_target=area, tol=_QUAD_TOL)
         if best is None or cand_report.predicted_orientation_max > best[0] + 1e-9:
             best = (cand_report.predicted_orientation_max, cand_pulse, cand_report)
     _, pulse, report = best
 
-    if report.phase_residual_g > residual_tol:
+    if report.phase_residual_g > _RESIDUAL_TOL:
         raise DesignInfeasible(
             f"solved phase misses the manifold by {report.phase_residual_g:.3e} g"
         )
-    if max(abs(r) for r in report.amp_residuals.values()) > residual_tol * max(1.0, area):
+    if max(abs(r) for r in report.amp_residuals.values()) > _RESIDUAL_TOL * max(1.0, area):
         raise DesignInfeasible("carrier cross-talk spoils the amplitude condition")
     return pulse, report
 
@@ -312,8 +332,8 @@ def _kick_setup(params, fld, dressed):
 
 
 def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=None,
-                  n_trace=16384, snapshot_offset=None, peaks_rel_height=0.05,
-                  keep_series=False, keep_spectrum=False):
+                  n_trace=16384, snapshot_offset=None, keep_series=False,
+                  keep_spectrum=False):
     """Post-pulse record of one propagated kick; see kick_response."""
     tau = params.revival_time
     if trace_window is None:
@@ -330,7 +350,7 @@ def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=Non
     period = _trace_revival(series, tau)
 
     spec = spectrum(series)
-    pw, ph = spectrum_peaks(spec, rel_height=peaks_rel_height)
+    pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
 
     pops = {lab: float(abs(a) ** 2) for lab, a in zip(traj.labels, end.amplitudes)}
     rec = {
@@ -366,9 +386,8 @@ def _integrator_kwargs(integrator, tol):
 
 
 def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
-                  snapshot_offset=None, peaks_rel_height=0.05, tol=1e-8,
-                  keep_series=False, keep_spectrum=False, n_pulse_samples=2,
-                  integrator=None):
+                  snapshot_offset=None, tol=1e-8, keep_series=False,
+                  keep_spectrum=False, n_pulse_samples=2, integrator=None):
     """Propagate one pulse and summarize the post-pulse orientation.
 
     dressed=True runs in the polariton eigenbasis (cavity on resonance);
@@ -388,38 +407,7 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
     return _kick_summary(params, fld, traj, cos_op, energies, dressed,
                          trace_window=trace_window, n_trace=n_trace,
                          snapshot_offset=snapshot_offset,
-                         peaks_rel_height=peaks_rel_height,
                          keep_series=keep_series, keep_spectrum=keep_spectrum)
-
-
-def composite_response(params, fld, trace_window=None, n_trace=16384, tol=1e-8,
-                       integrator=None):
-    """Exact dressed propagation of a composite pulse plus trace summary."""
-    tau = params.revival_time
-    if trace_window is None:
-        trace_window = 40.0 * tau
-    h0, v, basis = build_dressed_hamiltonian(params)
-    cos_op = dressed_cos_matrix(params)
-    state0 = unit_state(basis.labels, "0;0", basis="dressed", time=fld.t_start)
-    traj = propagate(h0, v, fld, state0, np.array([fld.t_start, fld.t_end]),
-                     **_integrator_kwargs(integrator, tol))
-    end = traj.state_at(len(traj) - 1)
-    vmax, t_max, series = _refined_trace_max(end, basis.energies, cos_op,
-                                             fld.t_end, trace_window, n_trace)
-    period = _trace_revival(series, tau)
-    pops = {lab: float(abs(a) ** 2) for lab, a in zip(basis.labels, end.amplitudes)}
-    return {
-        "final_state": end,
-        "basis": basis,
-        "series": series,
-        "orientation_max": vmax,
-        "t_max": t_max - fld.t_end,
-        "revival_period": period,
-        "populations": pops,
-        "norm_final": end.norm(),
-        "halvings": traj.meta.get("halvings"),
-        "step_error": traj.meta.get("step_error"),
-    }
 
 
 def magnus_final_state(params, fld, tol=1e-10):
@@ -535,8 +523,8 @@ def _composite_worker(payload):
     params = SystemParams(**pdict)
     fld = field_from_dict(fdict)
     try:
-        exact = composite_response(params, fld, n_trace=n_trace, tol=tol,
-                                   integrator=integrator)
+        exact = kick_response(params, fld, dressed=True, n_trace=n_trace, tol=tol,
+                              keep_series=True, integrator=integrator)
     except (NotConverged, QuadratureNotConverged) as exc:
         return idx, {"converged": False, "error": str(exc)}
     mstate, men = magnus_final_state(params, fld)

@@ -2,13 +2,14 @@
 
 The orientation signal is the expectation of cos(theta).  Post-pulse dynamics
 under a diagonal drift are evaluated in closed form from a single snapshot, so
-long traces cost one phase matrix rather than a propagation.
+long traces cost one phase matrix rather than a propagation.  The bound on
+the orientation over a few dressed states is the top eigenpair of the
+projected cos(theta) block, not a search.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import optimize, signal
 
 from .errors import BasisMismatch, NoRevivalFound, WindowTooShort
 from .model import OperatorMatrix
@@ -162,19 +163,18 @@ def spectrum(series, min_window=None, subtract_mean=True, label=""):
                     meta={"dt": dt, "window": series.window, "n": series.times.size})
 
 
-def spectrum_peaks(spec, rel_height=0.05, min_separation=None):
-    """Local maxima above rel_height * global max; returns (omegas, heights).
+def spectrum_peaks(spec, rel_height=0.05):
+    """Strict local maxima at or above rel_height * global max; (omegas, heights).
 
-    min_separation is an angular-frequency distance floor between peaks.
+    An exact plateau has no strict maximum and is not a peak.
     """
-    if spec.amplitude.size < 3:
+    a = spec.amplitude
+    if a.size < 3:
         return np.array([]), np.array([])
-    floor = rel_height * float(np.max(spec.amplitude))
-    distance = None
-    if min_separation is not None:
-        distance = max(1, int(round(min_separation / spec.domega)))
-    idx, _ = signal.find_peaks(spec.amplitude, height=floor, distance=distance)
-    return spec.omega[idx], spec.amplitude[idx]
+    floor = rel_height * float(np.max(a))
+    mid = a[1:-1]
+    idx = np.flatnonzero((mid > a[:-2]) & (mid > a[2:]) & (mid >= floor)) + 1
+    return spec.omega[idx], a[idx]
 
 
 def dressed_populations_phases(state, ground_label="0;0"):
@@ -282,117 +282,31 @@ def _float_gcd(values, rtol=1e-9):
     return g
 
 
-def orientation_max_oracle(cos_op, energies, labels, states=("0;0", "+;0", "-;0"),
-                           n_pop=101, n_phase=64, n_time=2048, refine_tol=1e-4):
-    """Brute-force bound on <cos theta> over superpositions of a few states.
+def orientation_max_oracle(cos_op, energies, labels, states=("0;0", "+;0", "-;0")):
+    """Largest <cos theta> over superpositions of a few states, in closed form.
 
-    Scans the population simplex (n_pop points per axis) crossed with phase
-    grids (n_phase per free phase), polishes the best grid point with
-    Nelder-Mead, and reports when within the common recurrence period of the
-    restricted energies the bound is attained.  Returns a dict with keys
-    max, grid_max, populations, phases, time, refined_gain.
+    By the Rayleigh quotient the bound is the top eigenvalue of cos theta
+    projected on `states`, attained by its eigenvector; phases are taken
+    relative to the first state.  That state is the one at time 0, so the
+    bound recurs every common period of the restricted energies.  Returns a
+    dict with keys max, populations, phases, time, period, states.
     """
     labels = tuple(labels)
     idx = [labels.index(s) for s in states]
+    if len(idx) < 2:
+        raise ValueError("the oracle needs a subspace of at least two states")
     m = cos_op.matrix if isinstance(cos_op, OperatorMatrix) else np.asarray(cos_op, dtype=complex)
-    sub = m[np.ix_(idx, idx)]
+    vals, vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
+    c = vecs[:, -1] * np.exp(-1j * np.angle(vecs[0, -1]))
     en = np.asarray(energies, dtype=float)[idx]
-    k = len(idx)
-    if k not in (2, 3):
-        raise ValueError("oracle supports two- or three-state subspaces")
-
-    grid = np.linspace(0.0, 1.0, n_pop)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phase, endpoint=False)
-    if k == 2:
-        # single coherence: populations (p, 1-p) and one relative phase
-        cp = np.stack([np.sqrt(grid), np.sqrt(1.0 - grid)], axis=1)
-        e = np.stack([np.ones(n_phase, dtype=complex), np.exp(1j * phi)], axis=1)
-        kmat = np.real(np.einsum("bj,jk,bk->bjk", e.conj(), sub, e))
-        vals = np.einsum("aj,ak,bjk->ab", cp, cp, kmat)
-        a, b = np.unravel_index(np.argmax(vals), vals.shape)
-        best_val = float(vals[a, b])
-
-        def negf(x):
-            u, a1 = x
-            c = np.array([np.cos(u), np.sin(u) * np.exp(1j * a1)])
-            return -float(np.real(np.vdot(c, sub @ c)))
-
-        u0 = np.arccos(np.sqrt(np.clip(grid[a], 0.0, 1.0)))
-        res = optimize.minimize(negf, x0=[u0, float(phi[b])], method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000})
-        refined = float(-res.fun)
-        u, a1 = res.x
-        p_ref = np.array([np.cos(u) ** 2, np.sin(u) ** 2])
-        phi_ref = np.mod(np.array([a1]), 2.0 * np.pi)
-    else:
-        # populations on the simplex, first phase gauged to zero
-        pops = [(p0, p1, 1.0 - p0 - p1)
-                for p0 in grid for p1 in grid if p0 + p1 <= 1.0 + 1e-12]
-        pops = np.clip(np.array(pops), 0.0, 1.0)
-        cp = np.sqrt(pops)  # (np, 3) real
-        cpout = np.einsum("aj,ak->ajk", cp, cp)
-
-        e2 = np.exp(1j * phi)
-        best_val = -np.inf
-        best_pop = None
-        best_phi = None
-        for p1 in phi:
-            e = np.stack([np.ones_like(e2), np.full(e2.shape, np.exp(1j * p1)), e2], axis=1)
-            kmat = np.real(np.einsum("bj,jk,bk->bjk", e.conj(), sub, e))
-            vals = np.einsum("ajk,bjk->ab", cpout, kmat)
-            a, b = np.unravel_index(np.argmax(vals), vals.shape)
-            if vals[a, b] > best_val:
-                best_val = float(vals[a, b])
-                best_pop = pops[a]
-                best_phi = (float(p1), float(phi[b]))
-
-        def negf(x):
-            u, v, a1, a2 = x
-            p = np.array([np.cos(u) ** 2,
-                          np.sin(u) ** 2 * np.cos(v) ** 2,
-                          np.sin(u) ** 2 * np.sin(v) ** 2])
-            c = np.sqrt(p) * np.exp(1j * np.array([0.0, a1, a2]))
-            return -float(np.real(np.vdot(c, sub @ c)))
-
-        p0, pp, pm = best_pop
-        u0 = np.arccos(np.sqrt(np.clip(p0, 0.0, 1.0)))
-        su = np.sin(u0)
-        v0 = 0.25 * np.pi if su < 1e-9 else np.arccos(np.sqrt(np.clip(pp, 0.0, 1.0)) / su)
-        res = optimize.minimize(negf, x0=[u0, v0, best_phi[0], best_phi[1]],
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 5000})
-        refined = float(-res.fun)
-        u, v, a1, a2 = res.x
-        p_ref = np.array([np.cos(u) ** 2,
-                          np.sin(u) ** 2 * np.cos(v) ** 2,
-                          np.sin(u) ** 2 * np.sin(v) ** 2])
-        phi_ref = np.mod(np.array([a1, a2]), 2.0 * np.pi)
-
-    # when the bound recurs: scan one common period of the level splittings
-    c_opt = np.sqrt(p_ref) * np.exp(1j * np.concatenate([[0.0], phi_ref]))
     dE = en - en[0]
     g = _float_gcd(dE[1:])
     t_period = 2.0 * np.pi / g if g > 0 else 2.0 * np.pi / max(np.min(np.abs(dE[dE != 0])), 1e-300)
-    ts = np.linspace(0.0, t_period, n_time, endpoint=False)
-    phases = np.exp(-1j * np.outer(ts, dE))
-    cs = phases * c_opt[None, :]
-    vals_t = np.einsum("ti,ij,tj->t", cs.conj(), sub, cs).real
-    it = int(np.argmax(vals_t))
-    if 0 < it < n_time - 1:
-        vm1, v0t, vp1 = vals_t[it - 1], vals_t[it], vals_t[it + 1]
-        den = vm1 - 2.0 * v0t + vp1
-        dly = 0.5 * (vm1 - vp1) / den if den < 0 else 0.0
-    else:
-        dly = 0.0
-    t_max = float((it + dly) * (ts[1] - ts[0]))
-
     return {
-        "max": refined,
-        "grid_max": best_val,
-        "populations": tuple(float(p) for p in p_ref),
-        "phases": tuple(float(p) for p in phi_ref),
-        "time": t_max,
+        "max": float(vals[-1]),
+        "populations": tuple(float(p) for p in np.abs(c) ** 2),
+        "phases": tuple(float(p) for p in np.mod(np.angle(c[1:]), 2.0 * np.pi)),
+        "time": 0.0,
         "period": float(t_period),
-        "refined_gain": refined - best_val,
         "states": tuple(states),
     }

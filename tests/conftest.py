@@ -116,7 +116,7 @@ def designed(p_cavity):
 @pytest.fixture(scope="session")
 def composite_exact(p_cavity, designed):
     fld, _report = designed
-    return rp.composite_response(p_cavity, fld)
+    return rp.kick_response(p_cavity, fld)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from rotpolariton import convert_units
-from rotpolariton.cli import DEFAULTS, PRESETS, main, resolve_config
+from rotpolariton.cli import DEFAULTS, PRESETS, _json_safe, main, resolve_config
 from rotpolariton.control import DESIGN_AREA, KICK_AREA
 from rotpolariton.errors import ConfigError
 
@@ -375,6 +375,30 @@ def test_scan_command_composite_kind(tmp_path, capsys):
     assert all(0.0 <= r["step_error"] <= 1e-8 for r in records)
     # widening the pulse degrades the first-order description
     assert records[1]["max_population_diff"] > records[0]["max_population_diff"]
+
+
+def test_scan_records_leave_the_spectra_to_their_files(tmp_path, capsys):
+    cfg = merged(FAST, {"scan": {"detunings_g": [-1.0, 1.0], "bandwidths_g": [1.0],
+                                 "cavity": [True], "write_spectra": True}})
+    path = write_cfg(tmp_path / "spectra.yaml", cfg)
+    out = tmp_path / "run"
+    assert main(["scan", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in
+               (out / "records.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    assert not any("spectrum" in r for r in records)
+    for i in range(2):
+        assert np.loadtxt(out / f"spectrum_{i:04d}.tsv").shape[1] == 3
+
+
+def test_json_safe_refuses_what_it_cannot_write():
+    assert _json_safe({1: (np.float64(0.5), np.int64(2), np.bool_(True)),
+                       "a": np.arange(2.0)}) == {"1": [0.5, 2, True], "a": [0.0, 1.0]}
+    with pytest.raises(TypeError):
+        _json_safe({"a": [1.0, object()]})
+    with pytest.raises(TypeError):
+        _json_safe({"z": 1j})
 
 
 def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
 from conftest import B, G, TAU, SQRT3INV, unit_params
@@ -96,6 +97,41 @@ def test_phase_functional_root_is_unique_per_period(designed, p_cavity):
     assert flips == 1
     i = int(np.argmin(np.abs(resid)))
     assert abs(grid[i] - phi_star) < period / 20.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(phi=st.floats(-np.pi, np.pi), phase_minus=st.floats(-np.pi, np.pi))
+def test_areas_are_linear_in_the_upper_carrier_phasor(p_cavity, phi, phase_minus):
+    # cos(wt + phi) = cos(phi) cos(wt) + sin(phi) cos(wt + pi/2)
+    w_up, w_lo = rp.doublet_energies(p_cavity, 0)
+
+    def areas(*carriers):
+        return rp.compute_areas(p_cavity, rp.composite_for_area(
+            p_cavity, rp.DESIGN_AREA, 1.0 / (0.1 * G), carriers))
+
+    got = areas((w_up, phi), (w_lo, phase_minus))
+    parts = (areas((w_up, 0.0)), areas((w_up, 0.5 * np.pi)), areas((w_lo, phase_minus)))
+    weights = (np.cos(phi), np.sin(phi), 1.0)
+    for name in ("theta_up0", "theta_lo0"):
+        want = sum(w * getattr(a, name) for w, a in zip(weights, parts))
+        assert abs(getattr(got, name) - want) <= 1e-10
+    for key, val in got.doublet.items():
+        want = sum(w * a.doublet[key] for w, a in zip(weights, parts))
+        assert abs(val - want) <= 1e-10
+
+
+@pytest.mark.parametrize("bandwidth_g, phase_minus, branch",
+                         [(0.16, 1.963, "+"), (0.1, 3.0, "-")])
+def test_design_finds_the_root_past_an_angle_jump(bandwidth_g, phase_minus, branch):
+    # at coupling 0.15 omega01 the lower line sits at 17/3 g, so the 2 pi jump
+    # of an area's angle does not vanish mod 2 g pi and the first bracket can
+    # straddle that jump instead of a root
+    p = rp.ocs_params(coupling_ratio=0.15)
+    fld, rep = rp.design_composite(p, bandwidth=bandwidth_g * p.coupling,
+                                   phase_minus=phase_minus, branch=branch)
+    assert fld.components[1][1] == phase_minus
+    assert rep.phase_residual_g < 1e-6
+    assert rep.predicted_orientation_max == pytest.approx(SQRT3INV, abs=1e-6)
 
 
 def test_design_with_custom_area(p_cavity):

@@ -1,7 +1,8 @@
-"""Orientation, spectra, revivals, and the brute-force maximum oracle."""
+"""Orientation, spectra, revivals, and the closed-form maximum oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
 from conftest import B, TAU, SQRT3INV
@@ -126,6 +127,29 @@ def test_spectrum_peak_positions_stable_under_window_doubling():
         assert abs(pw[1] - 2.2) <= half.domega
 
 
+def test_spectrum_peaks_match_scipy_find_peaks(broadband_kick):
+    # scipy is a test-only dependency, kept as the reference peak finder
+    from scipy.signal import find_peaks
+
+    spec = broadband_kick["spectrum"]
+    for rel in (0.05, 0.3):
+        pw, ph = rp.spectrum_peaks(spec, rel_height=rel)
+        idx, _ = find_peaks(spec.amplitude, height=rel * float(np.max(spec.amplitude)))
+        assert len(idx) >= 2
+        assert np.array_equal(pw, spec.omega[idx])
+        assert np.array_equal(ph, spec.amplitude[idx])
+
+
+def test_spectrum_peaks_are_strict_local_maxima_at_or_above_the_floor():
+    # floor 0.25 * 4 = 1: the plateau at 2 is no peak, 0.9 is below the
+    # floor, 1.0 sits on it, and the end points are never peaks
+    amp = np.array([0.0, 2.0, 2.0, 0.0, 3.0, 0.5, 0.9, 0.4, 1.0, 0.2, 4.0])
+    spec = rp.Spectrum(omega=np.arange(amp.size, dtype=float), amplitude=amp)
+    pw, ph = rp.spectrum_peaks(spec, rel_height=0.25)
+    assert list(pw) == [4.0, 8.0]
+    assert list(ph) == [3.0, 1.0]
+
+
 def test_spectrum_requires_enough_window():
     t = np.linspace(0.0, 5.0, 256, endpoint=False)
     series = rp.TimeSeries(times=t, values=np.cos(2.0 * t))
@@ -201,8 +225,7 @@ def test_revival_period_constant_series_fails():
 def test_oracle_two_state_subspace(dressed):
     bas, cos_op = dressed
     res = rp.orientation_max_oracle(cos_op, bas.energies, bas.labels,
-                                    states=("0;0", "+;0"), n_pop=51, n_phase=32,
-                                    n_time=512)
+                                    states=("0;0", "+;0"))
     # single coherence: max 2 * (1/2) * 1/sqrt(6)
     assert res["max"] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-6)
     assert res["populations"][0] == pytest.approx(0.5, abs=1e-3)
@@ -220,9 +243,27 @@ def test_oracle_three_state_subspace(dressed, oracle_result):
     # the bound recurs within the common period of the two splittings
     assert res["period"] == pytest.approx(10.0 * TAU, rel=1e-9)
     assert 0.0 <= res["time"] < res["period"]
-    assert res["refined_gain"] >= 0.0
-    # refinement is below the grid tolerance, i.e. the grid was fine enough
-    assert res["refined_gain"] < 1e-4
+
+
+_SUBSPACE = ("0;0", "+;0", "-;0", "+;1", "-;1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+                min_size=2, max_size=5).filter(lambda a: np.linalg.norm(a) > 1e-3))
+def test_no_state_in_the_subspace_beats_the_oracle(dressed, amps):
+    bas, cos_op = dressed
+    states = _SUBSPACE[:len(amps)]
+    res = rp.orientation_max_oracle(cos_op, bas.energies, bas.labels, states=states)
+    idx = [bas.index(s) for s in states]
+    sub = cos_op.matrix[np.ix_(idx, idx)]
+    c = np.array(amps) / np.linalg.norm(amps)
+    assert np.vdot(c, sub @ c).real <= res["max"] + 1e-12
+    # the reported populations and phases attain the bound
+    best = np.sqrt(res["populations"]) * np.exp(1j * np.concatenate([[0.0], res["phases"]]))
+    assert sum(res["populations"]) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(best, sub @ best).real == pytest.approx(res["max"], abs=1e-12)
+    assert res["time"] == 0.0
 
 
 def test_oracle_rejects_other_sizes(dressed):
