@@ -26,7 +26,6 @@ from .control import (
 from .dynamics import (
     StateVector,
     Trajectory,
-    expand_to_labels,
     free_evolve,
     magnus_wavefunction,
     propagate,

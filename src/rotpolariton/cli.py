@@ -57,7 +57,7 @@ DEFAULTS = {
         "phase": 0.0,             # gaussian carrier phase
         "carriers": None,         # composite: list of {detuning_g, phase}, offsets from omega_c
         "phase_minus": 0.0,       # designed: fixed lower-carrier phase
-        "branch": "auto",         # designed: +, -, or auto
+        "branch": "+",            # designed: + or -
     },
     "experiment": {
         "dressed": None,          # default: follow system.cavity
@@ -300,7 +300,7 @@ def resolve_config(raw, preset=None):
     _as_float(cfg, "field.detuning_g")
     _as_float(cfg, "field.phase")
     _as_float(cfg, "field.phase_minus")
-    _as_choice(cfg, "field.branch", {"+", "-", "auto"})
+    _as_choice(cfg, "field.branch", {"+", "-"})
     if kind == "composite":
         carriers = cfg["field"]["carriers"]
         if not isinstance(carriers, (list, tuple)) or not carriers:
@@ -462,6 +462,18 @@ def _prepare_outdir(cfg, args):
 # ---------------------------------------------------------------- commands
 
 
+def _field_area(cfg, designed):
+    """field.area of a kick (designed=False) or of a designed two-color pulse.
+
+    The resolved area defaults by field.kind; a kind of the other family
+    means the user never chose this area, so the family's own default holds.
+    """
+    f = cfg["field"]
+    if (f["kind"] == "gaussian") == designed:
+        return DESIGN_AREA if designed else KICK_AREA
+    return f["area"]
+
+
 def _integrator_kwargs(cfg):
     integ = cfg["integrator"]
     return {"method": integ["method"], "tol": integ["tol"],
@@ -535,18 +547,20 @@ def cmd_scan(cfg, args):
     outdir = _prepare_outdir(cfg, args)
     _write_manifest(outdir, cfg, args, "scan")
 
+    kw = {"bandwidths": [b * g_ref for b in sc["bandwidths_g"]],
+          "trace_window": exp["trace_window_tau"] * tau,
+          "n_trace": exp["n_trace"],
+          "threads": args.threads,
+          "integrator": _integrator_kwargs(cfg)}
     if sc["kind"] == "detuning":
         result = scan_detuning_bandwidth(
             params,
             detunings=[d * g_ref for d in sc["detunings_g"]],
-            bandwidths=[b * g_ref for b in sc["bandwidths_g"]],
             cavity=sc["cavity"],
-            trace_window=exp["trace_window_tau"] * tau,
-            n_trace=exp["n_trace"],
+            area=_field_area(cfg, designed=False),
             snapshot_offset=exp["snapshot_tau"] * tau,
-            threads=args.threads,
             keep_spectrum=sc["write_spectra"],
-            integrator=_integrator_kwargs(cfg),
+            **kw,
         )
         for cav in sc["cavity"]:
             for bw in sc["bandwidths_g"]:
@@ -571,11 +585,11 @@ def cmd_scan(cfg, args):
     else:
         result = scan_composite_bandwidth(
             params,
-            bandwidths=[b * g_ref for b in sc["bandwidths_g"]],
             reference_bandwidth=sc["reference_bandwidth_g"] * g_ref,
-            n_trace=exp["n_trace"],
-            threads=args.threads,
-            integrator=_integrator_kwargs(cfg),
+            area=_field_area(cfg, designed=True),
+            phase_minus=cfg["field"]["phase_minus"],
+            branch=cfg["field"]["branch"],
+            **kw,
         )
         rows = [(rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
                  rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
@@ -599,12 +613,10 @@ def cmd_scan(cfg, args):
 def cmd_design(cfg, args):
     params, g_ref = build_params(cfg)
     f = cfg["field"]
-    # a leftover gaussian kind means the user never chose a composite area
-    area = DESIGN_AREA if f["kind"] == "gaussian" else f["area"]
     pulse, report = design_composite(
         params,
         bandwidth=f["bandwidth_g"] * g_ref,
-        area=area,
+        area=_field_area(cfg, designed=True),
         phase_minus=f["phase_minus"],
         branch=f["branch"],
     )
@@ -654,7 +666,8 @@ def _build_parser():
     common.add_argument("--out", help="output directory (overrides output.directory)")
     common.add_argument("--threads", type=int, default=None,
                         help="worker processes for scans; a detuning scan gives each "
-                             "(cavity, bandwidth) group to one process")
+                             "(cavity, bandwidth) group to one process, a composite "
+                             "scan each bandwidth")
     common.add_argument("--seed", type=int, default=None,
                         help="recorded in the manifest; runs are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)

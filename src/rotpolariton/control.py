@@ -15,6 +15,13 @@ designer integrates three single carriers once, numerically and never by the
 asymptotic closed forms, and bisects Phi(phi_up) onto that manifold with
 arithmetic on those areas.  The designed pulse is then certified by full
 quadrature.
+
+Both scans run through one driver.  A scan job holds fields that share one
+window; the job propagates them as one batch and turns each trajectory into a
+record with the job's per-record function.  The detuning scan sends one job
+per (cavity, bandwidth) group, the composite scan one single-field job per
+bandwidth, whose record adds the first-order comparison.  Jobs go to worker
+processes as they are, and the records come back in job order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +36,7 @@ from .dynamics import (
     to_schrodinger,
     unit_state,
 )
-from .errors import DesignInfeasible, NoRevivalFound, NotConverged, QuadratureNotConverged
+from .errors import DesignInfeasible, NoRevivalFound, NotConverged
 from .model import (
     OperatorMatrix,
     SystemParams,
@@ -197,18 +204,19 @@ def _bisect(f, lo, hi):
 
 
 def design_composite(params, bandwidth=None, tau0=None, area=DESIGN_AREA,
-                     phase_minus=0.0, branch="auto"):
+                     phase_minus=0.0, branch="+"):
     """Solve the upper-carrier phase of the two-color orientation pulse.
 
     Give either the bandwidth (1/tau0) or tau0.  The carriers must resolve
     the doublet (bandwidth <= 0.2 g), otherwise the phase picture the design
-    rests on is meaningless and DesignInfeasible is raised.  branch selects
-    the +g pi or -g pi root of the phase functional; "auto" solves both and
-    keeps the one with the larger predicted orientation maximum (ties go to
-    "+").  Returns (pulse, report).
+    rests on is meaningless and DesignInfeasible is raised.  branch ("+" or
+    "-") selects the +g pi or -g pi root of the phase functional.  Returns
+    (pulse, report).
     """
     if (bandwidth is None) == (tau0 is None):
         raise ValueError("give exactly one of bandwidth or tau0")
+    if branch not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     if tau0 is None:
         tau0 = 1.0 / bandwidth
     bw = 1.0 / tau0
@@ -259,14 +267,8 @@ def design_composite(params, bandwidth=None, tau0=None, area=DESIGN_AREA,
                     return float(root)
         raise DesignInfeasible("no root of the phase condition in the scanned range")
 
-    signs = {"+": (1.0,), "-": (-1.0,), "auto": (1.0, -1.0)}[branch]
-    best = None
-    for sgn in signs:  # "+" first, so it keeps ties
-        cand_pulse = make(solve(sgn))
-        cand_report = check_conditions(params, cand_pulse, area_target=area, tol=_QUAD_TOL)
-        if best is None or cand_report.predicted_orientation_max > best[0] + 1e-9:
-            best = (cand_report.predicted_orientation_max, cand_pulse, cand_report)
-    _, pulse, report = best
+    pulse = make(solve(1.0 if branch == "+" else -1.0))
+    report = check_conditions(params, pulse, area_target=area, tol=_QUAD_TOL)
 
     if report.phase_residual_g > _RESIDUAL_TOL:
         raise DesignInfeasible(
@@ -379,15 +381,9 @@ def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=Non
     return rec
 
 
-def _integrator_kwargs(integrator, tol):
-    integ = dict(integrator or {})
-    integ.setdefault("tol", tol)
-    return integ
-
-
 def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
-                  snapshot_offset=None, tol=1e-8, keep_series=False,
-                  keep_spectrum=False, n_pulse_samples=2, integrator=None):
+                  snapshot_offset=None, keep_series=False, keep_spectrum=False,
+                  n_pulse_samples=2, integrator=None):
     """Propagate one pulse and summarize the post-pulse orientation.
 
     dressed=True runs in the polariton eigenbasis (cavity on resonance);
@@ -399,11 +395,13 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
     revival period (None if undetected), spectral peaks, final populations.
     keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
     spectrum, and in-pulse trajectory under non-JSON keys for file export.
+    integrator holds the keyword arguments of propagate (method, tol, dt,
+    max_halvings).
     """
     h0, v, state0, cos_op, energies = _kick_setup(params, fld, dressed)
     n_samples = max(2, int(n_pulse_samples))
     traj = propagate(h0, v, fld, state0, np.linspace(fld.t_start, fld.t_end, n_samples),
-                     **_integrator_kwargs(integrator, tol))
+                     **(integrator or {}))
     return _kick_summary(params, fld, traj, cos_op, energies, dressed,
                          trace_window=trace_window, n_trace=n_trace,
                          snapshot_offset=snapshot_offset,
@@ -438,30 +436,68 @@ class ScanResult:
 
 
 def _kick_worker(params, fld, traj, cos_op, energies, dressed, kw):
-    """One detuning-scan record, from its propagated trajectory or its failure."""
+    """One kick record, from its propagated trajectory or its failure."""
     if isinstance(traj, NotConverged):
         return {"converged": False, "error": str(traj)}
     rec = _kick_summary(params, fld, traj, cos_op, energies, dressed, **kw)
     return {**rec, "converged": True}
 
 
-def _kick_group_worker(payload):
-    """All detunings of one (cavity, bandwidth) group, propagated as one batch."""
-    pdict, fdicts, dressed, integ, kw = payload
-    from .pulse import field_from_dict
+def _composite_worker(params, fld, traj, cos_op, energies, dressed, kw):
+    """One composite record: the exact kick against the first-order pulse map."""
+    exact = _kick_worker(params, fld, traj, cos_op, energies, dressed,
+                         {**kw, "keep_series": True})
+    if not exact["converged"]:
+        return exact
+    mstate, men = magnus_final_state(params, fld)
+    sub = cos_op.matrix[np.ix_(range(5), range(5))]
+    mmax, _, _ = _refined_trace_max(
+        mstate, men, OperatorMatrix(sub, basis="dressed", label="cos_theta"),
+        fld.t_end, exact["series"].window, 8192)
+    mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
+    epops = exact["populations"]
+    pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mstate.labels)
+    return {
+        "orientation_max_exact": exact["orientation_max"],
+        "orientation_max_magnus": float(mmax),
+        "populations_exact": epops,
+        "populations_magnus": mpops,
+        "max_population_diff": float(pop_diff),
+        "revival_period": exact["revival_period"],
+        "norm_final": exact["norm_final"],
+        "halvings": exact["halvings"],
+        "step_error": exact["step_error"],
+        "converged": True,
+    }
 
-    params = SystemParams(**pdict)
-    fields = [field_from_dict(f) for f in fdicts]
+
+def _kick_group_worker(job):
+    """The records of one scan job: its fields, propagated as one batch.
+
+    A job is (params, fields that share one window, dressed, integrator
+    keywords, summary keywords, per-record function).
+    """
+    params, fields, dressed, integ, kw, record = job
     h0, v, state0, cos_op, energies = _kick_setup(params, fields[0], dressed)
     times = np.array([fields[0].t_start, fields[0].t_end])
     trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, **integ)
-    return [_kick_worker(params, fld, traj, cos_op, energies, dressed, kw)
+    return [record(params, fld, traj, cos_op, energies, dressed, kw)
             for fld, traj in zip(fields, trajs)]
+
+
+def _scan_groups(jobs, threads):
+    """The records of all jobs, in job order; threads > 1 runs jobs in processes."""
+    if threads and threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            groups = list(pool.map(_kick_group_worker, jobs, chunksize=1))
+    else:
+        groups = [_kick_group_worker(job) for job in jobs]
+    return [rec for group in groups for rec in group]
 
 
 def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
                             area=KICK_AREA, trace_window=None, n_trace=16384,
-                            snapshot_offset=None, threads=None, tol=1e-8,
+                            snapshot_offset=None, threads=None,
                             keep_spectrum=False, integrator=None):
     """Kick-pulse response over carrier detuning x bandwidth x cavity on/off.
 
@@ -476,12 +512,9 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     Records keep the axes, the orientation maximum and snapshot, the revival
     period, and the strongest spectral peaks, in deterministic axis order.
     """
-    from .pulse import field_to_dict
-
     cavity = tuple(cavity) if isinstance(cavity, (tuple, list)) else (cavity,)
     kw = {"trace_window": trace_window, "n_trace": n_trace,
           "snapshot_offset": snapshot_offset, "keep_spectrum": keep_spectrum}
-    integ = _integrator_kwargs(integrator, tol)
     jobs = []
     axes = []
     for cav in cavity:
@@ -489,22 +522,14 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
             rot_const=params.rot_const, dipole=params.dipole, cavity_freq=0.0,
             coupling=0.0, j_max=params.j_max, n_max=0)
         for bw in bandwidths:
-            fdicts = [field_to_dict(gaussian_for_area(run_params, area, 1.0 / bw,
-                                                      params.omega01 + det))
+            fields = [gaussian_for_area(run_params, area, 1.0 / bw, params.omega01 + det)
                       for det in detunings]
-            jobs.append((asdict(run_params), fdicts, cav, integ, kw))
+            jobs.append((run_params, fields, cav, integrator or {}, kw, _kick_worker))
             axes += [(bool(cav), float(bw), float(det)) for det in detunings]
 
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(_kick_group_worker, jobs, chunksize=1))
-    else:
-        groups = [_kick_group_worker(job) for job in jobs]
-
-    records = []
-    for (cav, bw, det), rec in zip(axes, (rec for group in groups for rec in group)):
+    records = _scan_groups(jobs, threads)
+    for (cav, bw, det), rec in zip(axes, records):
         rec.update({"cavity": cav, "bandwidth": bw, "detuning": det})
-        records.append(rec)
     meta = {
         "kind": "detuning_bandwidth",
         "area": float(area),
@@ -516,83 +541,30 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     return ScanResult(records=tuple(records), meta=meta)
 
 
-def _composite_worker(payload):
-    idx, pdict, fdict, n_trace, tol, integrator = payload
-    from .pulse import field_from_dict
+def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIGN_AREA,
+                             phase_minus=0.0, branch="+", trace_window=None,
+                             n_trace=16384, threads=None, integrator=None):
+    """Composite-pulse performance versus bandwidth, exact and first-order.
 
-    params = SystemParams(**pdict)
-    fld = field_from_dict(fdict)
-    try:
-        exact = kick_response(params, fld, dressed=True, n_trace=n_trace, tol=tol,
-                              keep_series=True, integrator=integrator)
-    except (NotConverged, QuadratureNotConverged) as exc:
-        return idx, {"converged": False, "error": str(exc)}
-    mstate, men = magnus_final_state(params, fld)
-    cos_op = dressed_cos_matrix(params)
-    sub = cos_op.matrix[np.ix_(range(5), range(5))]
-    mmax, mt, _ = _refined_trace_max(
-        mstate, men, OperatorMatrix(sub, basis="dressed", label="cos_theta"),
-        fld.t_end, exact["series"].window, 8192)
-    mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
-    epops = exact["populations"]
-    pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mstate.labels)
-    rec = {
-        "orientation_max_exact": exact["orientation_max"],
-        "orientation_max_magnus": float(mmax),
-        "populations_exact": epops,
-        "populations_magnus": mpops,
-        "max_population_diff": float(pop_diff),
-        "revival_period": exact["revival_period"],
-        "norm_final": exact["norm_final"],
-        "halvings": exact["halvings"],
-        "step_error": exact["step_error"],
-        "converged": True,
-    }
-    return idx, rec
-
-
-def scan_composite_bandwidth(params, bandwidths, reference_bandwidth=None,
-                             area=DESIGN_AREA, phase_minus=0.0, branch="auto",
-                             n_trace=16384, threads=None, tol=1e-8,
-                             integrator=None):
-    """Composite-pulse performance versus bandwidth, exact and analytic.
-
-    The carrier phases are solved once at reference_bandwidth (default: the
-    smallest bandwidth if it resolves the doublet, else 0.1 g) and then held
-    fixed while the envelope width sweeps, since the phase manifold does not
-    depend on the envelope.  Each record carries the exact and first-order
-    orientation maxima and their population mismatch.
+    The carrier phases are solved once at reference_bandwidth, with the
+    given area, lower-carrier phase and branch (see design_composite), and
+    then held fixed while the envelope width sweeps, since the phase
+    manifold does not depend on the envelope.  Each bandwidth is one scan
+    job, so `threads` worker processes take one bandwidth each, and the
+    records do not depend on `threads`.  Each record carries the exact and
+    first-order orientation maxima, over the post-pulse trace window, and
+    their population mismatch.
     """
-    from .pulse import field_to_dict
-
-    g = params.coupling
-    if reference_bandwidth is None:
-        reference_bandwidth = min(min(bandwidths), 0.1 * g)
     ref_pulse, report = design_composite(params, bandwidth=reference_bandwidth,
                                          area=area, phase_minus=phase_minus,
                                          branch=branch)
     carriers = ref_pulse.components
-    pdict = asdict(params)
-    jobs = []
-    for i, bw in enumerate(bandwidths):
-        fld = composite_for_area(params, area, 1.0 / bw, carriers)
-        jobs.append((i, pdict, field_to_dict(fld), n_trace, tol, integrator))
-
-    results = [None] * len(jobs)
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for idx, rec in pool.map(_composite_worker, jobs, chunksize=1):
-                results[idx] = rec
-    else:
-        for job in jobs:
-            idx, rec = _composite_worker(job)
-            results[idx] = rec
-
-    records = []
-    for bw, rec in zip(bandwidths, results):
-        rec = dict(rec)
+    kw = {"trace_window": trace_window, "n_trace": n_trace}
+    jobs = [(params, [composite_for_area(params, area, 1.0 / bw, carriers)], True,
+             integrator or {}, kw, _composite_worker) for bw in bandwidths]
+    records = _scan_groups(jobs, threads)
+    for bw, rec in zip(bandwidths, records):
         rec["bandwidth"] = float(bw)
-        records.append(rec)
     meta = {
         "kind": "composite_bandwidth",
         "area": float(area),

@@ -30,7 +30,6 @@ __all__ = [
     "StateVector",
     "Trajectory",
     "unit_state",
-    "expand_to_labels",
     "propagate",
     "propagate_batch",
     "free_evolve",
@@ -126,18 +125,6 @@ def unit_state(labels, which, basis, picture="schrodinger", time=0.0):
     a = np.zeros(len(labels), dtype=complex)
     a[idx] = 1.0
     return StateVector(a, basis=basis, picture=picture, time=time, labels=labels)
-
-
-def expand_to_labels(state, labels):
-    """Embed a labeled state into a larger labeled space, zero elsewhere."""
-    if state.labels is None:
-        raise ValueError("state has no labels to match")
-    labels = tuple(labels)
-    a = np.zeros(len(labels), dtype=complex)
-    for lab, amp in zip(state.labels, state.amplitudes):
-        a[labels.index(lab)] = amp
-    return StateVector(a, basis=state.basis, picture=state.picture,
-                       time=state.time, labels=labels)
 
 
 def _unpack(op, expect_basis=None):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from rotpolariton import convert_units
-from rotpolariton.cli import DEFAULTS, PRESETS, _json_safe, main, resolve_config
+from rotpolariton import composite_for_area, convert_units, kick_response
+from rotpolariton.cli import DEFAULTS, PRESETS, _json_safe, build_params, main, resolve_config
 from rotpolariton.control import DESIGN_AREA, KICK_AREA
 from rotpolariton.errors import ConfigError
 
@@ -139,6 +139,9 @@ def test_field_validation():
     with pytest.raises(ConfigError, match="cavity"):
         resolve_config({"system": {"cavity": False, "n_max": 0},
                         "field": {"kind": "designed"}})
+    assert resolve_config({})["field"]["branch"] == "+"
+    with pytest.raises(ConfigError, match=r"field.branch: expected one of \['\+', '-'\]"):
+        resolve_config({"field": {"branch": "auto"}})
 
 
 def test_dressed_flag_must_match_the_cavity():
@@ -375,6 +378,34 @@ def test_scan_command_composite_kind(tmp_path, capsys):
     assert all(0.0 <= r["step_error"] <= 1e-8 for r in records)
     # widening the pulse degrades the first-order description
     assert records[1]["max_population_diff"] > records[0]["max_population_diff"]
+
+
+def test_scans_read_the_field_area_phase_branch_and_trace_window(tmp_path, capsys):
+    field = {"kind": "designed", "area": 0.3, "phase_minus": 1.0, "branch": "-"}
+    comp = merged(FAST, {"field": field},
+                  {"scan": {"kind": "composite", "bandwidths_g": [1.0],
+                            "reference_bandwidth_g": 0.1}})
+    out = tmp_path / "comp"
+    assert main(["scan", "--config", write_cfg(tmp_path / "comp.yaml", comp),
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "scan_meta.json").read_text())
+    assert meta["area"] == 0.3
+    assert meta["carriers"][1][1] == 1.0
+    assert meta["design_report"]["branch_residuals_g"]["-"] < 1e-6
+    (rec,) = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    # the exact record is the kick of that pulse over the configured window
+    params, g_ref = build_params(resolve_config(comp))
+    fld = composite_for_area(params, 0.3, 1.0 / g_ref, meta["carriers"])
+    want = kick_response(params, fld, trace_window=20.0 * params.revival_time, n_trace=2048)
+    assert rec["orientation_max_exact"] == want["orientation_max"]
+
+    kick = merged(FAST, {"field": {"area": 0.3}},
+                  {"scan": {"detunings_g": [0.0], "bandwidths_g": [1.0], "cavity": [True]}})
+    out = tmp_path / "kick"
+    assert main(["scan", "--config", write_cfg(tmp_path / "kick.yaml", kick),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "scan_meta.json").read_text())["area"] == 0.3
 
 
 def test_scan_records_leave_the_spectra_to_their_files(tmp_path, capsys):

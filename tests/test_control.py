@@ -154,6 +154,8 @@ def test_design_infeasible_cases(p_cavity):
         rp.design_composite(p_cavity)
     with pytest.raises(ValueError):
         rp.design_composite(p_cavity, bandwidth=0.1 * G, tau0=1.0 / (0.1 * G))
+    with pytest.raises(ValueError, match="branch"):
+        rp.design_composite(p_cavity, bandwidth=0.1 * G, branch="auto")
 
 
 def test_design_boundary_bandwidth_is_accepted(p_cavity):
@@ -253,6 +255,17 @@ def test_scan_is_deterministic_across_thread_counts(p_cavity):
         assert a["populations"] == b["populations"]
         assert (a["halvings"], a["step_error"]) == (b["halvings"], b["step_error"])
         assert a["step_error"] <= 1e-8
+
+
+def test_composite_scan_is_deterministic_across_thread_counts(p_cavity):
+    # one bandwidth per job, so two processes share the three jobs
+    kw = dict(bandwidths=[0.5 * G, 0.75 * G, 1.0 * G], reference_bandwidth=0.1 * G,
+              n_trace=2048)
+    r1 = rp.scan_composite_bandwidth(p_cavity, threads=1, **kw)
+    r2 = rp.scan_composite_bandwidth(p_cavity, threads=2, **kw)
+    assert len(r1) == len(r2) == 3
+    assert r1.records == r2.records   # bit-identical, every key
+    assert all(r["converged"] for r in r1.records)
 
 
 def test_composite_scan_reuses_reference_carriers(magnus_sweep, designed):

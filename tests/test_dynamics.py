@@ -40,10 +40,6 @@ def test_unit_state_and_label_expansion():
     labels = ("0;0", "+;0", "-;0")
     s = unit_state(labels, "-;0", basis="dressed")
     assert s.amplitudes[2] == 1.0 and s.norm() == 1.0
-    big = rp.expand_to_labels(s, ("0;0", "+;0", "-;0", "+;1", "-;1"))
-    assert big.dim == 5
-    assert big.amplitudes[2] == 1.0
-    assert big.labels[3] == "+;1"
 
 
 def test_trajectory_accessors():
