@@ -26,11 +26,9 @@ from .control import (
 from .dynamics import (
     StateVector,
     Trajectory,
-    free_evolve,
     magnus_wavefunction,
     propagate,
     propagate_batch,
-    to_interaction,
     to_schrodinger,
     unit_state,
 )
@@ -80,14 +78,10 @@ from .observables import (
 )
 from .pulse import (
     CompositePulse,
-    GaussianPulse,
     PulseAreaSet,
-    SampledField,
     aggregate_areas,
     carrier_ceiling,
     composite_for_area,
-    envelope_scale,
-    field_from_dict,
     field_to_dict,
     field_value,
     gaussian_for_area,

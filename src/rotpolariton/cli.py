@@ -146,58 +146,71 @@ def _lookup(cfg, path):
     return cfg, key
 
 
+def _finite(val):
+    """float(val) when val is a finite number (a boolean is not), else None."""
+    if isinstance(val, bool):
+        return None
+    try:
+        num = float(val)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return num if np.isfinite(num) else None
+
+
+def _number(val, path):
+    num = _finite(val)
+    if num is None:
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+    return num
+
+
+def _integer(val, path):
+    num = _finite(val)
+    if num is None or num != int(num):
+        raise ConfigError(f"{path}: expected an integer, got {val!r}")
+    return int(num)
+
+
+def _boolean(val, path):
+    """A true boolean; strings such as "false" are rejected, never coerced."""
+    if not isinstance(val, bool):
+        raise ConfigError(f"{path}: expected true or false, got {val!r}")
+    return val
+
+
 def _as_float(cfg, path, allow_none=False, positive=False, nonnegative=False):
     """Validate a number in place: the resolved config keeps the float."""
     node, key = _lookup(cfg, path)
-    val = node[key]
-    if val is None:
+    if node[key] is None:
         if allow_none:
             return None
         raise ConfigError(f"{path}: value required")
-    if isinstance(val, bool):
-        raise ConfigError(f"{path}: expected a number, got {val!r}")
-    try:
-        val = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {val!r}") from None
+    val = node[key] = _number(node[key], path)
     if positive and val <= 0:
         raise ConfigError(f"{path}: must be positive")
     if nonnegative and val < 0:
         raise ConfigError(f"{path}: must be nonnegative")
-    node[key] = val
     return val
 
 
 def _as_int(cfg, path, minimum=None):
     """Validate an integer in place: the resolved config keeps the int."""
     node, key = _lookup(cfg, path)
-    val = node[key]
-    if isinstance(val, bool):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    try:
-        ival = int(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}") from None
-    if ival != float(val):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    if minimum is not None and ival < minimum:
+    val = node[key] = _integer(node[key], path)
+    if minimum is not None and val < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
-    node[key] = ival
-    return ival
+    return val
 
 
 def _as_bool(cfg, path):
-    """A true boolean; strings such as "false" are rejected, never coerced."""
     node, key = _lookup(cfg, path)
-    if not isinstance(node[key], bool):
-        raise ConfigError(f"{path}: expected true or false, got {node[key]!r}")
-    return node[key]
+    return _boolean(node[key], path)
 
 
 def _as_choice(cfg, path, choices):
     node, key = _lookup(cfg, path)
     val = node[key]
-    if val not in choices:
+    if not isinstance(val, str) or val not in choices:
         raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {val!r}")
     return val
 
@@ -214,13 +227,14 @@ def _quantity(node, path, unit_choices, default_unit):
         value, unit = node, default_unit
     if unit not in unit_choices:
         raise ConfigError(f"{path}.unit: expected one of {sorted(unit_choices)}, got {unit!r}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.value: expected a number, got {value!r}") from None
+    value = _number(value, f"{path}.value")
     if value <= 0:
         raise ConfigError(f"{path}.value: must be positive")
     return convert_units(value, unit, "au" if unit in ("cm-1", "au") else "au-dipole")
+
+
+# a start/stop/num grid longer than this is a typo, not a scan
+_MAX_GRID = 100_000
 
 
 def _grid(node, path, positive=False):
@@ -229,25 +243,24 @@ def _grid(node, path, positive=False):
         extra = set(node) - {"start", "stop", "num", "log"}
         if extra:
             raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
-        try:
-            start, stop = float(node["start"]), float(node["stop"])
-            num = int(node["num"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{path}: grid needs numeric start, stop, num") from None
-        if num < 1:
-            raise ConfigError(f"{path}.num: must be >= 1")
-        if node.get("log"):
+        if not {"start", "stop", "num"} <= set(node):
+            raise ConfigError(f"{path}: grid needs numeric start, stop, num")
+        start = _number(node["start"], f"{path}.start")
+        stop = _number(node["stop"], f"{path}.stop")
+        num = _integer(node["num"], f"{path}.num")
+        if not 1 <= num <= _MAX_GRID:
+            raise ConfigError(f"{path}.num: must be between 1 and {_MAX_GRID}")
+        if _boolean(node.get("log", False), f"{path}.log"):
             if start <= 0 or stop <= 0:
                 raise ConfigError(f"{path}: log grid needs positive endpoints")
             vals = np.geomspace(start, stop, num)
-        else:
+        elif np.isfinite(stop - start):
             vals = np.linspace(start, stop, num)
+        else:
+            raise ConfigError(f"{path}: start and stop are too far apart")
         out = [float(v) for v in vals]
     elif isinstance(node, (list, tuple)):
-        try:
-            out = [float(v) for v in node]
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: expected numbers") from None
+        out = [_number(v, f"{path}[{i}]") for i, v in enumerate(node)]
     else:
         raise ConfigError(f"{path}: expected a list or a start/stop/num mapping")
     if not out:
@@ -309,10 +322,8 @@ def resolve_config(raw, preset=None):
         for i, c in enumerate(carriers):
             if not isinstance(c, dict) or set(c) - {"detuning_g", "phase"}:
                 raise ConfigError(f"field.carriers[{i}]: expected {{detuning_g, phase}}")
-            try:
-                parsed.append((float(c.get("detuning_g", 0.0)), float(c.get("phase", 0.0))))
-            except (TypeError, ValueError):
-                raise ConfigError(f"field.carriers[{i}]: expected numbers") from None
+            parsed.append(tuple(_number(c.get(k, 0.0), f"field.carriers[{i}].{k}")
+                                for k in ("detuning_g", "phase")))
         cfg["field"]["carriers"] = [{"detuning_g": d, "phase": p} for d, p in parsed]
     if kind == "designed" and not cfg["system"]["cavity"]:
         raise ConfigError("field.kind: designed fields need the cavity on")
@@ -339,6 +350,15 @@ def resolve_config(raw, preset=None):
     if not isinstance(cav, (list, tuple)) or not cav or \
             any(not isinstance(c, bool) for c in cav):
         raise ConfigError("scan.cavity: expected a nonempty list of booleans")
+    if cfg["scan"]["kind"] == "detuning":
+        # each (cavity, bandwidth) group writes its own TSV
+        if len(set(cav)) < len(cav):
+            raise ConfigError("scan.cavity: true and false may each appear once")
+        names = [_orientation_tsv(True, bw) for bw in cfg["scan"]["bandwidths_g"]]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"scan.bandwidths_g: two bandwidths would both write "
+                                  f"{name.replace('cavon', 'cav*')}")
     _as_bool(cfg, "scan.write_spectra")
     _as_float(cfg, "scan.reference_bandwidth_g", positive=True)
 
@@ -474,6 +494,11 @@ def _field_area(cfg, designed):
     return f["area"]
 
 
+def _orientation_tsv(cav, bw):
+    """File name of the detuning-scan TSV of one (cavity, bandwidth in g) group."""
+    return f"orientation_cav{'on' if cav else 'off'}_bw{bw:g}.tsv"
+
+
 def _integrator_kwargs(cfg):
     integ = cfg["integrator"]
     return {"method": integ["method"], "tol": integ["tol"],
@@ -562,17 +587,17 @@ def cmd_scan(cfg, args):
             keep_spectrum=sc["write_spectra"],
             **kw,
         )
-        for cav in sc["cavity"]:
-            for bw in sc["bandwidths_g"]:
-                rows = [(rec["detuning"] / g_ref, rec.get("orientation_max"),
-                         rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
-                         _per(rec.get("revival_period"), tau), rec["converged"])
-                        for rec in result.records if rec["cavity"] == cav
-                        and abs(rec["bandwidth"] - bw * g_ref) <= 1e-15 * g_ref]
-                name = f"orientation_cav{'on' if cav else 'off'}_bw{bw:g}.tsv"
-                _write_tsv(os.path.join(outdir, name),
-                           ["detuning_g", "orientation_max", "orientation_snapshot",
-                            "t_max_tau", "revival_tau", "converged"], rows)
+        # records come in job order: detunings within (cavity, bandwidth) groups
+        n = len(sc["detunings_g"])
+        groups = [(cav, bw) for cav in sc["cavity"] for bw in sc["bandwidths_g"]]
+        for k, (cav, bw) in enumerate(groups):
+            rows = [(rec["detuning"] / g_ref, rec.get("orientation_max"),
+                     rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
+                     _per(rec.get("revival_period"), tau), rec["converged"])
+                    for rec in result.records[k * n:(k + 1) * n]]
+            _write_tsv(os.path.join(outdir, _orientation_tsv(cav, bw)),
+                       ["detuning_g", "orientation_max", "orientation_snapshot",
+                        "t_max_tau", "revival_tau", "converged"], rows)
         if sc["write_spectra"]:
             for i, rec in enumerate(result.records):
                 spec = rec.get("spectrum")

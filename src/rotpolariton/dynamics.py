@@ -23,7 +23,7 @@ from itertools import chain, cycle, islice
 import numpy as np
 
 from .errors import BasisMismatch, NotConverged
-from .model import OperatorMatrix
+from .model import operator_matrix
 from .pulse import carrier_ceiling, field_value
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "unit_state",
     "propagate",
     "propagate_batch",
-    "free_evolve",
-    "to_interaction",
     "to_schrodinger",
     "magnus_wavefunction",
 ]
@@ -125,15 +123,6 @@ def unit_state(labels, which, basis, picture="schrodinger", time=0.0):
     a = np.zeros(len(labels), dtype=complex)
     a[idx] = 1.0
     return StateVector(a, basis=basis, picture=picture, time=time, labels=labels)
-
-
-def _unpack(op, expect_basis=None):
-    if isinstance(op, OperatorMatrix):
-        if expect_basis is not None and op.basis != expect_basis:
-            raise BasisMismatch(f"operator in basis {op.basis!r}, expected {expect_basis!r}")
-        return op.matrix, op.basis
-    m = np.asarray(op, dtype=complex)
-    return m, expect_basis
 
 
 class _SplitFrame:
@@ -343,10 +332,8 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
         raise ValueError("propagate expects schrodinger-picture states")
     if any(s.basis != first.basis or s.dim != first.dim for s in states0):
         raise BasisMismatch("the initial states of one batch must share their basis")
-    h0m, _ = _unpack(h0, expect_basis=first.basis)
-    vm, _ = _unpack(v, expect_basis=first.basis)
-    if h0m.shape[0] != first.dim or vm.shape != h0m.shape:
-        raise BasisMismatch("operator and state dimensions disagree")
+    h0m = operator_matrix(h0, first.basis, first.dim)
+    vm = operator_matrix(v, first.basis, first.dim)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1d array, length >= 2")
@@ -417,29 +404,6 @@ def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
     if isinstance(result, NotConverged):
         raise result
     return result
-
-
-def free_evolve(state, t_final, energies):
-    """Closed-form drift under a diagonal Hamiltonian with the given energies."""
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (state.dim,):
-        raise BasisMismatch("energies length does not match the state")
-    if state.picture == "interaction":
-        amps = state.amplitudes
-    else:
-        amps = np.exp(-1j * energies * (t_final - state.time)) * state.amplitudes
-    return StateVector(amps, basis=state.basis, picture=state.picture,
-                       time=float(t_final), labels=state.labels)
-
-
-def to_interaction(state, energies, t_ref=0.0):
-    """Strip the drift phases accumulated since t_ref."""
-    if state.picture == "interaction":
-        raise ValueError("state is already in the interaction picture")
-    energies = np.asarray(energies, dtype=float)
-    amps = np.exp(1j * energies * (state.time - t_ref)) * state.amplitudes
-    return StateVector(amps, basis=state.basis, picture="interaction",
-                       time=state.time, labels=state.labels)
 
 
 def to_schrodinger(state, energies, t_ref=0.0):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonResonantCavity, UnknownUnit
+from .errors import BasisMismatch, NonResonantCavity, UnknownUnit
 
 __all__ = [
     "HARTREE_PER_CM1",
@@ -32,6 +32,7 @@ __all__ = [
     "SystemParams",
     "ocs_params",
     "OperatorMatrix",
+    "operator_matrix",
     "ProductBasis",
     "DressedBasis",
     "cos_theta_elements",
@@ -163,6 +164,24 @@ class OperatorMatrix:
 
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+
+
+def operator_matrix(op, basis=None, dim=None):
+    """The complex matrix of an OperatorMatrix or a bare array, checked.
+
+    A tagged operator must be in `basis` and the matrix must be dim x dim,
+    wherever these are given; a mismatch raises BasisMismatch.  Bare arrays
+    carry no tag, so only their shape is checked.
+    """
+    if isinstance(op, OperatorMatrix):
+        if basis is not None and op.basis != basis:
+            raise BasisMismatch(f"operator in basis {op.basis!r}, expected {basis!r}")
+        m = op.matrix
+    else:
+        m = np.asarray(op, dtype=complex)
+    if dim is not None and m.shape != (dim, dim):
+        raise BasisMismatch("operator and state dimensions disagree")
+    return m
 
 
 @dataclass(frozen=True)

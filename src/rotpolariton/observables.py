@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BasisMismatch, NoRevivalFound, WindowTooShort
-from .model import OperatorMatrix
+from .model import operator_matrix
 
 __all__ = [
     "TimeSeries",
@@ -89,23 +89,11 @@ class Spectrum:
         return float(self.amplitude[int(np.argmin(np.abs(self.omega - omega0)))])
 
 
-def _check_op(state, op):
-    if isinstance(op, OperatorMatrix):
-        if op.basis != state.basis:
-            raise BasisMismatch(f"operator basis {op.basis!r} vs state basis {state.basis!r}")
-        m = op.matrix
-    else:
-        m = np.asarray(op, dtype=complex)
-    if m.shape != (state.dim, state.dim):
-        raise BasisMismatch("operator and state dimensions disagree")
-    return m
-
-
 def orientation(state, cos_op):
     """<cos theta> for a single state; phases matter, so schrodinger only."""
     if state.picture != "schrodinger":
         raise ValueError("orientation needs a schrodinger-picture state")
-    m = _check_op(state, cos_op)
+    m = operator_matrix(cos_op, state.basis, state.dim)
     val = np.vdot(state.amplitudes, m @ state.amplitudes)
     return float(val.real)
 
@@ -114,12 +102,7 @@ def expectation_series(traj, op, label=""):
     """Expectation value of a (tagged) operator along a sampled trajectory."""
     if traj.picture != "schrodinger":
         raise ValueError("expectation_series needs a schrodinger-picture trajectory")
-    if isinstance(op, OperatorMatrix):
-        if op.basis != traj.basis:
-            raise BasisMismatch(f"operator basis {op.basis!r} vs trajectory basis {traj.basis!r}")
-        m = op.matrix
-    else:
-        m = np.asarray(op, dtype=complex)
+    m = operator_matrix(op, traj.basis, traj.dim)
     vals = np.einsum("ti,ij,tj->t", traj.states.conj(), m, traj.states)
     return TimeSeries(traj.times, vals.real, label=label)
 
@@ -132,7 +115,7 @@ def orientation_trace(state, energies, cos_op, times, label=""):
     """
     if state.picture != "schrodinger":
         raise ValueError("orientation_trace needs a schrodinger-picture snapshot")
-    m = _check_op(state, cos_op)
+    m = operator_matrix(cos_op, state.basis, state.dim)
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (state.dim,):
         raise BasisMismatch("energies length does not match the state")
@@ -295,7 +278,7 @@ def orientation_max_oracle(cos_op, energies, labels, states=("0;0", "+;0", "-;0"
     idx = [labels.index(s) for s in states]
     if len(idx) < 2:
         raise ValueError("the oracle needs a subspace of at least two states")
-    m = cos_op.matrix if isinstance(cos_op, OperatorMatrix) else np.asarray(cos_op, dtype=complex)
+    m = operator_matrix(cos_op)
     vals, vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
     c = vecs[:, -1] * np.exp(-1j * np.angle(vecs[0, -1]))
     en = np.asarray(energies, dtype=float)[idx]

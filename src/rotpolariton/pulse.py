@@ -14,15 +14,14 @@ per period of the fastest oscillation and certified by panel doubling.
 """
 
 from dataclasses import dataclass, asdict
+from functools import reduce
 
 import numpy as np
 
 from .errors import QuadratureNotConverged
 
 __all__ = [
-    "GaussianPulse",
     "CompositePulse",
-    "SampledField",
     "gaussian_for_area",
     "composite_for_area",
     "field_value",
@@ -33,7 +32,6 @@ __all__ = [
     "PulseAreaSet",
     "aggregate_areas",
     "field_to_dict",
-    "field_from_dict",
 ]
 
 _MIN_WINDOW_WIDTHS = 6.0
@@ -42,23 +40,12 @@ _DEFAULT_WINDOW_WIDTHS = 7.0
 
 
 @dataclass(frozen=True)
-class GaussianPulse:
-    """Single Gaussian envelope exp(-t^2 / 2 tau0^2) with one carrier."""
-
-    e0: float
-    tau0: float
-    omega0: float
-    phi0: float
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        _check_window(self.tau0, self.t_start, self.t_end)
-
-
-@dataclass(frozen=True)
 class CompositePulse:
-    """Shared Gaussian envelope under several (omega, phi) carriers."""
+    """The one field type: a Gaussian envelope under (omega, phi) carriers.
+
+    E(t) = e0 exp(-t^2 / 2 tau0^2) sum_k cos(omega_k t + phi_k) inside the
+    window; a single kick is the one-carrier case.
+    """
 
     e0: float
     tau0: float
@@ -71,55 +58,21 @@ class CompositePulse:
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("composite pulse needs at least one carrier")
-        _check_window(self.tau0, self.t_start, self.t_end)
-
-
-@dataclass(frozen=True)
-class SampledField:
-    """Tabulated field, linearly interpolated, zero outside the samples."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        v = np.array(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("times and values must be matching 1d arrays")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        peak = np.max(np.abs(v))
-        if peak > 0 and max(abs(v[0]), abs(v[-1])) > 1e-7 * peak:
-            raise ValueError("sampled field must decay below 1e-7 of peak at the window edges")
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def t_start(self):
-        return float(self.times[0])
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
-
-
-def _check_window(tau0, t_start, t_end):
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
-    if t_start > -_MIN_WINDOW_WIDTHS * tau0 or t_end < _MIN_WINDOW_WIDTHS * tau0:
-        raise ValueError(f"window must cover +-{_MIN_WINDOW_WIDTHS:g} tau0 around the peak")
+        if self.tau0 <= 0:
+            raise ValueError("tau0 must be positive")
+        w = _MIN_WINDOW_WIDTHS * self.tau0
+        if self.t_start > -w or self.t_end < w:
+            raise ValueError(f"window must cover +-{_MIN_WINDOW_WIDTHS:g} tau0 around the peak")
 
 
 def gaussian_for_area(params, area, tau0, omega0, phi0=0.0, window=_DEFAULT_WINDOW_WIDTHS):
-    """Gaussian pulse whose resonant bare 0-1 area is `area` (radians).
+    """One-carrier pulse whose resonant bare 0-1 area is `area` (radians).
 
     Peak amplitude sqrt(2/pi) * area / (mu01 * tau0).
     """
     e0 = np.sqrt(2.0 / np.pi) * area / (params.mu01 * tau0)
-    return GaussianPulse(e0=e0, tau0=tau0, omega0=omega0, phi0=phi0,
-                         t_start=-window * tau0, t_end=window * tau0)
+    return CompositePulse(e0=e0, tau0=tau0, components=((omega0, phi0),),
+                          t_start=-window * tau0, t_end=window * tau0)
 
 
 def composite_for_area(params, area, tau0, components, window=_DEFAULT_WINDOW_WIDTHS):
@@ -137,37 +90,15 @@ def composite_for_area(params, area, tau0, components, window=_DEFAULT_WINDOW_WI
 def field_value(spec, t):
     """Evaluate the field at scalar or array times; zero outside the window."""
     t = np.asarray(t, dtype=float)
-    if isinstance(spec, GaussianPulse):
-        inside = (t >= spec.t_start) & (t <= spec.t_end)
-        env = spec.e0 * np.exp(-0.5 * (t / spec.tau0) ** 2)
-        return np.where(inside, env * np.cos(spec.omega0 * t + spec.phi0), 0.0)
-    if isinstance(spec, CompositePulse):
-        inside = (t >= spec.t_start) & (t <= spec.t_end)
-        env = spec.e0 * np.exp(-0.5 * (t / spec.tau0) ** 2)
-        tot = np.zeros_like(env)
-        for w, p in spec.components:
-            tot = tot + np.cos(w * t + p)
-        return np.where(inside, env * tot, 0.0)
-    if isinstance(spec, SampledField):
-        return np.interp(t, spec.times, spec.values, left=0.0, right=0.0)
-    raise TypeError(f"not a field spec: {type(spec).__name__}")
+    inside = (t >= spec.t_start) & (t <= spec.t_end)
+    env = spec.e0 * np.exp(-0.5 * (t / spec.tau0) ** 2)
+    carriers = reduce(np.add, (np.cos(w * t + p) for w, p in spec.components))
+    return np.where(inside, env * carriers, 0.0)
 
 
 def carrier_ceiling(spec):
     """Upper bound on the field's oscillation frequency, for step control."""
-    if isinstance(spec, GaussianPulse):
-        return abs(spec.omega0)
-    if isinstance(spec, CompositePulse):
-        return max(abs(w) for w, _ in spec.components)
-    if isinstance(spec, SampledField):
-        return np.pi / float(np.min(np.diff(spec.times)))
-    raise TypeError(f"not a field spec: {type(spec).__name__}")
-
-
-def envelope_scale(spec):
-    if isinstance(spec, (GaussianPulse, CompositePulse)):
-        return spec.tau0
-    return max((spec.t_end - spec.t_start) / 12.0, float(np.min(np.diff(spec.times))))
+    return max(abs(w) for w, _ in spec.components)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -195,7 +126,7 @@ def spectral_area(spec, omega, t_upper=None, dipole=1.0, tol=1e-10, max_doubling
         return 0.0 + 0.0j
     w_osc = abs(omega) + carrier_ceiling(spec)
     span = b - a
-    n0 = max(16, int(np.ceil(span * w_osc / np.pi)), int(np.ceil(8.0 * span / envelope_scale(spec))))
+    n0 = max(16, int(np.ceil(span * w_osc / np.pi)), int(np.ceil(8.0 * span / spec.tau0)))
 
     def integrand(t):
         return field_value(spec, t) * np.exp(-1j * omega * t)
@@ -271,29 +202,6 @@ def aggregate_areas(theta_up0, theta_lo0, doublet=None):
 
 
 def field_to_dict(spec):
-    """JSON/YAML-ready representation of any field spec."""
-    if isinstance(spec, GaussianPulse):
-        d = asdict(spec)
-        d["kind"] = "gaussian"
-        return d
-    if isinstance(spec, CompositePulse):
-        d = asdict(spec)
-        d["components"] = [list(c) for c in spec.components]
-        d["kind"] = "composite"
-        return d
-    if isinstance(spec, SampledField):
-        return {"kind": "sampled", "times": spec.times.tolist(), "values": spec.values.tolist()}
-    raise TypeError(f"not a field spec: {type(spec).__name__}")
-
-
-def field_from_dict(d):
-    kind = d.get("kind")
-    body = {k: v for k, v in d.items() if k != "kind"}
-    if kind == "gaussian":
-        return GaussianPulse(**body)
-    if kind == "composite":
-        body["components"] = tuple(tuple(c) for c in body["components"])
-        return CompositePulse(**body)
-    if kind == "sampled":
-        return SampledField(times=np.array(body["times"]), values=np.array(body["values"]))
-    raise ValueError(f"unknown field kind {kind!r}")
+    """JSON/YAML-ready representation of a field."""
+    return {**asdict(spec), "components": [list(c) for c in spec.components],
+            "kind": "composite"}

@@ -50,15 +50,11 @@ def gaussian_area_closed_form(spec, omega, dipole=1.0):
 
     integral of dipole * E(t) exp(-i omega t) dt for the infinite window;
     the factories pad to +-7 tau0, so the truncation error is ~1e-11 of
-    the area.  Works for the single-carrier and shared-envelope kinds.
+    the area.  Sums the carriers under the shared envelope.
     """
-    if hasattr(spec, "components"):
-        carriers = spec.components
-    else:
-        carriers = [(spec.omega0, spec.phi0)]
     pref = dipole * spec.e0 * np.sqrt(2.0 * np.pi) * spec.tau0 / 2.0
     tot = 0.0 + 0.0j
-    for (w0, ph) in carriers:
+    for (w0, ph) in spec.components:
         tot += pref * (np.exp(1j * ph) * np.exp(-spec.tau0 ** 2 * (omega - w0) ** 2 / 2.0)
                        + np.exp(-1j * ph) * np.exp(-spec.tau0 ** 2 * (omega + w0) ** 2 / 2.0))
     return tot

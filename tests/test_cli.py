@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from rotpolariton import composite_for_area, convert_units, kick_response
 from rotpolariton.cli import DEFAULTS, PRESETS, _json_safe, build_params, main, resolve_config
@@ -181,6 +182,28 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     not_yaml.write_text("system: [unclosed\n")
     assert main(["simulate", "--config", str(not_yaml)]) == 2
     assert "config error" in capsys.readouterr().err
+    # non-finite numbers stop at the config boundary, before any physics
+    inf, nan = float("inf"), float("nan")
+    for command, cfg, path in (
+            ("simulate", {"system": {"j_max": inf}}, "system.j_max"),
+            ("simulate", {"system": {"coupling_ratio": nan}}, "system.coupling_ratio"),
+            ("simulate", {"system": {"rot_const": -inf}}, "system.rot_const.value"),
+            ("simulate", {"field": {"bandwidth_g": inf}}, "field.bandwidth_g"),
+            ("design", {"field": {"kind": "designed", "area": nan}}, "field.area"),
+            ("simulate", {"field": {"kind": "composite", "carriers": [{"phase": inf}]}},
+             "field.carriers[0].phase"),
+            ("scan", {"scan": {"detunings_g": {"start": 0, "stop": 1, "num": inf}}},
+             "scan.detunings_g.num"),
+            ("scan", {"scan": {"bandwidths_g": [0.1, nan]}}, "scan.bandwidths_g[1]"),
+            # a grid this long would take petabytes before anything ran
+            ("scan", {"scan": {"detunings_g": {"start": 0, "stop": 1, "num": 1e15}}},
+             "scan.detunings_g.num")):
+        name = path.replace("[", "_").replace("]", "")
+        out = tmp_path / name
+        assert main([command, "--config", write_cfg(tmp_path / f"{name}.yaml", cfg),
+                     "--out", str(out)]) == 2, path
+        assert f"config error: {path}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_preset_exits_via_argparse(capsys):
@@ -306,6 +329,7 @@ def test_design_command_reports_the_solved_phase(tmp_path, capsys):
         1.0 / np.sqrt(3.0), abs=1e-6)
 
     field = json.loads((out / "field.json").read_text())
+    assert set(field) == {"components", "e0", "kind", "t_end", "t_start", "tau0"}
     assert field["kind"] == "composite"
     assert len(field["components"]) == 2
     assert field["components"][0][1] == pytest.approx(report["solved_phase_up"])
@@ -347,11 +371,15 @@ def test_scan_command_detuning_grid(tmp_path, capsys):
                           "orientation_max", "converged"}
         assert r["converged"]
 
-    for name in ("orientation_cavon_bw1.tsv", "orientation_cavoff_bw1.tsv"):
+    for name, cav in (("orientation_cavon_bw1.tsv", True),
+                      ("orientation_cavoff_bw1.tsv", False)):
         table = np.loadtxt(out / name)
         assert table.shape == (3, 6)
         assert list(table[:, 0]) == [-1.0, 0.0, 1.0]
         assert list(table[:, 5]) == [1.0, 1.0, 1.0]     # the converged column
+        # each table holds its own group's records
+        assert list(table[:, 1]) == [r["orientation_max"] for r in records
+                                     if r["cavity"] == cav]
 
     meta = json.loads((out / "scan_meta.json").read_text())
     assert meta["kind"] == "detuning_bandwidth"
@@ -486,6 +514,66 @@ def test_booleans_must_be_booleans(tmp_path, capsys):
     path = write_cfg(tmp_path / "quoted.yaml", {"system": {"cavity": "false"}})
     assert main(["oracle", "--config", path, "--out", str(tmp_path / "run")]) == 2
     assert "system.cavity" in capsys.readouterr().err
+
+
+def test_grids_and_carriers_are_not_coerced():
+    grid = {"start": 0.1, "stop": 1.0, "num": 3}
+    for bad, path in (({**grid, "num": 2.5}, "scan.detunings_g.num"),
+                      ({**grid, "log": "false"}, "scan.detunings_g.log"),
+                      ([True, 0.5], r"scan.detunings_g\[0\]")):
+        with pytest.raises(ConfigError, match=path):
+            resolve_config({"scan": {"detunings_g": bad}})
+    for key in ("detuning_g", "phase"):
+        with pytest.raises(ConfigError, match=rf"field.carriers\[0\].{key}"):
+            resolve_config({"field": {"kind": "composite", "carriers": [{key: True}]}})
+    with pytest.raises(ConfigError, match="system.rot_const.value"):
+        resolve_config({"system": {"rot_const": True}})
+    # real booleans and integral numbers still resolve
+    cfg = resolve_config({"scan": {"detunings_g": {**grid, "num": 3.0, "log": False}}})
+    assert cfg["scan"]["detunings_g"] == [0.1, 0.55, 1.0]
+
+
+def test_scan_tsv_names_must_differ(tmp_path, capsys):
+    # 1 and 1.0000001 both print as bw1 under {:g}
+    for scan, path in (({"bandwidths_g": [1.0, 1.0000001]}, "scan.bandwidths_g"),
+                       ({"bandwidths_g": [0.5, 0.5]}, "scan.bandwidths_g"),
+                       ({"cavity": [True, True]}, "scan.cavity")):
+        with pytest.raises(ConfigError, match=path):
+            resolve_config({"scan": scan})
+    cfg = merged(FAST, {"scan": {"detunings_g": [0.0], "bandwidths_g": [1.0, 1.0000001]}})
+    out = tmp_path / "run"
+    assert main(["scan", "--config", write_cfg(tmp_path / "same.yaml", cfg),
+                 "--out", str(out)]) == 2
+    assert "orientation_cav*_bw1.tsv" in capsys.readouterr().err
+    assert not out.exists()
+    # a composite scan writes one table, so its bandwidths may repeat
+    composite = resolve_config({"scan": {"kind": "composite", "bandwidths_g": [1.0, 1.0]}})
+    assert composite["scan"]["bandwidths_g"] == [1.0, 1.0]
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["gaussian", "composite", "designed", "detuning", "yoshida4",
+                     "+", "-", "au", "debye", "1e-8", "false", "inf", "nan"]))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["value", "unit", "start", "stop", "num", "log",
+                         "detuning_g", "phase", "other"]), inner, max_size=4),
+    max_leaves=8)
+_configs = st.fixed_dictionaries({}, optional={
+    section: st.dictionaries(st.sampled_from(sorted(keys)), _values, max_size=4)
+    for section, keys in DEFAULTS.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_configs, preset=st.sampled_from([None, *sorted(PRESETS)]))
+def test_any_config_resolves_or_raises_config_error(raw, preset):
+    try:
+        resolve_config(raw, preset=preset)
+    except ConfigError:
+        pass
 
 
 def test_threads_below_one_exit_2(tmp_path, capsys):

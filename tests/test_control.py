@@ -21,8 +21,8 @@ def test_compute_areas_on_designed_pulse(designed, p_cavity):
 
 
 def test_zero_field_condition_report(p_cavity):
-    fld = rp.GaussianPulse(e0=0.0, tau0=1.0 / (0.1 * G), omega0=2.0 * B, phi0=0.0,
-                           t_start=-7.0 / (0.1 * G), t_end=7.0 / (0.1 * G))
+    fld = rp.CompositePulse(e0=0.0, tau0=1.0 / (0.1 * G), components=((2.0 * B, 0.0),),
+                            t_start=-7.0 / (0.1 * G), t_end=7.0 / (0.1 * G))
     rep = rp.check_conditions(p_cavity, fld)
     assert rep.amp_residuals["up"] == pytest.approx(-rp.DESIGN_AREA)
     assert rep.amp_residuals["lo"] == pytest.approx(-rp.DESIGN_AREA)

@@ -55,29 +55,18 @@ def test_trajectory_accessors():
 
 # --------------------------------------------------------------- pictures
 
-def test_free_evolution_phases():
-    en = np.array([0.0, 1.8, 2.2])
-    s0 = rp.StateVector(np.array([0.6, 0.48, 0.64]), basis="dressed", time=0.0)
-    s1 = rp.free_evolve(s0, 2.5, en)
-    assert s1.time == 2.5
-    want = s0.amplitudes * np.exp(-1j * en * 2.5)
-    assert np.max(np.abs(s1.amplitudes - want)) < 1e-14
-
-
 def test_interaction_picture_round_trip():
+    # the schrodinger amplitudes restore the drift phases since t_ref
     en = np.array([0.0, 1.8, 2.2])
     rng = np.random.default_rng(7)
     a = rng.normal(size=3) + 1j * rng.normal(size=3)
     a /= np.linalg.norm(a)
-    s = rp.StateVector(a, basis="dressed", time=1.3)
-    inter = rp.to_interaction(s, en)
-    assert inter.picture == "interaction"
-    back = rp.to_schrodinger(inter, en)
-    assert np.max(np.abs(back.amplitudes - a)) < 1e-14
-    # interaction-picture amplitudes are constants of free motion
-    s2 = rp.free_evolve(s, 4.0, en)
-    i2 = rp.to_interaction(s2, en)
-    assert np.max(np.abs(i2.amplitudes - inter.amplitudes)) < 1e-13
+    inter = rp.StateVector(a, basis="dressed", picture="interaction", time=1.3)
+    back = rp.to_schrodinger(inter, en, t_ref=0.4)
+    assert back.picture == "schrodinger" and back.time == 1.3
+    assert np.max(np.abs(back.amplitudes - a * np.exp(-1j * en * 0.9))) < 1e-14
+    with pytest.raises(ValueError):
+        rp.to_schrodinger(back, en)
 
 
 # ------------------------------------------------------------- propagation
@@ -85,8 +74,8 @@ def test_interaction_picture_round_trip():
 def test_zero_field_reduces_to_free_evolution():
     p = unit_params()
     h0, v, bas, s0 = _dressed_setup(p)
-    fld = rp.GaussianPulse(e0=0.0, tau0=2.0, omega0=2.0, phi0=0.0,
-                           t_start=-14.0, t_end=14.0)
+    fld = rp.CompositePulse(e0=0.0, tau0=2.0, components=((2.0, 0.0),),
+                            t_start=-14.0, t_end=14.0)
     rng = np.random.default_rng(3)
     a = rng.normal(size=bas.dim) + 1j * rng.normal(size=bas.dim)
     a /= np.linalg.norm(a)
@@ -102,8 +91,8 @@ def test_eigenstate_is_stationary_under_weak_drive():
     p = unit_params()
     h0, v, bas, _ = _dressed_setup(p)
     s0 = unit_state(bas.labels, "edge", basis="dressed", time=-21.0)
-    fld = rp.GaussianPulse(e0=1e-8, tau0=3.0, omega0=0.37, phi0=0.0,
-                           t_start=-21.0, t_end=21.0)
+    fld = rp.CompositePulse(e0=1e-8, tau0=3.0, components=((0.37, 0.0),),
+                            t_start=-21.0, t_end=21.0)
     traj = propagate(h0, v, fld, s0, np.array([-21.0, 21.0]))
     pops = np.abs(traj.states[-1]) ** 2
     assert pops[bas.index("edge")] == pytest.approx(1.0, abs=1e-9)
@@ -167,21 +156,6 @@ def test_not_converged_when_step_control_is_frozen():
                   dt=0.5, tol=1e-13, max_halvings=0)
 
 
-def test_sampled_field_reproduces_analytic_gaussian():
-    p = unit_params(j_max=2, n_max=1)
-    h0, v, bas, _ = _dressed_setup(p)
-    fld = rp.gaussian_for_area(p, 0.8, tau0=2.0, omega0=p.omega01)
-    ts = np.linspace(fld.t_start, fld.t_end, 20001)
-    tab = rp.SampledField(times=ts, values=np.array([rp.field_value(fld, t) for t in ts]))
-    out = {}
-    for f in (fld, tab):
-        s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
-        out[type(f).__name__] = propagate(h0, v, f, s0,
-                                          np.array([fld.t_start, fld.t_end])).states[-1]
-    # linear interpolation error ~ (dt_sample)^2 of the carrier
-    assert np.max(np.abs(out["SampledField"] - out["GaussianPulse"])) < 1e-5
-
-
 # ------------------------------------------------------ the batched kernel
 #
 # Every row of a batch shares the Hamiltonian and the field window [-10, 10]
@@ -192,8 +166,8 @@ _P_BATCH = unit_params(j_max=3, n_max=2)
 
 
 def _batch_field(e0, omega0, phi0):
-    return rp.GaussianPulse(e0=e0, tau0=1.5, omega0=omega0, phi0=phi0,
-                            t_start=_WINDOW[0], t_end=_WINDOW[1])
+    return rp.CompositePulse(e0=e0, tau0=1.5, components=((omega0, phi0),),
+                             t_start=_WINDOW[0], t_end=_WINDOW[1])
 
 
 _fields = st.builds(_batch_field, e0=st.floats(0.0, 0.3), omega0=st.floats(1.0, 3.0),
@@ -263,8 +237,8 @@ def test_rows_leave_the_ladder_one_by_one():
 def test_batch_rejects_fields_with_different_windows():
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
     s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
-    other = rp.GaussianPulse(e0=0.1, tau0=1.5, omega0=2.0, phi0=0.0,
-                             t_start=_WINDOW[0], t_end=12.0)
+    other = rp.CompositePulse(e0=0.1, tau0=1.5, components=((2.0, 0.0),),
+                              t_start=_WINDOW[0], t_end=12.0)
     with pytest.raises(ValueError, match="window"):
         propagate_batch(h0, v, [_batch_field(0.1, 2.0, 0.0), other], [s0, s0],
                         np.array(_WINDOW))

@@ -79,7 +79,8 @@ def test_orientation_trace_matches_explicit_free_evolution(dressed):
     times = np.linspace(0.0, 12.0, 60)
     series = rp.orientation_trace(s, bas.energies, cos_op, times)
     for i in (0, 17, 42):
-        evolved = rp.free_evolve(s, times[i], bas.energies)
+        evolved = rp.StateVector(s.amplitudes * np.exp(-1j * bas.energies * times[i]),
+                                 basis="dressed", time=times[i])
         assert series.values[i] == pytest.approx(rp.orientation(evolved, cos_op),
                                                  abs=1e-12)
 
@@ -88,7 +89,7 @@ def test_expectation_series_on_trajectory(dressed):
     bas, cos_op = dressed
     s = _dressed_state(bas, {"0;0": 1 / np.sqrt(2), "+;0": 0.5, "-;0": -0.5})
     times = np.linspace(0.0, 8.0, 33)
-    states = np.stack([rp.free_evolve(s, t, bas.energies).amplitudes for t in times])
+    states = s.amplitudes * np.exp(-1j * np.outer(times, bas.energies))
     traj = rp.Trajectory(times=times, states=states, basis="dressed", labels=bas.labels)
     series = rp.expectation_series(traj, cos_op)
     ref = rp.orientation_trace(s, bas.energies, cos_op, times)
