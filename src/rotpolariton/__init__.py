@@ -29,7 +29,6 @@ from .dynamics import (
     magnus_wavefunction,
     propagate,
     propagate_batch,
-    to_schrodinger,
     unit_state,
 )
 from .errors import (
@@ -42,34 +41,26 @@ from .errors import (
     QuadratureNotConverged,
     RotPolaritonError,
     UnknownUnit,
-    WindowTooShort,
 )
 from .model import (
     DressedBasis,
     OperatorMatrix,
-    ProductBasis,
     SystemParams,
-    adiabatic_dressed_vectors,
     build_dressed_basis,
     build_dressed_hamiltonian,
     build_full_hamiltonian,
-    build_product_basis,
     convert_units,
     cos_theta_elements,
     doublet_energies,
     dressed_cos_matrix,
-    embed_dressed_vectors,
     mu_tilde_doublet,
     mu_tilde_ground,
     ocs_params,
-    project_to_dressed,
 )
 from .observables import (
     Spectrum,
     TimeSeries,
     dressed_populations_phases,
-    expectation_series,
-    orientation,
     orientation_max_oracle,
     orientation_trace,
     revival_period,

@@ -215,6 +215,19 @@ def _as_choice(cfg, path, choices):
     return val
 
 
+# a derived scale below the smallest normal float has lost its precision, and
+# at zero it divides by zero downstream
+_TINY = np.finfo(float).tiny
+
+
+def _normal(value, path):
+    """value when it is a finite float no smaller than the smallest normal one."""
+    if not (np.isfinite(value) and value >= _TINY):
+        raise ConfigError(f"{path}: scales to {value:g} in atomic units, "
+                          f"outside the normal floating-point range")
+    return value
+
+
 def _quantity(node, path, unit_choices, default_unit):
     """Scalar or {value, unit} mapping, converted to atomic units."""
     if isinstance(node, dict):
@@ -230,7 +243,8 @@ def _quantity(node, path, unit_choices, default_unit):
     value = _number(value, f"{path}.value")
     if value <= 0:
         raise ConfigError(f"{path}.value: must be positive")
-    return convert_units(value, unit, "au" if unit in ("cm-1", "au") else "au-dipole")
+    return _normal(convert_units(value, unit, "au" if unit in ("cm-1", "au") else "au-dipole"),
+                   path)
 
 
 # a start/stop/num grid longer than this is a typo, not a scan
@@ -297,7 +311,9 @@ def resolve_config(raw, preset=None):
                                               ("cm-1", "au"), "cm-1")
     cfg["system"]["dipole_au"] = _quantity(cfg["system"]["dipole"], "system.dipole",
                                            ("debye", "au-dipole"), "debye")
+    _normal(2.0 * cfg["system"]["rot_const_au"], "system.rot_const")  # omega01
     _as_float(cfg, "system.coupling_ratio", positive=True)
+    g_ref = _normal(_g_ref(cfg["system"]), "system.coupling_ratio")
     _as_bool(cfg, "system.cavity")
     _as_int(cfg, "system.j_max", minimum=1)
     _as_int(cfg, "system.n_max", minimum=0)
@@ -309,7 +325,7 @@ def resolve_config(raw, preset=None):
     if cfg["field"]["area"] is None:
         cfg["field"]["area"] = KICK_AREA if kind == "gaussian" else DESIGN_AREA
     _as_float(cfg, "field.area", nonnegative=True)
-    _as_float(cfg, "field.bandwidth_g", positive=True)
+    _normal(_as_float(cfg, "field.bandwidth_g", positive=True) * g_ref, "field.bandwidth_g")
     _as_float(cfg, "field.detuning_g")
     _as_float(cfg, "field.phase")
     _as_float(cfg, "field.phase_minus")
@@ -346,6 +362,8 @@ def resolve_config(raw, preset=None):
     cfg["scan"]["detunings_g"] = _grid(cfg["scan"]["detunings_g"], "scan.detunings_g")
     cfg["scan"]["bandwidths_g"] = _grid(cfg["scan"]["bandwidths_g"], "scan.bandwidths_g",
                                         positive=True)
+    for i, bw in enumerate(cfg["scan"]["bandwidths_g"]):
+        _normal(bw * g_ref, f"scan.bandwidths_g[{i}]")
     cav = cfg["scan"]["cavity"]
     if not isinstance(cav, (list, tuple)) or not cav or \
             any(not isinstance(c, bool) for c in cav):
@@ -360,7 +378,8 @@ def resolve_config(raw, preset=None):
                 raise ConfigError(f"scan.bandwidths_g: two bandwidths would both write "
                                   f"{name.replace('cavon', 'cav*')}")
     _as_bool(cfg, "scan.write_spectra")
-    _as_float(cfg, "scan.reference_bandwidth_g", positive=True)
+    _normal(_as_float(cfg, "scan.reference_bandwidth_g", positive=True) * g_ref,
+            "scan.reference_bandwidth_g")
 
     # integrator
     _as_choice(cfg, "integrator.method", {"yoshida4", "strang", "midpoint"})
@@ -374,6 +393,11 @@ def resolve_config(raw, preset=None):
     return cfg
 
 
+def _g_ref(system):
+    """The coupling reference coupling_ratio * omega01, in atomic units."""
+    return system["coupling_ratio"] * (2.0 * system["rot_const_au"])
+
+
 def build_params(cfg):
     """SystemParams for the run plus the coupling reference g_ref.
 
@@ -385,7 +409,7 @@ def build_params(cfg):
     b = s["rot_const_au"]
     mu = s["dipole_au"]
     omega01 = 2.0 * b
-    g_ref = s["coupling_ratio"] * omega01
+    g_ref = _g_ref(s)
     params = SystemParams(
         rot_const=b,
         dipole=mu,
@@ -457,6 +481,11 @@ def _write_tsv(path, columns, rows):
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_spectrum(path, spec, params):
+    _write_tsv(path, ["omega_au", "omega_over_B", "amplitude"],
+               [(w, w / params.rot_const, a) for w, a in zip(spec.omega, spec.amplitude)])
+
+
 def _write_manifest(outdir, cfg, args, command):
     canon = json.dumps(_json_safe(cfg), sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -499,12 +528,6 @@ def _orientation_tsv(cav, bw):
     return f"orientation_cav{'on' if cav else 'off'}_bw{bw:g}.tsv"
 
 
-def _integrator_kwargs(cfg):
-    integ = cfg["integrator"]
-    return {"method": integ["method"], "tol": integ["tol"],
-            "dt": integ["dt"], "max_halvings": integ["max_halvings"]}
-
-
 def cmd_simulate(cfg, args):
     params, g_ref = build_params(cfg)
     fld, design_report = build_field(cfg, params, g_ref)
@@ -518,7 +541,7 @@ def cmd_simulate(cfg, args):
         snapshot_offset=exp["snapshot_tau"] * tau,
         keep_series=True, keep_spectrum=True,
         n_pulse_samples=exp["n_trajectory"],
-        integrator=_integrator_kwargs(cfg),
+        integrator=dict(cfg["integrator"]),
     )
     outdir = _prepare_outdir(cfg, args)
     _write_manifest(outdir, cfg, args, "simulate")
@@ -528,10 +551,7 @@ def cmd_simulate(cfg, args):
                ["time_au", "time_over_tau", "orientation"],
                [(t, t / tau, v) for t, v in zip(series.times, series.values)])
 
-    spec = rec["spectrum"]
-    _write_tsv(os.path.join(outdir, "spectrum.tsv"),
-               ["omega_au", "omega_over_B", "amplitude"],
-               [(w, w / params.rot_const, a) for w, a in zip(spec.omega, spec.amplitude)])
+    _write_spectrum(os.path.join(outdir, "spectrum.tsv"), rec["spectrum"], params)
 
     traj = rec.get("trajectory")
     if traj is not None:
@@ -576,7 +596,7 @@ def cmd_scan(cfg, args):
           "trace_window": exp["trace_window_tau"] * tau,
           "n_trace": exp["n_trace"],
           "threads": args.threads,
-          "integrator": _integrator_kwargs(cfg)}
+          "integrator": dict(cfg["integrator"])}
     if sc["kind"] == "detuning":
         result = scan_detuning_bandwidth(
             params,
@@ -600,13 +620,9 @@ def cmd_scan(cfg, args):
                         "t_max_tau", "revival_tau", "converged"], rows)
         if sc["write_spectra"]:
             for i, rec in enumerate(result.records):
-                spec = rec.get("spectrum")
-                if spec is None:
-                    continue
-                _write_tsv(os.path.join(outdir, f"spectrum_{i:04d}.tsv"),
-                           ["omega_au", "omega_over_B", "amplitude"],
-                           [(w, w / params.rot_const, a)
-                            for w, a in zip(spec.omega, spec.amplitude)])
+                if rec.get("spectrum") is not None:
+                    _write_spectrum(os.path.join(outdir, f"spectrum_{i:04d}.tsv"),
+                                    rec["spectrum"], params)
     else:
         result = scan_composite_bandwidth(
             params,

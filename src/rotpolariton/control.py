@@ -25,15 +25,15 @@ processes as they are, and the records come back in job order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
 from .dynamics import (
+    StateVector,
     magnus_wavefunction,
     propagate,
     propagate_batch,
-    to_schrodinger,
     unit_state,
 )
 from .errors import DesignInfeasible, NoRevivalFound, NotConverged
@@ -138,20 +138,8 @@ class ConditionReport:
     areas: object = None
 
     def as_dict(self):
-        d = {
-            "area_target": self.area_target,
-            "amp_residuals": dict(self.amp_residuals),
-            "phase_value_g": self.phase_value_g,
-            "phase_residual_g": self.phase_residual_g,
-            "phase_residual_alt_g": self.phase_residual_alt_g,
-            "branch_residuals_g": dict(self.branch_residuals_g),
-            "blockade_residuals": dict(self.blockade_residuals),
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-            "predicted_populations": list(self.predicted_populations),
-            "predicted_orientation_max": self.predicted_orientation_max,
-        }
-        return d
+        """Every field but the raw areas, for the JSON outputs."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "areas"}
 
 
 def check_conditions(params, fld, area_target=DESIGN_AREA, tol=1e-10):
@@ -170,8 +158,7 @@ def check_conditions(params, fld, area_target=DESIGN_AREA, tol=1e-10):
         "-": abs(phi + g * np.pi) / g,
     }
     leak = {f"{s:+d},{l:+d}": abs(areas.doublet[(s, l)]) for s in (+1, -1) for l in (+1, -1)}
-    state = magnus_wavefunction(areas)
-    pops = np.abs(state.amplitudes) ** 2
+    pops = np.abs(magnus_wavefunction(areas)) ** 2
     p0, pu, pl = pops[0], pops[1], pops[2]
     predicted = (2.0 / np.sqrt(6.0)) * (np.sqrt(p0 * pu) + np.sqrt(p0 * pl))
     return ConditionReport(
@@ -203,29 +190,24 @@ def _bisect(f, lo, hi):
             hi = mid
 
 
-def design_composite(params, bandwidth=None, tau0=None, area=DESIGN_AREA,
-                     phase_minus=0.0, branch="+"):
+def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branch="+"):
     """Solve the upper-carrier phase of the two-color orientation pulse.
 
-    Give either the bandwidth (1/tau0) or tau0.  The carriers must resolve
-    the doublet (bandwidth <= 0.2 g), otherwise the phase picture the design
-    rests on is meaningless and DesignInfeasible is raised.  branch ("+" or
-    "-") selects the +g pi or -g pi root of the phase functional.  Returns
-    (pulse, report).
+    The bandwidth is 1/tau0 of the shared envelope.  The carriers must
+    resolve the doublet (bandwidth <= 0.2 g), otherwise the phase condition
+    the design rests on is meaningless and DesignInfeasible is raised.
+    branch ("+" or "-") selects the +g pi or -g pi root of the phase
+    functional.  Returns (pulse, report).
     """
-    if (bandwidth is None) == (tau0 is None):
-        raise ValueError("give exactly one of bandwidth or tau0")
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    if tau0 is None:
-        tau0 = 1.0 / bandwidth
-    bw = 1.0 / tau0
+    tau0 = 1.0 / bandwidth
     g = params.coupling
     if g <= 0:
         raise DesignInfeasible("design needs a coupled cavity (g > 0)")
-    if bw > _MAX_BANDWIDTH_RATIO * g * (1 + 1e-12):
+    if bandwidth > _MAX_BANDWIDTH_RATIO * g * (1 + 1e-12):
         raise DesignInfeasible(
-            f"bandwidth {bw:g} does not resolve the doublet; "
+            f"bandwidth {bandwidth:g} does not resolve the doublet; "
             f"need <= {_MAX_BANDWIDTH_RATIO:g} g = {_MAX_BANDWIDTH_RATIO * g:g}"
         )
     w0 = doublet_energies(params, 0)
@@ -314,7 +296,7 @@ def _trace_revival(series, tau):
 def _bare_cos_operator(params):
     cosm = cos_theta_elements(params.j_max).matrix.real
     full = np.kron(np.eye(params.n_max + 1), cosm)
-    return OperatorMatrix(full, basis="product", label="cos_theta")
+    return OperatorMatrix(full, basis="product")
 
 
 def _kick_setup(params, fld, dressed):
@@ -408,14 +390,18 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
                          keep_series=keep_series, keep_spectrum=keep_spectrum)
 
 
+_MAGNUS_LABELS = ("0;0", "+;0", "-;0", "+;1", "-;1")
+
+
 def magnus_final_state(params, fld, tol=1e-10):
-    """First-order analytic end-of-pulse state in the schrodinger picture."""
-    areas = compute_areas(params, fld, tol=tol)
-    state = magnus_wavefunction(areas, time=fld.t_end)
+    """First-order analytic end-of-pulse state, with its drift phases since t = 0."""
+    amps = magnus_wavefunction(compute_areas(params, fld, tol=tol))
     w0 = doublet_energies(params, 0)
     w1 = doublet_energies(params, 1)
     energies = np.array([0.0, w0[0], w0[1], w1[0], w1[1]])
-    return to_schrodinger(state, energies, t_ref=0.0), energies
+    state = StateVector(np.exp(-1j * energies * fld.t_end) * amps, basis="dressed",
+                        time=fld.t_end, labels=_MAGNUS_LABELS)
+    return state, energies
 
 
 @dataclass(frozen=True)
@@ -430,9 +416,6 @@ class ScanResult:
 
     def __len__(self):
         return len(self.records)
-
-    def as_dict(self):
-        return {"meta": dict(self.meta), "records": [dict(r) for r in self.records]}
 
 
 def _kick_worker(params, fld, traj, cos_op, energies, dressed, kw):
@@ -452,7 +435,7 @@ def _composite_worker(params, fld, traj, cos_op, energies, dressed, kw):
     mstate, men = magnus_final_state(params, fld)
     sub = cos_op.matrix[np.ix_(range(5), range(5))]
     mmax, _, _ = _refined_trace_max(
-        mstate, men, OperatorMatrix(sub, basis="dressed", label="cos_theta"),
+        mstate, men, OperatorMatrix(sub, basis="dressed"),
         fld.t_end, exact["series"].window, 8192)
     mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
     epops = exact["populations"]

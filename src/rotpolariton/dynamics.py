@@ -32,20 +32,16 @@ __all__ = [
     "unit_state",
     "propagate",
     "propagate_batch",
-    "to_schrodinger",
     "magnus_wavefunction",
 ]
-
-_PICTURES = ("schrodinger", "interaction")
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes tagged with basis, picture, and time."""
+    """Complex amplitudes tagged with basis and time."""
 
     amplitudes: np.ndarray
     basis: str
-    picture: str = "schrodinger"
     time: float = 0.0
     labels: tuple = None
 
@@ -53,8 +49,6 @@ class StateVector:
         a = np.array(self.amplitudes, dtype=complex)
         if a.ndim != 1:
             raise ValueError("amplitudes must be a 1d array")
-        if self.picture not in _PICTURES:
-            raise ValueError(f"picture must be one of {_PICTURES}")
         if self.labels is not None and len(self.labels) != a.size:
             raise ValueError("labels length does not match amplitudes")
         a.setflags(write=False)
@@ -69,25 +63,14 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def population(self, i):
-        return float(np.abs(self.amplitudes[i]) ** 2)
-
-    def overlap(self, other):
-        if other.dim != self.dim:
-            raise BasisMismatch("overlap between states of different dimension")
-        if other.basis != self.basis:
-            raise BasisMismatch(f"overlap between bases {self.basis!r} and {other.basis!r}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled on a time grid, all in one basis and picture."""
+    """States sampled on a time grid, all in one basis."""
 
     times: np.ndarray
     states: np.ndarray
     basis: str
-    picture: str = "schrodinger"
     labels: tuple = None
     meta: dict = dc_field(default_factory=dict)
 
@@ -109,20 +92,17 @@ class Trajectory:
         return self.states.shape[1]
 
     def state_at(self, i):
-        return StateVector(self.states[i], basis=self.basis, picture=self.picture,
-                           time=float(self.times[i]), labels=self.labels)
-
-    def norms(self):
-        return np.linalg.norm(self.states, axis=1)
+        return StateVector(self.states[i], basis=self.basis, time=float(self.times[i]),
+                           labels=self.labels)
 
 
-def unit_state(labels, which, basis, picture="schrodinger", time=0.0):
+def unit_state(labels, which, basis, time=0.0):
     """Basis state picked by label (str) or index (int)."""
     labels = tuple(labels)
     idx = labels.index(which) if isinstance(which, str) else int(which)
     a = np.zeros(len(labels), dtype=complex)
     a[idx] = 1.0
-    return StateVector(a, basis=basis, picture=picture, time=time, labels=labels)
+    return StateVector(a, basis=basis, time=time, labels=labels)
 
 
 class _SplitFrame:
@@ -312,7 +292,7 @@ def _run_sampled(frame, fields, y0, times, dt, method):
 
 
 def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
-                    tol=1e-8, max_halvings=6, labels=None):
+                    tol=1e-8, max_halvings=6):
     """Propagate each initial state through its own field; one result per row.
 
     Row r starts from states0[r] and feels fields[r].  The rows must share
@@ -328,8 +308,6 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
     if not states0 or len(fields) != len(states0):
         raise ValueError("need one field per initial state, and at least one")
     first = states0[0]
-    if any(s.picture != "schrodinger" for s in states0):
-        raise ValueError("propagate expects schrodinger-picture states")
     if any(s.basis != first.basis or s.dim != first.dim for s in states0):
         raise BasisMismatch("the initial states of one batch must share their basis")
     h0m = operator_matrix(h0, first.basis, first.dim)
@@ -344,14 +322,13 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
         raise ValueError("the fields of one batch must share their window")
     if method not in _ORDER:
         raise ValueError(f"unknown method {method!r}")
-    labels = labels if labels is not None else first.labels
 
     frame = _SplitFrame(h0m, vm)
     y0 = frame.to_frame(np.array([s.amplitudes for s in states0]))
 
     def trajectory(y, meta):
         return Trajectory(times, frame.from_frame(y), basis=first.basis,
-                          picture="schrodinger", labels=labels, meta=meta)
+                          labels=first.labels, meta=meta)
 
     (window,) = windows
     if window is None or window[1] <= times[0] or window[0] >= times[-1]:
@@ -388,7 +365,7 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
 
 
 def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
-              tol=1e-8, max_halvings=6, labels=None):
+              tol=1e-8, max_halvings=6):
     """Propagate state0 through the field, sampling at `times`.
 
     h0 and v may be OperatorMatrix (basis tags are then checked against the
@@ -400,30 +377,18 @@ def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
     This is the one-row call of propagate_batch.
     """
     (result,) = propagate_batch(h0, v, [fld], [state0], times, method=method, dt=dt,
-                                tol=tol, max_halvings=max_halvings, labels=labels)
+                                tol=tol, max_halvings=max_halvings)
     if isinstance(result, NotConverged):
         raise result
     return result
 
 
-def to_schrodinger(state, energies, t_ref=0.0):
-    """Restore the drift phases relative to t_ref."""
-    if state.picture == "schrodinger":
-        raise ValueError("state is already in the schrodinger picture")
-    energies = np.asarray(energies, dtype=float)
-    amps = np.exp(-1j * energies * (state.time - t_ref)) * state.amplitudes
-    return StateVector(amps, basis=state.basis, picture="schrodinger",
-                       time=state.time, labels=state.labels)
-
-
-_MAGNUS_LABELS = ("0;0", "+;0", "-;0", "+;1", "-;1")
-
-
-def magnus_wavefunction(areas, time=0.0):
+def magnus_wavefunction(areas):
     """First-order analytic pulse map on the lowest five dressed states.
 
     Given the spectral areas accumulated up to some instant, returns the
-    interaction-picture amplitudes
+    amplitudes of |0;0>, |+;0>, |-;0>, |+;1>, |-;1> without their drift
+    phases, as one complex array:
 
         c_ground = 1 - theta0^2 (1 - cos Theta) / Theta^2
         c_{l;0}  = i (sin Theta / Theta) conj(Theta_{l,0})
@@ -445,5 +410,4 @@ def magnus_wavefunction(areas, time=0.0):
     for col, l in ((3, +1), (4, -1)):
         cross = sum(t0[s] * areas.doublet[(s, l)] for s in (+1, -1))
         amps[col] = -hfac * np.conj(cross)
-    return StateVector(amps, basis="dressed", picture="interaction",
-                       time=float(time), labels=_MAGNUS_LABELS)
+    return amps

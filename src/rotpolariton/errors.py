@@ -25,10 +25,6 @@ class BasisMismatch(RotPolaritonError, ValueError):
     """Operator and state live in different bases."""
 
 
-class WindowTooShort(RotPolaritonError, ValueError):
-    """Time window is too short for the requested spectral resolution."""
-
-
 class NoRevivalFound(RotPolaritonError, RuntimeError):
     """Autocorrelation never exceeds the revival threshold within the series."""
 

@@ -19,7 +19,6 @@ Conventions fixed here and relied on everywhere else:
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +32,8 @@ __all__ = [
     "ocs_params",
     "OperatorMatrix",
     "operator_matrix",
-    "ProductBasis",
     "DressedBasis",
     "cos_theta_elements",
-    "build_product_basis",
     "build_full_hamiltonian",
     "build_dressed_basis",
     "build_dressed_hamiltonian",
@@ -44,12 +41,14 @@ __all__ = [
     "doublet_energies",
     "mu_tilde_ground",
     "mu_tilde_doublet",
-    "project_to_dressed",
 ]
 
 # CODATA: 1 Hartree = 219474.6313632 cm^-1, 1 e*a0 = 2.5417464519 Debye.
 HARTREE_PER_CM1 = 1.0 / 219474.6313632
 AU_PER_DEBYE = 1.0 / 2.5417464519
+
+# the dressed builders accept a cavity this close to the 0-1 line, relative
+_RESONANCE_RTOL = 1e-9
 
 # unit name -> (dimension, factor to atomic units)
 _UNITS = {
@@ -122,8 +121,8 @@ class SystemParams:
         """Bare-molecule orientation period pi/B."""
         return np.pi / self.rot_const
 
-    def is_resonant(self, rtol=1e-9):
-        return abs(self.cavity_freq - self.omega01) <= rtol * self.omega01
+    def is_resonant(self):
+        return abs(self.cavity_freq - self.omega01) <= _RESONANCE_RTOL * self.omega01
 
 
 def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
@@ -148,7 +147,6 @@ class OperatorMatrix:
 
     matrix: np.ndarray
     basis: str
-    label: str = ""
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -161,9 +159,6 @@ class OperatorMatrix:
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
 def operator_matrix(op, basis=None, dim=None):
@@ -184,31 +179,6 @@ def operator_matrix(op, basis=None, dim=None):
     return m
 
 
-@dataclass(frozen=True)
-class ProductBasis:
-    """Rotor x photon basis, index = n * (j_max + 1) + j."""
-
-    j_max: int
-    n_max: int
-
-    @cached_property
-    def states(self):
-        return tuple((j, n) for n in range(self.n_max + 1) for j in range(self.j_max + 1))
-
-    @property
-    def dim(self):
-        return (self.j_max + 1) * (self.n_max + 1)
-
-    def index(self, j, n):
-        if not (0 <= j <= self.j_max and 0 <= n <= self.n_max):
-            raise ValueError(f"state (j={j}, n={n}) outside basis")
-        return n * (self.j_max + 1) + j
-
-
-def build_product_basis(j_max, n_max):
-    return ProductBasis(j_max=j_max, n_max=n_max)
-
-
 def cos_theta_elements(j_max):
     """cos(theta) in the M = 0 rotor basis, truncated at j_max.
 
@@ -220,7 +190,7 @@ def cos_theta_elements(j_max):
     off = (j + 1) / np.sqrt((2 * j + 1) * (2 * j + 3))
     m[j, j + 1] = off
     m[j + 1, j] = off
-    return OperatorMatrix(m, basis="rotor", label="cos_theta")
+    return OperatorMatrix(m, basis="rotor")
 
 
 def _photon_number(n_max):
@@ -259,8 +229,8 @@ def build_full_hamiltonian(params):
         h0 = h0 - lam * np.kron(_photon_x(params.n_max), mucos)
     v = np.kron(np.eye(ndim), mucos)
     return (
-        OperatorMatrix(h0, basis="product", label="drift"),
-        OperatorMatrix(v, basis="product", label="mu_cos_theta"),
+        OperatorMatrix(h0, basis="product"),
+        OperatorMatrix(v, basis="product"),
     )
 
 
@@ -311,12 +281,12 @@ class DressedBasis:
         return self.labels.index(label)
 
 
-def build_dressed_basis(params, rtol=1e-9):
+def build_dressed_basis(params):
     """Construct the dressed basis; requires the cavity on resonance."""
-    if not params.is_resonant(rtol=rtol):
+    if not params.is_resonant():
         raise NonResonantCavity(
             f"cavity at {params.cavity_freq:g} au vs 0-1 line {params.omega01:g} au "
-            f"(tolerance {rtol:g} relative)"
+            f"(tolerance {_RESONANCE_RTOL:g} relative)"
         )
     n_max = params.n_max
     if n_max < 1:
@@ -357,7 +327,7 @@ def _two_level_drive(params):
     return np.kron(np.eye(params.n_max + 1), params.dipole * cos2)
 
 
-def build_dressed_hamiltonian(params, rtol=1e-9):
+def build_dressed_hamiltonian(params):
     """Drift (diagonal) and drive operators in the dressed basis.
 
     The drift keeps only the rotating part of the light-matter coupling, so
@@ -366,86 +336,21 @@ def build_dressed_hamiltonian(params, rtol=1e-9):
     elements are +-mu01/sqrt(2) between |0;0> and |+-;0> and +-mu01/2 between
     adjacent doublets, the sign following the upper doublet's parity.
     """
-    basis = build_dressed_basis(params, rtol=rtol)
+    basis = build_dressed_basis(params)
     u = basis.transform
     v = u.conj().T @ _two_level_drive(params) @ u
     v = 0.5 * (v + v.conj().T)
     return (
-        OperatorMatrix(np.diag(basis.energies), basis="dressed", label="drift"),
-        OperatorMatrix(v, basis="dressed", label="mu_cos_theta"),
+        OperatorMatrix(np.diag(basis.energies), basis="dressed"),
+        OperatorMatrix(v, basis="dressed"),
         basis,
     )
 
 
-def dressed_cos_matrix(params, rtol=1e-9):
+def dressed_cos_matrix(params):
     """Bare cos(theta) observable conjugated into the dressed basis."""
-    basis = build_dressed_basis(params, rtol=rtol)
+    basis = build_dressed_basis(params)
     u = basis.transform
     cos2 = np.kron(np.eye(params.n_max + 1), cos_theta_elements(1).matrix.real)
     m = u.conj().T @ cos2 @ u
-    return OperatorMatrix(0.5 * (m + m.conj().T), basis="dressed", label="cos_theta")
-
-
-def project_to_dressed(amplitudes, params, basis=None, photon_parity=True):
-    """Project product-basis amplitudes (full j_max ladder) onto dressed states.
-
-    The full Hamiltonian carries the coupling with a minus sign while the
-    dressed ladder uses the plus-sign convention; the two frames differ by the
-    photon parity (-1)^n, which this projection absorbs (photon_parity=True).
-    Weight in J >= 2 rotor states is dropped, so the result can have norm < 1.
-    """
-    if basis is None:
-        basis = build_dressed_basis(params)
-    amps = np.asarray(amplitudes, dtype=complex)
-    pb = build_product_basis(params.j_max, params.n_max)
-    if amps.shape[-1] != pb.dim:
-        raise ValueError("amplitude length does not match the product basis")
-    two = np.zeros(amps.shape[:-1] + (2 * (params.n_max + 1),), dtype=complex)
-    for n in range(params.n_max + 1):
-        for j in (0, 1):
-            phase = (-1.0) ** n if photon_parity else 1.0
-            two[..., 2 * n + j] = phase * amps[..., pb.index(j, n)]
-    return two @ basis.transform.conj()
-
-
-def embed_dressed_vectors(params, basis=None, photon_parity=True):
-    """Dressed-state column vectors written over the full product basis.
-
-    Columns follow basis.labels; the photon-parity gauge matches
-    project_to_dressed, so conj(emb).T @ psi reproduces that projection.
-    """
-    if basis is None:
-        basis = build_dressed_basis(params)
-    pb = build_product_basis(params.j_max, params.n_max)
-    emb = np.zeros((pb.dim, basis.dim))
-    for n in range(params.n_max + 1):
-        phase = (-1.0) ** n if photon_parity else 1.0
-        for j in (0, 1):
-            # the resonant transform is real by construction
-            emb[pb.index(j, n), :] = phase * basis.transform[2 * n + j, :].real
-    return emb
-
-
-def adiabatic_dressed_vectors(params, basis=None):
-    """Exact eigenvectors of the static full Hamiltonian, one per dressed label.
-
-    Each column is the eigenvector of h0 (counter-rotating coupling included)
-    with the largest overlap onto the corresponding dressed state, with its
-    phase aligned to that overlap.  Returns (vectors, energies, basis).  The
-    matching must be injective; a collision means the couplings are too strong
-    for the dressed labels to identify polaritons.
-    """
-    if basis is None:
-        basis = build_dressed_basis(params)
-    h0, _ = build_full_hamiltonian(params)
-    evals, evecs = np.linalg.eigh(h0.matrix)
-    emb = embed_dressed_vectors(params, basis)
-    overlaps = np.abs(evecs.conj().T @ emb)
-    picks = np.argmax(overlaps, axis=0)
-    if len(set(picks.tolist())) != basis.dim:
-        raise ValueError("dressed-to-exact eigenvector matching is not injective")
-    vectors = np.empty((evecs.shape[0], basis.dim), dtype=complex)
-    for k, i in enumerate(picks):
-        ov = np.vdot(evecs[:, i], emb[:, k])
-        vectors[:, k] = evecs[:, i] * (ov / abs(ov))
-    return vectors, evals[picks].copy(), basis
+    return OperatorMatrix(0.5 * (m + m.conj().T), basis="dressed")

@@ -7,18 +7,16 @@ the orientation over a few dressed states is the top eigenpair of the
 projected cos(theta) block, not a search.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, NoRevivalFound, WindowTooShort
+from .errors import BasisMismatch, NoRevivalFound
 from .model import operator_matrix
 
 __all__ = [
     "TimeSeries",
     "Spectrum",
-    "orientation",
-    "expectation_series",
     "orientation_trace",
     "spectrum",
     "spectrum_peaks",
@@ -27,6 +25,13 @@ __all__ = [
     "orientation_max_oracle",
 ]
 
+# a sample grid is uniform when its steps agree to this relative tolerance
+_UNIFORM_RTOL = 1e-9
+# the lagged correlation at which a trace counts as repeating itself
+_REVIVAL_THRESHOLD = 0.999
+# phases are reported relative to this dressed state
+_GROUND_LABEL = "0;0"
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -34,7 +39,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
@@ -49,16 +53,12 @@ class TimeSeries:
         object.__setattr__(self, "values", v)
 
     @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
-
-    @property
     def window(self):
         return float(self.times[-1] - self.times[0])
 
-    def is_uniform(self, rtol=1e-9):
+    def is_uniform(self):
         d = np.diff(self.times)
-        return bool(np.all(np.abs(d - d[0]) <= rtol * abs(d[0])))
+        return bool(np.all(np.abs(d - d[0]) <= _UNIFORM_RTOL * abs(d[0])))
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,6 @@ class Spectrum:
 
     omega: np.ndarray
     amplitude: np.ndarray
-    label: str = ""
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         w = np.array(self.omega, dtype=float)
@@ -84,37 +82,13 @@ class Spectrum:
     def domega(self):
         return float(self.omega[1] - self.omega[0])
 
-    def amplitude_at(self, omega0):
-        """Amplitude at the bin nearest omega0."""
-        return float(self.amplitude[int(np.argmin(np.abs(self.omega - omega0)))])
 
-
-def orientation(state, cos_op):
-    """<cos theta> for a single state; phases matter, so schrodinger only."""
-    if state.picture != "schrodinger":
-        raise ValueError("orientation needs a schrodinger-picture state")
-    m = operator_matrix(cos_op, state.basis, state.dim)
-    val = np.vdot(state.amplitudes, m @ state.amplitudes)
-    return float(val.real)
-
-
-def expectation_series(traj, op, label=""):
-    """Expectation value of a (tagged) operator along a sampled trajectory."""
-    if traj.picture != "schrodinger":
-        raise ValueError("expectation_series needs a schrodinger-picture trajectory")
-    m = operator_matrix(op, traj.basis, traj.dim)
-    vals = np.einsum("ti,ij,tj->t", traj.states.conj(), m, traj.states)
-    return TimeSeries(traj.times, vals.real, label=label)
-
-
-def orientation_trace(state, energies, cos_op, times, label=""):
+def orientation_trace(state, energies, cos_op, times):
     """<cos theta>(t) under free evolution from one snapshot.
 
     Valid once the drift is diagonal in the state's basis (the drive is over);
     each sample costs a phase vector, not a propagation step.
     """
-    if state.picture != "schrodinger":
-        raise ValueError("orientation_trace needs a schrodinger-picture snapshot")
     m = operator_matrix(cos_op, state.basis, state.dim)
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (state.dim,):
@@ -123,27 +97,22 @@ def orientation_trace(state, energies, cos_op, times, label=""):
     phases = np.exp(-1j * np.outer(times - state.time, energies))
     states = phases * state.amplitudes[None, :]
     vals = np.einsum("ti,ij,tj->t", states.conj(), m, states)
-    return TimeSeries(times, vals.real, label=label)
+    return TimeSeries(times, vals.real)
 
 
-def spectrum(series, min_window=None, subtract_mean=True, label=""):
+def spectrum(series):
     """One-sided magnitude spectrum dt * |rfft| of a uniform time series.
 
-    The bin spacing is 2 pi / window; pass min_window to insist on enough
-    resolution (WindowTooShort otherwise).
+    The mean is subtracted first, so there is no zero-frequency line; the bin
+    spacing is 2 pi / window.
     """
     if not series.is_uniform():
         raise ValueError("spectrum needs a uniformly sampled series")
-    if min_window is not None and series.window < min_window * (1 - 1e-12):
-        raise WindowTooShort(
-            f"window {series.window:g} shorter than required {min_window:g}"
-        )
-    x = series.values - series.values.mean() if subtract_mean else series.values
+    x = series.values - series.values.mean()
     dt = series.window / (series.times.size - 1)
     amp = dt * np.abs(np.fft.rfft(x))
     omega = 2.0 * np.pi * np.fft.rfftfreq(series.times.size, d=dt)
-    return Spectrum(omega, amp, label=label or series.label,
-                    meta={"dt": dt, "window": series.window, "n": series.times.size})
+    return Spectrum(omega, amp)
 
 
 def spectrum_peaks(spec, rel_height=0.05):
@@ -160,18 +129,18 @@ def spectrum_peaks(spec, rel_height=0.05):
     return spec.omega[idx], a[idx]
 
 
-def dressed_populations_phases(state, ground_label="0;0"):
+def dressed_populations_phases(state):
     """Per-label populations and phases relative to the ground amplitude.
 
-    Phases are reported in the state's own picture.  If the ground amplitude
-    is negligible the raw phases are returned instead.
+    If the ground amplitude |0;0> is absent or negligible the raw phases are
+    returned instead.
     """
     if state.labels is None:
         raise ValueError("state has no labels")
     amps = state.amplitudes
     ref = 0.0
-    if ground_label in state.labels:
-        a0 = amps[state.labels.index(ground_label)]
+    if _GROUND_LABEL in state.labels:
+        a0 = amps[state.labels.index(_GROUND_LABEL)]
         if abs(a0) > 1e-12:
             ref = np.angle(a0)
     out = {}
@@ -207,12 +176,12 @@ def _lagged_pearson(x):
     return np.clip(r, -1.0, 1.0)
 
 
-def revival_period(series, threshold=0.999, min_lag=None):
+def revival_period(series, min_lag=None):
     """Time shift after which the signal repeats.
 
     Computes the lag-by-lag Pearson correlation of the series with its shifted
     self, skips the trivial neighborhood of zero lag, and returns the best lag
-    inside the first contiguous run with correlation >= threshold, refined by
+    inside the first contiguous run with correlation >= 0.999, refined by
     a parabola through the three samples around the maximum.  Raises
     NoRevivalFound when the signal never decorrelates or never recurs.
     """
@@ -226,16 +195,16 @@ def revival_period(series, threshold=0.999, min_lag=None):
     n = x.size
     max_lag = (2 * n) // 3  # keep at least a third of the samples overlapping
     start = 1 if min_lag is None else max(1, int(np.ceil(min_lag / dt)))
-    below = np.nonzero(r[start:max_lag] < threshold)[0]
+    below = np.nonzero(r[start:max_lag] < _REVIVAL_THRESHOLD)[0]
     if below.size == 0:
         raise NoRevivalFound("signal never decorrelates below the threshold; window too short?")
     lo = start + below[0]
-    above = np.nonzero(r[lo:max_lag] >= threshold)[0]
+    above = np.nonzero(r[lo:max_lag] >= _REVIVAL_THRESHOLD)[0]
     if above.size == 0:
         raise NoRevivalFound("no recurrence above the threshold inside the window")
     run_start = lo + above[0]
     run_end = run_start
-    while run_end + 1 < max_lag and r[run_end + 1] >= threshold:
+    while run_end + 1 < max_lag and r[run_end + 1] >= _REVIVAL_THRESHOLD:
         run_end += 1
     seg = r[run_start:run_end + 1]
     m = run_start + int(np.argmax(seg))

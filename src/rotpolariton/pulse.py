@@ -36,7 +36,7 @@ __all__ = [
 
 _MIN_WINDOW_WIDTHS = 6.0
 # factories pad further: the tail clipped at 7 widths is ~1e-11 of the area
-_DEFAULT_WINDOW_WIDTHS = 7.0
+_PAD_WIDTHS = 7.0
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,17 @@ class CompositePulse:
             raise ValueError(f"window must cover +-{_MIN_WINDOW_WIDTHS:g} tau0 around the peak")
 
 
-def gaussian_for_area(params, area, tau0, omega0, phi0=0.0, window=_DEFAULT_WINDOW_WIDTHS):
+def gaussian_for_area(params, area, tau0, omega0, phi0=0.0):
     """One-carrier pulse whose resonant bare 0-1 area is `area` (radians).
 
     Peak amplitude sqrt(2/pi) * area / (mu01 * tau0).
     """
     e0 = np.sqrt(2.0 / np.pi) * area / (params.mu01 * tau0)
     return CompositePulse(e0=e0, tau0=tau0, components=((omega0, phi0),),
-                          t_start=-window * tau0, t_end=window * tau0)
+                          t_start=-_PAD_WIDTHS * tau0, t_end=_PAD_WIDTHS * tau0)
 
 
-def composite_for_area(params, area, tau0, components, window=_DEFAULT_WINDOW_WIDTHS):
+def composite_for_area(params, area, tau0, components):
     """Multi-carrier pulse whose per-carrier ground-doublet area is `area`.
 
     Peak amplitude per carrier sqrt(2/pi) * area / (|mu01/sqrt(2)| * tau0), so
@@ -84,7 +84,7 @@ def composite_for_area(params, area, tau0, components, window=_DEFAULT_WINDOW_WI
     mu0 = params.mu01 / np.sqrt(2.0)
     e0 = np.sqrt(2.0 / np.pi) * area / (mu0 * tau0)
     return CompositePulse(e0=e0, tau0=tau0, components=tuple(components),
-                          t_start=-window * tau0, t_end=window * tau0)
+                          t_start=-_PAD_WIDTHS * tau0, t_end=_PAD_WIDTHS * tau0)
 
 
 def field_value(spec, t):
@@ -102,6 +102,8 @@ def carrier_ceiling(spec):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# panel doublings spectral_area tries before it gives up
+_MAX_DOUBLINGS = 12
 
 
 def _panel_quad(func, a, b, n_panels):
@@ -113,7 +115,7 @@ def _panel_quad(func, a, b, n_panels):
     return half * np.sum(vals @ _GL_WEIGHTS)
 
 
-def spectral_area(spec, omega, t_upper=None, dipole=1.0, tol=1e-10, max_doublings=12):
+def spectral_area(spec, omega, t_upper=None, dipole=1.0, tol=1e-10):
     """dipole * integral E(t') exp(-i omega t') dt' from t_start to t_upper.
 
     Panel count starts at two panels (20 Gauss nodes) per period of the
@@ -133,7 +135,7 @@ def spectral_area(spec, omega, t_upper=None, dipole=1.0, tol=1e-10, max_doubling
 
     prev = _panel_quad(integrand, a, b, n0)
     n = n0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n *= 2
         cur = _panel_quad(integrand, a, b, n)
         if abs(cur - prev) <= tol:

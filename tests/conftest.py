@@ -7,6 +7,9 @@ runs are session-scoped and reused by the unit tests and the acceptance
 suite alike.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,102 @@ def gaussian_area_closed_form(spec, omega, dipole=1.0):
         tot += pref * (np.exp(1j * ph) * np.exp(-spec.tau0 ** 2 * (omega - w0) ** 2 / 2.0)
                        + np.exp(-1j * ph) * np.exp(-spec.tau0 ** 2 * (omega + w0) ** 2 / 2.0))
     return tot
+
+
+# ------------------------------------------------------ cross-frame reference
+#
+# The product (rotor x photon) basis and its bridge to the dressed states.
+# The package propagates in either frame but never converts between them;
+# the cross-frame checks compare the two through these helpers.
+
+@dataclass(frozen=True)
+class ProductBasis:
+    """Rotor x photon basis, index = n * (j_max + 1) + j."""
+
+    j_max: int
+    n_max: int
+
+    @cached_property
+    def states(self):
+        return tuple((j, n) for n in range(self.n_max + 1) for j in range(self.j_max + 1))
+
+    @property
+    def dim(self):
+        return (self.j_max + 1) * (self.n_max + 1)
+
+    def index(self, j, n):
+        if not (0 <= j <= self.j_max and 0 <= n <= self.n_max):
+            raise ValueError(f"state (j={j}, n={n}) outside basis")
+        return n * (self.j_max + 1) + j
+
+
+def build_product_basis(j_max, n_max):
+    return ProductBasis(j_max=j_max, n_max=n_max)
+
+
+def project_to_dressed(amplitudes, params, basis=None, photon_parity=True):
+    """Project product-basis amplitudes (full j_max ladder) onto dressed states.
+
+    The full Hamiltonian carries the coupling with a minus sign while the
+    dressed ladder uses the plus-sign convention; the two frames differ by the
+    photon parity (-1)^n, which this projection absorbs (photon_parity=True).
+    Weight in J >= 2 rotor states is dropped, so the result can have norm < 1.
+    """
+    if basis is None:
+        basis = rp.build_dressed_basis(params)
+    amps = np.asarray(amplitudes, dtype=complex)
+    pb = build_product_basis(params.j_max, params.n_max)
+    if amps.shape[-1] != pb.dim:
+        raise ValueError("amplitude length does not match the product basis")
+    two = np.zeros(amps.shape[:-1] + (2 * (params.n_max + 1),), dtype=complex)
+    for n in range(params.n_max + 1):
+        for j in (0, 1):
+            phase = (-1.0) ** n if photon_parity else 1.0
+            two[..., 2 * n + j] = phase * amps[..., pb.index(j, n)]
+    return two @ basis.transform.conj()
+
+
+def embed_dressed_vectors(params, basis=None, photon_parity=True):
+    """Dressed-state column vectors written over the full product basis.
+
+    Columns follow basis.labels; the photon-parity gauge matches
+    project_to_dressed, so conj(emb).T @ psi reproduces that projection.
+    """
+    if basis is None:
+        basis = rp.build_dressed_basis(params)
+    pb = build_product_basis(params.j_max, params.n_max)
+    emb = np.zeros((pb.dim, basis.dim))
+    for n in range(params.n_max + 1):
+        phase = (-1.0) ** n if photon_parity else 1.0
+        for j in (0, 1):
+            # the resonant transform is real by construction
+            emb[pb.index(j, n), :] = phase * basis.transform[2 * n + j, :].real
+    return emb
+
+
+def adiabatic_dressed_vectors(params, basis=None):
+    """Exact eigenvectors of the static full Hamiltonian, one per dressed label.
+
+    Each column is the eigenvector of h0 (counter-rotating coupling included)
+    with the largest overlap onto the corresponding dressed state, with its
+    phase aligned to that overlap.  Returns (vectors, energies, basis).  The
+    matching must be injective; a collision means the couplings are too strong
+    for the dressed labels to identify polaritons.
+    """
+    if basis is None:
+        basis = rp.build_dressed_basis(params)
+    h0, _ = rp.build_full_hamiltonian(params)
+    evals, evecs = np.linalg.eigh(h0.matrix)
+    emb = embed_dressed_vectors(params, basis)
+    overlaps = np.abs(evecs.conj().T @ emb)
+    picks = np.argmax(overlaps, axis=0)
+    if len(set(picks.tolist())) != basis.dim:
+        raise ValueError("dressed-to-exact eigenvector matching is not injective")
+    vectors = np.empty((evecs.shape[0], basis.dim), dtype=complex)
+    for k, i in enumerate(picks):
+        ov = np.vdot(evecs[:, i], emb[:, k])
+        vectors[:, k] = evecs[:, i] * (ov / abs(ov))
+    return vectors, evals[picks].copy(), basis
 
 
 # ------------------------------------------------------------ parameters

@@ -197,7 +197,18 @@ def test_bad_configs_exit_2(tmp_path, capsys):
             ("scan", {"scan": {"bandwidths_g": [0.1, nan]}}, "scan.bandwidths_g[1]"),
             # a grid this long would take petabytes before anything ran
             ("scan", {"scan": {"detunings_g": {"start": 0, "stop": 1, "num": 1e15}}},
-             "scan.detunings_g.num")):
+             "scan.detunings_g.num"),
+            # positive numbers whose atomic-unit scale underflows the normal floats
+            ("simulate", {"field": {"bandwidth_g": 1e-320}}, "field.bandwidth_g"),
+            ("simulate", {"system": {"coupling_ratio": 1e-320}}, "system.coupling_ratio"),
+            ("simulate", {"system": {"rot_const": 1e-320}}, "system.rot_const"),
+            ("simulate", {"system": {"dipole": 1e-320}}, "system.dipole"),
+            ("scan", {"scan": {"bandwidths_g": [1e-320]}}, "scan.bandwidths_g[0]"),
+            ("scan", {"scan": {"kind": "composite", "reference_bandwidth_g": 1e-320}},
+             "scan.reference_bandwidth_g"),
+            # ... or overflows: omega01 = 2 B is inf
+            ("simulate", {"system": {"rot_const": {"value": 1e308, "unit": "au"}}},
+             "system.rot_const")):
         name = path.replace("[", "_").replace("]", "")
         out = tmp_path / name
         assert main([command, "--config", write_cfg(tmp_path / f"{name}.yaml", cfg),

@@ -26,8 +26,8 @@ def _dressed_state(bas, amps, time=0.0):
 def test_orientation_of_pure_states_is_zero(dressed):
     bas, cos_op = dressed
     for lab in ("0;0", "+;0", "-;0"):
-        s = _dressed_state(bas, {lab: 1.0})
-        assert rp.orientation(s, cos_op) == 0.0
+        a = _dressed_state(bas, {lab: 1.0}).amplitudes
+        assert np.vdot(a, cos_op.matrix @ a).real == 0.0
 
 
 def test_orientation_of_bare_two_state_superposition():
@@ -37,8 +37,7 @@ def test_orientation_of_bare_two_state_superposition():
         a = np.zeros(9, dtype=complex)
         a[0] = 1.0 / np.sqrt(2.0)
         a[1] = np.exp(1j * phi) / np.sqrt(2.0)
-        s = rp.StateVector(a, basis="bare")
-        val = rp.orientation(s, cosm.matrix)
+        val = np.vdot(a, cosm.matrix @ a).real
         assert val == pytest.approx(np.cos(phi) / np.sqrt(3.0), abs=1e-12)
 
 
@@ -46,17 +45,17 @@ def test_orientation_of_optimal_dressed_triplet(dressed):
     bas, cos_op = dressed
     # the lower doublet member carries the opposite-sign dipole element, so
     # the even-weight maximum needs a pi between the doublet amplitudes
-    s = _dressed_state(bas, {"0;0": 1.0 / np.sqrt(2.0), "+;0": 0.5, "-;0": -0.5})
-    assert rp.orientation(s, cos_op) == pytest.approx(SQRT3INV, abs=1e-12)
-    aligned = _dressed_state(bas, {"0;0": 1.0 / np.sqrt(2.0), "+;0": 0.5, "-;0": 0.5})
-    assert rp.orientation(aligned, cos_op) == pytest.approx(0.0, abs=1e-12)
+    a = _dressed_state(bas, {"0;0": 1.0 / np.sqrt(2.0), "+;0": 0.5, "-;0": -0.5}).amplitudes
+    assert np.vdot(a, cos_op.matrix @ a).real == pytest.approx(SQRT3INV, abs=1e-12)
+    b = _dressed_state(bas, {"0;0": 1.0 / np.sqrt(2.0), "+;0": 0.5, "-;0": 0.5}).amplitudes
+    assert np.vdot(b, cos_op.matrix @ b).real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orientation_rejects_wrong_basis(dressed):
     bas, cos_op = dressed
     s = rp.StateVector(np.zeros(bas.dim, dtype=complex), basis="product")
     with pytest.raises(rp.BasisMismatch):
-        rp.orientation(s, cos_op)
+        rp.orientation_trace(s, bas.energies, cos_op, np.array([0.0, 1.0]))
 
 
 def test_subspace_bound_under_random_sampling(dressed):
@@ -66,34 +65,36 @@ def test_subspace_bound_under_random_sampling(dressed):
     for _ in range(500):
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
         c /= np.linalg.norm(c)
-        s = _dressed_state(bas, {"0;0": c[0], "+;0": c[1], "-;0": c[2]})
-        val = abs(rp.orientation(s, cos_op))
+        a = _dressed_state(bas, {"0;0": c[0], "+;0": c[1], "-;0": c[2]}).amplitudes
+        val = abs(np.vdot(a, cos_op.matrix @ a).real)
         worst = max(worst, val)
         assert val <= SQRT3INV + 1e-9
     assert worst > 0.4   # the sampler does approach the bound
 
 
-def test_orientation_trace_matches_explicit_free_evolution(dressed):
-    bas, cos_op = dressed
-    s = _dressed_state(bas, {"0;0": 0.8, "+;0": 0.36, "-;0": -0.48}, time=0.0)
-    times = np.linspace(0.0, 12.0, 60)
-    series = rp.orientation_trace(s, bas.energies, cos_op, times)
-    for i in (0, 17, 42):
-        evolved = rp.StateVector(s.amplitudes * np.exp(-1j * bas.energies * times[i]),
-                                 basis="dressed", time=times[i])
-        assert series.values[i] == pytest.approx(rp.orientation(evolved, cos_op),
-                                                 abs=1e-12)
-
-
-def test_expectation_series_on_trajectory(dressed):
-    bas, cos_op = dressed
-    s = _dressed_state(bas, {"0;0": 1 / np.sqrt(2), "+;0": 0.5, "-;0": -0.5})
-    times = np.linspace(0.0, 8.0, 33)
-    states = s.amplitudes * np.exp(-1j * np.outer(times, bas.energies))
-    traj = rp.Trajectory(times=times, states=states, basis="dressed", labels=bas.labels)
-    series = rp.expectation_series(traj, cos_op)
-    ref = rp.orientation_trace(s, bas.energies, cos_op, times)
-    assert np.max(np.abs(series.values - ref.values)) < 1e-12
+@settings(max_examples=40, deadline=None)
+@given(dressed_op=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       t0=st.floats(-50.0, 50.0),
+       times=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=16,
+                      unique=True).map(sorted))
+def test_orientation_trace_matches_explicit_free_evolution(dressed, dressed_op, seed, t0,
+                                                           times):
+    # <cos theta>(t) = Re(psi(t)^H M psi(t)) with psi(t) = a exp(-i E (t - t0)),
+    # from a random unit snapshot a taken at t0
+    if dressed_op:
+        bas, cos_op = dressed
+        energies, basis = bas.energies, "dressed"
+    else:
+        cos_op = rp.cos_theta_elements(8)
+        energies, basis = np.array([B * j * (j + 1) for j in range(9)]), "rotor"
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=energies.size) + 1j * rng.normal(size=energies.size)
+    a /= np.linalg.norm(a)
+    s = rp.StateVector(a, basis=basis, time=t0)
+    series = rp.orientation_trace(s, energies, cos_op, np.array(times))
+    for t, got in zip(times, series.values):
+        psi = a * np.exp(-1j * energies * (t - t0))
+        assert abs(got - np.vdot(psi, cos_op.matrix @ psi).real) <= 1e-12
 
 
 # ----------------------------------------------------------------- spectrum
@@ -107,9 +108,10 @@ def test_spectrum_of_pure_cosine_recovers_amplitude():
     series = rp.TimeSeries(times=t, values=0.37 * np.cos(omega0 * t) + 0.11)
     spec = rp.spectrum(series)
     assert spec.domega == pytest.approx(2.0 * np.pi / w, rel=1e-9)
-    assert spec.amplitude_at(omega0) == pytest.approx(0.37 * w / 2.0, rel=0.05)
+    line = spec.amplitude[np.argmin(np.abs(spec.omega - omega0))]
+    assert line == pytest.approx(0.37 * w / 2.0, rel=0.05)
     # the mean is subtracted, so there is no zero-frequency line
-    assert spec.amplitude[0] < 1e-10 * spec.amplitude_at(omega0)
+    assert spec.amplitude[0] < 1e-10 * line
 
 
 def test_spectrum_peak_positions_stable_under_window_doubling():
@@ -149,13 +151,6 @@ def test_spectrum_peaks_are_strict_local_maxima_at_or_above_the_floor():
     pw, ph = rp.spectrum_peaks(spec, rel_height=0.25)
     assert list(pw) == [4.0, 8.0]
     assert list(ph) == [3.0, 1.0]
-
-
-def test_spectrum_requires_enough_window():
-    t = np.linspace(0.0, 5.0, 256, endpoint=False)
-    series = rp.TimeSeries(times=t, values=np.cos(2.0 * t))
-    with pytest.raises(rp.WindowTooShort):
-        rp.spectrum(series, min_window=40.0 * TAU)
 
 
 def test_time_series_validation():
