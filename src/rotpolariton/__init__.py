@@ -55,7 +55,6 @@ from .model import (
     dressed_cos_matrix,
     mu_tilde_doublet,
     mu_tilde_ground,
-    ocs_params,
 )
 from .observables import (
     Spectrum,

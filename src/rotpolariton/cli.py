@@ -7,8 +7,9 @@ manifest together with its hash, so a directory is reproducible from its own
 manifest.  Outputs are tab-separated columns plus JSON summaries; nothing
 carries a timestamp, so identical configs produce bit-identical directories.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 integration or
-quadrature failed to converge, 4 requested design infeasible.
+Exit codes: 0 success, 2 invalid config or arguments, or a run above the
+propagation step cap, 3 integration or quadrature failed to converge, 4
+requested design infeasible.  A failed run writes no output directory.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 import yaml
@@ -40,50 +42,203 @@ from .model import SystemParams, build_dressed_basis, convert_units, dressed_cos
 from .observables import orientation_max_oracle
 from .pulse import composite_for_area, field_to_dict, gaussian_for_area
 
-DEFAULTS = {
+
+# ---------------------------------------------------------------- config
+
+
+def _deep_merge(base, override):
+    out = dict(base)
+    for k, v in override.items():
+        if isinstance(v, dict) and isinstance(out.get(k), dict):
+            out[k] = _deep_merge(out[k], v)
+        else:
+            out[k] = v
+    return out
+
+
+def _finite(val):
+    """float(val) when val is a finite number (a boolean is not), else None."""
+    if isinstance(val, bool):
+        return None
+    try:
+        num = float(val)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return num if np.isfinite(num) else None
+
+
+def _number(val, path):
+    num = _finite(val)
+    if num is None:
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+    return num
+
+
+def _integer(val, path):
+    num = _finite(val)
+    if num is None or num != int(num):
+        raise ConfigError(f"{path}: expected an integer, got {val!r}")
+    return int(num)
+
+
+def _boolean(val, path):
+    """A true boolean; strings such as "false" are rejected, never coerced."""
+    if not isinstance(val, bool):
+        raise ConfigError(f"{path}: expected true or false, got {val!r}")
+    return val
+
+
+# a derived scale below the smallest normal float has lost its precision, and
+# at zero it divides by zero downstream
+_TINY = np.finfo(float).tiny
+
+
+def _normal(value, path):
+    """value when it is a finite float no smaller than the smallest normal one."""
+    if not (np.isfinite(value) and value >= _TINY):
+        raise ConfigError(f"{path}: scales to {value:g} in atomic units, "
+                          f"outside the normal floating-point range")
+    return value
+
+
+def _quantity(node, path, units):
+    """Scalar or {value, unit} mapping, converted to atomic units.
+
+    units maps each accepted unit to its atomic unit; the first is the default.
+    """
+    if isinstance(node, dict):
+        extra = set(node) - {"value", "unit"}
+        if extra:
+            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+        value = node.get("value")
+        unit = node.get("unit", next(iter(units)))
+    else:
+        value, unit = node, next(iter(units))
+    if not (isinstance(unit, str) and unit in units):
+        raise ConfigError(f"{path}.unit: expected one of {sorted(units)}, got {unit!r}")
+    value = _number(value, f"{path}.value")
+    if value <= 0:
+        raise ConfigError(f"{path}.value: must be positive")
+    return _normal(convert_units(value, unit, units[unit]), path)
+
+
+# a start/stop/num grid longer than this is a typo, not a scan
+_MAX_GRID = 100_000
+
+
+def _grid(node, path, positive=False):
+    """List of numbers, or {start, stop, num[, log]} expanded to a grid."""
+    if isinstance(node, dict):
+        extra = set(node) - {"start", "stop", "num", "log"}
+        if extra:
+            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+        if not {"start", "stop", "num"} <= set(node):
+            raise ConfigError(f"{path}: grid needs numeric start, stop, num")
+        start = _number(node["start"], f"{path}.start")
+        stop = _number(node["stop"], f"{path}.stop")
+        num = _integer(node["num"], f"{path}.num")
+        if not 1 <= num <= _MAX_GRID:
+            raise ConfigError(f"{path}.num: must be between 1 and {_MAX_GRID}")
+        if _boolean(node.get("log", False), f"{path}.log"):
+            if start <= 0 or stop <= 0:
+                raise ConfigError(f"{path}: log grid needs positive endpoints")
+            vals = np.geomspace(start, stop, num)
+        elif np.isfinite(stop - start):
+            vals = np.linspace(start, stop, num)
+        else:
+            raise ConfigError(f"{path}: start and stop are too far apart")
+        out = [float(v) for v in vals]
+    elif isinstance(node, (list, tuple)):
+        out = [_number(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    else:
+        raise ConfigError(f"{path}: expected a list or a start/stop/num mapping")
+    if not out:
+        raise ConfigError(f"{path}: grid is empty")
+    if positive and any(v <= 0 for v in out):
+        raise ConfigError(f"{path}: values must be positive")
+    return out
+
+
+def _carriers(node, path):
+    """Composite carriers: a nonempty list of {detuning_g, phase}, each 0 if omitted."""
+    if not isinstance(node, (list, tuple)) or not node:
+        raise ConfigError(f"{path}: composite field needs a nonempty list")
+    out = []
+    for i, c in enumerate(node):
+        if not isinstance(c, dict) or set(c) - {"detuning_g", "phase"}:
+            raise ConfigError(f"{path}[{i}]: expected {{detuning_g, phase}}")
+        out.append({k: _number(c.get(k, 0.0), f"{path}[{i}].{k}")
+                    for k in ("detuning_g", "phase")})
+    return out
+
+
+def _flags(node, path):
+    if not isinstance(node, (list, tuple)) or not node or \
+            any(not isinstance(c, bool) for c in node):
+        raise ConfigError(f"{path}: expected a nonempty list of booleans")
+    return node
+
+
+def _directory(node, path):
+    if not isinstance(node, str) or not node:
+        raise ConfigError(f"{path}: expected a nonempty string")
+    return node
+
+
+# SCHEMA[section][key] = (default, rule).  A rule is float or bool; (float,
+# "positive"), (float, "nonnegative") or (int, minimum); a tuple of allowed
+# strings; a dict of units, for a quantity whose value in atomic units is
+# stored as <key>_au; or a check(value, path) returning the value to store.
+# A key whose default is None may stay None.
+SCHEMA = {
     "system": {
-        "rot_const": {"value": 0.20286, "unit": "cm-1"},
-        "dipole": {"value": 0.715, "unit": "debye"},
-        "coupling_ratio": 0.1,
-        "cavity": True,
-        "j_max": 8,
-        "n_max": 4,
+        "rot_const": ({"value": 0.20286, "unit": "cm-1"}, {"cm-1": "au", "au": "au"}),
+        "dipole": ({"value": 0.715, "unit": "debye"},
+                   {"debye": "au-dipole", "au-dipole": "au-dipole"}),
+        "coupling_ratio": (0.1, (float, "positive")),
+        "cavity": (True, bool),
+        "j_max": (8, (int, 1)),
+        "n_max": (4, (int, 0)),
     },
     "field": {
-        "kind": "gaussian",       # gaussian | composite | designed
-        "area": None,             # default: pi/4 gaussian, pi sqrt(2)/8 otherwise
-        "bandwidth_g": 0.1,       # 1/tau0 in units of g_ref
-        "detuning_g": 0.0,        # gaussian carrier offset from omega01, units of g_ref
-        "phase": 0.0,             # gaussian carrier phase
-        "carriers": None,         # composite: list of {detuning_g, phase}, offsets from omega_c
-        "phase_minus": 0.0,       # designed: fixed lower-carrier phase
-        "branch": "+",            # designed: + or -
+        "kind": ("gaussian", ("gaussian", "composite", "designed")),
+        # default: pi/4 gaussian, pi sqrt(2)/8 otherwise
+        "area": (None, (float, "nonnegative")),
+        "bandwidth_g": (0.1, (float, "positive")),  # 1/tau0 in units of g_ref
+        "detuning_g": (0.0, float),     # gaussian carrier offset from omega01, units of g_ref
+        "phase": (0.0, float),          # gaussian carrier phase
+        "carriers": (None, _carriers),  # composite: offsets from omega_c, units of g_ref
+        "phase_minus": (0.0, float),    # designed: fixed lower-carrier phase
+        "branch": ("+", ("+", "-")),    # designed: root of the phase condition
     },
     "experiment": {
-        "dressed": None,          # default: follow system.cavity
-        "trace_window_tau": 40.0,
-        "n_trace": 16384,
-        "snapshot_tau": 6.75,
-        "n_trajectory": 257,
+        "dressed": (None, bool),        # default: follow system.cavity
+        "trace_window_tau": (40.0, (float, "positive")),
+        "n_trace": (16384, (int, 64)),
+        "snapshot_tau": (6.75, (float, "nonnegative")),
+        "n_trajectory": (257, (int, 2)),
     },
     "scan": {
-        "kind": "detuning",       # detuning | composite
-        "detunings_g": [0.0],
-        "bandwidths_g": [0.1],
-        "cavity": [True],
-        "write_spectra": False,
-        "reference_bandwidth_g": 0.1,
+        "kind": ("detuning", ("detuning", "composite")),
+        "detunings_g": ([0.0], _grid),
+        "bandwidths_g": ([0.1], partial(_grid, positive=True)),
+        "cavity": ([True], _flags),
+        "write_spectra": (False, bool),
+        "reference_bandwidth_g": (0.1, (float, "positive")),
     },
     "integrator": {
-        "method": "yoshida4",
-        "tol": 1e-8,
-        "dt": None,
-        "max_halvings": 6,
+        "method": ("yoshida4", ("yoshida4", "strang", "midpoint")),
+        "tol": (1e-8, (float, "positive")),
+        "dt": (None, (float, "positive")),
+        "max_halvings": (6, (int, 0)),
     },
     "output": {
-        "directory": "out",
+        "directory": ("out", _directory),
     },
 }
+
+DEFAULTS = {section: {key: default for key, (default, _) in rules.items()}
+            for section, rules in SCHEMA.items()}
 
 PRESETS = {
     # bare molecule, narrowband quarter-area kick: revival pi/B, max 1/sqrt(3)
@@ -125,163 +280,28 @@ PRESETS = {
 }
 
 
-# ---------------------------------------------------------------- config
-
-
-def _deep_merge(base, override):
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
-def _lookup(cfg, path):
-    """The mapping that holds a dotted config path, and its last key."""
-    *parents, key = path.split(".")
-    for part in parents:
-        cfg = cfg[part]
-    return cfg, key
-
-
-def _finite(val):
-    """float(val) when val is a finite number (a boolean is not), else None."""
-    if isinstance(val, bool):
-        return None
-    try:
-        num = float(val)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return num if np.isfinite(num) else None
-
-
-def _number(val, path):
-    num = _finite(val)
-    if num is None:
-        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
-    return num
-
-
-def _integer(val, path):
-    num = _finite(val)
-    if num is None or num != int(num):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
-    return int(num)
-
-
-def _boolean(val, path):
-    """A true boolean; strings such as "false" are rejected, never coerced."""
-    if not isinstance(val, bool):
-        raise ConfigError(f"{path}: expected true or false, got {val!r}")
-    return val
-
-
-def _as_float(cfg, path, allow_none=False, positive=False, nonnegative=False):
-    """Validate a number in place: the resolved config keeps the float."""
-    node, key = _lookup(cfg, path)
-    if node[key] is None:
-        if allow_none:
-            return None
-        raise ConfigError(f"{path}: value required")
-    val = node[key] = _number(node[key], path)
-    if positive and val <= 0:
-        raise ConfigError(f"{path}: must be positive")
-    if nonnegative and val < 0:
-        raise ConfigError(f"{path}: must be nonnegative")
-    return val
-
-
-def _as_int(cfg, path, minimum=None):
-    """Validate an integer in place: the resolved config keeps the int."""
-    node, key = _lookup(cfg, path)
-    val = node[key] = _integer(node[key], path)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return val
-
-
-def _as_bool(cfg, path):
-    node, key = _lookup(cfg, path)
-    return _boolean(node[key], path)
-
-
-def _as_choice(cfg, path, choices):
-    node, key = _lookup(cfg, path)
-    val = node[key]
-    if not isinstance(val, str) or val not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {val!r}")
-    return val
-
-
-# a derived scale below the smallest normal float has lost its precision, and
-# at zero it divides by zero downstream
-_TINY = np.finfo(float).tiny
-
-
-def _normal(value, path):
-    """value when it is a finite float no smaller than the smallest normal one."""
-    if not (np.isfinite(value) and value >= _TINY):
-        raise ConfigError(f"{path}: scales to {value:g} in atomic units, "
-                          f"outside the normal floating-point range")
-    return value
-
-
-def _quantity(node, path, unit_choices, default_unit):
-    """Scalar or {value, unit} mapping, converted to atomic units."""
-    if isinstance(node, dict):
-        extra = set(node) - {"value", "unit"}
-        if extra:
-            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
-        value = node.get("value")
-        unit = node.get("unit", default_unit)
-    else:
-        value, unit = node, default_unit
-    if unit not in unit_choices:
-        raise ConfigError(f"{path}.unit: expected one of {sorted(unit_choices)}, got {unit!r}")
-    value = _number(value, f"{path}.value")
-    if value <= 0:
-        raise ConfigError(f"{path}.value: must be positive")
-    return _normal(convert_units(value, unit, "au" if unit in ("cm-1", "au") else "au-dipole"),
-                   path)
-
-
-# a start/stop/num grid longer than this is a typo, not a scan
-_MAX_GRID = 100_000
-
-
-def _grid(node, path, positive=False):
-    """List of numbers, or {start, stop, num[, log]} expanded to a grid."""
-    if isinstance(node, dict):
-        extra = set(node) - {"start", "stop", "num", "log"}
-        if extra:
-            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
-        if not {"start", "stop", "num"} <= set(node):
-            raise ConfigError(f"{path}: grid needs numeric start, stop, num")
-        start = _number(node["start"], f"{path}.start")
-        stop = _number(node["stop"], f"{path}.stop")
-        num = _integer(node["num"], f"{path}.num")
-        if not 1 <= num <= _MAX_GRID:
-            raise ConfigError(f"{path}.num: must be between 1 and {_MAX_GRID}")
-        if _boolean(node.get("log", False), f"{path}.log"):
-            if start <= 0 or stop <= 0:
-                raise ConfigError(f"{path}: log grid needs positive endpoints")
-            vals = np.geomspace(start, stop, num)
-        elif np.isfinite(stop - start):
-            vals = np.linspace(start, stop, num)
-        else:
-            raise ConfigError(f"{path}: start and stop are too far apart")
-        out = [float(v) for v in vals]
-    elif isinstance(node, (list, tuple)):
-        out = [_number(v, f"{path}[{i}]") for i, v in enumerate(node)]
-    else:
-        raise ConfigError(f"{path}: expected a list or a start/stop/num mapping")
-    if not out:
-        raise ConfigError(f"{path}: grid is empty")
-    if positive and any(v <= 0 for v in out):
-        raise ConfigError(f"{path}: values must be positive")
-    return out
+def _check(rule, val, path):
+    """val checked against a SCHEMA rule other than a quantity; the value to store."""
+    if isinstance(rule, tuple) and isinstance(rule[0], str):
+        if not isinstance(val, str) or val not in rule:
+            raise ConfigError(f"{path}: expected one of {sorted(rule)}, got {val!r}")
+        return val
+    kind, bound = rule if isinstance(rule, tuple) else (rule, None)
+    if kind is bool:
+        return _boolean(val, path)
+    if kind is int:
+        num = _integer(val, path)
+        if num < bound:
+            raise ConfigError(f"{path}: must be >= {bound}")
+        return num
+    if kind is float:
+        if val is None:
+            raise ConfigError(f"{path}: value required")
+        num = _number(val, path)
+        if bound == "positive" and num <= 0 or bound == "nonnegative" and num < 0:
+            raise ConfigError(f"{path}: must be {bound}")
+        return num
+    return rule(val, path)
 
 
 def resolve_config(raw, preset=None):
@@ -305,91 +325,50 @@ def resolve_config(raw, preset=None):
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key {section}.{key!r}")
     cfg = _deep_merge(base, raw)
+    system, field, exp, scan = (cfg[s] for s in ("system", "field", "experiment", "scan"))
 
-    # system
-    cfg["system"]["rot_const_au"] = _quantity(cfg["system"]["rot_const"], "system.rot_const",
-                                              ("cm-1", "au"), "cm-1")
-    cfg["system"]["dipole_au"] = _quantity(cfg["system"]["dipole"], "system.dipole",
-                                           ("debye", "au-dipole"), "debye")
-    _normal(2.0 * cfg["system"]["rot_const_au"], "system.rot_const")  # omega01
-    _as_float(cfg, "system.coupling_ratio", positive=True)
-    g_ref = _normal(_g_ref(cfg["system"]), "system.coupling_ratio")
-    _as_bool(cfg, "system.cavity")
-    _as_int(cfg, "system.j_max", minimum=1)
-    _as_int(cfg, "system.n_max", minimum=0)
-    if cfg["system"]["cavity"] and cfg["system"]["n_max"] < 1:
-        raise ConfigError("system.n_max: a coupled cavity needs n_max >= 1")
+    # the two defaults that follow another key
+    if field["area"] is None:
+        field["area"] = KICK_AREA if field["kind"] == "gaussian" else DESIGN_AREA
+    if exp["dressed"] is None:
+        exp["dressed"] = system["cavity"]
 
-    # field
-    kind = _as_choice(cfg, "field.kind", {"gaussian", "composite", "designed"})
-    if cfg["field"]["area"] is None:
-        cfg["field"]["area"] = KICK_AREA if kind == "gaussian" else DESIGN_AREA
-    _as_float(cfg, "field.area", nonnegative=True)
-    _normal(_as_float(cfg, "field.bandwidth_g", positive=True) * g_ref, "field.bandwidth_g")
-    _as_float(cfg, "field.detuning_g")
-    _as_float(cfg, "field.phase")
-    _as_float(cfg, "field.phase_minus")
-    _as_choice(cfg, "field.branch", {"+", "-"})
-    if kind == "composite":
-        carriers = cfg["field"]["carriers"]
-        if not isinstance(carriers, (list, tuple)) or not carriers:
-            raise ConfigError("field.carriers: composite field needs a nonempty list")
-        parsed = []
-        for i, c in enumerate(carriers):
-            if not isinstance(c, dict) or set(c) - {"detuning_g", "phase"}:
-                raise ConfigError(f"field.carriers[{i}]: expected {{detuning_g, phase}}")
-            parsed.append(tuple(_number(c.get(k, 0.0), f"field.carriers[{i}].{k}")
-                                for k in ("detuning_g", "phase")))
-        cfg["field"]["carriers"] = [{"detuning_g": d, "phase": p} for d, p in parsed]
-    if kind == "designed" and not cfg["system"]["cavity"]:
-        raise ConfigError("field.kind: designed fields need the cavity on")
+    for section, rules in SCHEMA.items():
+        for key, (default, rule) in rules.items():
+            val, path = cfg[section][key], f"{section}.{key}"
+            if val is None and default is None:
+                continue
+            if isinstance(rule, dict):
+                cfg[section][f"{key}_au"] = _quantity(val, path, rule)
+            else:
+                cfg[section][key] = _check(rule, val, path)
 
-    # experiment
-    if cfg["experiment"]["dressed"] is None:
-        cfg["experiment"]["dressed"] = cfg["system"]["cavity"]
-    _as_bool(cfg, "experiment.dressed")
-    if cfg["experiment"]["dressed"] and not cfg["system"]["cavity"]:
-        raise ConfigError("experiment.dressed: no resonant cavity to dress (system.cavity is off)")
-    if not cfg["experiment"]["dressed"] and cfg["system"]["cavity"]:
-        raise ConfigError("experiment.dressed: product-basis runs need system.cavity off")
-    _as_float(cfg, "experiment.trace_window_tau", positive=True)
-    _as_int(cfg, "experiment.n_trace", minimum=64)
-    _as_float(cfg, "experiment.snapshot_tau", nonnegative=True)
-    _as_int(cfg, "experiment.n_trajectory", minimum=2)
-
-    # scan
-    _as_choice(cfg, "scan.kind", {"detuning", "composite"})
-    cfg["scan"]["detunings_g"] = _grid(cfg["scan"]["detunings_g"], "scan.detunings_g")
-    cfg["scan"]["bandwidths_g"] = _grid(cfg["scan"]["bandwidths_g"], "scan.bandwidths_g",
-                                        positive=True)
-    for i, bw in enumerate(cfg["scan"]["bandwidths_g"]):
+    # checks across keys
+    _normal(2.0 * system["rot_const_au"], "system.rot_const")  # omega01
+    g_ref = _normal(_g_ref(system), "system.coupling_ratio")
+    _normal(field["bandwidth_g"] * g_ref, "field.bandwidth_g")
+    for i, bw in enumerate(scan["bandwidths_g"]):
         _normal(bw * g_ref, f"scan.bandwidths_g[{i}]")
-    cav = cfg["scan"]["cavity"]
-    if not isinstance(cav, (list, tuple)) or not cav or \
-            any(not isinstance(c, bool) for c in cav):
-        raise ConfigError("scan.cavity: expected a nonempty list of booleans")
-    if cfg["scan"]["kind"] == "detuning":
+    _normal(scan["reference_bandwidth_g"] * g_ref, "scan.reference_bandwidth_g")
+    if system["cavity"] and system["n_max"] < 1:
+        raise ConfigError("system.n_max: a coupled cavity needs n_max >= 1")
+    if field["kind"] == "composite" and field["carriers"] is None:
+        raise ConfigError("field.carriers: composite field needs a nonempty list")
+    if field["kind"] == "designed" and not system["cavity"]:
+        raise ConfigError("field.kind: designed fields need the cavity on")
+    if exp["dressed"] and not system["cavity"]:
+        raise ConfigError("experiment.dressed: no resonant cavity to dress (system.cavity is off)")
+    if not exp["dressed"] and system["cavity"]:
+        raise ConfigError("experiment.dressed: product-basis runs need system.cavity off")
+    if scan["kind"] == "detuning":
         # each (cavity, bandwidth) group writes its own TSV
-        if len(set(cav)) < len(cav):
+        if len(set(scan["cavity"])) < len(scan["cavity"]):
             raise ConfigError("scan.cavity: true and false may each appear once")
-        names = [_orientation_tsv(True, bw) for bw in cfg["scan"]["bandwidths_g"]]
+        names = [_orientation_tsv(True, bw) for bw in scan["bandwidths_g"]]
         for name in names:
             if names.count(name) > 1:
                 raise ConfigError(f"scan.bandwidths_g: two bandwidths would both write "
                                   f"{name.replace('cavon', 'cav*')}")
-    _as_bool(cfg, "scan.write_spectra")
-    _normal(_as_float(cfg, "scan.reference_bandwidth_g", positive=True) * g_ref,
-            "scan.reference_bandwidth_g")
-
-    # integrator
-    _as_choice(cfg, "integrator.method", {"yoshida4", "strang", "midpoint"})
-    _as_float(cfg, "integrator.tol", positive=True)
-    _as_float(cfg, "integrator.dt", allow_none=True, positive=True)
-    _as_int(cfg, "integrator.max_halvings", minimum=0)
-
-    # output
-    if not isinstance(cfg["output"]["directory"], str) or not cfg["output"]["directory"]:
-        raise ConfigError("output.directory: expected a nonempty string")
     return cfg
 
 
@@ -432,10 +411,8 @@ def build_field(cfg, params, g_ref):
         comps = [(params.cavity_freq + c["detuning_g"] * g_ref, c["phase"])
                  for c in f["carriers"]]
         return composite_for_area(params, f["area"], tau0, comps), None
-    pulse, report = design_composite(params, bandwidth=f["bandwidth_g"] * g_ref,
-                                     area=f["area"], phase_minus=f["phase_minus"],
-                                     branch=f["branch"])
-    return pulse, report
+    return design_composite(params, bandwidth=f["bandwidth_g"] * g_ref, area=f["area"],
+                            phase_minus=f["phase_minus"], branch=f["branch"])
 
 
 # ---------------------------------------------------------------- output
@@ -465,8 +442,7 @@ def _fmt(v):
         return "nan"
     if isinstance(v, bool):
         return str(int(v))
-    v = float(v)
-    return repr(v)
+    return repr(float(v))
 
 
 def _per(value, unit):
@@ -486,7 +462,14 @@ def _write_spectrum(path, spec, params):
                [(w, w / params.rot_const, a) for w, a in zip(spec.omega, spec.amplitude)])
 
 
-def _write_manifest(outdir, cfg, args, command):
+def _outdir(cfg, args, command):
+    """Create the output directory and write its manifest, once the run succeeded.
+
+    A run that fails before this call leaves no directory behind.
+    """
+    outdir = args.out or cfg["output"]["directory"]
+    cfg["output"]["directory"] = outdir
+    os.makedirs(outdir, exist_ok=True)
     canon = json.dumps(_json_safe(cfg), sort_keys=True, separators=(",", ":"))
     manifest = {
         "package": "rotpolariton",
@@ -499,12 +482,6 @@ def _write_manifest(outdir, cfg, args, command):
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
     }
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
-
-
-def _prepare_outdir(cfg, args):
-    outdir = args.out or cfg["output"]["directory"]
-    cfg["output"]["directory"] = outdir
-    os.makedirs(outdir, exist_ok=True)
     return outdir
 
 
@@ -543,8 +520,8 @@ def cmd_simulate(cfg, args):
         n_pulse_samples=exp["n_trajectory"],
         integrator=dict(cfg["integrator"]),
     )
-    outdir = _prepare_outdir(cfg, args)
-    _write_manifest(outdir, cfg, args, "simulate")
+    outdir = _outdir(cfg, args, "simulate")
+    written = ["orientation.tsv", "spectrum.tsv"]
 
     series = rec["series"]
     _write_tsv(os.path.join(outdir, "orientation.tsv"),
@@ -555,22 +532,18 @@ def cmd_simulate(cfg, args):
 
     traj = rec.get("trajectory")
     if traj is not None:
-        cols = ["time_au"]
-        for lab in traj.labels:
-            cols += [f"re({lab})", f"im({lab})"]
-        rows = []
-        for i, t in enumerate(traj.times):
-            row = [t]
-            for a in traj.states[i]:
-                row += [a.real, a.imag]
-            rows.append(row)
+        cols = ["time_au"] + [f"{part}({lab})" for lab in traj.labels for part in ("re", "im")]
+        rows = [[t] + [x for a in amps for x in (a.real, a.imag)]
+                for t, amps in zip(traj.times, traj.states)]
         _write_tsv(os.path.join(outdir, "trajectory.tsv"), cols, rows)
+        written.append("trajectory.tsv")
 
     summary = {k: v for k, v in rec.items() if k not in ("series", "spectrum", "trajectory")}
     if design_report is not None:
         summary["design_report"] = design_report.as_dict()
         summary["field"] = field_to_dict(fld)
     _write_json(os.path.join(outdir, "populations.json"), summary)
+    written.append("populations.json")
 
     if rec["revival_period"] is None:
         revival = "none"
@@ -578,7 +551,7 @@ def cmd_simulate(cfg, args):
         revival = f"{rec['revival_period'] / tau:.4f} tau"
     print(f"simulate: orientation max {rec['orientation_max']:.6f} "
           f"at {rec['t_max'] / tau:.4f} tau after the pulse; revival {revival}")
-    print(f"wrote {outdir}/orientation.tsv, spectrum.tsv, trajectory.tsv, populations.json")
+    print(f"wrote {outdir}/" + ", ".join(written))
     return 0
 
 
@@ -589,9 +562,6 @@ def cmd_scan(cfg, args):
     sc = cfg["scan"]
     exp = cfg["experiment"]
     tau = params.revival_time
-    outdir = _prepare_outdir(cfg, args)
-    _write_manifest(outdir, cfg, args, "scan")
-
     kw = {"bandwidths": [b * g_ref for b in sc["bandwidths_g"]],
           "trace_window": exp["trace_window_tau"] * tau,
           "n_trace": exp["n_trace"],
@@ -610,19 +580,14 @@ def cmd_scan(cfg, args):
         # records come in job order: detunings within (cavity, bandwidth) groups
         n = len(sc["detunings_g"])
         groups = [(cav, bw) for cav in sc["cavity"] for bw in sc["bandwidths_g"]]
-        for k, (cav, bw) in enumerate(groups):
-            rows = [(rec["detuning"] / g_ref, rec.get("orientation_max"),
+        columns = ["detuning_g", "orientation_max", "orientation_snapshot",
+                   "t_max_tau", "revival_tau", "converged"]
+        tables = [(_orientation_tsv(cav, bw), columns,
+                   [(rec["detuning"] / g_ref, rec.get("orientation_max"),
                      rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
                      _per(rec.get("revival_period"), tau), rec["converged"])
-                    for rec in result.records[k * n:(k + 1) * n]]
-            _write_tsv(os.path.join(outdir, _orientation_tsv(cav, bw)),
-                       ["detuning_g", "orientation_max", "orientation_snapshot",
-                        "t_max_tau", "revival_tau", "converged"], rows)
-        if sc["write_spectra"]:
-            for i, rec in enumerate(result.records):
-                if rec.get("spectrum") is not None:
-                    _write_spectrum(os.path.join(outdir, f"spectrum_{i:04d}.tsv"),
-                                    rec["spectrum"], params)
+                    for rec in result.records[k * n:(k + 1) * n]])
+                  for k, (cav, bw) in enumerate(groups)]
     else:
         result = scan_composite_bandwidth(
             params,
@@ -632,19 +597,25 @@ def cmd_scan(cfg, args):
             branch=cfg["field"]["branch"],
             **kw,
         )
-        rows = [(rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
-                 rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
-                 _per(rec.get("revival_period"), tau), rec["converged"])
-                for rec in result.records]
-        _write_tsv(os.path.join(outdir, "composite_bandwidth.tsv"),
+        tables = [("composite_bandwidth.tsv",
                    ["bandwidth_g", "orientation_max_exact", "orientation_max_magnus",
-                    "max_population_diff", "revival_tau", "converged"], rows)
+                    "max_population_diff", "revival_tau", "converged"],
+                   [(rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
+                     rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
+                     _per(rec.get("revival_period"), tau), rec["converged"])
+                    for rec in result.records])]
 
+    outdir = _outdir(cfg, args, "scan")
+    for name, columns, rows in tables:
+        _write_tsv(os.path.join(outdir, name), columns, rows)
     with open(os.path.join(outdir, "records.jsonl"), "w") as fh:
         for i, rec in enumerate(result.records):
             # spectra go to their own files, never into the records
             body = {k: v for k, v in rec.items() if k != "spectrum"}
             fh.write(json.dumps(_json_safe({"index": i, **body}), sort_keys=True) + "\n")
+            if rec.get("spectrum") is not None:
+                _write_spectrum(os.path.join(outdir, f"spectrum_{i:04d}.tsv"),
+                                rec["spectrum"], params)
     _write_json(os.path.join(outdir, "scan_meta.json"), result.meta)
 
     print(f"scan: {len(result)} records -> {outdir}")
@@ -661,8 +632,7 @@ def cmd_design(cfg, args):
         phase_minus=f["phase_minus"],
         branch=f["branch"],
     )
-    outdir = _prepare_outdir(cfg, args)
-    _write_manifest(outdir, cfg, args, "design")
+    outdir = _outdir(cfg, args, "design")
     _write_json(os.path.join(outdir, "field.json"), field_to_dict(pulse))
     body = report.as_dict()
     body["carriers"] = [list(c) for c in pulse.components]
@@ -682,8 +652,7 @@ def cmd_oracle(cfg, args):
     basis = build_dressed_basis(params)
     cos_op = dressed_cos_matrix(params)
     result = orientation_max_oracle(cos_op, basis.energies, basis.labels)
-    outdir = _prepare_outdir(cfg, args)
-    _write_manifest(outdir, cfg, args, "oracle")
+    outdir = _outdir(cfg, args, "oracle")
     _write_json(os.path.join(outdir, "oracle.json"), result)
     print(f"oracle: max orientation {result['max']:.8f} at populations "
           f"({result['populations'][0]:.4f}, {result['populations'][1]:.4f}, "

@@ -97,12 +97,12 @@ def _wrap(x, period):
     return y + period if y <= -0.5 * period else y
 
 
-def compute_areas(params, fld, t=None, tol=1e-10):
+def compute_areas(params, fld, tol=1e-10):
     """All design-relevant spectral areas of a field, as one PulseAreaSet."""
     w0 = doublet_energies(params, 0)
     w1 = doublet_energies(params, 1)
-    up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params), t=t, tol=tol)
-    dbl = pulse_area_doublet(fld, w0, w1, mu_tilde_doublet(params), t=t, tol=tol)
+    up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params), tol=tol)
+    dbl = pulse_area_doublet(fld, w0, w1, mu_tilde_doublet(params), tol=tol)
     return aggregate_areas(up, lo, dbl)
 
 
@@ -393,9 +393,9 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
 _MAGNUS_LABELS = ("0;0", "+;0", "-;0", "+;1", "-;1")
 
 
-def magnus_final_state(params, fld, tol=1e-10):
+def magnus_final_state(params, fld):
     """First-order analytic end-of-pulse state, with its drift phases since t = 0."""
-    amps = magnus_wavefunction(compute_areas(params, fld, tol=tol))
+    amps = magnus_wavefunction(compute_areas(params, fld))
     w0 = doublet_energies(params, 0)
     w1 = doublet_energies(params, 1)
     energies = np.array([0.0, w0[0], w0[1], w1[0], w1[1]])

@@ -22,7 +22,7 @@ from itertools import chain, cycle, islice
 
 import numpy as np
 
-from .errors import BasisMismatch, NotConverged
+from .errors import BasisMismatch, ConfigError, NotConverged
 from .model import operator_matrix
 from .pulse import carrier_ceiling, field_value
 
@@ -155,15 +155,30 @@ _WEIGHTS = {
 _CHUNK = 2048
 _PHASE_ELEMS = 1 << 16
 
+# the most steps one run may take: _split_steps builds the kick schedule of a
+# run at once, 56 bytes per Yoshida step (112 MB at the cap, 128 MB while it
+# is built), and the largest run of the presets and tests takes 71,506
+_MAX_STEPS = 2_000_000
+
 
 def _schedule(times, fa, fb, dt):
-    """Field overlap [lo, hi] of each sample interval, its step count and step."""
+    """Field overlap [lo, hi] of each sample interval, its step count and step.
+
+    A run above _MAX_STEPS steps, or with an infinite or undefined count,
+    raises ConfigError before its kick schedule is built.
+    """
     lo = np.clip(times[:-1], fa, fb)
     hi = np.clip(times[1:], fa, fb)
     span = hi - lo
     on = span > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        steps = np.maximum(1.0, np.ceil(span[on] / dt))
+        total = float(np.sum(steps))
+    if not total <= _MAX_STEPS:
+        raise ConfigError(f"propagation: the run needs {total:.4g} steps at dt = {dt:g} au, "
+                          f"above the cap of {_MAX_STEPS}")
     n = np.zeros(span.size, dtype=int)
-    n[on] = np.maximum(1, np.ceil(span[on] / dt))
+    n[on] = steps
     h = np.zeros(span.size)
     h[on] = span[on] / n[on]
     return lo, hi, n, h
@@ -302,7 +317,8 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
     its own Richardson estimate (the dt vs dt/2 difference over
     2^order - 1, per-sample 2-norm) reaches `tol`.  Returns a list holding,
     per row, its Trajectory or, when `max_halvings` runs out first, its
-    NotConverged error.
+    NotConverged error.  A run that would take more than _MAX_STEPS steps
+    raises ConfigError.
     """
     fields, states0 = list(fields), list(states0)
     if not states0 or len(fields) != len(states0):

@@ -29,7 +29,6 @@ __all__ = [
     "AU_PER_DEBYE",
     "convert_units",
     "SystemParams",
-    "ocs_params",
     "OperatorMatrix",
     "operator_matrix",
     "DressedBasis",
@@ -123,22 +122,6 @@ class SystemParams:
 
     def is_resonant(self):
         return abs(self.cavity_freq - self.omega01) <= _RESONANCE_RTOL * self.omega01
-
-
-def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
-    """OCS molecule in a resonant cavity; coupling_ratio is g / omega01."""
-    b = convert_units(0.20286, "cm-1", "au")
-    mu = convert_units(0.715, "debye", "au-dipole")
-    omega01 = 2.0 * b
-    g = coupling_ratio * omega01 if cavity else 0.0
-    return SystemParams(
-        rot_const=b,
-        dipole=mu,
-        cavity_freq=omega01 if cavity else 0.0,
-        coupling=g,
-        j_max=j_max,
-        n_max=n_max if cavity else 0,
-    )
 
 
 @dataclass(frozen=True)

@@ -115,17 +115,14 @@ def _panel_quad(func, a, b, n_panels):
     return half * np.sum(vals @ _GL_WEIGHTS)
 
 
-def spectral_area(spec, omega, t_upper=None, dipole=1.0, tol=1e-10):
-    """dipole * integral E(t') exp(-i omega t') dt' from t_start to t_upper.
+def spectral_area(spec, omega, dipole=1.0, tol=1e-10):
+    """dipole * integral E(t') exp(-i omega t') dt' over the field window.
 
     Panel count starts at two panels (20 Gauss nodes) per period of the
     combined carrier + analysis oscillation and doubles until two successive
     refinements agree to `tol`; raises QuadratureNotConverged otherwise.
     """
-    a = spec.t_start
-    b = spec.t_end if t_upper is None else min(float(t_upper), spec.t_end)
-    if b <= a:
-        return 0.0 + 0.0j
+    a, b = spec.t_start, spec.t_end
     w_osc = abs(omega) + carrier_ceiling(spec)
     span = b - a
     n0 = max(16, int(np.ceil(span * w_osc / np.pi)), int(np.ceil(8.0 * span / spec.tau0)))
@@ -146,7 +143,7 @@ def spectral_area(spec, omega, t_upper=None, dipole=1.0, tol=1e-10):
     )
 
 
-def pulse_area_ground(spec, omega_pm, mu0, t=None, tol=1e-10):
+def pulse_area_ground(spec, omega_pm, mu0, tol=1e-10):
     """Areas on the |0;0> -> |+;0>, |-;0> transitions.
 
     omega_pm is (w_up, w_lo); mu0 is the magnitude mu01/sqrt(2) and the
@@ -154,12 +151,12 @@ def pulse_area_ground(spec, omega_pm, mu0, t=None, tol=1e-10):
     applied here.
     """
     w_up, w_lo = omega_pm
-    up = spectral_area(spec, w_up, t_upper=t, dipole=+abs(mu0), tol=tol)
-    lo = spectral_area(spec, w_lo, t_upper=t, dipole=-abs(mu0), tol=tol)
+    up = spectral_area(spec, w_up, dipole=+abs(mu0), tol=tol)
+    lo = spectral_area(spec, w_lo, dipole=-abs(mu0), tol=tol)
     return up, lo
 
 
-def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1, t=None, tol=1e-10):
+def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1, tol=1e-10):
     """Areas on the four |s;0> -> |l;1> transitions, keyed by (s, l) in {+1,-1}.
 
     mu1 is the magnitude mu01/2; the sign follows the upper doublet state l.
@@ -170,7 +167,7 @@ def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1, t=None, tol=1e-10):
     out = {}
     for s in (+1, -1):
         for l in (+1, -1):
-            out[(s, l)] = spectral_area(spec, w1[l] - w[s], t_upper=t, dipole=l * abs(mu1), tol=tol)
+            out[(s, l)] = spectral_area(spec, w1[l] - w[s], dipole=l * abs(mu1), tol=tol)
     return out
 
 

@@ -32,6 +32,22 @@ def unit_params(**over):
     return rp.SystemParams(**kw)
 
 
+def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
+    """OCS molecule in a resonant cavity; coupling_ratio is g / omega01."""
+    b = rp.convert_units(0.20286, "cm-1", "au")
+    mu = rp.convert_units(0.715, "debye", "au-dipole")
+    omega01 = 2.0 * b
+    g = coupling_ratio * omega01 if cavity else 0.0
+    return rp.SystemParams(
+        rot_const=b,
+        dipole=mu,
+        cavity_freq=omega01 if cavity else 0.0,
+        coupling=g,
+        j_max=j_max,
+        n_max=n_max if cavity else 0,
+    )
+
+
 # ------------------------------------------------------------- oracles
 #
 # Two oracles that share no code with the package internals: cos theta

@@ -6,6 +6,7 @@ outputs, not the dynamics, are under test.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from rotpolariton import composite_for_area, convert_units, kick_response
-from rotpolariton.cli import DEFAULTS, PRESETS, _json_safe, build_params, main, resolve_config
+from rotpolariton.cli import (
+    DEFAULTS, PRESETS, SCHEMA, _json_safe, build_params, main, resolve_config,
+)
 from rotpolariton.control import DESIGN_AREA, KICK_AREA
 from rotpolariton.errors import ConfigError
 
@@ -145,6 +148,28 @@ def test_field_validation():
         resolve_config({"field": {"branch": "auto"}})
 
 
+@pytest.mark.parametrize("path", [f"{section}.{key}" for section, rules in SCHEMA.items()
+                                  for key in rules])
+def test_every_config_key_has_a_rule(path):
+    # a nested list is no value any key accepts
+    section, key = path.split(".")
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        resolve_config({section: {key: [[1]]}})
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "composite", "designed"])
+def test_carriers_are_checked_for_every_field_kind(kind):
+    with pytest.raises(ConfigError, match=r"field\.carriers"):
+        resolve_config({"field": {"kind": kind, "carriers": "junk"}})
+
+
+def test_readme_config_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema (defaults shown)")[1]
+    block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == DEFAULTS
+
+
 def test_dressed_flag_must_match_the_cavity():
     with pytest.raises(ConfigError, match="dressed"):
         resolve_config({"system": {"cavity": False, "n_max": 0},
@@ -243,6 +268,29 @@ def test_infeasible_design_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_scan_design_writes_nothing(tmp_path, capsys):
+    cfg = {"scan": {"kind": "composite", "bandwidths_g": [0.3], "reference_bandwidth_g": 5.0}}
+    out = tmp_path / "run"
+    assert main(["scan", "--config", write_cfg(tmp_path / "wide.yaml", cfg),
+                 "--out", str(out)]) == 4
+    assert "design infeasible" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("detuning", {"field": {"detuning_g": 1.0e300}}),
+    ("carrier", {"field": {"kind": "composite", "carriers": [{"detuning_g": 1.0e300}]}}),
+    ("dt", {"integrator": {"dt": 1.0e-300}}),
+    ("area", {"field": {"area": 1.0e300}}),
+])
+def test_runs_above_the_step_cap_exit_2(tmp_path, capsys, name, cfg):
+    out = tmp_path / name
+    assert main(["simulate", "--config", write_cfg(tmp_path / f"{name}.yaml", cfg),
+                 "--out", str(out)]) == 2
+    assert "config error: propagation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_wants_the_cavity_switchable_not_absent(tmp_path, capsys):
     cfg = merged(FAST, {"system": {"cavity": False, "n_max": 0}})
     path = write_cfg(tmp_path / "bare_scan.yaml", cfg)
@@ -279,6 +327,18 @@ def test_simulate_zero_field_stays_in_the_ground_state(tmp_path, capsys):
     assert manifest["preset"] is None
     assert len(manifest["config_sha256"]) == 64
     assert manifest["config"]["field"]["area"] == 0.0
+
+
+@pytest.mark.parametrize("n_trajectory", [2, 5])
+def test_simulate_names_the_files_it_wrote(tmp_path, capsys, n_trajectory):
+    cfg = merged(FAST, {"field": {"area": 0.0}, "experiment": {"n_trajectory": n_trajectory}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_cfg(tmp_path / "zero.yaml", cfg),
+                 "--out", str(out)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
+    named = line[len(f"wrote {out}/"):].split(", ")
+    assert sorted(named) == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
+    assert ("trajectory.tsv" in named) == (n_trajectory > 2)
 
 
 def test_simulate_reruns_are_bit_identical(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
-from conftest import B, G, TAU, SQRT3INV, unit_params
+from conftest import B, G, TAU, SQRT3INV, ocs_params, unit_params
 
 
 # ------------------------------------------------------------ area bookkeeping
@@ -126,7 +126,7 @@ def test_design_finds_the_root_past_an_angle_jump(bandwidth_g, phase_minus, bran
     # at coupling 0.15 omega01 the lower line sits at 17/3 g, so the 2 pi jump
     # of an area's angle does not vanish mod 2 g pi and the first bracket can
     # straddle that jump instead of a root
-    p = rp.ocs_params(coupling_ratio=0.15)
+    p = ocs_params(coupling_ratio=0.15)
     fld, rep = rp.design_composite(p, bandwidth=bandwidth_g * p.coupling,
                                    phase_minus=phase_minus, branch=branch)
     assert fld.components[1][1] == phase_minus

@@ -12,6 +12,7 @@ from conftest import (
     build_product_basis,
     cos_matrix_quadrature,
     embed_dressed_vectors,
+    ocs_params,
     project_to_dressed,
     unit_params,
 )
@@ -62,10 +63,10 @@ def test_unit_conversions():
 
 
 def test_ocs_defaults():
-    p = rp.ocs_params()
+    p = ocs_params()
     assert p.coupling == pytest.approx(0.1 * p.omega01)
     assert p.j_max == 8 and p.n_max == 4
-    bare = rp.ocs_params(cavity=False)
+    bare = ocs_params(cavity=False)
     assert bare.coupling == 0.0 and bare.n_max == 0
 
 

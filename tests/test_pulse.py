@@ -73,15 +73,6 @@ def test_spectral_area_detuning_rolloff():
         assert off / on == pytest.approx(np.exp(-12.0 ** 2 * delta ** 2 / 2.0), rel=1e-2)
 
 
-def test_partial_area_starts_at_zero_and_saturates():
-    fld = rp.CompositePulse(e0=0.3, tau0=4.0, components=((2.0, 0.2),),
-                            t_start=-28.0, t_end=28.0)
-    assert abs(rp.spectral_area(fld, 2.0, t_upper=fld.t_start)) < 1e-12
-    full = rp.spectral_area(fld, 2.0)
-    late = rp.spectral_area(fld, 2.0, t_upper=fld.t_end)
-    assert abs(late - full) < 1e-12
-
-
 def test_ground_doublet_areas_against_oracle():
     p = unit_params()
     w0 = rp.doublet_energies(p, 0)
