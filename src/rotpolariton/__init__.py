@@ -38,7 +38,6 @@ from .errors import (
     NoRevivalFound,
     NonResonantCavity,
     NotConverged,
-    QuadratureNotConverged,
     RotPolaritonError,
     UnknownUnit,
 )

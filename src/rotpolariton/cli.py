@@ -7,9 +7,11 @@ manifest together with its hash, so a directory is reproducible from its own
 manifest.  Outputs are tab-separated columns plus JSON summaries; nothing
 carries a timestamp, so identical configs produce bit-identical directories.
 
-Exit codes: 0 success, 2 invalid config or arguments, or a run above the
-propagation step cap, 3 integration or quadrature failed to converge, 4
-requested design infeasible.  A failed run writes no output directory.
+Exit codes: 0 success, 2 invalid config or arguments (a grid or sample count
+above 100,000 included), or a run above the propagation step cap, 3 the
+certified propagation failed to converge, 4 requested design infeasible.  A
+failed run writes no output directory.  Pulse areas are closed forms and
+cannot fail.
 """
 
 import argparse
@@ -32,12 +34,7 @@ from .control import (
     scan_composite_bandwidth,
     scan_detuning_bandwidth,
 )
-from .errors import (
-    ConfigError,
-    DesignInfeasible,
-    NotConverged,
-    QuadratureNotConverged,
-)
+from .errors import ConfigError, DesignInfeasible, NotConverged
 from .model import SystemParams, build_dressed_basis, convert_units, dressed_cos_matrix
 from .observables import orientation_max_oracle
 from .pulse import composite_for_area, field_to_dict, gaussian_for_area
@@ -122,7 +119,7 @@ def _quantity(node, path, units):
     return _normal(convert_units(value, unit, units[unit]), path)
 
 
-# a start/stop/num grid longer than this is a typo, not a scan
+# a start/stop/num grid or sample count larger than this is a typo, not a run
 _MAX_GRID = 100_000
 
 
@@ -350,6 +347,9 @@ def resolve_config(raw, preset=None):
     for i, bw in enumerate(scan["bandwidths_g"]):
         _normal(bw * g_ref, f"scan.bandwidths_g[{i}]")
     _normal(scan["reference_bandwidth_g"] * g_ref, "scan.reference_bandwidth_g")
+    for key in ("n_trace", "n_trajectory"):
+        if exp[key] > _MAX_GRID:
+            raise ConfigError(f"experiment.{key}: must be <= {_MAX_GRID}")
     if system["cavity"] and system["n_max"] < 1:
         raise ConfigError("system.n_max: a coupled cavity needs n_max >= 1")
     if field["kind"] == "composite" and field["carriers"] is None:
@@ -721,7 +721,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NotConverged, QuadratureNotConverged) as exc:
+    except NotConverged as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except DesignInfeasible as exc:

@@ -10,11 +10,9 @@ w_up, w_lo the two transition frequencies, the alignment manifold is
 
 because w_lo/g and w_up/g are coprime integers for the resonant defaults and
 the torus line traced by the two free phases conserves exactly this
-combination.  The ground areas are linear in each carrier's phasor, so the
-designer integrates three single carriers once, numerically and never by the
-asymptotic closed forms, and bisects Phi(phi_up) onto that manifold with
-arithmetic on those areas.  The designed pulse is then certified by full
-quadrature.
+combination.  The designer evaluates the ground areas in closed form (see
+pulse.spectral_area) at each trial phase and bisects Phi(phi_up) onto that
+manifold.  The designed pulse is then checked against every condition.
 
 Both scans run through one driver.  A scan job holds fields that share one
 window; the job propagates them as one batch and turns each trajectory into a
@@ -83,9 +81,8 @@ DESIGN_AREA = np.pi * np.sqrt(2.0) / 8.0
 KICK_AREA = np.pi / 4.0
 # the carriers resolve the doublet only up to this bandwidth, in units of g
 _MAX_BANDWIDTH_RATIO = 0.2
-# quadrature tolerance of the design areas, and the largest phase (units of
-# g) and amplitude residuals a designed pulse may keep
-_QUAD_TOL = 1e-12
+# the largest phase (units of g) and amplitude residuals a designed pulse
+# may keep
 _RESIDUAL_TOL = 1e-6
 # spectral peaks reported in a kick record: lines above 5% of the strongest
 _PEAKS_REL_HEIGHT = 0.05
@@ -97,12 +94,12 @@ def _wrap(x, period):
     return y + period if y <= -0.5 * period else y
 
 
-def compute_areas(params, fld, tol=1e-10):
+def compute_areas(params, fld):
     """All design-relevant spectral areas of a field, as one PulseAreaSet."""
     w0 = doublet_energies(params, 0)
     w1 = doublet_energies(params, 1)
-    up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params), tol=tol)
-    dbl = pulse_area_doublet(fld, w0, w1, mu_tilde_doublet(params), tol=tol)
+    up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params))
+    dbl = pulse_area_doublet(fld, w0, w1, mu_tilde_doublet(params))
     return aggregate_areas(up, lo, dbl)
 
 
@@ -142,9 +139,9 @@ class ConditionReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "areas"}
 
 
-def check_conditions(params, fld, area_target=DESIGN_AREA, tol=1e-10):
+def check_conditions(params, fld, area_target=DESIGN_AREA):
     """Measure a field against the amplitude, phase, and blockade conditions."""
-    areas = compute_areas(params, fld, tol=tol)
+    areas = compute_areas(params, fld)
     g = params.coupling
     phi = phase_functional(params, areas)
     resid = abs(_wrap(phi - g * np.pi, 2.0 * g * np.pi)) / g
@@ -212,24 +209,17 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
         )
     w0 = doublet_energies(params, 0)
     w_up, w_lo = w0
+    mu0 = mu_tilde_ground(params)
 
     def make(phi_up):
         return composite_for_area(params, area, tau0,
                                   [(w_up, phi_up), (w_lo, phase_minus)])
 
-    # cos(wt + phi) = cos(phi) cos(wt) + sin(phi) cos(wt + pi/2): the ground
-    # areas are linear in the upper carrier's phasor, so three integrated
-    # carriers give them at every phi_up
-    up_cos, up_sin, lower = (
-        np.array(pulse_area_ground(composite_for_area(params, area, tau0, [carrier]),
-                                   w0, mu_tilde_ground(params), tol=_QUAD_TOL))
-        for carrier in ((w_up, 0.0), (w_up, 0.5 * np.pi), (w_lo, phase_minus)))
-
     def solve(sign):
         target = sign * g * np.pi
 
         def f(phi_up):
-            up, lo = np.cos(phi_up) * up_cos + np.sin(phi_up) * up_sin + lower
+            up, lo = pulse_area_ground(make(phi_up), w0, mu0)
             val = w_lo * np.angle(up) - w_up * np.angle(-lo)
             return _wrap(val - target, 2.0 * g * np.pi)
 
@@ -250,7 +240,7 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
         raise DesignInfeasible("no root of the phase condition in the scanned range")
 
     pulse = make(solve(1.0 if branch == "+" else -1.0))
-    report = check_conditions(params, pulse, area_target=area, tol=_QUAD_TOL)
+    report = check_conditions(params, pulse, area_target=area)
 
     if report.phase_residual_g > _RESIDUAL_TOL:
         raise DesignInfeasible(

@@ -13,10 +13,6 @@ class NonResonantCavity(RotPolaritonError, ValueError):
     """Dressed-basis construction requires the cavity tuned to the 0-1 rotor line."""
 
 
-class QuadratureNotConverged(RotPolaritonError, RuntimeError):
-    """Oscillatory pulse-area quadrature failed to reach the requested tolerance."""
-
-
 class NotConverged(RotPolaritonError, RuntimeError):
     """Step-halving certification of the propagator failed at the minimum step."""
 

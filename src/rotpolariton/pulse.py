@@ -7,18 +7,16 @@ widths so edge truncation stays below 1e-7 of the peak.
 The quantity that controls population transfer on a dressed transition at
 frequency w with transition dipole d is the complex spectral area
 
-    Theta(t) = d * integral_{t_start}^{t} E(t') exp(-i w t') dt'
+    Theta = d * integral E(t') exp(-i w t') dt'
 
-computed here by panel-based Gauss-Legendre quadrature with at least 20 nodes
-per period of the fastest oscillation and certified by panel doubling.
+over the whole pulse.  Every field is one Gaussian envelope under cosine
+carriers, so Theta is a sum of Gaussians in w, evaluated in closed form.
 """
 
 from dataclasses import dataclass, asdict
 from functools import reduce
 
 import numpy as np
-
-from .errors import QuadratureNotConverged
 
 __all__ = [
     "CompositePulse",
@@ -101,49 +99,25 @@ def carrier_ceiling(spec):
     return max(abs(w) for w, _ in spec.components)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-# panel doublings spectral_area tries before it gives up
-_MAX_DOUBLINGS = 12
+def spectral_area(spec, omega, dipole=1.0):
+    """dipole * integral E(t') exp(-i omega t') dt', in closed form.
 
+    Each carrier contributes two Gaussians, at omega = +omega_k and -omega_k:
 
-def _panel_quad(func, a, b, n_panels):
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = mids[:, None] + half * _GL_NODES[None, :]
-    vals = func(nodes.ravel()).reshape(nodes.shape)
-    return half * np.sum(vals @ _GL_WEIGHTS)
+        dipole e0 tau0 sqrt(pi/2) sum_k [exp(i phi_k - tau0^2 (omega - omega_k)^2 / 2)
+                                         + exp(-i phi_k - tau0^2 (omega + omega_k)^2 / 2)]
 
-
-def spectral_area(spec, omega, dipole=1.0, tol=1e-10):
-    """dipole * integral E(t') exp(-i omega t') dt' over the field window.
-
-    Panel count starts at two panels (20 Gauss nodes) per period of the
-    combined carrier + analysis oscillation and doubles until two successive
-    refinements agree to `tol`; raises QuadratureNotConverged otherwise.
+    This is the integral over all times.  The field window clips at most
+    erfc(6/sqrt(2)) ~ 2e-9 of a carrier's resonant area at the 6-width
+    minimum, and ~3e-12 at the factories' 7 widths.
     """
-    a, b = spec.t_start, spec.t_end
-    w_osc = abs(omega) + carrier_ceiling(spec)
-    span = b - a
-    n0 = max(16, int(np.ceil(span * w_osc / np.pi)), int(np.ceil(8.0 * span / spec.tau0)))
-
-    def integrand(t):
-        return field_value(spec, t) * np.exp(-1j * omega * t)
-
-    prev = _panel_quad(integrand, a, b, n0)
-    n = n0
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        cur = _panel_quad(integrand, a, b, n)
-        if abs(cur - prev) <= tol:
-            return dipole * cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"area at omega={omega:g} not converged to {tol:g} with {n} panels"
-    )
+    w, phi = np.array(spec.components).T
+    x, y = spec.tau0 * (omega - w), spec.tau0 * (omega + w)
+    terms = np.exp(1j * phi - 0.5 * x * x) + np.exp(-1j * phi - 0.5 * y * y)
+    return dipole * spec.e0 * spec.tau0 * np.sqrt(0.5 * np.pi) * complex(np.sum(terms))
 
 
-def pulse_area_ground(spec, omega_pm, mu0, tol=1e-10):
+def pulse_area_ground(spec, omega_pm, mu0):
     """Areas on the |0;0> -> |+;0>, |-;0> transitions.
 
     omega_pm is (w_up, w_lo); mu0 is the magnitude mu01/sqrt(2) and the
@@ -151,12 +125,12 @@ def pulse_area_ground(spec, omega_pm, mu0, tol=1e-10):
     applied here.
     """
     w_up, w_lo = omega_pm
-    up = spectral_area(spec, w_up, dipole=+abs(mu0), tol=tol)
-    lo = spectral_area(spec, w_lo, dipole=-abs(mu0), tol=tol)
+    up = spectral_area(spec, w_up, dipole=+abs(mu0))
+    lo = spectral_area(spec, w_lo, dipole=-abs(mu0))
     return up, lo
 
 
-def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1, tol=1e-10):
+def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1):
     """Areas on the four |s;0> -> |l;1> transitions, keyed by (s, l) in {+1,-1}.
 
     mu1 is the magnitude mu01/2; the sign follows the upper doublet state l.
@@ -167,7 +141,7 @@ def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1, tol=1e-10):
     out = {}
     for s in (+1, -1):
         for l in (+1, -1):
-            out[(s, l)] = spectral_area(spec, w1[l] - w[s], dipole=l * abs(mu1), tol=tol)
+            out[(s, l)] = spectral_area(spec, w1[l] - w[s], dipole=l * abs(mu1))
     return out
 
 

@@ -52,7 +52,7 @@ def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
 #
 # Two oracles that share no code with the package internals: cos theta
 # matrix elements from Gauss-Legendre quadrature over normalized Legendre
-# polynomials, and the closed-form spectral area of a Gaussian envelope.
+# polynomials, and spectral areas by quadrature of the field itself.
 
 def cos_matrix_quadrature(j_max):
     """<j' 0|cos theta|j 0> by quadrature, no recursion relations."""
@@ -64,19 +64,22 @@ def cos_matrix_quadrature(j_max):
     return np.einsum("ik,k,jk->ij", pj, w * x, pj)
 
 
-def gaussian_area_closed_form(spec, omega, dipole=1.0):
-    """Full-window spectral area of a Gaussian-envelope field.
+def area_by_quadrature(spec, omega, dipole=1.0):
+    """dipole * integral of field_value(t) exp(-i omega t) over the field window.
 
-    integral of dipole * E(t) exp(-i omega t) dt for the infinite window;
-    the factories pad to +-7 tau0, so the truncation error is ~1e-11 of
-    the area.  Sums the carriers under the shared envelope.
+    Fixed 20-point Gauss-Legendre panels, each no wider than a quarter period
+    of the fastest oscillation in the integrand or a quarter envelope width,
+    so the sum is exact to roundoff for these smooth integrands.
     """
-    pref = dipole * spec.e0 * np.sqrt(2.0 * np.pi) * spec.tau0 / 2.0
-    tot = 0.0 + 0.0j
-    for (w0, ph) in spec.components:
-        tot += pref * (np.exp(1j * ph) * np.exp(-spec.tau0 ** 2 * (omega - w0) ** 2 / 2.0)
-                       + np.exp(-1j * ph) * np.exp(-spec.tau0 ** 2 * (omega + w0) ** 2 / 2.0))
-    return tot
+    x, w = np.polynomial.legendre.leggauss(20)
+    fastest = abs(omega) + max(abs(c) for c, _ in spec.components)
+    width = 0.25 * min(2.0 * np.pi / fastest, spec.tau0)
+    n = int(np.ceil((spec.t_end - spec.t_start) / width))
+    edges = np.linspace(spec.t_start, spec.t_end, n + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+    vals = rp.field_value(spec, t) * np.exp(-1j * omega * t)
+    return dipole * half * np.sum(vals @ w)
 
 
 # ------------------------------------------------------ cross-frame reference

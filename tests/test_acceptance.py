@@ -16,8 +16,8 @@ from conftest import (
     SWEEP_BW,
     TAU,
     W01,
+    area_by_quadrature,
     cos_matrix_quadrature,
-    gaussian_area_closed_form,
 )
 from rotpolariton import DESIGN_AREA
 
@@ -144,18 +144,18 @@ def test_numerical_invariants_hold_at_machine_level(
     print(f"cos theta matrix vs quadrature {err:.2e}")
     assert err <= 1e-10
 
-    # numerically integrated pulse areas against the gaussian closed form
+    # closed-form pulse areas against a quadrature of the field
     fld, _ = designed
     mu0 = rp.mu_tilde_ground(p_cavity)
     w0 = rp.doublet_energies(p_cavity, 0)
     w1 = rp.doublet_energies(p_cavity, 1)
     up, lo = rp.pulse_area_ground(fld, w0, mu0)
-    assert abs(up - gaussian_area_closed_form(fld, w0[0], mu0)) <= 1e-8
-    assert abs(lo + gaussian_area_closed_form(fld, w0[1], mu0)) <= 1e-8
+    assert abs(up - area_by_quadrature(fld, w0[0], mu0)) <= 1e-8
+    assert abs(lo + area_by_quadrature(fld, w0[1], mu0)) <= 1e-8
     assert abs(abs(up) - DESIGN_AREA) <= 1e-8
     mu1 = rp.mu_tilde_doublet(p_cavity)
     leak = rp.pulse_area_doublet(fld, w0, w1, mu1)
     for (s, ell), got in leak.items():
         freq = w1[0 if ell > 0 else 1] - w0[0 if s > 0 else 1]
-        want = ell * gaussian_area_closed_form(fld, freq, mu1)
+        want = ell * area_by_quadrature(fld, freq, mu1)
         assert abs(got - want) <= 1e-8

@@ -291,6 +291,28 @@ def test_runs_above_the_step_cap_exit_2(tmp_path, capsys, name, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n_trace", "n_trajectory"])
+def test_sample_counts_are_capped(tmp_path, capsys, key):
+    cfg = {"experiment": {key: 100_001}}
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "bare", "--config",
+                 write_cfg(tmp_path / "big.yaml", cfg), "--out", str(out)]) == 2
+    assert f"config error: experiment.{key}" in capsys.readouterr().err
+    assert not out.exists()
+    assert resolve_config({"experiment": {key: 100_000}})["experiment"][key] == 100_000
+
+
+def test_narrowband_design_is_cheap_and_its_run_is_capped(tmp_path, capsys):
+    # the design areas cost nothing at any bandwidth; the propagation of the
+    # designed pulse still stops at the step cap
+    path = write_cfg(tmp_path / "narrow.yaml", {"field": {"bandwidth_g": 1.0e-5}})
+    assert main(["design", "--config", path, "--out", str(tmp_path / "design")]) == 0
+    out = tmp_path / "fig4"
+    assert main(["simulate", "--preset", "fig4", "--config", path, "--out", str(out)]) == 2
+    assert "config error: propagation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_wants_the_cavity_switchable_not_absent(tmp_path, capsys):
     cfg = merged(FAST, {"system": {"cavity": False, "n_max": 0}})
     path = write_cfg(tmp_path / "bare_scan.yaml", cfg)

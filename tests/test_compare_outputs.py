@@ -1,0 +1,77 @@
+"""The output-directory comparer in tools/compare_outputs.py."""
+
+import importlib.util
+import io
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+@pytest.fixture
+def outdir(tmp_path):
+    d = tmp_path / "a"
+    d.mkdir()
+    (d / "orientation.tsv").write_text("# time_au\torientation\n0.0\t0.5\n1.0\t-0.25\n")
+    (d / "records.jsonl").write_text(json.dumps({"t_max": 3.0, "ok": True}) + "\n")
+    (d / "report.json").write_text(json.dumps({"phase": 0.349, "carriers": [[1.8, 0.0]]}))
+    (d / "manifest.json").write_text(json.dumps({"config": {"output": {"directory": "a"}}}))
+    return d
+
+
+def _copy(src, name):
+    dst = src.parent / name
+    shutil.copytree(src, dst)
+    return dst
+
+
+def _run(a, b, *extra):
+    return compare_outputs.main([str(a), str(b), *extra])
+
+
+def test_identical_directories_pass(outdir):
+    other = _copy(outdir, "b")
+    # the manifest names its own directory, so it is never compared
+    (other / "manifest.json").write_text(json.dumps({"config": {"output": {"directory": "b"}}}))
+    assert _run(outdir, other) == 0
+
+
+def test_a_value_past_its_tolerance_fails(outdir):
+    other = _copy(outdir, "b")
+    (other / "orientation.tsv").write_text("# time_au\torientation\n0.0\t0.5\n1.0\t-0.2500001\n")
+    # the value moved by 1e-7, which is 2e-7 of the column's peak 0.5
+    assert _run(outdir, other, "--rtol", "1e-6") == 0
+    assert _run(outdir, other, "--rtol", "1e-7") == 1
+    assert _run(outdir, other, "--rtol", "1e-6", "--tol", "orientation=0") == 1
+
+
+def test_a_json_value_past_its_tolerance_fails(outdir):
+    other = _copy(outdir, "b")
+    (other / "records.jsonl").write_text(json.dumps({"t_max": 3.0 + 1e-12, "ok": True}) + "\n")
+    assert _run(outdir, other, "--atol", "1e-10") == 0
+    assert _run(outdir, other, "--atol", "1e-10", "--tol", "t_max=0") == 1
+    (other / "records.jsonl").write_text(json.dumps({"t_max": 3.0, "ok": False}) + "\n")
+    assert _run(outdir, other, "--atol", "1") == 1
+
+
+def test_a_missing_file_fails(outdir):
+    other = _copy(outdir, "b")
+    (other / "report.json").unlink()
+    out = io.StringIO()
+    assert not compare_outputs.compare(str(outdir), str(other), out=out)
+    assert "FAIL report.json: only in" in out.getvalue()
+
+
+def test_a_changed_shape_fails(outdir):
+    other = _copy(outdir, "b")
+    (other / "orientation.tsv").write_text("# time_au\torientation\n0.0\t0.5\n")
+    (other / "report.json").write_text(json.dumps({"phase": 0.349, "carriers": [[1.8]]}))
+    out = io.StringIO()
+    assert not compare_outputs.compare(str(outdir), str(other), atol=1.0, out=out)
+    assert out.getvalue().count("shape differs") == 2

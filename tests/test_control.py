@@ -59,6 +59,13 @@ def test_designed_pulse_meets_all_conditions(designed):
     assert pp[2] == pytest.approx(0.25, abs=1e-9)
 
 
+def test_default_design_lands_on_the_analytic_root(designed):
+    # with closed-form areas the solve is limited by roundoff alone
+    fld, rep = designed
+    assert abs(fld.components[0][1] - np.pi / 9.0) <= 1e-14
+    assert max(abs(r) for r in rep.amp_residuals.values()) <= 1e-14
+
+
 def test_designed_phase_is_the_analytic_root(designed):
     fld, _rep = designed
     # with the lower carrier phase at zero, the conserved combination is

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rotpolariton as rp
-from conftest import G, gaussian_area_closed_form, unit_params
+from conftest import G, area_by_quadrature, unit_params
 
 
 def test_area_constants():
@@ -26,7 +26,7 @@ def test_window_validation():
     with pytest.raises(ValueError):
         rp.CompositePulse(e0=1.0, tau0=-1.0, components=((1.0, 0.0),),
                           t_start=-7.0, t_end=7.0)
-    # the factories pad to 7 widths; anything below 5 is rejected
+    # the factories pad to 7 widths; anything below 6 is rejected
     with pytest.raises(ValueError):
         rp.CompositePulse(e0=1.0, tau0=2.0, components=((1.0, 0.0),),
                           t_start=-4.0, t_end=4.0)
@@ -54,12 +54,12 @@ def test_gaussian_for_area_hits_requested_area():
         assert fld.e0 == pytest.approx(np.sqrt(2.0 / np.pi) * area / (p.mu01 * 20.0))
 
 
-def test_spectral_area_matches_closed_form_oracle():
+def test_spectral_area_matches_quadrature_oracle():
     fld = rp.CompositePulse(e0=0.3, tau0=8.0, components=((2.2, 0.7),),
                             t_start=-56.0, t_end=56.0)
     for w in (0.0, 1.1, 1.8, 2.2, 2.9):
         got = rp.spectral_area(fld, w, dipole=0.6)
-        want = gaussian_area_closed_form(fld, w, dipole=0.6)
+        want = area_by_quadrature(fld, w, dipole=0.6)
         assert abs(got - want) < 1e-8
 
 
@@ -81,8 +81,8 @@ def test_ground_doublet_areas_against_oracle():
                                 [(w0[0], 0.35), (w0[1], -0.6)])
     up, lo = rp.pulse_area_ground(fld, w0, mu0)
     # the lower transition dipole carries the dressing sign
-    assert abs(up - gaussian_area_closed_form(fld, w0[0], mu0)) < 1e-8
-    assert abs(lo + gaussian_area_closed_form(fld, w0[1], mu0)) < 1e-8
+    assert abs(up - area_by_quadrature(fld, w0[0], mu0)) < 1e-8
+    assert abs(lo + area_by_quadrature(fld, w0[1], mu0)) < 1e-8
     # narrowband carriers on their own lines: each area lands on target and
     # keeps its own carrier phase
     assert abs(up) == pytest.approx(rp.DESIGN_AREA, abs=1e-9)
@@ -102,7 +102,7 @@ def test_doublet_leakage_areas_against_oracle():
     freq = {(+1, +1): w1[0] - w0[0], (+1, -1): w1[1] - w0[0],
             (-1, +1): w1[0] - w0[1], (-1, -1): w1[1] - w0[1]}
     for key, th in dbl.items():
-        want = key[1] * gaussian_area_closed_form(fld, freq[key], mu1)
+        want = key[1] * area_by_quadrature(fld, freq[key], mu1)
         assert abs(th - want) < 1e-8
     # narrowband: all leakage areas tiny compared to the drive area
     assert max(abs(v) for v in dbl.values()) < 0.02 * rp.DESIGN_AREA
