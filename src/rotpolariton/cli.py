@@ -121,6 +121,9 @@ def _quantity(node, path, units):
 
 # a start/stop/num grid or sample count larger than this is a typo, not a run
 _MAX_GRID = 100_000
+# basis states of a run: j_max + 1 bare, 2 (n_max + 1) dressed; the trace's
+# phase table of _MAX_GRID samples x 64 states takes 102 MB
+_MAX_DIM = 64
 
 
 def _grid(node, path, positive=False):
@@ -350,6 +353,9 @@ def resolve_config(raw, preset=None):
     for key in ("n_trace", "n_trajectory"):
         if exp[key] > _MAX_GRID:
             raise ConfigError(f"experiment.{key}: must be <= {_MAX_GRID}")
+    for key, cap in (("j_max", _MAX_DIM - 1), ("n_max", _MAX_DIM // 2 - 1)):
+        if system[key] > cap:
+            raise ConfigError(f"system.{key}: must be <= {cap}")
     if system["cavity"] and system["n_max"] < 1:
         raise ConfigError("system.n_max: a coupled cavity needs n_max >= 1")
     if field["kind"] == "composite" and field["carriers"] is None:

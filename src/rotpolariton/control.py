@@ -10,9 +10,10 @@ w_up, w_lo the two transition frequencies, the alignment manifold is
 
 because w_lo/g and w_up/g are coprime integers for the resonant defaults and
 the torus line traced by the two free phases conserves exactly this
-combination.  The designer evaluates the ground areas in closed form (see
-pulse.spectral_area) at each trial phase and bisects Phi(phi_up) onto that
-manifold.  The designed pulse is then checked against every condition.
+combination.  Phi is linear in phi_up between the 2 pi jumps of an angle, so
+the designer writes its roots down and polishes the one nearest the unwrapped
+guess with one Newton step on the closed-form areas (pulse.spectral_area).
+The designed pulse is then checked against every condition.
 
 Both scans run through one driver.  A scan job holds fields that share one
 window; the job propagates them as one batch and turns each trajectory into a
@@ -175,26 +176,17 @@ def check_conditions(params, fld, area_target=DESIGN_AREA):
     )
 
 
-def _bisect(f, lo, hi):
-    """Sign change of f in [lo, hi] with f(lo) < 0 <= f(hi), to float resolution."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo if abs(f(lo)) < abs(f(hi)) else hi
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branch="+"):
     """Solve the upper-carrier phase of the two-color orientation pulse.
 
     The bandwidth is 1/tau0 of the shared envelope.  The carriers must
     resolve the doublet (bandwidth <= 0.2 g), otherwise the phase condition
     the design rests on is meaningless and DesignInfeasible is raised.
-    branch ("+" or "-") selects the +g pi or -g pi root of the phase
-    functional.  Returns (pulse, report).
+    branch ("+" or "-") selects the root of Phi = +g pi or -g pi (mod 2 g pi).
+    arg Theta_up is the upper carrier phase, so between its 2 pi jumps
+    Phi = w_lo phi_up + const and the roots are written down.  The one nearest
+    (target + w_up phase_minus) / w_lo is taken, and one Newton step of slope
+    w_lo removes the carriers' cross-talk.  Returns (pulse, report).
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -207,39 +199,25 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
             f"bandwidth {bandwidth:g} does not resolve the doublet; "
             f"need <= {_MAX_BANDWIDTH_RATIO:g} g = {_MAX_BANDWIDTH_RATIO * g:g}"
         )
-    w0 = doublet_energies(params, 0)
-    w_up, w_lo = w0
-    mu0 = mu_tilde_ground(params)
+    w_up, w_lo = doublet_energies(params, 0)
+    if w_lo == 0:
+        raise DesignInfeasible("the lower doublet line sits at zero frequency")
+    target = (1.0 if branch == "+" else -1.0) * g * np.pi
+    c = (target + w_up * _wrap(phase_minus, 2.0 * np.pi)) / w_lo
+    step = 2.0 * np.pi * g / abs(w_lo)
+    # the roots whose upper phase lies in (-pi, pi]; their copies are 2 pi apart
+    roots = c + step * np.arange(np.ceil((-np.pi - c) / step), np.floor((np.pi - c) / step) + 1)
+    if not roots.size:
+        raise DesignInfeasible(f"the phase condition has no root with the lower "
+                               f"doublet line at {w_lo / g:g} g")
+    guess = (target + w_up * phase_minus) / w_lo
+    phi_up = guess - min((_wrap(guess - r, 2.0 * np.pi) for r in roots), key=abs)
 
-    def make(phi_up):
-        return composite_for_area(params, area, tau0,
-                                  [(w_up, phi_up), (w_lo, phase_minus)])
+    def make(phi):
+        return composite_for_area(params, area, tau0, [(w_up, phi), (w_lo, phase_minus)])
 
-    def solve(sign):
-        target = sign * g * np.pi
-
-        def f(phi_up):
-            up, lo = pulse_area_ground(make(phi_up), w0, mu0)
-            val = w_lo * np.angle(up) - w_up * np.angle(-lo)
-            return _wrap(val - target, 2.0 * g * np.pi)
-
-        # a bracket can straddle the 2 pi jump of an angle instead of a root;
-        # only a polished point on the manifold is a root
-        guess = (target + w_up * phase_minus) / w_lo
-        half = np.pi * g / w_lo  # half period of the wrapped residual in phi_up
-        brackets = [(guess - 0.6 * half, guess + 0.6 * half)]
-        grid = np.linspace(guess - 2 * half, guess + 2 * half, 33)
-        vals = [f(x) for x in grid]
-        brackets += [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
-                     if vals[i] < 0 <= vals[i + 1] and vals[i + 1] - vals[i] < np.pi * g]
-        for lo_x, hi_x in brackets:
-            if f(lo_x) < 0 <= f(hi_x):
-                root = _bisect(f, lo_x, hi_x)
-                if abs(f(root)) <= _RESIDUAL_TOL * g:
-                    return float(root)
-        raise DesignInfeasible("no root of the phase condition in the scanned range")
-
-    pulse = make(solve(1.0 if branch == "+" else -1.0))
+    val = phase_functional(params, compute_areas(params, make(phi_up)))
+    pulse = make(phi_up - _wrap(val - target, 2.0 * g * np.pi) / w_lo)
     report = check_conditions(params, pulse, area_target=area)
 
     if report.phase_residual_g > _RESIDUAL_TOL:

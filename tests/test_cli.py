@@ -302,6 +302,18 @@ def test_sample_counts_are_capped(tmp_path, capsys, key):
     assert resolve_config({"experiment": {key: 100_000}})["experiment"][key] == 100_000
 
 
+@pytest.mark.parametrize("preset, key, cap", [("bare", "j_max", 63), (None, "n_max", 31)])
+def test_basis_sizes_are_capped(tmp_path, capsys, preset, key, cap):
+    # at most 64 basis states: j_max + 1 bare, 2 (n_max + 1) dressed
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path / "big.yaml", {"system": {key: cap + 1}})
+    argv = ["simulate", "--config", path, "--out", str(out)]
+    assert main(argv + (["--preset", preset] if preset else [])) == 2
+    assert f"config error: system.{key}" in capsys.readouterr().err
+    assert not out.exists()
+    assert resolve_config({"system": {key: cap}}, preset)["system"][key] == cap
+
+
 def test_narrowband_design_is_cheap_and_its_run_is_capped(tmp_path, capsys):
     # the design areas cost nothing at any bandwidth; the propagation of the
     # designed pulse still stops at the step cap

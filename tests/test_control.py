@@ -131,14 +131,76 @@ def test_areas_are_linear_in_the_upper_carrier_phasor(p_cavity, phi, phase_minus
                          [(0.16, 1.963, "+"), (0.1, 3.0, "-")])
 def test_design_finds_the_root_past_an_angle_jump(bandwidth_g, phase_minus, branch):
     # at coupling 0.15 omega01 the lower line sits at 17/3 g, so the 2 pi jump
-    # of an area's angle does not vanish mod 2 g pi and the first bracket can
-    # straddle that jump instead of a root
+    # of an area's angle does not vanish mod 2 g pi; Phi is linear in the
+    # upper phase only between those jumps, and the root must not sit on one
     p = ocs_params(coupling_ratio=0.15)
     fld, rep = rp.design_composite(p, bandwidth=bandwidth_g * p.coupling,
                                    phase_minus=phase_minus, branch=branch)
     assert fld.components[1][1] == phase_minus
     assert rep.phase_residual_g < 1e-6
     assert rep.predicted_orientation_max == pytest.approx(SQRT3INV, abs=1e-6)
+
+
+@pytest.mark.parametrize("coupling_ratio, phase_minus", [(0.3, 1.0), (0.15, 2.0)])
+def test_design_root_does_not_depend_on_roundoff(coupling_ratio, phase_minus):
+    # non-integer w_lo/g: the roots of Phi are not evenly spaced, and the
+    # root taken must follow from the rule alone; a shift of 1e-12 in the
+    # lower phase moves it by about as much, never to another root
+    p = ocs_params(coupling_ratio=coupling_ratio)
+    roots = [rp.design_composite(p, bandwidth=0.05 * p.coupling, phase_minus=phase_minus + d,
+                                 branch="+")[0].components[0][1] for d in (-1e-12, 0.0, 1e-12)]
+    assert max(roots) - min(roots) <= 1e-9
+
+
+def _phase_residual(p, fld, phi_up, target):
+    """Phi - target, wrapped into [-g pi, g pi), at one upper-carrier phase."""
+    w_up, w_lo = rp.doublet_energies(p, 0)
+    trial = rp.composite_for_area(p, rp.DESIGN_AREA, fld.tau0,
+                                  [(w_up, phi_up), fld.components[1]])
+    val = rp.phase_functional(p, rp.compute_areas(p, trial)) - target
+    return np.mod(val + np.pi * p.coupling, 2.0 * np.pi * p.coupling) - np.pi * p.coupling
+
+
+@settings(max_examples=25, deadline=None)
+@given(coupling_ratio=st.floats(0.05, 0.45), bandwidth_g=st.floats(0.02, 0.2),
+       phase_minus=st.floats(-7.0, 7.0), branch=st.sampled_from("+-"))
+def test_design_takes_the_root_nearest_the_guess(coupling_ratio, bandwidth_g, phase_minus,
+                                                 branch):
+    p = ocs_params(coupling_ratio=coupling_ratio)
+    g = p.coupling
+    fld, rep = rp.design_composite(p, bandwidth=bandwidth_g * g, phase_minus=phase_minus,
+                                   branch=branch)
+    assert rep.phase_residual_g <= 1e-12
+    w_up, w_lo = rp.doublet_energies(p, 0)
+    target = (1.0 if branch == "+" else -1.0) * g * np.pi
+    guess = (target + w_up * phase_minus) / w_lo
+    dist = abs(fld.components[0][1] - guess)
+    # Phi moves with slope w_lo and jumps where the upper area's angle
+    # passes pi; scan every phase within dist of the guess, at an eighth of
+    # the period of the wrapped residual, with nodes straddling each jump so
+    # that no interval spans one
+    jumps = np.pi * np.arange(np.ceil((guess - dist) / np.pi), np.floor((guess + dist) / np.pi) + 1)
+    jumps = jumps[np.mod(np.rint(jumps / np.pi), 2) == 1]
+    n = int(np.ceil(8.0 * dist * w_lo / (np.pi * g))) + 2
+    nodes = np.unique(np.concatenate([np.linspace(guess - dist, guess + dist, n),
+                                      jumps - 1e-9, jumps + 1e-9]))
+    res = np.array([_phase_residual(p, fld, x, target) for x in nodes])
+    for a, b, ra, rb in zip(nodes[:-1], nodes[1:], res[:-1], res[1:]):
+        if np.any(abs(jumps - 0.5 * (a + b)) < 1e-9) or ra * rb > 0 or abs(rb - ra) > np.pi * g:
+            continue
+        root = a - ra * (b - a) / (rb - ra) if rb != ra else a
+        assert abs(root - guess) >= dist - 1e-9
+
+
+def test_newton_step_absorbs_the_carrier_cross_talk():
+    # at coupling 0.7 omega01 the lower line sits at 3/7 g and the carriers
+    # of a 0.2 g pulse overlap by more than 1e-6 g: the linear root alone
+    # misses the manifold
+    p = ocs_params(coupling_ratio=0.7)
+    fld, rep = rp.design_composite(p, bandwidth=0.2 * p.coupling, phase_minus=-5.5,
+                                   branch="+")
+    assert rep.phase_residual_g <= 1e-12
+    assert max(abs(r) for r in rep.amp_residuals.values()) <= 1e-6
 
 
 def test_design_with_custom_area(p_cavity):
@@ -159,6 +221,12 @@ def test_design_infeasible_cases(p_cavity):
                             bandwidth=0.1 * G)
     with pytest.raises(ValueError, match="branch"):
         rp.design_composite(p_cavity, bandwidth=0.1 * G, branch="auto")
+    # the lower line at g/9: Phi spans less than 2 g pi over a turn of the
+    # upper phase and misses g pi; at coupling omega01 the line sits at zero
+    for ratio, message in [(0.9, "no root"), (1.0, "zero frequency")]:
+        p = ocs_params(coupling_ratio=ratio)
+        with pytest.raises(rp.DesignInfeasible, match=message):
+            rp.design_composite(p, bandwidth=0.1 * p.coupling)
 
 
 def test_design_boundary_bandwidth_is_accepted(p_cavity):
