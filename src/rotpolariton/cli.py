@@ -8,10 +8,10 @@ manifest.  Outputs are tab-separated columns plus JSON summaries; nothing
 carries a timestamp, so identical configs produce bit-identical directories.
 
 Exit codes: 0 success, 2 invalid config or arguments (a grid or sample count
-above 100,000 included), or a run above the propagation step cap, 3 the
-certified propagation failed to converge, 4 requested design infeasible.  A
-failed run writes no output directory.  Pulse areas are closed forms and
-cannot fail.
+above 100,000 and sample times floating point cannot resolve included), or a
+run above the propagation step cap, 3 the certified propagation failed to
+converge, 4 requested design infeasible.  A failed run writes no output
+directory.  Pulse areas are closed forms and cannot fail.
 """
 
 import argparse
@@ -27,6 +27,7 @@ import yaml
 
 from . import __version__
 from .control import (
+    _MAGNUS_N_TRACE,
     DESIGN_AREA,
     KICK_AREA,
     design_composite,
@@ -227,7 +228,6 @@ SCHEMA = {
         "reference_bandwidth_g": (0.1, (float, "positive")),
     },
     "integrator": {
-        "method": ("yoshida4", ("yoshida4", "strang", "midpoint")),
         "tol": (1e-8, (float, "positive")),
         "dt": (None, (float, "positive")),
         "max_halvings": (6, (int, 0)),
@@ -506,6 +506,20 @@ def _field_area(cfg, designed):
     return f["area"]
 
 
+def _check_trace_times(exp, tau, t_end, n_trace, snapshot=True):
+    """ConfigError naming the key whose post-pulse sample times floating point
+    cannot tell apart: rounding moves a time t by up to np.spacing(t), so a
+    step must exceed two spacings.  The snapshot pair is checked if read."""
+    window = exp["trace_window_tau"] * tau
+    checks = [("trace_window_tau", t_end + window, window / n_trace)]
+    if snapshot:
+        checks.append(("snapshot_tau", t_end + exp["snapshot_tau"] * tau, tau))
+    for key, t, step in checks:
+        if not step > 2.0 * np.spacing(t):
+            raise ConfigError(f"experiment.{key}: a step of {step:.3g} au after "
+                              f"t = {t:.3g} au is below the floating-point resolution")
+
+
 def _orientation_tsv(cav, bw):
     """File name of the detuning-scan TSV of one (cavity, bandwidth in g) group."""
     return f"orientation_cav{'on' if cav else 'off'}_bw{bw:g}.tsv"
@@ -516,6 +530,7 @@ def cmd_simulate(cfg, args):
     fld, design_report = build_field(cfg, params, g_ref)
     exp = cfg["experiment"]
     tau = params.revival_time
+    _check_trace_times(exp, tau, fld.t_end, exp["n_trace"])
     rec = kick_response(
         params, fld,
         dressed=exp["dressed"],
@@ -573,7 +588,13 @@ def cmd_scan(cfg, args):
           "n_trace": exp["n_trace"],
           "threads": args.threads,
           "integrator": dict(cfg["integrator"])}
-    if sc["kind"] == "detuning":
+    # the narrowest bandwidth's field ends last; a composite record reads no
+    # snapshot, and also traces the first-order state at _MAGNUS_N_TRACE samples
+    t_end = gaussian_for_area(params, 1.0, 1.0 / min(kw["bandwidths"]), params.omega01).t_end
+    detuning = sc["kind"] == "detuning"
+    _check_trace_times(exp, tau, t_end, exp["n_trace"] if detuning else
+                       max(exp["n_trace"], _MAGNUS_N_TRACE), snapshot=detuning)
+    if detuning:
         result = scan_detuning_bandwidth(
             params,
             detunings=[d * g_ref for d in sc["detunings_g"]],

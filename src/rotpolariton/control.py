@@ -87,6 +87,8 @@ _MAX_BANDWIDTH_RATIO = 0.2
 _RESIDUAL_TOL = 1e-6
 # spectral peaks reported in a kick record: lines above 5% of the strongest
 _PEAKS_REL_HEIGHT = 0.05
+# samples of the first-order trace a composite record compares against
+_MAGNUS_N_TRACE = 8192
 
 
 def _wrap(x, period):
@@ -127,7 +129,6 @@ class ConditionReport:
     phase_value_g: float
     phase_residual_g: float
     phase_residual_alt_g: float
-    branch_residuals_g: dict
     blockade_residuals: dict
     theta0: float
     theta1: float
@@ -151,10 +152,6 @@ def check_conditions(params, fld, area_target=DESIGN_AREA):
     w_up, w_lo = doublet_energies(params, 0)
     phi_alt = w_lo * np.angle(areas.theta_up0) - w_up * np.angle(areas.theta_lo0)
     resid_alt = abs(_wrap(phi_alt, 2.0 * g * np.pi)) / g
-    branch = {
-        "+": abs(phi - g * np.pi) / g,
-        "-": abs(phi + g * np.pi) / g,
-    }
     leak = {f"{s:+d},{l:+d}": abs(areas.doublet[(s, l)]) for s in (+1, -1) for l in (+1, -1)}
     pops = np.abs(magnus_wavefunction(areas)) ** 2
     p0, pu, pl = pops[0], pops[1], pops[2]
@@ -166,7 +163,6 @@ def check_conditions(params, fld, area_target=DESIGN_AREA):
         phase_value_g=float(phi / g),
         phase_residual_g=float(resid),
         phase_residual_alt_g=float(resid_alt),
-        branch_residuals_g=branch,
         blockade_residuals=leak,
         theta0=areas.theta0,
         theta1=areas.theta1,
@@ -205,13 +201,18 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     target = (1.0 if branch == "+" else -1.0) * g * np.pi
     c = (target + w_up * _wrap(phase_minus, 2.0 * np.pi)) / w_lo
     step = 2.0 * np.pi * g / abs(w_lo)
-    # the roots whose upper phase lies in (-pi, pi]; their copies are 2 pi apart
-    roots = c + step * np.arange(np.ceil((-np.pi - c) / step), np.floor((np.pi - c) / step) + 1)
-    if not roots.size:
+    # the roots c + k step whose upper phase lies in (-pi, pi]; their copies
+    # are 2 pi apart
+    k_lo, k_hi = np.ceil((-np.pi - c) / step), np.floor((np.pi - c) / step)
+    if k_lo > k_hi:
         raise DesignInfeasible(f"the phase condition has no root with the lower "
                                f"doublet line at {w_lo / g:g} g")
     guess = (target + w_up * phase_minus) / w_lo
-    phi_up = guess - min((_wrap(guess - r, 2.0 * np.pi) for r in roots), key=abs)
+    # there are |w_lo| / g of them; the nearest to the guess on the circle
+    # neighbours the wrapped guess or is one of the two ends
+    near = np.floor((_wrap(guess, 2.0 * np.pi) - c) / step)
+    ks = sorted({k_lo, k_hi} | {min(max(near + d, k_lo), k_hi) for d in (-1.0, 0.0, 1.0, 2.0)})
+    phi_up = guess - min((_wrap(guess - (c + step * k), 2.0 * np.pi) for k in ks), key=abs)
 
     def make(phi):
         return composite_for_area(params, area, tau0, [(w_up, phi), (w_lo, phase_minus)])
@@ -345,7 +346,7 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
     revival period (None if undetected), spectral peaks, final populations.
     keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
     spectrum, and in-pulse trajectory under non-JSON keys for file export.
-    integrator holds the keyword arguments of propagate (method, tol, dt,
+    integrator holds the keyword arguments of propagate (tol, dt,
     max_halvings).
     """
     h0, v, state0, cos_op, energies = _kick_setup(params, fld, dressed)
@@ -404,7 +405,7 @@ def _composite_worker(params, fld, traj, cos_op, energies, dressed, kw):
     sub = cos_op.matrix[np.ix_(range(5), range(5))]
     mmax, _, _ = _refined_trace_max(
         mstate, men, OperatorMatrix(sub, basis="dressed"),
-        fld.t_end, exact["series"].window, 8192)
+        fld.t_end, exact["series"].window, _MAGNUS_N_TRACE)
     mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
     epops = exact["populations"]
     pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mstate.labels)

@@ -4,10 +4,9 @@ The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent.
 One split-step kernel propagates R state rows at once, each under its own
 field, in the eigenbasis of v: there a field kick is a diagonal phase per
 row and the drift is one dense block shared by all rows, built once per
-step size.  Strang and Yoshida-4 are two sets of composition weights for
-that kernel; the exact-exponential midpoint rule stays as a reference.
-Outside the field window the evolution is applied in closed form, which
-makes long post-pulse traces essentially free.
+step size.  The composition weights are Yoshida's fourth-order triple
+jump.  Outside the field window the evolution is applied in closed form,
+which makes long post-pulse traces essentially free.
 
 Step control is a two-tier affair: a heuristic initial step resolves the
 fastest carrier and the drift spectral span, and the result is certified by
@@ -145,10 +144,7 @@ class _SplitFrame:
 # split-step composition weights: one step of length h is the product of
 # Strang sub-steps of lengths c h (Yoshida, Phys. Lett. A 150, 262, 1990)
 _Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_WEIGHTS = {
-    "strang": (1.0,),
-    "yoshida4": (_Y4_W1, 1.0 - 2.0 * _Y4_W1, _Y4_W1),
-}
+_WEIGHTS = (_Y4_W1, 1.0 - 2.0 * _Y4_W1, _Y4_W1)
 
 # field values are evaluated for this many steps at a time, and their kick
 # phases exponentiated in blocks of at most _PHASE_ELEMS complex numbers
@@ -239,36 +235,19 @@ def _split_steps(frame, fields, lo, n, h, weights):
     return advance
 
 
-def _midpoint_steps(frame, fields, lo, n, h):
-    """Reference integrator: the exact exponential of H(t_mid), row by row."""
-    h0v = frame.wv.conj().T @ (frame.eps[:, None] * frame.wv)
-    vv = np.diag(frame.w)
-
-    def advance(y, i, pre, post):
-        y = y @ frame.drift(pre)
-        mids = lo[i] + h[i] * (np.arange(n[i]) + 0.5)
-        for r, fld in enumerate(fields):
-            for e in field_value(fld, mids):
-                ev, vec = np.linalg.eigh(h0v - e * vv)
-                y[r] = ((y[r] @ vec.conj()) * np.exp(-1j * h[i] * ev)) @ vec.T
-        return y @ frame.drift(post)
-
-    return advance
-
-
-# fourth-order splitting tolerates a far coarser trial step than the
-# second-order kernels at the same certification tolerance
-_STEPS_PER_PERIOD = {"yoshida4": 8, "strang": 96, "midpoint": 96}
+# fourth-order splitting tolerates a far coarser trial step than a
+# second-order kernel at the same certification tolerance
+_STEPS_PER_PERIOD = 8
 
 # convergence order, for the Richardson factor 2^p - 1 relating the
 # dt vs dt/2 difference to the error of the dt/2 solution
-_ORDER = {"yoshida4": 4, "strang": 2, "midpoint": 2}
+_ORDER = 4
 
 
-def _default_dt(frame, fld, method):
+def _default_dt(frame, fld):
     """First trial step: resolve the drive, not the full diagonal span.
 
-    Every kernel applies the h0 phases exactly, so step error enters only
+    The kernel applies the h0 phases exactly, so step error enters only
     through the field: the carrier oscillation, the Rabi angle per step, and
     the h0-v commutators, which see just the energy gaps v actually couples
     (selection-rule zeros keep that span far below the full spectral width).
@@ -285,16 +264,13 @@ def _default_dt(frame, fld, method):
     w_rabi = peak * float(np.linalg.norm(frame.vt, 2))
     w_fast = carrier_ceiling(fld) + w_gap + w_rabi
     w_fast = max(w_fast, 2.0 * np.pi / (fld.t_end - fld.t_start))
-    return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD[method]
+    return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD
 
 
-def _run_sampled(frame, fields, y0, times, dt, method):
+def _run_sampled(frame, fields, y0, times, dt):
     """Frame states of all rows at every sample time, shape (times, rows, dim)."""
     lo, hi, n, h = _schedule(times, fields[0].t_start, fields[0].t_end, dt)
-    if method == "midpoint":
-        advance = _midpoint_steps(frame, fields, lo, n, h)
-    else:
-        advance = _split_steps(frame, fields, lo, n, h, _WEIGHTS[method])
+    advance = _split_steps(frame, fields, lo, n, h, _WEIGHTS)
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y = y0
     for i in range(times.size - 1):
@@ -306,8 +282,7 @@ def _run_sampled(frame, fields, y0, times, dt, method):
     return out
 
 
-def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
-                    tol=1e-8, max_halvings=6):
+def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvings=6):
     """Propagate each initial state through its own field; one result per row.
 
     Row r starts from states0[r] and feels fields[r].  The rows must share
@@ -336,8 +311,6 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
     windows = {None if f is None else (f.t_start, f.t_end) for f in fields}
     if len(windows) != 1:
         raise ValueError("the fields of one batch must share their window")
-    if method not in _ORDER:
-        raise ValueError(f"unknown method {method!r}")
 
     frame = _SplitFrame(h0m, vm)
     y0 = frame.to_frame(np.array([s.amplitudes for s in states0]))
@@ -350,24 +323,23 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
     if window is None or window[1] <= times[0] or window[0] >= times[-1]:
         # no field overlap: closed-form drift at the sample times
         states = frame.free(y0, times - times[0])
-        meta = {"method": "exact", "dt": None, "halvings": 0, "step_error": 0.0}
+        meta = {"dt": None, "halvings": 0, "step_error": 0.0}
         return [trajectory(states[:, r], dict(meta)) for r in range(len(states0))]
 
-    dt0 = min(_default_dt(frame, f, method) for f in fields) if dt is None else float(dt)
-    richardson = 2.0 ** _ORDER[method] - 1.0
+    dt0 = min(_default_dt(frame, f) for f in fields) if dt is None else float(dt)
+    richardson = 2.0 ** _ORDER - 1.0
     results = [None] * len(states0)
     rows = np.arange(len(states0))
     err = np.full(rows.size, np.inf)
     used = dt0
-    prev = _run_sampled(frame, fields, y0, times, dt0, method)
+    prev = _run_sampled(frame, fields, y0, times, dt0)
     for k in range(1, max_halvings + 1):
         used = dt0 / 2 ** k
-        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, used, method)
+        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, used)
         err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / richardson
         done = err <= tol
         for j in np.flatnonzero(done):
-            results[rows[j]] = trajectory(cur[:, j], {"method": method, "dt": used,
-                                                      "halvings": k,
+            results[rows[j]] = trajectory(cur[:, j], {"dt": used, "halvings": k,
                                                       "step_error": float(err[j])})
         rows, err, prev = rows[~done], err[~done], cur[:, ~done]
         if not rows.size:
@@ -380,8 +352,7 @@ def propagate_batch(h0, v, fields, states0, times, method="yoshida4", dt=None,
     return results
 
 
-def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
-              tol=1e-8, max_halvings=6):
+def propagate(h0, v, fld, state0, times, dt=None, tol=1e-8, max_halvings=6):
     """Propagate state0 through the field, sampling at `times`.
 
     h0 and v may be OperatorMatrix (basis tags are then checked against the
@@ -392,8 +363,8 @@ def propagate(h0, v, fld, state0, times, method="yoshida4", dt=None,
     2-norm) must reach `tol`; exceeding `max_halvings` raises NotConverged.
     This is the one-row call of propagate_batch.
     """
-    (result,) = propagate_batch(h0, v, [fld], [state0], times, method=method, dt=dt,
-                                tol=tol, max_halvings=max_halvings)
+    (result,) = propagate_batch(h0, v, [fld], [state0], times, dt=dt, tol=tol,
+                                max_halvings=max_halvings)
     if isinstance(result, NotConverged):
         raise result
     return result

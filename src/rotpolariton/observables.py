@@ -58,7 +58,10 @@ class TimeSeries:
 
     def is_uniform(self):
         d = np.diff(self.times)
-        return bool(np.all(np.abs(d - d[0]) <= _UNIFORM_RTOL * abs(d[0])))
+        # rounding moves each time by up to np.spacing(max |t|), a step by two
+        # of them, so two steps of an exactly uniform grid differ by up to four
+        jitter = 4.0 * np.spacing(np.max(np.abs(self.times[[0, -1]])))
+        return bool(np.all(np.abs(d - d[0]) <= _UNIFORM_RTOL * abs(d[0]) + jitter))
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,10 @@ def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
 
 # ------------------------------------------------------------- oracles
 #
-# Two oracles that share no code with the package internals: cos theta
+# Three oracles that share no code with the package internals: cos theta
 # matrix elements from Gauss-Legendre quadrature over normalized Legendre
-# polynomials, and spectral areas by quadrature of the field itself.
+# polynomials, spectral areas by quadrature of the field itself, and the
+# Schrodinger equation solved by scipy's DOP853.
 
 def cos_matrix_quadrature(j_max):
     """<j' 0|cos theta|j 0> by quadrature, no recursion relations."""
@@ -80,6 +81,34 @@ def area_by_quadrature(spec, omega, dipole=1.0):
     t = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
     vals = rp.field_value(spec, t) * np.exp(-1j * omega * t)
     return dipole * half * np.sum(vals @ w)
+
+
+def schrodinger_dop853(h0, v, fld, psi0, times):
+    """States of dy/dt = -i (h0 - E(t) v) y at `times`, by scipy's DOP853.
+
+    E(t) = e0 exp(-t^2 / 2 tau0^2) sum_k cos(omega_k t + phi_k) inside the
+    field window, written out here from the pulse's parameters.  An
+    eighth-order Runge-Kutta method with its own step control (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.10), so it shares no step,
+    frame or schedule with the split-step kernel it checks.
+    """
+    from scipy.integrate import solve_ivp
+
+    h0 = np.asarray(getattr(h0, "matrix", h0), dtype=complex)
+    v = np.asarray(getattr(v, "matrix", v), dtype=complex)
+    w, phi = np.array(fld.components).T
+
+    def rhs(t, y):
+        e = 0.0
+        if fld.t_start <= t <= fld.t_end:
+            e = fld.e0 * np.exp(-0.5 * (t / fld.tau0) ** 2) * np.cos(w * t + phi).sum()
+        return -1j * (h0 @ y - e * (v @ y))
+
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.asarray(psi0, dtype=complex),
+                    method="DOP853", rtol=1e-12, atol=1e-12, t_eval=times)
+    assert sol.success, sol.message
+    return sol.y.T
 
 
 # ------------------------------------------------------ cross-frame reference

@@ -1,6 +1,6 @@
-"""Propagation: state types, the integrators and the batched kernel, frame
-consistency between the dressed and the product basis, and the first-order
-pulse map."""
+"""Propagation: state types, the kernel against an independent ODE solver,
+the batched kernel, frame consistency between the dressed and the product
+basis, and the first-order pulse map."""
 
 import functools
 import math
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
 from rotpolariton.dynamics import propagate, propagate_batch, unit_state
-from conftest import B, G, adiabatic_dressed_vectors, unit_params
+from conftest import B, G, adiabatic_dressed_vectors, schrodinger_dop853, unit_params
 
 
 def _dressed_setup(params):
@@ -112,19 +112,33 @@ def test_propagator_is_linear():
     assert np.max(np.abs(tmix.states[-1] - want)) < 1e-9
 
 
-def test_integrator_methods_cross_check():
-    p = unit_params(j_max=2, n_max=1)
-    h0, v, bas, _ = _dressed_setup(p)
-    fld = rp.gaussian_for_area(p, 1.2, tau0=1.5, omega0=p.omega01)
-    finals = {}
-    # the fourth-order default is held tighter than the second-order methods
-    for method, tol in (("yoshida4", 1e-9), ("strang", 1e-7), ("midpoint", 1e-7)):
-        s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
-        traj = propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]),
-                         method=method, tol=tol, max_halvings=10)
-        finals[method] = traj.states[-1]
-    for method in ("strang", "midpoint"):
-        assert np.max(np.abs(finals[method] - finals["yoshida4"])) < 1e-6
+# (params, basis, dim) of the runs checked against DOP853: the dressed basis
+# at two sizes, and a coupled product basis, whose h0 is not diagonal, so the
+# kernel's frame diagonalizes it before it takes the eigenbasis of v
+_DOP853_RUNS = {
+    "dressed6": (unit_params(j_max=2, n_max=2), "dressed", 6),
+    "dressed40": (unit_params(j_max=1, n_max=19), "dressed", 40),
+    "product12": (unit_params(j_max=3, n_max=2), "product", 12),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOP853_RUNS))
+def test_kernel_matches_dop853(name):
+    p, basis, dim = _DOP853_RUNS[name]
+    if basis == "dressed":
+        h0, v, bas = rp.build_dressed_hamiltonian(p)
+        labels = bas.labels
+    else:
+        h0, v = rp.build_full_hamiltonian(p)
+        labels = tuple(range(h0.dim))
+    assert len(labels) == dim
+    fld = rp.gaussian_for_area(p, 1.2, tau0=1.0 / (4.0 * G), omega0=p.omega01)
+    # the middle four envelope widths, where 95% of the area is
+    times = np.linspace(-2.0 * fld.tau0, 2.0 * fld.tau0, 5)
+    s0 = _random_state(7, labels, time=times[0], basis=basis)
+    traj = propagate(h0, v, fld, s0, times, tol=1e-10)
+    ref = schrodinger_dop853(h0, v, fld, s0.amplitudes, times)
+    assert np.max(np.abs(traj.states - ref)) < 1e-8
 
 
 def test_not_converged_when_step_control_is_frozen():
@@ -155,11 +169,10 @@ _fields = st.builds(_batch_field, e0=st.floats(0.0, 0.3), omega0=st.floats(1.0, 
                     phi0=st.floats(0.0, 2.0 * np.pi))
 
 
-def _random_state(seed, labels, time=_WINDOW[0]):
+def _random_state(seed, labels, time=_WINDOW[0], basis="dressed"):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
-    return rp.StateVector(a / np.linalg.norm(a), basis="dressed", time=time,
-                          labels=labels)
+    return rp.StateVector(a / np.linalg.norm(a), basis=basis, time=time, labels=labels)
 
 
 @settings(max_examples=8, deadline=None)
@@ -283,21 +296,6 @@ def test_batch_rows_run_the_ladder_their_meta_implies(monkeypatch):
     assert ladders[0] != ladders[1]
     assert steps == max(ladders, key=len)
     assert all(steps[:len(lad)] == lad for lad in ladders)
-
-
-def test_large_basis_yoshida_matches_the_exact_midpoint():
-    # dim 40: the size that used to take a separate per-step code path
-    p = unit_params(j_max=1, n_max=19)
-    h0, v, bas = rp.build_dressed_hamiltonian(p)
-    assert bas.dim >= 40
-    fld = rp.gaussian_for_area(p, 1.2, tau0=1.0 / (4.0 * G), omega0=p.omega01)
-    # the strongest stretch of the pulse keeps the exponential reference cheap
-    s0 = _random_state(7, bas.labels, time=-1.0)
-    times = np.array([-1.0, 0.0, 1.0])
-    y4 = propagate(h0, v, fld, s0, times, tol=1e-10)
-    mid = propagate(h0, v, fld, s0, times, method="midpoint", dt=0.004, tol=1.0,
-                    max_halvings=1)
-    assert np.max(np.abs(y4.states - mid.states)) < 1e-6
 
 
 # ----------------------------------------------- cross-basis consistency

@@ -160,6 +160,18 @@ def test_time_series_validation():
         rp.TimeSeries(times=np.array([0.0]), values=np.array([1.0]))
 
 
+def test_uniformity_allows_the_rounding_of_late_sample_times():
+    # a trace of 0.1 revival periods after a 0.1 g bare kick, in atomic units:
+    # rounding near t = 3.8e8 moves the 20.7 au steps by 3e-9 of a step
+    t0, dt = 3.79e8, 20.7
+    late = rp.TimeSeries(times=t0 + dt * np.arange(16384), values=np.zeros(16384))
+    assert np.ptp(np.diff(late.times)) > 1e-9 * dt
+    assert late.is_uniform()
+    jolted = late.times.copy()
+    jolted[100] += 1e-6 * dt
+    assert not rp.TimeSeries(times=jolted, values=np.zeros(16384)).is_uniform()
+
+
 # --------------------------------------------------- populations and phases
 
 def test_dressed_populations_phases_known_state(dressed):
