@@ -566,12 +566,11 @@ def cmd_simulate(cfg, args):
     _write_json(os.path.join(outdir, "populations.json"), summary)
     written.append("populations.json")
 
-    if rec["revival_period"] is None:
-        revival = "none"
-    else:
-        revival = f"{rec['revival_period'] / tau:.4f} tau"
+    def in_tau(t):
+        return "none" if t is None else f"{t / tau:.4f} tau"
+
     print(f"simulate: orientation max {rec['orientation_max']:.6f} "
-          f"at {rec['t_max'] / tau:.4f} tau after the pulse; revival {revival}")
+          f"at {in_tau(rec['t_max'])} after the pulse; revival {in_tau(rec['revival_period'])}")
     print(f"wrote {outdir}/" + ", ".join(written))
     return 0
 

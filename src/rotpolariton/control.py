@@ -48,6 +48,7 @@ from .model import (
     mu_tilde_ground,
 )
 from .observables import (
+    Spectrum,
     dressed_populations_phases,
     orientation_trace,
     revival_period,
@@ -89,6 +90,12 @@ _RESIDUAL_TOL = 1e-6
 _PEAKS_REL_HEIGHT = 0.05
 # samples of the first-order trace a composite record compares against
 _MAGNUS_N_TRACE = 8192
+# a value read off a propagated state is reported only where the certified
+# error resolves it to this fraction: the error band of a trace against its
+# largest value, of a sample for the time of its maximum, of a radian for a
+# phase.  A coarser resolution lets roundoff, which sits below the certified
+# error, move the value beyond 1e-10 of its column
+_RESOLUTION = 0.05
 
 
 def _wrap(x, period):
@@ -230,32 +237,45 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     return pulse, report
 
 
-def _refined_trace_max(state, energies, cos_op, t0, window, n):
-    """Max of the free-evolution orientation over [t0, t0 + window)."""
+def _vertex(values, i, band=0.0):
+    """Offset, in samples, of the parabola vertex through samples i - 1, i, i + 1.
+
+    0 at either end of the trace, where the three samples are not concave,
+    or where an error of `band` in them could move the vertex by more than
+    _RESOLUTION of a sample.
+    """
+    if not 0 < i < values.size - 1:
+        return 0.0
+    vm1, v0, vp1 = values[i - 1], values[i], values[i + 1]
+    den = vm1 - 2.0 * v0 + vp1
+    # the vertex moves by up to 2 band / |den| samples
+    return 0.5 * (vm1 - vp1) / den if den < 0 and 2.0 * band <= _RESOLUTION * -den else 0.0
+
+
+def _refined_trace_max(state, energies, cos_op, t0, window, n, error):
+    """Max of the free-evolution orientation over [t0, t0 + window), its time and trace.
+
+    The max is the larger of the best sample and the trace at the parabola
+    vertex around it.  A state error `error` moves the trace by up to twice
+    that, so its time is the earliest sample within 2 `error` of the best
+    one, moved to the vertex there where that band resolves it: roundoff
+    then cannot choose among the copies of a maximum that the trace repeats
+    with its revivals, nor move the vertex of a shallow one.
+    """
     dt = window / n
     ts = t0 + dt * np.arange(n)
     series = orientation_trace(state, energies, cos_op, ts)
-    i = int(np.argmax(series.values))
-    if 0 < i < n - 1:
-        vm1, v0, vp1 = series.values[i - 1], series.values[i], series.values[i + 1]
-        den = vm1 - 2.0 * v0 + vp1
-        delta = 0.5 * (vm1 - vp1) / den if den < 0 else 0.0
-    else:
-        delta = 0.0
-    t_best = ts[i] + delta * dt
-    v_best = orientation_trace(state, energies, cos_op, np.array([t_best, t_best + dt])).values[0]
-    return float(max(v_best, series.values[i])), float(t_best), series
+    vals = series.values
+    top = int(np.argmax(vals))
+    t_top = ts[top] + _vertex(vals, top) * dt
+    v_top = orientation_trace(state, energies, cos_op, np.array([t_top, t_top + dt])).values[0]
+    first = int(np.argmax(vals >= vals[top] - 2.0 * error))
+    t_first = ts[first] + _vertex(vals, first, 2.0 * error) * dt
+    return float(max(v_top, vals[top])), float(t_first), series
 
 
 def _trace_revival(series, tau):
-    """Revival period of an orientation trace, None when there is none.
-
-    An orientation is bounded by 1, so a trace that never leaves the double
-    precision noise floor is flat; correlating its roundoff would fabricate
-    a period.
-    """
-    if float(np.max(np.abs(series.values))) < 1e-10:
-        return None
+    """Revival period of an orientation trace, None when there is none."""
     try:
         return revival_period(series, min_lag=0.05 * tau)
     except NoRevivalFound:
@@ -294,29 +314,37 @@ def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=Non
     if snapshot_offset is None:
         snapshot_offset = 6.75 * tau
     end = traj.state_at(len(traj) - 1)
+    error = traj.meta["step_error"]
 
     vmax, t_max, series = _refined_trace_max(end, energies, cos_op,
-                                             fld.t_end, trace_window, n_trace)
+                                             fld.t_end, trace_window, n_trace, error)
     snap_t = fld.t_end + snapshot_offset
     snap = orientation_trace(end, energies, cos_op, np.array([snap_t, snap_t + tau])).values[0]
 
-    period = _trace_revival(series, tau)
-
     spec = spectrum(series)
-    pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
+    # a trace whose error band the certificate does not resolve is flat: its
+    # time of maximum, revival and spectrum would be read off roundoff
+    if 2.0 * error > _RESOLUTION * float(np.max(np.abs(series.values))):
+        t_max = period = None
+        spec = Spectrum(spec.omega, np.full(spec.omega.size, np.nan))
+        pw = ph = np.array([])
+    else:
+        t_max -= fld.t_end
+        period = _trace_revival(series, tau)
+        pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
 
     pops = {lab: float(abs(a) ** 2) for lab, a in zip(traj.labels, end.amplitudes)}
     rec = {
         "dressed": bool(dressed),
         "orientation_max": vmax,
-        "t_max": t_max - fld.t_end,
+        "t_max": t_max,
         "orientation_snapshot": float(snap),
         "snapshot_offset": float(snapshot_offset),
         "revival_period": period,
         "peaks_omega": pw.tolist(),
         "peaks_height": ph.tolist(),
         "populations": pops,
-        "phases": dressed_populations_phases(end) if dressed else None,
+        "phases": dressed_populations_phases(end, error / _RESOLUTION) if dressed else None,
         "norm_final": end.norm(),
         "halvings": traj.meta.get("halvings"),
         "step_error": traj.meta.get("step_error"),
@@ -344,6 +372,14 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
     dressed=False with g > 0 is rejected.  Returns a plain dict: orientation
     max (parabola-refined), value at the snapshot offset after the pulse,
     revival period (None if undetected), spectral peaks, final populations.
+    No value is read off roundoff: each must be resolved by the certified
+    step error ε to _RESOLUTION (5 %).  A trace moves by up to 2 ε, so one
+    whose largest |value| is below 2 ε / 5 % = 40 ε is flat, with t_max and
+    the revival period None, no peaks and a spectrum of nan.  Otherwise
+    t_max is the earliest trace sample within 2 ε of the best one, moved to
+    the parabola vertex there where that resolves the vertex to 5 % of a
+    sample.  A dressed phase, resolved to ε / |amplitude| radians, is None
+    where its amplitude is at most ε / 5 % = 20 ε.
     keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
     spectrum, and in-pulse trajectory under non-JSON keys for file export.
     integrator holds the keyword arguments of propagate (tol, dt,
@@ -405,7 +441,7 @@ def _composite_worker(params, fld, traj, cos_op, energies, dressed, kw):
     sub = cos_op.matrix[np.ix_(range(5), range(5))]
     mmax, _, _ = _refined_trace_max(
         mstate, men, OperatorMatrix(sub, basis="dressed"),
-        fld.t_end, exact["series"].window, _MAGNUS_N_TRACE)
+        fld.t_end, exact["series"].window, _MAGNUS_N_TRACE, 0.0)
     mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
     epops = exact["populations"]
     pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mstate.labels)

@@ -132,11 +132,13 @@ def spectrum_peaks(spec, rel_height=0.05):
     return spec.omega[idx], a[idx]
 
 
-def dressed_populations_phases(state):
+def dressed_populations_phases(state, floor):
     """Per-label populations and phases relative to the ground amplitude.
 
-    If the ground amplitude |0;0> is absent or negligible the raw phases are
-    returned instead.
+    A phase is None where its amplitude is at most `floor`: the caller sets
+    it from the state's certified error, below which roundoff moves a phase
+    freely.  If the ground amplitude |0;0> is absent or at most `floor`, the
+    raw phases are returned instead.
     """
     if state.labels is None:
         raise ValueError("state has no labels")
@@ -144,13 +146,14 @@ def dressed_populations_phases(state):
     ref = 0.0
     if _GROUND_LABEL in state.labels:
         a0 = amps[state.labels.index(_GROUND_LABEL)]
-        if abs(a0) > 1e-12:
+        if abs(a0) > floor:
             ref = np.angle(a0)
     out = {}
     for lab, a in zip(state.labels, amps):
-        pop = float(abs(a) ** 2)
-        ph = float(np.angle(a) - ref) if abs(a) > 1e-12 else 0.0
-        out[lab] = {"population": pop, "phase": float(np.mod(ph + np.pi, 2 * np.pi) - np.pi)}
+        ph = None
+        if abs(a) > floor:
+            ph = float(np.mod(np.angle(a) - ref + np.pi, 2 * np.pi) - np.pi)
+        out[lab] = {"population": float(abs(a) ** 2), "phase": ph}
     return out
 
 

@@ -75,3 +75,31 @@ def test_a_changed_shape_fails(outdir):
     out = io.StringIO()
     assert not compare_outputs.compare(str(outdir), str(other), atol=1.0, out=out)
     assert out.getvalue().count("shape differs") == 2
+
+
+def test_outputs_hold_still_when_roundoff_moves_the_field(tmp_path, monkeypatch, capsys):
+    # A field scaled by 1 + 1e-13 moves every kick by roundoff and the physics
+    # by no more: a stand-in for any reordering of the arithmetic.  Every
+    # output column must then stay inside the tolerances CI holds a pull
+    # request to against its base commit.  (Scaling the trial step instead
+    # moves nothing: the kernel's step is span / ceil(span / dt).)
+    from rotpolariton import cli, dynamics
+
+    detuning = tmp_path / "detuning.yaml"
+    detuning.write_text("scan:\n  detunings_g: [0.0, -1.3, 0.7]\n  bandwidths_g: [1.0]\n"
+                        "  cavity: [true, false]\n")
+    runs = {"bare": ["simulate", "--preset", "bare"],
+            "fig4": ["simulate", "--preset", "fig4"],
+            "fig3": ["scan", "--preset", "fig3"],
+            "detuning": ["scan", "--config", str(detuning)]}
+    field_value = dynamics.field_value
+    for side, scale in (("a", 1.0), ("b", 1.0 + 1e-13)):
+        monkeypatch.setattr(dynamics, "field_value",
+                            lambda fld, t, s=scale: s * field_value(fld, t))
+        for name, argv in runs.items():
+            assert cli.main(argv + ["--out", str(tmp_path / side / name)]) == 0
+    capsys.readouterr()
+    out = io.StringIO()
+    ok = compare_outputs.compare(str(tmp_path / "a"), str(tmp_path / "b"), atol=1e-10,
+                                 rtol=1e-10, tols={"phase": 1e-6}, out=out)
+    assert ok, out.getvalue()

@@ -295,6 +295,33 @@ def test_scan_record_layout(broad_scan):
     assert res.meta["kind"] == "detuning_bandwidth"
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e-5])
+def test_time_of_maximum_is_the_earliest_copy_the_error_resolves(amplitude):
+    # a J = 0, 1 superposition orients as A cos(2 B t - 1) / sqrt(3): its
+    # maximum repeats every revival period at t = 0.5 + k pi, and the 8-period
+    # trace samples every copy alike, so roundoff alone ranks them
+    from rotpolariton.control import _refined_trace_max
+
+    a = np.zeros(9, dtype=complex)
+    a[0] = np.sqrt(1.0 - amplitude ** 2 / 2.0)
+    a[1] = amplitude / np.sqrt(2.0) * np.exp(1j * 1.0)
+    state = rp.StateVector(a / np.linalg.norm(a), basis="bare")
+    energies = np.array([B * j * (j + 1) for j in range(9)])
+    cosm = rp.cos_theta_elements(8).matrix
+    vmax, t_max, series = _refined_trace_max(state, energies, cosm, 0.0, 8.0 * TAU, 1024, 1e-9)
+    # the maximum itself is refined either way
+    a = state.amplitudes
+    assert vmax == pytest.approx(2.0 * abs(a[0] * a[1]) / np.sqrt(3.0), rel=1e-8)
+    dt = 8.0 * TAU / 1024
+    if amplitude == 1.0:
+        # the parabola vertex of the first copy
+        assert t_max == pytest.approx(0.5, abs=1e-5)
+    else:
+        # 2e-9 in the samples does not resolve the vertex of an 8e-6 trace:
+        # the time is that of the first copy's best sample
+        assert t_max == pytest.approx(round(0.5 / dt) * dt, abs=1e-12)
+
+
 def test_bare_resonant_kick_hits_the_bound(broad_scan):
     # with no cavity the quarter-area resonant kick balances J = 0 and 1
     # regardless of bandwidth

@@ -179,17 +179,22 @@ def test_dressed_populations_phases_known_state(dressed):
     s = _dressed_state(bas, {"0;0": np.sqrt(0.5) * np.exp(0.25j),
                              "+;0": 0.5 * np.exp(1j * (0.25 + 0.9)),
                              "-;0": 0.5 * np.exp(1j * (0.25 - 2.0))})
-    rec = rp.dressed_populations_phases(s)
+    rec = rp.dressed_populations_phases(s, 1e-9)
     assert rec["0;0"]["population"] == pytest.approx(0.5, abs=1e-12)
     assert rec["0;0"]["phase"] == pytest.approx(0.0, abs=1e-12)   # gauged to ground
     assert rec["+;0"]["phase"] == pytest.approx(0.9, abs=1e-12)
     assert rec["-;0"]["phase"] == pytest.approx(-2.0, abs=1e-12)
     assert sum(v["population"] for v in rec.values()) == pytest.approx(1.0, abs=1e-12)
+    # no amplitude at or below the floor has a phase
+    assert all(rec[lab]["phase"] is None for lab in bas.labels if lab not in ("0;0", "+;0", "-;0"))
+    tiny = _dressed_state(bas, {"0;0": 1.0, "+;1": 1e-9, "-;1": 2e-9})
+    rec = rp.dressed_populations_phases(tiny, 1e-9)
+    assert rec["+;1"]["phase"] is None and rec["-;1"]["phase"] == 0.0
 
 
 def test_initial_state_populations(dressed):
     bas, _ = dressed
-    rec = rp.dressed_populations_phases(_dressed_state(bas, {"0;0": 1.0}))
+    rec = rp.dressed_populations_phases(_dressed_state(bas, {"0;0": 1.0}), 0.0)
     assert rec["0;0"]["population"] == 1.0
     assert rec["0;0"]["phase"] == 0.0
 
