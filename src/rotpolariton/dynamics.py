@@ -124,12 +124,33 @@ class _SplitFrame:
             self.vt = q.conj().T @ v @ q
         self.w, self.wv = np.linalg.eigh(self.vt)
         self.u = self.wv if q is None else q @ self.wv
+        # v has few distinct |eigenvalues|: +-mu01 dressed, the symmetric
+        # Gauss-Legendre nodes bare.  Those within a few ulps are merged, so
+        # a kick takes one exponential per level, and conjugates for w < 0.
+        mag = np.abs(self.w)
+        order = np.argsort(mag, kind="stable")
+        new = np.diff(mag[order]) > 16.0 * np.spacing(mag.max())
+        self.levels = mag[order][np.concatenate([[True], new])]
+        group = np.empty(self.w.size, dtype=int)
+        group[order] = np.concatenate([[0], np.cumsum(new)])
+        self.gather = group + self.levels.size * (self.w < 0)
 
     def to_frame(self, psi):
         return psi @ self.u.conj()
 
     def from_frame(self, y):
         return y @ self.u.T
+
+    def kicks(self, arg):
+        """exp(i arg w) for each eigenvalue w of v, shape arg.shape + (dim,)."""
+        u = self.levels.size
+        x = arg[..., None] * self.levels
+        e = np.empty(x.shape[:-1] + (2 * u,), dtype=complex)
+        np.cos(x, out=e.real[..., :u])
+        np.sin(x, out=e.imag[..., :u])
+        np.conjugate(e[..., :u], out=e[..., u:])
+        # np.take keeps the result C-ordered, so each row's kick is contiguous
+        return np.take(e, self.gather, axis=-1)
 
     def drift(self, tau):
         """Free evolution of state rows over tau: (W^H exp(-i tau eps) W)^T."""
@@ -151,9 +172,10 @@ _WEIGHTS = (_Y4_W1, 1.0 - 2.0 * _Y4_W1, _Y4_W1)
 _CHUNK = 2048
 _PHASE_ELEMS = 1 << 16
 
-# the most steps one run may take: _split_steps builds the kick schedule of a
-# run at once, 56 bytes per Yoshida step (112 MB at the cap, 128 MB while it
-# is built), and the largest run of the presets and tests takes 71,506
+# the most steps one run may take.  It bounds work, not memory: the kick
+# schedule is built _CHUNK steps at a time.  At about 3 us per sub-step the
+# cap is some 20 s per halving level; the largest run of the presets and
+# tests takes 71,506 steps
 _MAX_STEPS = 2_000_000
 
 
@@ -161,7 +183,7 @@ def _schedule(times, fa, fb, dt):
     """Field overlap [lo, hi] of each sample interval, its step count and step.
 
     A run above _MAX_STEPS steps, or with an infinite or undefined count,
-    raises ConfigError before its kick schedule is built.
+    raises ConfigError before it starts.
     """
     lo = np.clip(times[:-1], fa, fb)
     hi = np.clip(times[1:], fa, fb)
@@ -188,26 +210,28 @@ def _split_steps(frame, fields, lo, n, h, weights):
     the field, and a drift over `post`.  Kicks sit at the sub-step
     midpoints.  The half drifts that close one sub-step and open the next
     are fused, so a step costs len(weights) diagonal kicks and dense drifts
-    for all rows together.  Field phases are computed for the whole run in
-    chunks of _CHUNK steps, consumed in step order across intervals.
+    for all rows together.  The kick schedule and its field phases are built
+    _CHUNK steps at a time, consumed in step order across intervals, so no
+    array grows with the step count.
     """
     c = np.asarray(weights)
     fuse = 0.5 * (c + np.roll(c, -1))
-    on = n > 0
-    starts = np.concatenate([a + b * np.arange(k) for a, b, k in zip(lo[on], h[on], n[on])])
-    hs = np.repeat(h[on], n[on])[:, None]
-    kick_t = starts[:, None] + hs * (np.cumsum(c) - 0.5 * c)
-    kick_c = hs * c
+    mid = np.cumsum(c) - 0.5 * c  # sub-step midpoints, in steps
+    ends = np.cumsum(n)
     sub = max(1, _PHASE_ELEMS // (c.size * len(fields) * frame.w.size))
 
     def phases():
-        for a in range(0, starts.size, _CHUNK):
-            ts = kick_t[a:a + _CHUNK]
+        for a in range(0, ends[-1], _CHUNK):
+            # run-wide step k is step k - (ends[i] - n[i]) of interval i
+            k = np.arange(a, min(a + _CHUNK, ends[-1]))
+            i = np.searchsorted(ends, k, side="right")
+            hs = h[i][:, None]
+            starts = lo[i] + h[i] * (k - (ends[i] - n[i]))
+            ts = starts[:, None] + hs * mid
             arg = np.stack([field_value(f, ts) for f in fields], axis=-1)
-            arg *= kick_c[a:a + _CHUNK, :, None]
+            arg *= (hs * c)[:, :, None]
             for b in range(0, arg.shape[0], sub):
-                kicks = np.exp(1j * arg[b:b + sub, :, :, None] * frame.w)
-                yield kicks.reshape(-1, len(fields), frame.w.size)
+                yield frame.kicks(arg[b:b + sub]).reshape(-1, len(fields), frame.w.size)
 
     # one kick phase per sub-step, in step order across intervals
     stream = chain.from_iterable(phases())

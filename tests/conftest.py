@@ -111,6 +111,16 @@ def schrodinger_dop853(h0, v, fld, psi0, times):
     return sol.y.T
 
 
+def orientation_dense(amplitudes, energies, m, times, t0):
+    """Re(psi^H m psi) at each time, psi(t) = amplitudes exp(-i energies (t - t0)).
+
+    The dense formula, one phase vector and one quadratic form per sample:
+    the reference for the transition-sum trace.
+    """
+    psi = np.exp(-1j * np.outer(np.asarray(times) - t0, energies)) * amplitudes
+    return np.einsum("ti,ij,tj->t", psi.conj(), m, psi).real
+
+
 # ------------------------------------------------------ cross-frame reference
 #
 # The product (rotor x photon) basis and its bridge to the dressed states.

@@ -228,6 +228,49 @@ def test_rows_leave_the_ladder_one_by_one():
     assert isinstance(stalled, rp.NotConverged)
 
 
+@pytest.mark.parametrize("basis, levels", [("dressed", 1), ("bare", 5)])
+def test_merged_eigenvalue_kicks_match_the_exponential(basis, levels):
+    # a kick takes one exponential per distinct |eigenvalue| of v: +-mu01
+    # dressed, and bare 0 and the four positive Gauss-Legendre nodes
+    from rotpolariton.dynamics import _SplitFrame
+
+    if basis == "dressed":
+        h0, v, _, _ = _dressed_setup(unit_params())
+        h0, v = h0.matrix, v.matrix
+    else:
+        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8).matrix
+    frame = _SplitFrame(h0, v)
+    assert frame.levels.size == levels
+    arg = np.random.default_rng(levels).normal(size=(256, 3, 2))
+    want = np.exp(1j * arg[..., None] * frame.w)
+    assert np.max(np.abs(frame.kicks(arg) - want)) <= 1e-14
+
+
+def test_peak_memory_does_not_grow_with_the_step_count():
+    # the kick schedule is built one chunk of steps at a time, so a run of
+    # 80k steps peaks within one chunk's schedule (56 bytes a step) of a run
+    # of 20k
+    import tracemalloc
+
+    from rotpolariton import dynamics
+
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    fld = _batch_field(0.3, 2.0, 0.0)
+    span = _WINDOW[1] - _WINDOW[0]
+    peaks = []
+    for steps in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            traj = propagate(h0, v, fld, s0, np.array(_WINDOW), dt=2.0 * span / steps,
+                             tol=1.0, max_halvings=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.meta["dt"] == span / steps
+    assert abs(peaks[1] - peaks[0]) < dynamics._CHUNK * 56
+
+
 def test_batch_rejects_fields_with_different_windows():
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
     s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])

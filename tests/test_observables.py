@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
-from conftest import B, TAU, SQRT3INV
+from conftest import B, TAU, SQRT3INV, orientation_dense
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +74,12 @@ def test_subspace_bound_under_random_sampling(dressed):
 
 @settings(max_examples=40, deadline=None)
 @given(dressed_op=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-       t0=st.floats(-50.0, 50.0),
-       times=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=16,
-                      unique=True).map(sorted))
+       t0=st.floats(-50.0, 50.0), start=st.floats(-100.0, 100.0),
+       step=st.floats(1e-3, 10.0), n=st.integers(2, 64))
 def test_orientation_trace_matches_explicit_free_evolution(dressed, dressed_op, seed, t0,
-                                                           times):
+                                                           start, step, n):
     # <cos theta>(t) = Re(psi(t)^H M psi(t)) with psi(t) = a exp(-i E (t - t0)),
-    # from a random unit snapshot a taken at t0
+    # from a random unit snapshot a taken at t0, on a uniform grid
     if dressed_op:
         bas, cos_op = dressed
         energies, basis = bas.energies, "dressed"
@@ -91,10 +90,35 @@ def test_orientation_trace_matches_explicit_free_evolution(dressed, dressed_op, 
     a = rng.normal(size=energies.size) + 1j * rng.normal(size=energies.size)
     a /= np.linalg.norm(a)
     s = rp.StateVector(a, basis=basis, time=t0)
-    series = rp.orientation_trace(s, energies, cos_op, np.array(times))
-    for t, got in zip(times, series.values):
-        psi = a * np.exp(-1j * energies * (t - t0))
-        assert abs(got - np.vdot(psi, cos_op.matrix @ psi).real) <= 1e-12
+    times = start + step * np.arange(n)
+    series = rp.orientation_trace(s, energies, cos_op, times)
+    want = orientation_dense(a, energies, cos_op.matrix, times, t0)
+    assert np.max(np.abs(series.values - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 7, 16384])
+@pytest.mark.parametrize("coupling", ["tridiagonal", "dense"])
+def test_transition_sum_trace_matches_the_dense_formula(coupling, n):
+    rng = np.random.default_rng(n)
+    dim = 10
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = 0.5 * (m + m.conj().T) / dim
+    if coupling == "tridiagonal":
+        m = np.triu(np.tril(m, 1), -1)
+    energies = np.sort(rng.uniform(0.0, 30.0, dim))
+    a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    a /= np.linalg.norm(a)
+    t0 = rng.uniform(-5.0, 5.0)
+    times = t0 + 0.3 + 40.0 * TAU / n * np.arange(n)
+    s = rp.StateVector(a, basis="x", time=t0)
+    got = rp.orientation_trace(s, energies, m, times).values
+    want = orientation_dense(a, energies, m, times, t0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if n > 2:
+        jolted = times.copy()
+        jolted[1] += 1e-3 * (times[1] - times[0])
+        with pytest.raises(ValueError, match="uniform"):
+            rp.orientation_trace(s, energies, m, jolted)
 
 
 # ----------------------------------------------------------------- spectrum
