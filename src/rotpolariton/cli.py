@@ -122,8 +122,8 @@ def _quantity(node, path, units):
 
 # a start/stop/num grid or sample count larger than this is a typo, not a run
 _MAX_GRID = 100_000
-# basis states of a run: j_max + 1 bare, 2 (n_max + 1) dressed; the trace's
-# phase table of _MAX_GRID samples x 64 states takes 102 MB
+# basis states of a run: j_max + 1 bare, 2 (n_max + 1) dressed; the states
+# of a trajectory of _MAX_GRID samples x 64 states take 102 MB
 _MAX_DIM = 64
 
 
@@ -443,29 +443,31 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _fmt(v):
-    if v is None:
-        return "nan"
-    if isinstance(v, bool):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _per(value, unit):
     """value / unit, or None (written as nan) when the record lacks the value."""
     return None if value is None else value / unit
 
 
+def _cells(row):
+    """A scan-table row as _write_tsv takes it: None as nan, a bool as 0 or 1."""
+    return [float("nan") if v is None else int(v) if isinstance(v, bool) else float(v)
+            for v in row]
+
+
 def _write_tsv(path, columns, rows):
+    """A '# ' header, then rows of Python floats and ints, each written by repr.
+
+    A 2d float array becomes such rows through .tolist().
+    """
     with open(path, "w") as fh:
         fh.write("# " + "\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+        fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_spectrum(path, spec, params):
     _write_tsv(path, ["omega_au", "omega_over_B", "amplitude"],
-               [(w, w / params.rot_const, a) for w, a in zip(spec.omega, spec.amplitude)])
+               np.column_stack([spec.omega, spec.omega / params.rot_const,
+                                spec.amplitude]).tolist())
 
 
 def _outdir(cfg, args, command):
@@ -547,15 +549,15 @@ def cmd_simulate(cfg, args):
     series = rec["series"]
     _write_tsv(os.path.join(outdir, "orientation.tsv"),
                ["time_au", "time_over_tau", "orientation"],
-               [(t, t / tau, v) for t, v in zip(series.times, series.values)])
+               np.column_stack([series.times, series.times / tau, series.values]).tolist())
 
     _write_spectrum(os.path.join(outdir, "spectrum.tsv"), rec["spectrum"], params)
 
     traj = rec.get("trajectory")
     if traj is not None:
         cols = ["time_au"] + [f"{part}({lab})" for lab in traj.labels for part in ("re", "im")]
-        rows = [[t] + [x for a in amps for x in (a.real, a.imag)]
-                for t, amps in zip(traj.times, traj.states)]
+        # a complex row viewed as floats is re, im of each amplitude in turn
+        rows = np.column_stack([traj.times, traj.states.view(float)]).tolist()
         _write_tsv(os.path.join(outdir, "trajectory.tsv"), cols, rows)
         written.append("trajectory.tsv")
 
@@ -609,9 +611,9 @@ def cmd_scan(cfg, args):
         columns = ["detuning_g", "orientation_max", "orientation_snapshot",
                    "t_max_tau", "revival_tau", "converged"]
         tables = [(_orientation_tsv(cav, bw), columns,
-                   [(rec["detuning"] / g_ref, rec.get("orientation_max"),
-                     rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
-                     _per(rec.get("revival_period"), tau), rec["converged"])
+                   [_cells((rec["detuning"] / g_ref, rec.get("orientation_max"),
+                            rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
+                            _per(rec.get("revival_period"), tau), rec["converged"]))
                     for rec in result.records[k * n:(k + 1) * n]])
                   for k, (cav, bw) in enumerate(groups)]
     else:
@@ -626,9 +628,9 @@ def cmd_scan(cfg, args):
         tables = [("composite_bandwidth.tsv",
                    ["bandwidth_g", "orientation_max_exact", "orientation_max_magnus",
                     "max_population_diff", "revival_tau", "converged"],
-                   [(rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
-                     rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
-                     _per(rec.get("revival_period"), tau), rec["converged"])
+                   [_cells((rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
+                            rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
+                            _per(rec.get("revival_period"), tau), rec["converged"]))
                     for rec in result.records])]
 
     outdir = _outdir(cfg, args, "scan")

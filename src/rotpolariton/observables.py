@@ -1,8 +1,9 @@
 """Orientation traces, Fourier spectra, revival detection, and bound oracles.
 
 The orientation signal is the expectation of cos(theta).  Post-pulse dynamics
-under a diagonal drift are evaluated in closed form from a single snapshot, so
-long traces cost one phase matrix rather than a propagation.  The bound on
+under a diagonal drift are evaluated in closed form from a single snapshot, as
+a sum of cosines over the couplings of cos(theta), so a long trace costs two
+short phase tables rather than a propagation.  The bound on
 the orientation over a few dressed states is the top eigenpair of the
 projected cos(theta) block, not a search.
 """
