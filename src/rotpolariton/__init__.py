@@ -1,10 +1,11 @@
 """Rotational-polariton simulator and pulse-design toolkit.
 
 A single polar linear molecule exchanges one quantum with a resonant cavity
-mode; the package builds the coupled Hamiltonians, propagates arbitrary
-linearly polarized drive fields, extracts orientation traces, spectra, and
-revival periods, and designs the two-color pulse that restores the bare
-orientation maximum 1/sqrt(3) inside the cavity.
+mode.  A run has one of two models: the rotor alone (no coupling), or the
+polariton (dressed) basis of the coupled system.  The package propagates
+arbitrary linearly polarized drive fields in either, extracts orientation
+traces, spectra, and revival periods, and designs the two-color pulse that
+restores the bare orientation maximum 1/sqrt(3) inside the cavity.
 """
 
 __version__ = "0.1.0"
@@ -47,7 +48,6 @@ from .model import (
     SystemParams,
     build_dressed_basis,
     build_dressed_hamiltonian,
-    build_full_hamiltonian,
     convert_units,
     cos_theta_elements,
     doublet_energies,

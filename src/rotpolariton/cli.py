@@ -122,8 +122,8 @@ def _quantity(node, path, units):
 
 # a start/stop/num grid or sample count larger than this is a typo, not a run
 _MAX_GRID = 100_000
-# basis states of a run: j_max + 1 bare, 2 (n_max + 1) dressed; the states
-# of a trajectory of _MAX_GRID samples x 64 states take 102 MB
+# basis states of a run: j_max + 1 on the rotor alone, 2 (n_max + 1) dressed;
+# the states of a trajectory of _MAX_GRID samples x 64 states take 102 MB
 _MAX_DIM = 64
 
 
@@ -213,7 +213,6 @@ SCHEMA = {
         "branch": ("+", ("+", "-")),    # designed: root of the phase condition
     },
     "experiment": {
-        "dressed": (None, bool),        # default: follow system.cavity
         "trace_window_tau": (40.0, (float, "positive")),
         "n_trace": (16384, (int, 64)),
         "snapshot_tau": (6.75, (float, "nonnegative")),
@@ -327,11 +326,9 @@ def resolve_config(raw, preset=None):
     cfg = _deep_merge(base, raw)
     system, field, exp, scan = (cfg[s] for s in ("system", "field", "experiment", "scan"))
 
-    # the two defaults that follow another key
+    # the default that follows another key
     if field["area"] is None:
         field["area"] = KICK_AREA if field["kind"] == "gaussian" else DESIGN_AREA
-    if exp["dressed"] is None:
-        exp["dressed"] = system["cavity"]
 
     for section, rules in SCHEMA.items():
         for key, (default, rule) in rules.items():
@@ -362,10 +359,6 @@ def resolve_config(raw, preset=None):
         raise ConfigError("field.carriers: composite field needs a nonempty list")
     if field["kind"] == "designed" and not system["cavity"]:
         raise ConfigError("field.kind: designed fields need the cavity on")
-    if exp["dressed"] and not system["cavity"]:
-        raise ConfigError("experiment.dressed: no resonant cavity to dress (system.cavity is off)")
-    if not exp["dressed"] and system["cavity"]:
-        raise ConfigError("experiment.dressed: product-basis runs need system.cavity off")
     if scan["kind"] == "detuning":
         # each (cavity, bandwidth) group writes its own TSV
         if len(set(scan["cavity"])) < len(scan["cavity"]):
@@ -535,7 +528,6 @@ def cmd_simulate(cfg, args):
     _check_trace_times(exp, tau, fld.t_end, exp["n_trace"])
     rec = kick_response(
         params, fld,
-        dressed=exp["dressed"],
         trace_window=exp["trace_window_tau"] * tau,
         n_trace=exp["n_trace"],
         snapshot_offset=exp["snapshot_tau"] * tau,

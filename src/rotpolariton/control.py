@@ -40,7 +40,6 @@ from .model import (
     OperatorMatrix,
     SystemParams,
     build_dressed_hamiltonian,
-    build_full_hamiltonian,
     cos_theta_elements,
     dressed_cos_matrix,
     doublet_energies,
@@ -282,29 +281,30 @@ def _trace_revival(series, tau):
         return None
 
 
-def _bare_cos_operator(params):
-    cosm = cos_theta_elements(params.j_max).matrix.real
-    full = np.kron(np.eye(params.n_max + 1), cosm)
-    return OperatorMatrix(full, basis="product")
+def _kick_setup(params, fld):
+    """Hamiltonian, initial state, cos theta and drift energies of a kick.
 
-
-def _kick_setup(params, fld, dressed):
-    """Hamiltonian, initial state, cos theta and drift energies of a kick."""
-    if dressed:
+    A coupled run (g > 0) takes the dressed basis.  Otherwise the rotor is
+    alone: h0 = B J(J+1), v = mu cos theta, and it has no photon ladder.
+    """
+    if params.coupling > 0:
         h0, v, basis = build_dressed_hamiltonian(params)
         state0 = unit_state(basis.labels, "0;0", basis="dressed", time=fld.t_start)
         return h0, v, state0, dressed_cos_matrix(params), basis.energies
-    if params.coupling != 0.0:
-        raise ValueError("product-basis kick response expects an uncoupled cavity; "
-                         "zero the coupling or use dressed=True")
-    h0, v = build_full_hamiltonian(params)
-    labels = tuple(f"J{j},n{n}" for n in range(params.n_max + 1)
-                   for j in range(params.j_max + 1))
-    state0 = unit_state(labels, 0, basis="product", time=fld.t_start)
-    return h0, v, state0, _bare_cos_operator(params), np.diag(h0.matrix).real
+    if params.n_max > 0:
+        raise ValueError(f"an uncoupled run is the rotor alone and needs n_max = 0, "
+                         f"got {params.n_max}")
+    j = np.arange(params.j_max + 1, dtype=float)
+    energies = params.rot_const * j * (j + 1.0)
+    cos_op = cos_theta_elements(params.j_max)
+    state0 = unit_state(tuple(f"J{k},n0" for k in range(params.j_max + 1)), 0,
+                        basis=cos_op.basis, time=fld.t_start)
+    return (OperatorMatrix(np.diag(energies), basis=cos_op.basis),
+            OperatorMatrix(params.dipole * cos_op.matrix.real, basis=cos_op.basis),
+            state0, cos_op, energies)
 
 
-def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=None,
+def _kick_summary(params, fld, traj, cos_op, energies, trace_window=None,
                   n_trace=16384, snapshot_offset=None, keep_series=False,
                   keep_spectrum=False):
     """Post-pulse record of one propagated kick; see kick_response."""
@@ -333,9 +333,10 @@ def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=Non
         period = _trace_revival(series, tau)
         pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
 
+    dressed = bool(params.coupling > 0)
     pops = {lab: float(abs(a) ** 2) for lab, a in zip(traj.labels, end.amplitudes)}
     rec = {
-        "dressed": bool(dressed),
+        "dressed": dressed,
         "orientation_max": vmax,
         "t_max": t_max,
         "orientation_snapshot": float(snap),
@@ -360,16 +361,14 @@ def _kick_summary(params, fld, traj, cos_op, energies, dressed, trace_window=Non
     return rec
 
 
-def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
+def kick_response(params, fld, trace_window=None, n_trace=16384,
                   snapshot_offset=None, keep_series=False, keep_spectrum=False,
                   n_pulse_samples=2, integrator=None):
     """Propagate one pulse and summarize the post-pulse orientation.
 
-    dressed=True runs in the polariton eigenbasis (cavity on resonance);
-    dressed=False runs in the rotor x photon product basis with whatever
-    coupling the params carry, which is the bare molecule when g = 0.  The
-    product-basis drift must stay diagonal for the closed-form trace, so
-    dressed=False with g > 0 is rejected.  Returns a plain dict: orientation
+    A coupled run (g > 0) runs in the polariton eigenbasis, with the cavity
+    on resonance; an uncoupled one runs on the rotor alone and needs
+    n_max = 0, otherwise ValueError.  Returns a plain dict: orientation
     max (parabola-refined), value at the snapshot offset after the pulse,
     revival period (None if undetected), spectral peaks, final populations.
     No value is read off roundoff: each must be resolved by the certified
@@ -385,11 +384,11 @@ def kick_response(params, fld, dressed=True, trace_window=None, n_trace=16384,
     integrator holds the keyword arguments of propagate (tol, dt,
     max_halvings).
     """
-    h0, v, state0, cos_op, energies = _kick_setup(params, fld, dressed)
+    h0, v, state0, cos_op, energies = _kick_setup(params, fld)
     n_samples = max(2, int(n_pulse_samples))
     traj = propagate(h0, v, fld, state0, np.linspace(fld.t_start, fld.t_end, n_samples),
                      **(integrator or {}))
-    return _kick_summary(params, fld, traj, cos_op, energies, dressed,
+    return _kick_summary(params, fld, traj, cos_op, energies,
                          trace_window=trace_window, n_trace=n_trace,
                          snapshot_offset=snapshot_offset,
                          keep_series=keep_series, keep_spectrum=keep_spectrum)
@@ -423,18 +422,17 @@ class ScanResult:
         return len(self.records)
 
 
-def _kick_worker(params, fld, traj, cos_op, energies, dressed, kw):
+def _kick_worker(params, fld, traj, cos_op, energies, kw):
     """One kick record, from its propagated trajectory or its failure."""
     if isinstance(traj, NotConverged):
         return {"converged": False, "error": str(traj)}
-    rec = _kick_summary(params, fld, traj, cos_op, energies, dressed, **kw)
+    rec = _kick_summary(params, fld, traj, cos_op, energies, **kw)
     return {**rec, "converged": True}
 
 
-def _composite_worker(params, fld, traj, cos_op, energies, dressed, kw):
+def _composite_worker(params, fld, traj, cos_op, energies, kw):
     """One composite record: the exact kick against the first-order pulse map."""
-    exact = _kick_worker(params, fld, traj, cos_op, energies, dressed,
-                         {**kw, "keep_series": True})
+    exact = _kick_worker(params, fld, traj, cos_op, energies, {**kw, "keep_series": True})
     if not exact["converged"]:
         return exact
     mstate, men = magnus_final_state(params, fld)
@@ -462,14 +460,14 @@ def _composite_worker(params, fld, traj, cos_op, energies, dressed, kw):
 def _kick_group_worker(job):
     """The records of one scan job: its fields, propagated as one batch.
 
-    A job is (params, fields that share one window, dressed, integrator
-    keywords, summary keywords, per-record function).
+    A job is (params, fields that share one window, integrator keywords,
+    summary keywords, per-record function).
     """
-    params, fields, dressed, integ, kw, record = job
-    h0, v, state0, cos_op, energies = _kick_setup(params, fields[0], dressed)
+    params, fields, integ, kw, record = job
+    h0, v, state0, cos_op, energies = _kick_setup(params, fields[0])
     times = np.array([fields[0].t_start, fields[0].t_end])
     trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, **integ)
-    return [record(params, fld, traj, cos_op, energies, dressed, kw)
+    return [record(params, fld, traj, cos_op, energies, kw)
             for fld, traj in zip(fields, trajs)]
 
 
@@ -491,12 +489,13 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
 
     Detunings and bandwidths are absolute angular frequencies; the carrier is
     omega01 + detuning.  Bare runs reuse the same parameters with the
-    coupling switched off and no photon ladder.  All detunings of one
-    (cavity, bandwidth) group share the Hamiltonian and the field window, so
-    they propagate as one batch, at the finest step any of them needs; each
-    record still carries its own halvings and certified step error.  Worker
-    processes take whole groups, so no more than one process per group is
-    busy, and the records do not depend on `threads`.
+    coupling switched off and no photon ladder, so they run on the rotor
+    alone.  All detunings of one (cavity, bandwidth) group share the
+    Hamiltonian and the field window, so they propagate as one batch, at the
+    finest step any of them needs; each record still carries its own
+    halvings and certified step error.  Worker processes take whole groups,
+    so no more than one process per group is busy, and the records do not
+    depend on `threads`.
     Records keep the axes, the orientation maximum and snapshot, the revival
     period, and the strongest spectral peaks, in deterministic axis order.
     """
@@ -512,7 +511,7 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
         for bw in bandwidths:
             fields = [gaussian_for_area(run_params, area, 1.0 / bw, params.omega01 + det)
                       for det in detunings]
-            jobs.append((run_params, fields, cav, integrator or {}, kw, _kick_worker))
+            jobs.append((run_params, fields, integrator or {}, kw, _kick_worker))
             axes += [(bool(cav), float(bw), float(det)) for det in detunings]
 
     records = _scan_groups(jobs, threads)
@@ -548,7 +547,7 @@ def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIG
                                          branch=branch)
     carriers = ref_pulse.components
     kw = {"trace_window": trace_window, "n_trace": n_trace}
-    jobs = [(params, [composite_for_area(params, area, 1.0 / bw, carriers)], True,
+    jobs = [(params, [composite_for_area(params, area, 1.0 / bw, carriers)],
              integrator or {}, kw, _composite_worker) for bw in bandwidths]
     records = _scan_groups(jobs, threads)
     for bw, rec in zip(bandwidths, records):

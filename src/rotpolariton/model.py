@@ -6,13 +6,12 @@ runs in Hartree atomic units with hbar = 1, so energies double as angular
 frequencies.  Inputs are accepted in wavenumbers (rotational constant, cavity
 frequency) and Debye (permanent dipole).
 
-Conventions fixed here and relied on everywhere else:
+A run has one of two models.  Without coupling the rotor is alone: drift
+B J(J+1) and drive mu cos theta on J = 0 .. j_max.  With it, the run uses the
+resonant Jaynes-Cummings ladder in its dressed basis:
 
-* product basis states are (rotor J, photon n) ordered lexicographically in
-  (n, J), i.e. all J for n = 0, then n = 1, ...
 * the light-matter coupling strength ``g`` is the vacuum Rabi element on the
-  0-1 line; the full-Hamiltonian coupling prefactor is ``g / mu01`` so the
-  cavity sees the complete dipole ladder, not just the lowest rung.
+  0-1 line.
 * dressed (polariton) doublets are the symmetric/antisymmetric combinations
   (|J=0, n+1> +- |J=1, n>)/sqrt(2) with energies w_c (n+1) +- g sqrt(n+1)
   above the dressed ground state |0;0> = |J=0, n=0>.
@@ -33,7 +32,6 @@ __all__ = [
     "operator_matrix",
     "DressedBasis",
     "cos_theta_elements",
-    "build_full_hamiltonian",
     "build_dressed_basis",
     "build_dressed_hamiltonian",
     "dressed_cos_matrix",
@@ -87,7 +85,8 @@ class SystemParams:
     cavity_freq  cavity mode frequency w_c
     coupling   vacuum Rabi coupling g on the 0-1 line
     j_max      rotor truncation (inclusive)
-    n_max      photon truncation (inclusive)
+    n_max      photon truncation (inclusive) of the dressed ladder; 0 without
+               coupling
     """
 
     rot_const: float
@@ -174,47 +173,6 @@ def cos_theta_elements(j_max):
     m[j, j + 1] = off
     m[j + 1, j] = off
     return OperatorMatrix(m, basis="rotor")
-
-
-def _photon_number(n_max):
-    return np.diag(np.arange(n_max + 1, dtype=float))
-
-
-def _photon_x(n_max):
-    """a + a^dagger on the truncated photon ladder."""
-    m = np.zeros((n_max + 1, n_max + 1))
-    n = np.arange(n_max)
-    m[n, n + 1] = np.sqrt(n + 1.0)
-    m[n + 1, n] = np.sqrt(n + 1.0)
-    return m
-
-
-def build_full_hamiltonian(params):
-    """Drift and drive operators in the product basis.
-
-    Returns (h0, v) where
-
-        h0 = B J(J+1) + w_c a^dag a - (g / mu01) (mu cos theta)(a + a^dag)
-        v  = (mu cos theta) x 1
-
-    and the total Hamiltonian under a field E(t) is h0 - E(t) v.  The
-    light-matter term keeps both rotating and counter-rotating parts.
-    """
-    jdim = params.j_max + 1
-    ndim = params.n_max + 1
-    jvals = np.arange(jdim, dtype=float)
-    rotor_h = np.diag(params.rot_const * jvals * (jvals + 1.0))
-    mucos = params.dipole * cos_theta_elements(params.j_max).matrix.real
-
-    h0 = np.kron(np.eye(ndim), rotor_h) + np.kron(params.cavity_freq * _photon_number(params.n_max), np.eye(jdim))
-    if params.coupling != 0.0:
-        lam = params.coupling / params.mu01
-        h0 = h0 - lam * np.kron(_photon_x(params.n_max), mucos)
-    v = np.kron(np.eye(ndim), mucos)
-    return (
-        OperatorMatrix(h0, basis="product"),
-        OperatorMatrix(v, basis="product"),
-    )
 
 
 def doublet_energies(params, n):

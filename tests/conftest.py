@@ -123,9 +123,56 @@ def orientation_dense(amplitudes, energies, m, times, t0):
 
 # ------------------------------------------------------ cross-frame reference
 #
-# The product (rotor x photon) basis and its bridge to the dressed states.
-# The package propagates in either frame but never converts between them;
+# The product (rotor x photon) basis, its full Hamiltonian with the
+# counter-rotating coupling, and its bridge to the dressed states.  The
+# package propagates the dressed basis or the rotor alone, never this frame;
 # the cross-frame checks compare the two through these helpers.
+#
+# Conventions: product basis states are (rotor J, photon n) ordered
+# lexicographically in (n, J), i.e. all J for n = 0, then n = 1, ...  The
+# full-Hamiltonian coupling prefactor is g / mu01, so the cavity sees the
+# complete dipole ladder, not just the lowest rung.
+
+def _photon_number(n_max):
+    return np.diag(np.arange(n_max + 1, dtype=float))
+
+
+def _photon_x(n_max):
+    """a + a^dagger on the truncated photon ladder."""
+    m = np.zeros((n_max + 1, n_max + 1))
+    n = np.arange(n_max)
+    m[n, n + 1] = np.sqrt(n + 1.0)
+    m[n + 1, n] = np.sqrt(n + 1.0)
+    return m
+
+
+def build_full_hamiltonian(params):
+    """Drift and drive operators in the product basis.
+
+    Returns (h0, v) where
+
+        h0 = B J(J+1) + w_c a^dag a - (g / mu01) (mu cos theta)(a + a^dag)
+        v  = (mu cos theta) x 1
+
+    and the total Hamiltonian under a field E(t) is h0 - E(t) v.  The
+    light-matter term keeps both rotating and counter-rotating parts.
+    """
+    jdim = params.j_max + 1
+    ndim = params.n_max + 1
+    jvals = np.arange(jdim, dtype=float)
+    rotor_h = np.diag(params.rot_const * jvals * (jvals + 1.0))
+    mucos = params.dipole * rp.cos_theta_elements(params.j_max).matrix.real
+
+    h0 = np.kron(np.eye(ndim), rotor_h) + np.kron(params.cavity_freq * _photon_number(params.n_max), np.eye(jdim))
+    if params.coupling != 0.0:
+        lam = params.coupling / params.mu01
+        h0 = h0 - lam * np.kron(_photon_x(params.n_max), mucos)
+    v = np.kron(np.eye(ndim), mucos)
+    return (
+        rp.OperatorMatrix(h0, basis="product"),
+        rp.OperatorMatrix(v, basis="product"),
+    )
+
 
 @dataclass(frozen=True)
 class ProductBasis:
@@ -203,7 +250,7 @@ def adiabatic_dressed_vectors(params, basis=None):
     """
     if basis is None:
         basis = rp.build_dressed_basis(params)
-    h0, _ = rp.build_full_hamiltonian(params)
+    h0, _ = build_full_hamiltonian(params)
     evals, evecs = np.linalg.eigh(h0.matrix)
     emb = embed_dressed_vectors(params, basis)
     overlaps = np.abs(evecs.conj().T @ emb)
@@ -236,7 +283,7 @@ def bare_kick(p_bare):
     """Quarter-area kick on the uncoupled molecule, bandwidth 0.1 g."""
     fld = rp.gaussian_for_area(p_bare, rp.KICK_AREA, tau0=1.0 / (0.1 * G),
                                omega0=p_bare.omega01)
-    return rp.kick_response(p_bare, fld, dressed=False)
+    return rp.kick_response(p_bare, fld)
 
 
 @pytest.fixture(scope="session")
@@ -244,7 +291,7 @@ def cavity_kick(p_cavity):
     """Same kick with the cavity coupled: the doublet blocks the transfer."""
     fld = rp.gaussian_for_area(p_cavity, rp.KICK_AREA, tau0=1.0 / (0.1 * G),
                                omega0=p_cavity.omega01)
-    return rp.kick_response(p_cavity, fld, dressed=True)
+    return rp.kick_response(p_cavity, fld)
 
 
 @pytest.fixture(scope="session")

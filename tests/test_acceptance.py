@@ -17,6 +17,7 @@ from conftest import (
     TAU,
     W01,
     area_by_quadrature,
+    build_full_hamiltonian,
     cos_matrix_quadrature,
 )
 from rotpolariton import DESIGN_AREA
@@ -132,7 +133,7 @@ def test_numerical_invariants_hold_at_machine_level(
         assert total == pytest.approx(1.0, abs=1e-10)
 
     # operators stay hermitian, the dressing transform orthogonal
-    h0, v = rp.build_full_hamiltonian(p_cavity)
+    h0, v = build_full_hamiltonian(p_cavity)
     for op in (h0.matrix, v.matrix, rp.dressed_cos_matrix(p_cavity).matrix):
         assert np.max(np.abs(op - op.conj().T)) <= 1e-12
     t = rp.build_dressed_basis(p_cavity).transform

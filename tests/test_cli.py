@@ -50,7 +50,6 @@ def test_defaults_resolve():
     cfg = resolve_config({})
     assert cfg["field"]["kind"] == "gaussian"
     assert cfg["field"]["area"] == pytest.approx(KICK_AREA)
-    assert cfg["experiment"]["dressed"] is True
     assert cfg["scan"]["detunings_g"] == [0.0]
     assert cfg["system"]["rot_const_au"] == pytest.approx(
         convert_units(0.20286, "cm-1", "au"))
@@ -62,7 +61,6 @@ def test_presets_resolve():
         assert cfg["output"]["directory"] == "out"
     bare = resolve_config({}, preset="bare")
     assert bare["system"]["cavity"] is False
-    assert bare["experiment"]["dressed"] is False
     fig2 = resolve_config({}, preset="fig2")
     assert len(fig2["scan"]["detunings_g"]) == 81
     assert fig2["scan"]["cavity"] == [True, False]
@@ -172,14 +170,14 @@ def test_readme_config_block_shows_the_defaults():
     assert yaml.safe_load(block) == DEFAULTS
 
 
-def test_dressed_flag_must_match_the_cavity():
-    with pytest.raises(ConfigError, match="dressed"):
-        resolve_config({"system": {"cavity": False, "n_max": 0},
-                        "experiment": {"dressed": True}})
-    with pytest.raises(ConfigError, match="dressed"):
-        resolve_config({"experiment": {"dressed": False}})
-    cfg = resolve_config({"system": {"cavity": False, "n_max": 0}})
-    assert cfg["experiment"]["dressed"] is False
+def test_dressed_is_no_config_key(tmp_path, capsys):
+    # system.cavity picks the frame: the dressed basis or the rotor alone
+    for cavity, n_max in ((True, 4), (False, 0)):
+        path = write_cfg(tmp_path / "dressed.yaml",
+                         {"system": {"cavity": cavity, "n_max": n_max},
+                          "experiment": {"dressed": cavity}})
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 2
+        assert "experiment.'dressed'" in capsys.readouterr().err
 
 
 def test_coupled_cavity_needs_photon_states():
@@ -644,8 +642,7 @@ def test_numeric_strings_are_stored_as_numbers(tmp_path, capsys):
 
 
 def test_booleans_must_be_booleans(tmp_path, capsys):
-    for section, key in (("system", "cavity"), ("experiment", "dressed"),
-                         ("scan", "write_spectra")):
+    for section, key in (("system", "cavity"), ("scan", "write_spectra")):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             resolve_config({section: {key: "false"}})
     with pytest.raises(ConfigError, match="integrator.tol"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rotpolariton as rp
-from conftest import B, G, TAU, SQRT3INV, ocs_params, unit_params
+from conftest import B, G, TAU, SQRT3INV, build_full_hamiltonian, ocs_params, unit_params
 
 
 # ------------------------------------------------------------ area bookkeeping
@@ -246,11 +246,53 @@ def test_design_boundary_bandwidth_is_accepted(p_cavity):
 
 # ----------------------------------------------------------------- responses
 
-def test_kick_response_rejects_coupled_product_run(p_cavity):
-    fld = rp.gaussian_for_area(p_cavity, rp.KICK_AREA, tau0=1.0 / G,
-                               omega0=p_cavity.omega01)
-    with pytest.raises(ValueError):
-        rp.kick_response(p_cavity, fld, dressed=False)
+def _refined_max(state, energies, m, t0, window, n):
+    """Largest sample of the post-pulse trace, or the trace at the parabola
+    vertex through it and its neighbours where that is larger."""
+    dt = window / n
+    ts = t0 + dt * np.arange(n)
+    vals = rp.orientation_trace(state, energies, m, ts).values
+    i = int(np.argmax(vals))
+    den = vals[i - 1] - 2.0 * vals[i] + vals[i + 1] if 0 < i < n - 1 else 0.0
+    shift = 0.5 * (vals[i - 1] - vals[i + 1]) / den if den < 0 else 0.0
+    t = ts[i] + shift * dt
+    vertex = rp.orientation_trace(state, energies, m, np.array([t, t + dt]))
+    return float(max(vertex.values[0], vals[i]))
+
+
+def _assert_matches_product_reference(p, fld, rec):
+    # the rotor alone against the counter-rotating reference at n_max = 0,
+    # whose photon ladder is one state: the same arithmetic, so equal bits
+    h0, v = build_full_hamiltonian(p)
+    labels = tuple(f"J{j},n0" for j in range(p.j_max + 1))
+    s0 = rp.unit_state(labels, 0, basis="product", time=fld.t_start)
+    traj = rp.propagate(h0, v, fld, s0, np.linspace(fld.t_start, fld.t_end, 2))
+    end = traj.state_at(1)
+    assert rec["populations"] == {lab: float(abs(a) ** 2)
+                                  for lab, a in zip(labels, end.amplitudes)}
+    assert rec["step_error"] == traj.meta["step_error"]
+    assert rec["halvings"] == traj.meta["halvings"]
+    cos_op = rp.OperatorMatrix(rp.cos_theta_elements(p.j_max).matrix, basis="product")
+    assert rec["orientation_max"] == _refined_max(
+        end, np.diag(h0.matrix).real, cos_op, fld.t_end, 40.0 * p.revival_time, 16384)
+
+
+def test_bare_kick_equals_the_product_basis_reference(p_bare, bare_kick):
+    fld = rp.gaussian_for_area(p_bare, rp.KICK_AREA, tau0=1.0 / (0.1 * G),
+                               omega0=p_bare.omega01)
+    _assert_matches_product_reference(p_bare, fld, bare_kick)
+    # B and mu away from 1, and a longer ladder
+    p = ocs_params(cavity=False, j_max=30)
+    fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.1 * p.omega01),
+                               omega0=p.omega01)
+    _assert_matches_product_reference(p, fld, rp.kick_response(p, fld))
+
+
+def test_uncoupled_kick_rejects_a_photon_ladder():
+    p = unit_params(coupling=0.0)
+    fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / G, omega0=p.omega01)
+    with pytest.raises(ValueError, match="n_max"):
+        rp.kick_response(p, fld)
 
 
 def test_magnus_final_state_matches_exact_at_narrow_bandwidth(

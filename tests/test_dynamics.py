@@ -11,7 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
 from rotpolariton.dynamics import propagate, propagate_batch, unit_state
-from conftest import B, G, adiabatic_dressed_vectors, schrodinger_dop853, unit_params
+from conftest import (
+    B,
+    G,
+    adiabatic_dressed_vectors,
+    build_full_hamiltonian,
+    schrodinger_dop853,
+    unit_params,
+)
 
 
 def _dressed_setup(params):
@@ -129,7 +136,7 @@ def test_kernel_matches_dop853(name):
         h0, v, bas = rp.build_dressed_hamiltonian(p)
         labels = bas.labels
     else:
-        h0, v = rp.build_full_hamiltonian(p)
+        h0, v = build_full_hamiltonian(p)
         labels = tuple(range(h0.dim))
     assert len(labels) == dim
     fld = rp.gaussian_for_area(p, 1.2, tau0=1.0 / (4.0 * G), omega0=p.omega01)
@@ -362,7 +369,7 @@ def _population_mismatch(ratio, j_max, n_max, bw_ratio):
     td = propagate(h0d, vd, fld, s0d, np.array([fld.t_start, fld.t_end]), tol=1e-9)
     pd = np.abs(td.states[-1]) ** 2
 
-    h0f, vf = rp.build_full_hamiltonian(p)
+    h0f, vf = build_full_hamiltonian(p)
     vecs, _evals, _ = adiabatic_dressed_vectors(p)
     s0f = rp.StateVector(vecs[:, 0], basis="product", time=fld.t_start)
     tf = propagate(h0f, vf, fld, s0f, np.array([fld.t_start, fld.t_end]), tol=1e-9)
@@ -384,7 +391,7 @@ def test_frame_mismatch_shrinks_with_the_coupling():
     assert d_small > 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "counter-rotating terms shift the doublet transition frequencies at "
     "relative order g/omega01, which feeds the kick populations at first "
     "order in g; the frame mismatch floors near 2e-5 at g = 0.01 omega01 "
@@ -400,7 +407,7 @@ def test_truncation_is_converged():
     fld = rp.gaussian_for_area(p8, rp.KICK_AREA, tau0=1.0 / G, omega0=p8.omega01)
     pops = {}
     for p in (p8, p10):
-        h0, v = rp.build_full_hamiltonian(p)
+        h0, v = build_full_hamiltonian(p)
         s0 = unit_state([f"J{j}" for j in range(p.j_max + 1)], 0,
                         basis="product", time=fld.t_start)
         traj = propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]))

@@ -9,6 +9,7 @@ from conftest import (
     G,
     W01,
     adiabatic_dressed_vectors,
+    build_full_hamiltonian,
     build_product_basis,
     cos_matrix_quadrature,
     embed_dressed_vectors,
@@ -104,7 +105,7 @@ def test_cos_theta_known_values():
 
 def test_full_hamiltonian_structure():
     p = unit_params(j_max=4, n_max=2)
-    h0, v = rp.build_full_hamiltonian(p)
+    h0, v = build_full_hamiltonian(p)
     pb = build_product_basis(4, 2)
     assert h0.dim == pb.dim == v.dim
     assert _hermiticity_defect(h0) < 1e-15
@@ -127,7 +128,7 @@ def test_full_hamiltonian_structure():
 
 def test_bare_hamiltonian_has_no_coupling():
     p = unit_params(cavity_freq=0.0, coupling=0.0, n_max=0)
-    h0, v = rp.build_full_hamiltonian(p)
+    h0, v = build_full_hamiltonian(p)
     assert np.max(np.abs(h0.matrix - np.diag(np.diag(h0.matrix)))) == 0.0
 
 
@@ -223,7 +224,7 @@ def test_embedded_dressed_vectors_are_orthonormal():
 
 def test_adiabatic_vectors_are_exact_eigenvectors():
     p = unit_params()
-    h0, _v = rp.build_full_hamiltonian(p)
+    h0, _v = build_full_hamiltonian(p)
     vecs, evals, bas = adiabatic_dressed_vectors(p)
     resid = h0.matrix @ vecs - vecs * evals[None, :]
     assert np.max(np.abs(resid)) < 1e-12
