@@ -37,7 +37,6 @@ from .errors import (
     ConfigError,
     DesignInfeasible,
     NoRevivalFound,
-    NonResonantCavity,
     NotConverged,
     RotPolaritonError,
     UnknownUnit,
@@ -47,7 +46,6 @@ from .model import (
     OperatorMatrix,
     SystemParams,
     build_dressed_basis,
-    build_dressed_hamiltonian,
     convert_units,
     cos_theta_elements,
     doublet_energies,

@@ -208,7 +208,7 @@ SCHEMA = {
         "bandwidth_g": (0.1, (float, "positive")),  # 1/tau0 in units of g_ref
         "detuning_g": (0.0, float),     # gaussian carrier offset from omega01, units of g_ref
         "phase": (0.0, float),          # gaussian carrier phase
-        "carriers": (None, _carriers),  # composite: offsets from omega_c, units of g_ref
+        "carriers": (None, _carriers),  # composite: offsets from omega01, units of g_ref
         "phase_minus": (0.0, float),    # designed: fixed lower-carrier phase
         "branch": ("+", ("+", "-")),    # designed: root of the phase condition
     },
@@ -384,14 +384,10 @@ def build_params(cfg):
     coupled runs share pulse definitions.
     """
     s = cfg["system"]
-    b = s["rot_const_au"]
-    mu = s["dipole_au"]
-    omega01 = 2.0 * b
     g_ref = _g_ref(s)
     params = SystemParams(
-        rot_const=b,
-        dipole=mu,
-        cavity_freq=omega01 if s["cavity"] else 0.0,
+        rot_const=s["rot_const_au"],
+        dipole=s["dipole_au"],
         coupling=g_ref if s["cavity"] else 0.0,
         j_max=s["j_max"],
         n_max=s["n_max"] if s["cavity"] else 0,
@@ -407,7 +403,7 @@ def build_field(cfg, params, g_ref):
         carrier = params.omega01 + f["detuning_g"] * g_ref
         return gaussian_for_area(params, f["area"], tau0, carrier, f["phase"]), None
     if f["kind"] == "composite":
-        comps = [(params.cavity_freq + c["detuning_g"] * g_ref, c["phase"])
+        comps = [(params.omega01 + c["detuning_g"] * g_ref, c["phase"])
                  for c in f["carriers"]]
         return composite_for_area(params, f["area"], tau0, comps), None
     return design_composite(params, bandwidth=f["bandwidth_g"] * g_ref, area=f["area"],
@@ -574,6 +570,9 @@ def cmd_scan(cfg, args):
     if not cfg["system"]["cavity"]:
         raise ConfigError("scan: system.cavity must stay on; bare runs come from scan.cavity")
     sc = cfg["scan"]
+    if sc["kind"] == "composite" and params.n_max < 2:
+        raise ConfigError("system.n_max: a composite scan compares against the first-order "
+                          "state, which needs |+-;1>, so n_max >= 2")
     exp = cfg["experiment"]
     tau = params.revival_time
     kw = {"bandwidths": [b * g_ref for b in sc["bandwidths_g"]],

@@ -24,7 +24,7 @@ processes as they are, and the records come back in job order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .dynamics import (
 from .errors import DesignInfeasible, NoRevivalFound, NotConverged
 from .model import (
     OperatorMatrix,
-    SystemParams,
-    build_dressed_hamiltonian,
+    build_dressed_basis,
     cos_theta_elements,
     dressed_cos_matrix,
     doublet_energies,
@@ -282,23 +281,24 @@ def _trace_revival(series, tau):
 
 
 def _kick_setup(params, fld):
-    """Hamiltonian, initial state, cos theta and drift energies of a kick.
+    """Drift, drive, initial state, cos theta and drift energies of a kick.
 
-    A coupled run (g > 0) takes the dressed basis.  Otherwise the rotor is
-    alone: h0 = B J(J+1), v = mu cos theta, and it has no photon ladder.
+    A coupled run (g > 0) takes the dressed basis; otherwise the rotor is
+    alone, with energies B J(J+1) and no photon ladder.  Either way
+    h0 = diag(energies), v = mu cos theta, and the run starts at index 0.
     """
     if params.coupling > 0:
-        h0, v, basis = build_dressed_hamiltonian(params)
-        state0 = unit_state(basis.labels, "0;0", basis="dressed", time=fld.t_start)
-        return h0, v, state0, dressed_cos_matrix(params), basis.energies
-    if params.n_max > 0:
+        basis = build_dressed_basis(params)
+        labels, energies, cos_op = basis.labels, basis.energies, dressed_cos_matrix(params)
+    elif params.n_max > 0:
         raise ValueError(f"an uncoupled run is the rotor alone and needs n_max = 0, "
                          f"got {params.n_max}")
-    j = np.arange(params.j_max + 1, dtype=float)
-    energies = params.rot_const * j * (j + 1.0)
-    cos_op = cos_theta_elements(params.j_max)
-    state0 = unit_state(tuple(f"J{k},n0" for k in range(params.j_max + 1)), 0,
-                        basis=cos_op.basis, time=fld.t_start)
+    else:
+        j = np.arange(params.j_max + 1, dtype=float)
+        labels = tuple(f"J{k},n0" for k in range(params.j_max + 1))
+        energies = params.rot_const * j * (j + 1.0)
+        cos_op = cos_theta_elements(params.j_max)
+    state0 = unit_state(labels, 0, basis=cos_op.basis, time=fld.t_start)
     return (OperatorMatrix(np.diag(energies), basis=cos_op.basis),
             OperatorMatrix(params.dipole * cos_op.matrix.real, basis=cos_op.basis),
             state0, cos_op, energies)
@@ -366,11 +366,12 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
                   n_pulse_samples=2, integrator=None):
     """Propagate one pulse and summarize the post-pulse orientation.
 
-    A coupled run (g > 0) runs in the polariton eigenbasis, with the cavity
-    on resonance; an uncoupled one runs on the rotor alone and needs
-    n_max = 0, otherwise ValueError.  Returns a plain dict: orientation
-    max (parabola-refined), value at the snapshot offset after the pulse,
-    revival period (None if undetected), spectral peaks, final populations.
+    A coupled run (g > 0) runs in the polariton eigenbasis of the cavity on
+    the 0-1 line, an uncoupled one on the rotor alone, which needs n_max = 0
+    (otherwise ValueError); the drive is mu cos theta in both.  Returns a
+    plain dict: orientation max (parabola-refined), value at the snapshot
+    offset after the pulse, revival period (None if undetected), spectral
+    peaks, final populations.
     No value is read off roundoff: each must be resolved by the certified
     step error ε to _RESOLUTION (5 %).  A trace moves by up to 2 ε, so one
     whose largest |value| is below 2 ε / 5 % = 40 ε is flat, with t_max and
@@ -394,17 +395,20 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
                          keep_series=keep_series, keep_spectrum=keep_spectrum)
 
 
-_MAGNUS_LABELS = ("0;0", "+;0", "-;0", "+;1", "-;1")
-
-
 def magnus_final_state(params, fld):
-    """First-order analytic end-of-pulse state, with its drift phases since t = 0."""
+    """First-order analytic end-of-pulse state, with its drift phases since t = 0.
+
+    It lives on the first five dressed states, |0;0>, |+-;0> and |+-;1>, so
+    it needs n_max >= 2, otherwise ValueError.
+    """
+    if params.n_max < 2:
+        raise ValueError(f"the first-order state needs |+-;1>, so n_max >= 2, "
+                         f"got {params.n_max}")
     amps = magnus_wavefunction(compute_areas(params, fld))
-    w0 = doublet_energies(params, 0)
-    w1 = doublet_energies(params, 1)
-    energies = np.array([0.0, w0[0], w0[1], w1[0], w1[1]])
+    basis = build_dressed_basis(params)
+    energies = basis.energies[:5]
     state = StateVector(np.exp(-1j * energies * fld.t_end) * amps, basis="dressed",
-                        time=fld.t_end, labels=_MAGNUS_LABELS)
+                        time=fld.t_end, labels=basis.labels[:5])
     return state, energies
 
 
@@ -505,9 +509,7 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     jobs = []
     axes = []
     for cav in cavity:
-        run_params = params if cav else SystemParams(
-            rot_const=params.rot_const, dipole=params.dipole, cavity_freq=0.0,
-            coupling=0.0, j_max=params.j_max, n_max=0)
+        run_params = params if cav else replace(params, coupling=0.0, n_max=0)
         for bw in bandwidths:
             fields = [gaussian_for_area(run_params, area, 1.0 / bw, params.omega01 + det)
                       for det in detunings]

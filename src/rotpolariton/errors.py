@@ -9,10 +9,6 @@ class UnknownUnit(RotPolaritonError, ValueError):
     """Unit string is not one of the supported unit names."""
 
 
-class NonResonantCavity(RotPolaritonError, ValueError):
-    """Dressed-basis construction requires the cavity tuned to the 0-1 rotor line."""
-
-
 class NotConverged(RotPolaritonError, RuntimeError):
     """Step-halving certification of the propagator failed at the minimum step."""
 

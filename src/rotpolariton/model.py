@@ -1,14 +1,15 @@
-"""System definition: units, parameters, bases, and Hamiltonians.
+"""System definition: units, parameters, the dressed basis, and cos theta.
 
 A single polar linear molecule (rigid rotor, M = 0 manifold) couples to one
-cavity mode near-resonant with its 0-1 rotational line.  Everything internal
-runs in Hartree atomic units with hbar = 1, so energies double as angular
-frequencies.  Inputs are accepted in wavenumbers (rotational constant, cavity
-frequency) and Debye (permanent dipole).
+cavity mode that sits on its 0-1 rotational line, w_c = omega01 = 2B, by
+construction.  Everything internal runs in Hartree atomic units with
+hbar = 1, so energies double as angular frequencies.  Inputs are accepted in
+wavenumbers (rotational constant) and Debye (permanent dipole).
 
-A run has one of two models.  Without coupling the rotor is alone: drift
-B J(J+1) and drive mu cos theta on J = 0 .. j_max.  With it, the run uses the
-resonant Jaynes-Cummings ladder in its dressed basis:
+A run has one of two models, each described by its energies and cos theta;
+the drive is mu cos theta in both.  Without coupling the rotor is alone:
+energies B J(J+1) on J = 0 .. j_max.  With it, the run uses the resonant
+Jaynes-Cummings ladder in its dressed basis:
 
 * the light-matter coupling strength ``g`` is the vacuum Rabi element on the
   0-1 line.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, NonResonantCavity, UnknownUnit
+from .errors import BasisMismatch, UnknownUnit
 
 __all__ = [
     "HARTREE_PER_CM1",
@@ -33,7 +34,6 @@ __all__ = [
     "DressedBasis",
     "cos_theta_elements",
     "build_dressed_basis",
-    "build_dressed_hamiltonian",
     "dressed_cos_matrix",
     "doublet_energies",
     "mu_tilde_ground",
@@ -43,9 +43,6 @@ __all__ = [
 # CODATA: 1 Hartree = 219474.6313632 cm^-1, 1 e*a0 = 2.5417464519 Debye.
 HARTREE_PER_CM1 = 1.0 / 219474.6313632
 AU_PER_DEBYE = 1.0 / 2.5417464519
-
-# the dressed builders accept a cavity this close to the 0-1 line, relative
-_RESONANCE_RTOL = 1e-9
 
 # unit name -> (dimension, factor to atomic units)
 _UNITS = {
@@ -80,10 +77,12 @@ def convert_units(value, from_unit, to_unit):
 class SystemParams:
     """Molecule plus cavity parameters, all in atomic units.
 
+    The cavity mode sits on the 0-1 line, w_c = omega01, so it has no
+    frequency of its own.
+
     rot_const  rotational constant B
     dipole     permanent dipole mu
-    cavity_freq  cavity mode frequency w_c
-    coupling   vacuum Rabi coupling g on the 0-1 line
+    coupling   vacuum Rabi coupling g on the 0-1 line; 0 leaves the rotor alone
     j_max      rotor truncation (inclusive)
     n_max      photon truncation (inclusive) of the dressed ladder; 0 without
                coupling
@@ -91,7 +90,6 @@ class SystemParams:
 
     rot_const: float
     dipole: float
-    cavity_freq: float
     coupling: float
     j_max: int = 8
     n_max: int = 4
@@ -99,8 +97,8 @@ class SystemParams:
     def __post_init__(self):
         if self.rot_const <= 0 or self.dipole <= 0:
             raise ValueError("rot_const and dipole must be positive")
-        if self.cavity_freq < 0 or self.coupling < 0:
-            raise ValueError("cavity_freq and coupling must be nonnegative")
+        if self.coupling < 0:
+            raise ValueError("coupling must be nonnegative")
         if self.j_max < 1 or self.n_max < 0:
             raise ValueError("need j_max >= 1 and n_max >= 0")
 
@@ -118,9 +116,6 @@ class SystemParams:
     def revival_time(self):
         """Bare-molecule orientation period pi/B."""
         return np.pi / self.rot_const
-
-    def is_resonant(self):
-        return abs(self.cavity_freq - self.omega01) <= _RESONANCE_RTOL * self.omega01
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,7 @@ def cos_theta_elements(j_max):
 
 def doublet_energies(params, n):
     """Energies of the n-th polariton doublet (upper, lower) above |0;0>."""
-    wc, g = params.cavity_freq, params.coupling
+    wc, g = params.omega01, params.coupling
     return (wc * (n + 1) + g * np.sqrt(n + 1.0), wc * (n + 1) - g * np.sqrt(n + 1.0))
 
 
@@ -223,12 +218,7 @@ class DressedBasis:
 
 
 def build_dressed_basis(params):
-    """Construct the dressed basis; requires the cavity on resonance."""
-    if not params.is_resonant():
-        raise NonResonantCavity(
-            f"cavity at {params.cavity_freq:g} au vs 0-1 line {params.omega01:g} au "
-            f"(tolerance {_RESONANCE_RTOL:g} relative)"
-        )
+    """Construct the dressed basis of the resonant ladder."""
     n_max = params.n_max
     if n_max < 1:
         raise ValueError("dressed basis needs n_max >= 1")
@@ -258,34 +248,8 @@ def build_dressed_basis(params):
     # photon-truncation edge state |J=1, n_max> has no |J=0, n_max+1> partner
     u[pidx(1, n_max), col] = 1.0
     labels.append("edge")
-    energies.append(params.omega01 + n_max * params.cavity_freq)
+    energies.append(params.omega01 + n_max * params.omega01)
     return DressedBasis(n_max=n_max, labels=tuple(labels), energies=np.array(energies), transform=u)
-
-
-def _two_level_drive(params):
-    """(mu cos theta) x 1 on the two-level rotor product space, (n, j) order."""
-    cos2 = cos_theta_elements(1).matrix.real
-    return np.kron(np.eye(params.n_max + 1), params.dipole * cos2)
-
-
-def build_dressed_hamiltonian(params):
-    """Drift (diagonal) and drive operators in the dressed basis.
-
-    The drift keeps only the rotating part of the light-matter coupling, so
-    its eigenvalues are exactly the doublet energies.  The drive is the
-    two-level rotor dipole conjugated into the dressed frame; its nonzero
-    elements are +-mu01/sqrt(2) between |0;0> and |+-;0> and +-mu01/2 between
-    adjacent doublets, the sign following the upper doublet's parity.
-    """
-    basis = build_dressed_basis(params)
-    u = basis.transform
-    v = u.conj().T @ _two_level_drive(params) @ u
-    v = 0.5 * (v + v.conj().T)
-    return (
-        OperatorMatrix(np.diag(basis.energies), basis="dressed"),
-        OperatorMatrix(v, basis="dressed"),
-        basis,
-    )
 
 
 def dressed_cos_matrix(params):

@@ -26,8 +26,7 @@ SWEEP_BW = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
 def unit_params(**over):
-    kw = dict(rot_const=B, dipole=1.0, cavity_freq=W01, coupling=G,
-              j_max=8, n_max=4)
+    kw = dict(rot_const=B, dipole=1.0, coupling=G, j_max=8, n_max=4)
     kw.update(over)
     return rp.SystemParams(**kw)
 
@@ -36,12 +35,10 @@ def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
     """OCS molecule in a resonant cavity; coupling_ratio is g / omega01."""
     b = rp.convert_units(0.20286, "cm-1", "au")
     mu = rp.convert_units(0.715, "debye", "au-dipole")
-    omega01 = 2.0 * b
-    g = coupling_ratio * omega01 if cavity else 0.0
+    g = coupling_ratio * (2.0 * b) if cavity else 0.0
     return rp.SystemParams(
         rot_const=b,
         dipole=mu,
-        cavity_freq=omega01 if cavity else 0.0,
         coupling=g,
         j_max=j_max,
         n_max=n_max if cavity else 0,
@@ -121,6 +118,21 @@ def orientation_dense(amplitudes, energies, m, times, t0):
     return np.einsum("ti,ij,tj->t", psi.conj(), m, psi).real
 
 
+# ------------------------------------------------------------ dressed model
+
+def dressed_operators(params):
+    """(diag E, mu cos theta, basis) of the dressed model.
+
+    The drift and drive a coupled kick propagates, written from the dressed
+    basis and its cos theta.
+    """
+    basis = rp.build_dressed_basis(params)
+    cos_op = rp.dressed_cos_matrix(params)
+    return (rp.OperatorMatrix(np.diag(basis.energies), basis="dressed"),
+            rp.OperatorMatrix(params.dipole * cos_op.matrix.real, basis="dressed"),
+            basis)
+
+
 # ------------------------------------------------------ cross-frame reference
 #
 # The product (rotor x photon) basis, its full Hamiltonian with the
@@ -163,7 +175,7 @@ def build_full_hamiltonian(params):
     rotor_h = np.diag(params.rot_const * jvals * (jvals + 1.0))
     mucos = params.dipole * rp.cos_theta_elements(params.j_max).matrix.real
 
-    h0 = np.kron(np.eye(ndim), rotor_h) + np.kron(params.cavity_freq * _photon_number(params.n_max), np.eye(jdim))
+    h0 = np.kron(np.eye(ndim), rotor_h) + np.kron(params.omega01 * _photon_number(params.n_max), np.eye(jdim))
     if params.coupling != 0.0:
         lam = params.coupling / params.mu01
         h0 = h0 - lam * np.kron(_photon_x(params.n_max), mucos)
@@ -273,7 +285,7 @@ def p_cavity():
 
 @pytest.fixture(scope="session")
 def p_bare():
-    return unit_params(cavity_freq=0.0, coupling=0.0, n_max=0)
+    return unit_params(coupling=0.0, n_max=0)
 
 
 # --------------------------------------------------------- heavy runs

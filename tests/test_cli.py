@@ -278,6 +278,31 @@ def test_failed_scan_design_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_composite_scan_needs_the_first_doublet_rung(tmp_path, capsys):
+    # the first-order state it compares against holds |+-;1>, which n_max 1 lacks
+    cfg = {"system": {"n_max": 1}, "scan": {"kind": "composite", "bandwidths_g": [1.0]}}
+    out = tmp_path / "run"
+    assert main(["scan", "--config", write_cfg(tmp_path / "n1.yaml", cfg),
+                 "--out", str(out)]) == 2
+    assert "config error: system.n_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bare_composite_carriers_sit_around_the_0_1_line():
+    # with the cavity off, one composite carrier at detuning 0 is the
+    # Gaussian kick on the 0-1 line, and reaches its orientation maximum
+    maxima = []
+    for field in ({"kind": "composite", "carriers": [{"detuning_g": 0.0}]},
+                  {"kind": "gaussian"}):
+        cfg = resolve_config({"system": {"cavity": False, "n_max": 0},
+                              "field": {"bandwidth_g": 1.0, **field}})
+        params, g_ref = build_params(cfg)
+        fld, _ = cli.build_field(cfg, params, g_ref)
+        maxima.append(kick_response(params, fld)["orientation_max"])
+    assert maxima[0] == pytest.approx(maxima[1], abs=1e-9)
+    assert maxima[1] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-6)
+
+
 @pytest.mark.parametrize("name, cfg", [
     ("detuning", {"field": {"detuning_g": 1.0e300}}),
     ("carrier", {"field": {"kind": "composite", "carriers": [{"detuning_g": 1.0e300}]}}),
@@ -774,6 +799,7 @@ def _runs(draw):
 @example(preset="bare", raw={"experiment": {"trace_window_tau": 0.1}})
 @example(preset="bare", raw={"experiment": {"trace_window_tau": 1.0e-12}})
 @example(preset="bare", raw={"experiment": {"snapshot_tau": 1.0e+300}})
+@example(preset=None, raw={"system": {"n_max": 1}, "scan": {"kind": "composite"}})
 @settings(max_examples=4, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(preset=st.sampled_from([None, "bare", "fig3", "fig4"]), raw=_runs())

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rotpolariton as rp
-from conftest import B, G, TAU, SQRT3INV, build_full_hamiltonian, ocs_params, unit_params
+from conftest import (
+    B,
+    G,
+    TAU,
+    SQRT3INV,
+    build_full_hamiltonian,
+    dressed_operators,
+    ocs_params,
+    unit_params,
+)
 
 
 # ------------------------------------------------------------ area bookkeeping
@@ -219,7 +228,7 @@ def test_design_infeasible_cases(p_cavity):
     with pytest.raises(rp.DesignInfeasible):
         rp.design_composite(p_cavity, bandwidth=0.5 * G)
     with pytest.raises(rp.DesignInfeasible):
-        rp.design_composite(unit_params(cavity_freq=0.0, coupling=0.0, n_max=0),
+        rp.design_composite(unit_params(coupling=0.0, n_max=0),
                             bandwidth=0.1 * G)
     with pytest.raises(ValueError, match="branch"):
         rp.design_composite(p_cavity, bandwidth=0.1 * G, branch="auto")
@@ -260,32 +269,41 @@ def _refined_max(state, energies, m, t0, window, n):
     return float(max(vertex.values[0], vals[i]))
 
 
-def _assert_matches_product_reference(p, fld, rec):
+def _assert_matches_reference(p, fld, rec):
     # the rotor alone against the counter-rotating reference at n_max = 0,
-    # whose photon ladder is one state: the same arithmetic, so equal bits
-    h0, v = build_full_hamiltonian(p)
-    labels = tuple(f"J{j},n0" for j in range(p.j_max + 1))
-    s0 = rp.unit_state(labels, 0, basis="product", time=fld.t_start)
+    # whose photon ladder is one state, and the dressed model against its
+    # diag E and mu cos theta: the same arithmetic, so equal bits
+    if p.coupling > 0:
+        h0, v, basis = dressed_operators(p)
+        labels, tag, cos_op = basis.labels, "dressed", rp.dressed_cos_matrix(p)
+    else:
+        h0, v = build_full_hamiltonian(p)
+        labels, tag = tuple(f"J{j},n0" for j in range(p.j_max + 1)), "product"
+        cos_op = rp.OperatorMatrix(rp.cos_theta_elements(p.j_max).matrix, basis=tag)
+    s0 = rp.unit_state(labels, 0, basis=tag, time=fld.t_start)
     traj = rp.propagate(h0, v, fld, s0, np.linspace(fld.t_start, fld.t_end, 2))
     end = traj.state_at(1)
     assert rec["populations"] == {lab: float(abs(a) ** 2)
                                   for lab, a in zip(labels, end.amplitudes)}
     assert rec["step_error"] == traj.meta["step_error"]
     assert rec["halvings"] == traj.meta["halvings"]
-    cos_op = rp.OperatorMatrix(rp.cos_theta_elements(p.j_max).matrix, basis="product")
     assert rec["orientation_max"] == _refined_max(
         end, np.diag(h0.matrix).real, cos_op, fld.t_end, 40.0 * p.revival_time, 16384)
 
 
-def test_bare_kick_equals_the_product_basis_reference(p_bare, bare_kick):
-    fld = rp.gaussian_for_area(p_bare, rp.KICK_AREA, tau0=1.0 / (0.1 * G),
-                               omega0=p_bare.omega01)
-    _assert_matches_product_reference(p_bare, fld, bare_kick)
-    # B and mu away from 1, and a longer ladder
-    p = ocs_params(cavity=False, j_max=30)
+@pytest.mark.parametrize("model", ["bare", "dressed"])
+def test_kick_equals_its_reference(model, request):
+    cavity = model == "dressed"
+    p = request.getfixturevalue("p_cavity" if cavity else "p_bare")
+    fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.1 * G), omega0=p.omega01)
+    _assert_matches_reference(p, fld, request.getfixturevalue(
+        "cavity_kick" if cavity else "bare_kick"))
+    # B and mu away from 1, and a longer rotor ladder; the dressed kick is
+    # broadband (bandwidth g), so both doublet lines take population
+    p = ocs_params(cavity=cavity, j_max=30)
     fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.1 * p.omega01),
                                omega0=p.omega01)
-    _assert_matches_product_reference(p, fld, rp.kick_response(p, fld))
+    _assert_matches_reference(p, fld, rp.kick_response(p, fld))
 
 
 def test_uncoupled_kick_rejects_a_photon_ladder():
@@ -307,6 +325,12 @@ def test_magnus_final_state_matches_exact_at_narrow_bandwidth(
     epops = composite_exact["populations"]
     diff = max(abs(mpops[lab] - epops[lab]) for lab in state.labels)
     assert diff < 1e-3
+
+
+def test_first_order_state_needs_the_first_doublet_rung(designed):
+    fld, _rep = designed
+    with pytest.raises(ValueError, match="n_max"):
+        rp.magnus_final_state(unit_params(n_max=1), fld)
 
 
 # -------------------------------------------------------------------- scans

@@ -16,13 +16,14 @@ from conftest import (
     G,
     adiabatic_dressed_vectors,
     build_full_hamiltonian,
+    dressed_operators,
     schrodinger_dop853,
     unit_params,
 )
 
 
 def _dressed_setup(params):
-    h0, v, bas = rp.build_dressed_hamiltonian(params)
+    h0, v, bas = dressed_operators(params)
     s0 = unit_state(bas.labels, "0;0", basis="dressed")
     return h0, v, bas, s0
 
@@ -133,7 +134,7 @@ _DOP853_RUNS = {
 def test_kernel_matches_dop853(name):
     p, basis, dim = _DOP853_RUNS[name]
     if basis == "dressed":
-        h0, v, bas = rp.build_dressed_hamiltonian(p)
+        h0, v, bas = dressed_operators(p)
         labels = bas.labels
     else:
         h0, v = build_full_hamiltonian(p)
@@ -360,11 +361,10 @@ def _population_mismatch(ratio, j_max, n_max, bw_ratio):
     the number below isolates the dynamical difference.
     """
     g = ratio * 2.0 * B
-    p = rp.SystemParams(rot_const=B, dipole=1.0, cavity_freq=2.0 * B, coupling=g,
-                        j_max=j_max, n_max=n_max)
+    p = rp.SystemParams(rot_const=B, dipole=1.0, coupling=g, j_max=j_max, n_max=n_max)
     fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (bw_ratio * g),
                                omega0=p.omega01)
-    h0d, vd, bas = rp.build_dressed_hamiltonian(p)
+    h0d, vd, bas = dressed_operators(p)
     s0d = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
     td = propagate(h0d, vd, fld, s0d, np.array([fld.t_start, fld.t_end]), tol=1e-9)
     pd = np.abs(td.states[-1]) ** 2
@@ -402,8 +402,8 @@ def test_frame_agreement_at_inaccessible_tolerance():
 
 def test_truncation_is_converged():
     # enlarging either ladder must not move a broadband kick's populations
-    p8 = unit_params(cavity_freq=0.0, coupling=0.0, n_max=0)
-    p10 = unit_params(cavity_freq=0.0, coupling=0.0, n_max=0, j_max=10)
+    p8 = unit_params(coupling=0.0, n_max=0)
+    p10 = unit_params(coupling=0.0, n_max=0, j_max=10)
     fld = rp.gaussian_for_area(p8, rp.KICK_AREA, tau0=1.0 / G, omega0=p8.omega01)
     pops = {}
     for p in (p8, p10):
@@ -418,7 +418,7 @@ def test_truncation_is_converged():
     d = {}
     for n_max in (4, 6):
         p = unit_params(n_max=n_max)
-        h0, v, bas = rp.build_dressed_hamiltonian(p)
+        h0, v, bas = dressed_operators(p)
         fldc = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.5 * G),
                                     omega0=p.omega01)
         s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fldc.t_start)

@@ -31,25 +31,18 @@ def test_params_derived_quantities():
     assert p.revival_time == pytest.approx(np.pi / B)
     # permanent dipole 1 -> transition element <0|cos|1> mu = 1/sqrt(3)
     assert p.mu01 == pytest.approx(1.0 / np.sqrt(3.0))
-    assert p.is_resonant()
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        rp.SystemParams(rot_const=-1.0, dipole=1.0, cavity_freq=2.0,
-                        coupling=0.2, j_max=8, n_max=4)
+        rp.SystemParams(rot_const=-1.0, dipole=1.0, coupling=0.2, j_max=8, n_max=4)
+    with pytest.raises(ValueError, match="coupling"):
+        unit_params(coupling=-0.2)
     with pytest.raises(ValueError):
         unit_params(j_max=0)
     # coupled cavity with no photon ladder cannot be dressed
     with pytest.raises(ValueError):
         rp.build_dressed_basis(unit_params(n_max=0))
-
-
-def test_off_resonant_cavity_rejected_by_dressed_builders():
-    p = unit_params(cavity_freq=2.5 * B)
-    assert not p.is_resonant()
-    with pytest.raises(rp.NonResonantCavity):
-        rp.build_dressed_basis(p)
 
 
 def test_unit_conversions():
@@ -127,7 +120,7 @@ def test_full_hamiltonian_structure():
 
 
 def test_bare_hamiltonian_has_no_coupling():
-    p = unit_params(cavity_freq=0.0, coupling=0.0, n_max=0)
+    p = unit_params(coupling=0.0, n_max=0)
     h0, v = build_full_hamiltonian(p)
     assert np.max(np.abs(h0.matrix - np.diag(np.diag(h0.matrix)))) == 0.0
 
@@ -184,16 +177,6 @@ def test_dressed_cos_matrix_elements():
         assert m[bas.index(f"{s};0"), bas.index("-;1")] == pytest.approx(
             -1.0 / (2.0 * np.sqrt(3.0)), abs=1e-12)
     assert _hermiticity_defect(rp.dressed_cos_matrix(p)) < 1e-14
-
-
-def test_dressed_hamiltonian_is_diagonal_drift():
-    p = unit_params()
-    h0, v, bas = rp.build_dressed_hamiltonian(p)
-    assert np.max(np.abs(h0.matrix - np.diag(bas.energies))) < 1e-12
-    assert _hermiticity_defect(v) < 1e-14
-    # drive element between ground and doublet = mu01/sqrt(2) up to sign
-    i0 = bas.index("0;0")
-    assert abs(v.matrix[i0, bas.index("+;0")]) == pytest.approx(p.mu01 / np.sqrt(2.0))
 
 
 # ------------------------------------------------ frame bridging helpers

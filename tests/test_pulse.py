@@ -45,7 +45,7 @@ def test_composite_field_is_carrier_sum():
 
 
 def test_gaussian_for_area_hits_requested_area():
-    p = unit_params(cavity_freq=0.0, coupling=0.0, n_max=0)
+    p = unit_params(coupling=0.0, n_max=0)
     for area in (rp.KICK_AREA, 0.3, 1.1):
         fld = rp.gaussian_for_area(p, area, tau0=20.0, omega0=p.omega01)
         assert fld.components == ((p.omega01, 0.0),)
