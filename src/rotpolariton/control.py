@@ -348,6 +348,7 @@ def _kick_summary(params, fld, traj, cos_op, energies, trace_window=None,
         "phases": dressed_populations_phases(end, error / _RESOLUTION) if dressed else None,
         "norm_final": end.norm(),
         "halvings": traj.meta.get("halvings"),
+        "steps": traj.meta.get("steps"),
         "step_error": traj.meta.get("step_error"),
         "trace_window": float(trace_window),
         "n_trace": int(n_trace),
@@ -456,6 +457,7 @@ def _composite_worker(params, fld, traj, cos_op, energies, kw):
         "revival_period": exact["revival_period"],
         "norm_final": exact["norm_final"],
         "halvings": exact["halvings"],
+        "steps": exact["steps"],
         "step_error": exact["step_error"],
         "converged": True,
     }
@@ -495,11 +497,11 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     omega01 + detuning.  Bare runs reuse the same parameters with the
     coupling switched off and no photon ladder, so they run on the rotor
     alone.  All detunings of one (cavity, bandwidth) group share the
-    Hamiltonian and the field window, so they propagate as one batch, at the
-    finest step any of them needs; each record still carries its own
-    halvings and certified step error.  Worker processes take whole groups,
-    so no more than one process per group is busy, and the records do not
-    depend on `threads`.
+    Hamiltonian and the field window, so they propagate as one batch, from
+    the finest pilot step any of them needs; each record still carries its
+    own runs ("halvings", "steps") and certified step error.  Worker
+    processes take whole groups, so no more than one process per group is
+    busy, and the records do not depend on `threads`.
     Records keep the axes, the orientation maximum and snapshot, the revival
     period, and the strongest spectral peaks, in deterministic axis order.
     """

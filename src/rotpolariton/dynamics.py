@@ -4,16 +4,17 @@ The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent.
 One split-step kernel propagates R state rows at once, each under its own
 field, in the eigenbasis of v: there a field kick is a diagonal phase per
 row and the drift is one dense block shared by all rows, built once per
-step size.  The composition weights are Yoshida's fourth-order triple
-jump.  Outside the field window the evolution is applied in closed form,
+step size.  The composition weights are Suzuki's fourth-order five-stage
+fractal.  Outside the field window the evolution is applied in closed form,
 which makes long post-pulse traces essentially free.
 
-Step control is a two-tier affair: a heuristic initial step resolves the
-fastest carrier and the drift spectral span, and the result is certified by
-comparing against a propagation at half the step, halving until two
-successive refinements agree pointwise at every requested sample.  Rows of
-one batch share the finest initial step any of them needs and leave the
-halving ladder one by one, each once its own estimate is certified.
+Step control predicts, then certifies.  A pilot pair, a heuristic coarse
+step that resolves the fastest carrier and the coupled drift gaps and its
+half, gives a Richardson estimate; from err ~ dt^p it predicts the step that
+lands safely under the tolerance, and one run there is certified against
+the pilot's finer half.  Rows that still fail keep halving.  Rows of one
+batch share the finest pilot step any of them needs and leave one by one,
+each once its own estimate is certified.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -163,9 +164,12 @@ class _SplitFrame:
 
 
 # split-step composition weights: one step of length h is the product of
-# Strang sub-steps of lengths c h (Yoshida, Phys. Lett. A 150, 262, 1990)
-_Y4_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_WEIGHTS = (_Y4_W1, 1.0 - 2.0 * _Y4_W1, _Y4_W1)
+# Strang sub-steps of lengths c h (Suzuki, Phys. Lett. A 146, 319, 1990).
+# Five stages cost 5/3 of Yoshida's triple jump per step, but their smaller
+# error constant more than pays for them at a predicted step: fig5 takes
+# 1.11M sub-steps with these weights, 1.70M with Yoshida's
+_S4_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_WEIGHTS = (_S4_P, _S4_P, 1.0 - 4.0 * _S4_P, _S4_P, _S4_P)
 
 # field values are evaluated for this many steps at a time, and their kick
 # phases exponentiated in blocks of at most _PHASE_ELEMS complex numbers
@@ -174,8 +178,8 @@ _PHASE_ELEMS = 1 << 16
 
 # the most steps one run may take.  It bounds work, not memory: the kick
 # schedule is built _CHUNK steps at a time.  At about 3 us per sub-step the
-# cap is some 20 s per halving level; the largest run of the presets and
-# tests takes 71,506 steps
+# cap is some 30 s per run; the largest run of the presets takes 18,517
+# steps, of the tests 103,212 (a reference certified at tol 1e-12)
 _MAX_STEPS = 2_000_000
 
 
@@ -259,25 +263,31 @@ def _split_steps(frame, fields, lo, n, h, weights):
     return advance
 
 
-# fourth-order splitting tolerates a far coarser trial step than a
-# second-order kernel at the same certification tolerance
-_STEPS_PER_PERIOD = 8
+# the pilot step resolves the fastest frequency with this many steps per
+# period: coarse, since it only sizes the certified step
+_STEPS_PER_PERIOD = 2
 
-# convergence order, for the Richardson factor 2^p - 1 relating the
-# dt vs dt/2 difference to the error of the dt/2 solution
+# convergence order: err ~ dt^p sizes the predicted step, and a run at step
+# h certified against one at r h has error (difference) / (r^p - 1)
 _ORDER = 4
+
+# the predicted step aims at this fraction of tol, so that it certifies in
+# one run although the pilot pair sits at the edge of the asymptotic regime.
+# It also keeps step errors well under the flat-trace rule of control: at
+# 1/4 a weak seed-0 benchmark trace (maximum 1.4e-7) lands at an error of
+# 3.0e-9, close to the 3.5e-9 where it would turn flat; at 1/8, 1.5e-9
+_SAFETY = 1.0 / 8.0
 
 
 def _default_dt(frame, fld):
-    """First trial step: resolve the drive, not the full diagonal span.
+    """Pilot step: resolve the drive, not the full diagonal span.
 
     The kernel applies the h0 phases exactly, so step error enters only
     through the field: the carrier oscillation, the Rabi angle per step, and
     the h0-v commutators, which see just the energy gaps v actually couples
     (selection-rule zeros keep that span far below the full spectral width).
-    Starting finer than needed is not harmless: the certified solution then
-    accumulates roundoff linearly in the step count.  Halving certification
-    in propagate backstops a too-coarse start.
+    The pilot pair runs at this step and its half; their estimate predicts
+    the certified step, so the pilot needs to be coarse, not accurate.
     """
     vt = np.abs(frame.vt)
     coupled = vt > 1e-12 * float(vt.max())
@@ -292,7 +302,12 @@ def _default_dt(frame, fld):
 
 
 def _run_sampled(frame, fields, y0, times, dt):
-    """Frame states of all rows at every sample time, shape (times, rows, dim)."""
+    """One run at nominal step dt.
+
+    Returns the frame states of all rows at every sample time, shape
+    (times, rows, dim), the realized step of each sample interval (0 outside
+    the field) and the number of kernel steps taken.
+    """
     lo, hi, n, h = _schedule(times, fields[0].t_start, fields[0].t_end, dt)
     advance = _split_steps(frame, fields, lo, n, h, _WEIGHTS)
     out = np.empty((times.size,) + y0.shape, dtype=complex)
@@ -303,21 +318,43 @@ def _run_sampled(frame, fields, y0, times, dt):
         else:
             y = y @ frame.drift(times[i + 1] - times[i])
         out[i + 1] = y
-    return out
+    return out, h, int(n.sum())
+
+
+def _richardson(h_coarse, h_fine):
+    """r^p - 1 for the smallest realized step ratio r the finer run makes.
+
+    An interval that both runs take in the same steps adds nothing to their
+    difference, so only the intervals the finer run refines set r.  With
+    none, the runs agree exactly and the factor is inf.
+    """
+    on = h_fine > 0
+    r = h_coarse[on] / h_fine[on]
+    return float(np.min(r[r > 1.0], initial=np.inf)) ** _ORDER - 1.0
 
 
 def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvings=6):
     """Propagate each initial state through its own field; one result per row.
 
     Row r starts from states0[r] and feels fields[r].  The rows must share
-    basis, start time and field window; they run together at one step size,
-    the finest trial step any of their fields needs (or `dt`), and halve it
-    together.  Each row leaves the halving ladder at the first level where
-    its own Richardson estimate (the dt vs dt/2 difference over
-    2^order - 1, per-sample 2-norm) reaches `tol`.  Returns a list holding,
-    per row, its Trajectory or, when `max_halvings` runs out first, its
-    NotConverged error.  A run that would take more than _MAX_STEPS steps
-    raises ConfigError.
+    basis, start time and field window; they run together, and each run
+    after the first is compared with the one before it.  The Richardson
+    estimate of a row (the difference of the two runs over r^order - 1, with
+    r the smallest realized step ratio, per-sample 2-norm) certifies it once
+    it reaches `tol`, and the row leaves.  The runs are:
+
+    1. the pilot pair: the finest pilot step any of the fields needs (or
+       `dt`), and its half;
+    2. the predicted step h1 (_SAFETY tol / e)^(1/order), from the half step
+       h1 and the worst estimate e of the rows left;
+    3. then halving from there.
+
+    `max_halvings` caps the runs after the first.  Each Trajectory's meta
+    holds the nominal step of its last run ("dt"), the runs after the first
+    ("halvings"), the kernel steps of each run ("steps") and the estimate
+    ("step_error").  Returns a list holding, per row, its Trajectory or,
+    when the runs are spent first, its NotConverged error.  A run that would
+    take more than _MAX_STEPS steps raises ConfigError.
     """
     fields, states0 = list(fields), list(states0)
     if not states0 or len(fields) != len(states0):
@@ -347,31 +384,37 @@ def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvin
     if window is None or window[1] <= times[0] or window[0] >= times[-1]:
         # no field overlap: closed-form drift at the sample times
         states = frame.free(y0, times - times[0])
-        meta = {"dt": None, "halvings": 0, "step_error": 0.0}
+        meta = {"dt": None, "halvings": 0, "steps": [], "step_error": 0.0}
         return [trajectory(states[:, r], dict(meta)) for r in range(len(states0))]
 
     dt0 = min(_default_dt(frame, f) for f in fields) if dt is None else float(dt)
-    richardson = 2.0 ** _ORDER - 1.0
     results = [None] * len(states0)
     rows = np.arange(len(states0))
     err = np.full(rows.size, np.inf)
     used = dt0
-    prev = _run_sampled(frame, fields, y0, times, dt0)
+    prev, h_prev, taken = _run_sampled(frame, fields, y0, times, dt0)
+    steps = [taken]
     for k in range(1, max_halvings + 1):
-        used = dt0 / 2 ** k
-        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, used)
-        err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / richardson
+        if k == 2:
+            used *= (_SAFETY * tol / float(np.max(err))) ** (1.0 / _ORDER)
+        else:
+            used *= 0.5
+        cur, h_cur, taken = _run_sampled(frame, [fields[r] for r in rows], y0[rows],
+                                         times, used)
+        steps.append(taken)
+        err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / _richardson(h_prev, h_cur)
         done = err <= tol
         for j in np.flatnonzero(done):
             results[rows[j]] = trajectory(cur[:, j], {"dt": used, "halvings": k,
+                                                      "steps": list(steps),
                                                       "step_error": float(err[j])})
-        rows, err, prev = rows[~done], err[~done], cur[:, ~done]
+        rows, err, prev, h_prev = rows[~done], err[~done], cur[:, ~done], h_cur
         if not rows.size:
             return results
     for r, e in zip(rows, err):
         results[r] = NotConverged(
-            f"step halving stalled at estimated error {e:.3e} > tol {tol:g} after "
-            f"{max_halvings} halvings (dt = {used:g})"
+            f"step control stalled at estimated error {e:.3e} > tol {tol:g} after "
+            f"{max_halvings} runs past the first (dt = {used:g})"
         )
     return results
 
@@ -382,10 +425,10 @@ def propagate(h0, v, fld, state0, times, dt=None, tol=1e-8, max_halvings=6):
     h0 and v may be OperatorMatrix (basis tags are then checked against the
     state) or plain arrays.  `fld` may be None for pure free evolution.
     `times` must be strictly increasing and start at state0.time.  The result
-    is certified by step halving: the Richardson estimate of the returned
-    solution's error (the dt vs dt/2 difference over 2^order - 1, per-sample
-    2-norm) must reach `tol`; exceeding `max_halvings` raises NotConverged.
-    This is the one-row call of propagate_batch.
+    is certified as in propagate_batch: a pilot pair predicts the step, and
+    the Richardson estimate of the returned solution's error (per-sample
+    2-norm) must reach `tol` within `max_halvings` runs after the first, or
+    NotConverged is raised.  This is the one-row call of propagate_batch.
     """
     (result,) = propagate_batch(h0, v, [fld], [state0], times, dt=dt, tol=tol,
                                 max_halvings=max_halvings)

@@ -10,7 +10,7 @@ class UnknownUnit(RotPolaritonError, ValueError):
 
 
 class NotConverged(RotPolaritonError, RuntimeError):
-    """Step-halving certification of the propagator failed at the minimum step."""
+    """The propagator's step control spent its runs before certifying the error."""
 
 
 class BasisMismatch(RotPolaritonError, ValueError):

@@ -75,6 +75,17 @@ def test_a_changed_shape_fails(outdir):
     out = io.StringIO()
     assert not compare_outputs.compare(str(outdir), str(other), atol=1.0, out=out)
     assert out.getvalue().count("shape differs") == 2
+    # no column moved, so the headline names the problem
+    assert "FAIL orientation.tsv: shape differs\n" in out.getvalue()
+    assert "FAIL report.json: shape differs\n" in out.getvalue()
+
+
+def test_a_null_against_a_number_fails_and_heads_its_file(outdir):
+    other = _copy(outdir, "b")
+    (other / "records.jsonl").write_text(json.dumps({"t_max": None, "ok": True}) + "\n")
+    out = io.StringIO()
+    assert not compare_outputs.compare(str(outdir), str(other), atol=1.0, out=out)
+    assert "FAIL records.jsonl: line0.t_max: 3.0 != None\n" in out.getvalue()
 
 
 def test_outputs_hold_still_when_roundoff_moves_the_field(tmp_path, monkeypatch, capsys):

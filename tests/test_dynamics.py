@@ -197,7 +197,7 @@ def test_every_batch_row_keeps_its_norm(fields, seed):
 @settings(max_examples=8, deadline=None)
 @given(fields=st.lists(_fields, min_size=2, max_size=5), seed=st.integers(0, 2 ** 32 - 1))
 def test_batch_row_equals_its_solo_run(fields, seed):
-    # a loose tol stops every row after one halving, so all runs share dt
+    # a loose tol certifies every row in the pilot pair, so all runs share dt
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
     states = [_random_state(seed + r, bas.labels) for r in range(len(fields))]
     times = np.linspace(*_WINDOW, 3)
@@ -225,7 +225,7 @@ def test_propagation_is_linear_in_the_initial_state(fld, coef):
 
 
 def test_rows_leave_the_ladder_one_by_one():
-    # a field-free row certifies at the first halving; a strong coarse-step
+    # a field-free row certifies in the pilot pair; a strong coarse-step
     # row cannot, and only that row reports NotConverged
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
     s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
@@ -290,16 +290,16 @@ def test_batch_rejects_fields_with_different_windows():
 
 
 def _counting_kernel(monkeypatch):
-    """Record n[i] at every interval the split-step kernel runs, one list per level."""
+    """Record n[i] at every interval the split-step kernel runs, one list per run."""
     from rotpolariton import dynamics
 
-    levels = []
+    runs = []
     inner = dynamics._split_steps
 
     def counting(frame, fields, lo, n, h, weights):
         advance = inner(frame, fields, lo, n, h, weights)
         taken = []
-        levels.append(taken)
+        runs.append(taken)
 
         def counted(y, i, pre, post):
             taken.append(int(n[i]))
@@ -308,45 +308,81 @@ def _counting_kernel(monkeypatch):
         return counted
 
     monkeypatch.setattr(dynamics, "_split_steps", counting)
-    return levels
+    return runs
 
 
-def _ladder(times, window, meta):
-    """Steps per halving level implied by the meta: max(1, ceil(span / dt_k))."""
+def _steps_at(times, window, dt):
+    """Kernel steps of one run at nominal step dt: max(1, ceil(span / dt)) per interval."""
     spans = [min(b, window[1]) - max(a, window[0]) for a, b in zip(times[:-1], times[1:])]
-    dt0 = meta["dt"] * 2 ** meta["halvings"]
-    return [sum(max(1, math.ceil(s / (dt0 / 2 ** k))) for s in spans if s > 0)
-            for k in range(meta["halvings"] + 1)]
+    return sum(max(1, math.ceil(s / dt)) for s in spans if s > 0)
+
+
+def _strong_field_setup():
+    # the sample grid overhangs the field window at both ends, so the first
+    # and last intervals are only partly in the field
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=-12.0)
+    return h0, v, _batch_field(0.3, 2.0, 0.0), s0, np.linspace(-12.0, 12.0, 9)
+
+
+def _kick_setup(cavity):
+    """A quarter-area kick at bandwidth 0.1 g, dressed or on the rotor alone."""
+    p = unit_params() if cavity else unit_params(coupling=0.0, n_max=0)
+    fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.1 * G), omega0=p.omega01)
+    if cavity:
+        h0, v, bas, _ = _dressed_setup(p)
+        labels, tag = bas.labels, "dressed"
+    else:
+        h0, v = build_full_hamiltonian(p)
+        labels, tag = tuple(range(h0.dim)), "product"
+    s0 = unit_state(labels, 0, basis=tag, time=fld.t_start)
+    return h0, v, fld, s0, np.array([fld.t_start, fld.t_end])
 
 
 def test_kernel_steps_match_the_ladder_in_the_trajectory_meta(monkeypatch):
-    # the sample grid overhangs the field window at both ends, so the first
-    # and last intervals are only partly in the field
-    levels = _counting_kernel(monkeypatch)
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    fld = _batch_field(0.3, 2.0, 0.0)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=-12.0)
-    times = np.linspace(-12.0, 12.0, 9)
+    runs = _counting_kernel(monkeypatch)
+    h0, v, fld, s0, times = _strong_field_setup()
     traj = propagate(h0, v, fld, s0, times)
     assert traj.meta["halvings"] >= 2
-    assert [sum(taken) for taken in levels] == _ladder(times, _WINDOW, traj.meta)
-    assert all(len(taken) == len(times) - 1 for taken in levels)
+    assert len(traj.meta["steps"]) == traj.meta["halvings"] + 1
+    assert [sum(taken) for taken in runs] == traj.meta["steps"]
+    assert traj.meta["steps"][-1] == _steps_at(times, _WINDOW, traj.meta["dt"])
+    assert all(len(taken) == len(times) - 1 for taken in runs)
 
 
 def test_batch_rows_run_the_ladder_their_meta_implies(monkeypatch):
-    # every level runs all rows still on the ladder; the last row to leave
-    # accounts for every level, the others for a prefix of it
-    levels = _counting_kernel(monkeypatch)
+    # every run takes all rows not yet certified; the last row to leave
+    # accounts for every run, the others for a prefix of them
+    runs = _counting_kernel(monkeypatch)
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
     s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
-    fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.02, 0.3)]
+    fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.0, 0.3)]
     times = np.linspace(*_WINDOW, 5)
     trajs = propagate_batch(h0, v, fields, [s0, s0], times)
-    steps = [sum(taken) for taken in levels]
-    ladders = [_ladder(times, _WINDOW, t.meta) for t in trajs]
-    assert ladders[0] != ladders[1]
-    assert steps == max(ladders, key=len)
-    assert all(steps[:len(lad)] == lad for lad in ladders)
+    steps = [sum(taken) for taken in runs]
+    listed = [t.meta["steps"] for t in trajs]
+    assert listed[0] != listed[1]
+    assert steps == max(listed, key=len)
+    assert all(steps[:len(lst)] == lst for lst in listed)
+    for t in trajs:
+        assert t.meta["steps"][-1] == _steps_at(times, _WINDOW, t.meta["dt"])
+
+
+@pytest.mark.parametrize("setup", [functools.partial(_kick_setup, False),
+                                   functools.partial(_kick_setup, True), _strong_field_setup],
+                         ids=["bare", "dressed", "strong"])
+def test_certified_error_bounds_the_actual_error(setup):
+    # the reported step error must track the real error of the certified
+    # run, measured against a run certified four orders tighter, also where
+    # the predicted step is far below the pilot's half step
+    h0, v, fld, s0, times = setup()
+    traj = propagate(h0, v, fld, s0, times, tol=1e-8)
+    ref = propagate(h0, v, fld, s0, times, tol=1e-12)
+    est = traj.meta["step_error"]
+    assert 0.0 < est <= 1e-8
+    assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1.25 * est
+    if setup is _strong_field_setup:
+        assert traj.meta["steps"][2] > 8 * traj.meta["steps"][1]
 
 
 # ----------------------------------------------- cross-basis consistency

@@ -12,7 +12,8 @@ t_max=0 demands exact equality.  nan agrees with nan.  Strings, booleans,
 nulls, the shape of a table or a JSON tree, and any other file type must
 match exactly.  manifest.json is skipped: it names its own directory.
 
-Prints one line per file and the worst difference per column, and exits 1
+Prints one line per file, headed by the worst difference per column or, when
+no number moved, by the first problem found, and exits 1
 when a file is missing on either side or any value lies beyond its tolerance.
 """
 
@@ -124,12 +125,15 @@ def compare(old_dir, new_dir, atol=0.0, rtol=0.0, tols=None, out=sys.stdout):
         moved = {k: w for k, w in worst.items() if w[0] > 0}
         status = "FAIL" if problems else "ok  "
         summary = ", ".join(f"{k} |d| {w[0]:.2g} rel {w[1]:.2g}" for k, w in sorted(moved.items()))
+        ok = ok and not problems
+        if not summary and problems:
+            # nothing numeric moved: the first problem is the headline
+            summary, problems = problems[0], problems[1:]
         print(f"{status} {rel}: {summary or 'equal'}", file=out)
         for p in problems[:10]:
             print(f"     {p}", file=out)
         if len(problems) > 10:
             print(f"     ... {len(problems) - 10} more", file=out)
-        ok = ok and not problems
     return ok
 
 
