@@ -10,11 +10,12 @@ which makes long post-pulse traces essentially free.
 
 Step control predicts, then certifies.  A pilot pair, a heuristic coarse
 step that resolves the fastest carrier and the coupled drift gaps and its
-half, gives a Richardson estimate; from err ~ dt^p it predicts the step that
-lands safely under the tolerance, and one run there is certified against
-the pilot's finer half.  Rows that still fail keep halving.  Rows of one
-batch share the finest pilot step any of them needs and leave one by one,
-each once its own estimate is certified.
+half, gives a Richardson estimate; from err ~ dt^p each later run scales
+the step count of every sample interval by the ratio predicted to land
+safely under the tolerance, and is certified against the run before it.
+So every interval in the field is refined, however short, and none escapes
+the estimate.  Rows of one batch share the finest pilot step any of them
+needs and leave one by one, each once its own estimate is certified.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -178,32 +179,26 @@ _PHASE_ELEMS = 1 << 16
 
 # the most steps one run may take.  It bounds work, not memory: the kick
 # schedule is built _CHUNK steps at a time.  At about 3 us per sub-step the
-# cap is some 30 s per run; the largest run of the presets takes 18,517
-# steps, of the tests 103,212 (a reference certified at tol 1e-12)
+# cap is some 30 s per run; the largest run of the presets takes 18,520
+# steps, of the tests 103,214 (a reference certified at tol 1e-12)
 _MAX_STEPS = 2_000_000
 
 
-def _schedule(times, fa, fb, dt):
-    """Field overlap [lo, hi] of each sample interval, its step count and step.
+def _step_counts(want, on):
+    """ceil(want) steps, at least 1, in each sample interval in the field (on).
 
-    A run above _MAX_STEPS steps, or with an infinite or undefined count,
-    raises ConfigError before it starts.
+    Intervals outside the field take 0.  A run above _MAX_STEPS steps, or
+    with an infinite or undefined count, raises ConfigError before it starts.
     """
-    lo = np.clip(times[:-1], fa, fb)
-    hi = np.clip(times[1:], fa, fb)
-    span = hi - lo
-    on = span > 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        steps = np.maximum(1.0, np.ceil(span[on] / dt))
+    with np.errstate(invalid="ignore"):
+        steps = np.maximum(1.0, np.ceil(want[on]))
         total = float(np.sum(steps))
     if not total <= _MAX_STEPS:
-        raise ConfigError(f"propagation: the run needs {total:.4g} steps at dt = {dt:g} au, "
+        raise ConfigError(f"propagation: a run needs {total:.4g} steps, "
                           f"above the cap of {_MAX_STEPS}")
-    n = np.zeros(span.size, dtype=int)
+    n = np.zeros(on.size, dtype=int)
     n[on] = steps
-    h = np.zeros(span.size)
-    h[on] = span[on] / n[on]
-    return lo, hi, n, h
+    return n
 
 
 def _split_steps(frame, fields, lo, n, h, weights):
@@ -301,14 +296,15 @@ def _default_dt(frame, fld):
     return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD
 
 
-def _run_sampled(frame, fields, y0, times, dt):
-    """One run at nominal step dt.
+def _run_sampled(frame, fields, y0, times, lo, hi, n):
+    """One run of n[i] steps over the field overlap [lo[i], hi[i]] of interval i.
 
     Returns the frame states of all rows at every sample time, shape
-    (times, rows, dim), the realized step of each sample interval (0 outside
-    the field) and the number of kernel steps taken.
+    (times, rows, dim), and the longest step taken.
     """
-    lo, hi, n, h = _schedule(times, fields[0].t_start, fields[0].t_end, dt)
+    on = n > 0
+    h = np.zeros(n.size)
+    h[on] = (hi[on] - lo[on]) / n[on]
     advance = _split_steps(frame, fields, lo, n, h, _WEIGHTS)
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y = y0
@@ -318,19 +314,17 @@ def _run_sampled(frame, fields, y0, times, dt):
         else:
             y = y @ frame.drift(times[i + 1] - times[i])
         out[i + 1] = y
-    return out, h, int(n.sum())
+    return out, float(h.max())
 
 
-def _richardson(h_coarse, h_fine):
-    """r^p - 1 for the smallest realized step ratio r the finer run makes.
+def _richardson(n_coarse, n_fine):
+    """r^p - 1 for the smallest step ratio r = n_fine / n_coarse in the field.
 
-    An interval that both runs take in the same steps adds nothing to their
-    difference, so only the intervals the finer run refines set r.  With
-    none, the runs agree exactly and the factor is inf.
+    Every interval in the field takes more steps in the finer run, so r > 1
+    and the difference of the runs sees the step error of each interval.
     """
-    on = h_fine > 0
-    r = h_coarse[on] / h_fine[on]
-    return float(np.min(r[r > 1.0], initial=np.inf)) ** _ORDER - 1.0
+    on = n_fine > 0
+    return float(np.min(n_fine[on] / n_coarse[on])) ** _ORDER - 1.0
 
 
 def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvings=6):
@@ -340,17 +334,16 @@ def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvin
     basis, start time and field window; they run together, and each run
     after the first is compared with the one before it.  The Richardson
     estimate of a row (the difference of the two runs over r^order - 1, with
-    r the smallest realized step ratio, per-sample 2-norm) certifies it once
-    it reaches `tol`, and the row leaves.  The runs are:
-
-    1. the pilot pair: the finest pilot step any of the fields needs (or
-       `dt`), and its half;
-    2. the predicted step h1 (_SAFETY tol / e)^(1/order), from the half step
-       h1 and the worst estimate e of the rows left;
-    3. then halving from there.
+    r the smallest ratio of their step counts over the sample intervals in
+    the field, per-sample 2-norm) certifies it once it reaches `tol`, and the
+    row leaves.  The first run steps each interval at the finest pilot step
+    any of the fields needs (or `dt`).  Every later run multiplies the step
+    count of every interval by a ratio, rounded up: 2 after the first, then
+    (e / (_SAFETY tol))^(1/order), the ratio predicted to land at _SAFETY tol
+    from e, the worst estimate of the rows left.
 
     `max_halvings` caps the runs after the first.  Each Trajectory's meta
-    holds the nominal step of its last run ("dt"), the runs after the first
+    holds the longest step of its last run ("dt"), the runs after the first
     ("halvings"), the kernel steps of each run ("steps") and the estimate
     ("step_error").  Returns a list holding, per row, its Trajectory or,
     when the runs are spent first, its NotConverged error.  A run that would
@@ -388,33 +381,37 @@ def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvin
         return [trajectory(states[:, r], dict(meta)) for r in range(len(states0))]
 
     dt0 = min(_default_dt(frame, f) for f in fields) if dt is None else float(dt)
+    lo = np.clip(times[:-1], *window)
+    hi = np.clip(times[1:], *window)
+    on = hi > lo
+    with np.errstate(divide="ignore", over="ignore"):
+        n_prev = _step_counts((hi - lo) / dt0, on)
     results = [None] * len(states0)
     rows = np.arange(len(states0))
     err = np.full(rows.size, np.inf)
-    used = dt0
-    prev, h_prev, taken = _run_sampled(frame, fields, y0, times, dt0)
-    steps = [taken]
+    prev, longest = _run_sampled(frame, fields, y0, times, lo, hi, n_prev)
+    steps = [int(n_prev.sum())]
     for k in range(1, max_halvings + 1):
-        if k == 2:
-            used *= (_SAFETY * tol / float(np.max(err))) ** (1.0 / _ORDER)
-        else:
-            used *= 0.5
-        cur, h_cur, taken = _run_sampled(frame, [fields[r] for r in rows], y0[rows],
-                                         times, used)
-        steps.append(taken)
-        err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / _richardson(h_prev, h_cur)
+        # 2 after the pilot, then the ratio predicted to land at _SAFETY tol;
+        # either is above 1, so every interval in the field is refined
+        ratio = 2.0 if k == 1 else (float(np.max(err)) / (_SAFETY * tol)) ** (1.0 / _ORDER)
+        n_cur = _step_counts(ratio * n_prev, on)
+        cur, longest = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, lo, hi,
+                                    n_cur)
+        steps.append(int(n_cur.sum()))
+        err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / _richardson(n_prev, n_cur)
         done = err <= tol
         for j in np.flatnonzero(done):
-            results[rows[j]] = trajectory(cur[:, j], {"dt": used, "halvings": k,
+            results[rows[j]] = trajectory(cur[:, j], {"dt": longest, "halvings": k,
                                                       "steps": list(steps),
                                                       "step_error": float(err[j])})
-        rows, err, prev, h_prev = rows[~done], err[~done], cur[:, ~done], h_cur
+        rows, err, prev, n_prev = rows[~done], err[~done], cur[:, ~done], n_cur
         if not rows.size:
             return results
     for r, e in zip(rows, err):
         results[r] = NotConverged(
             f"step control stalled at estimated error {e:.3e} > tol {tol:g} after "
-            f"{max_halvings} runs past the first (dt = {used:g})"
+            f"{max_halvings} runs past the first (dt = {longest:g})"
         )
     return results
 

@@ -3,7 +3,6 @@ the batched kernel, frame consistency between the dressed and the product
 basis, and the first-order pulse map."""
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -311,10 +310,19 @@ def _counting_kernel(monkeypatch):
     return runs
 
 
-def _steps_at(times, window, dt):
-    """Kernel steps of one run at nominal step dt: max(1, ceil(span / dt)) per interval."""
-    spans = [min(b, window[1]) - max(a, window[0]) for a, b in zip(times[:-1], times[1:])]
-    return sum(max(1, math.ceil(s / dt)) for s in spans if s > 0)
+def _spans(times, window):
+    """The field overlap of each sample interval."""
+    return [min(b, window[1]) - max(a, window[0]) for a, b in zip(times[:-1], times[1:])]
+
+
+def _scaled(prev, cur):
+    """Whether cur = ceil(r prev) in every interval for one ratio r > 1."""
+    lowest = max(max((c - 1) / n for n, c in zip(prev, cur)), 1.0)
+    return lowest < min(c / n for n, c in zip(prev, cur))
+
+
+def _longest(spans, counts):
+    return max(s / n for s, n in zip(spans, counts))
 
 
 def _strong_field_setup():
@@ -325,10 +333,18 @@ def _strong_field_setup():
     return h0, v, _batch_field(0.3, 2.0, 0.0), s0, np.linspace(-12.0, 12.0, 9)
 
 
-def _kick_setup(cavity):
-    """A quarter-area kick at bandwidth 0.1 g, dressed or on the rotor alone."""
+def _dense_setup():
+    # more sample intervals than twice the pilot's steps: each is shorter
+    # than the pilot's half step, so the pilot pair steps each once and twice
+    h0, v, bas, _ = _dressed_setup(_P_BATCH)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    return h0, v, _batch_field(0.3, 2.0, 0.0), s0, np.linspace(*_WINDOW, 257)
+
+
+def _kick_setup(cavity, bandwidth=0.1, area=rp.KICK_AREA):
+    """A kick at the given bandwidth (in g), dressed or on the rotor alone."""
     p = unit_params() if cavity else unit_params(coupling=0.0, n_max=0)
-    fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.1 * G), omega0=p.omega01)
+    fld = rp.gaussian_for_area(p, area, tau0=1.0 / (bandwidth * G), omega0=p.omega01)
     if cavity:
         h0, v, bas, _ = _dressed_setup(p)
         labels, tag = bas.labels, "dressed"
@@ -346,43 +362,71 @@ def test_kernel_steps_match_the_ladder_in_the_trajectory_meta(monkeypatch):
     assert traj.meta["halvings"] >= 2
     assert len(traj.meta["steps"]) == traj.meta["halvings"] + 1
     assert [sum(taken) for taken in runs] == traj.meta["steps"]
-    assert traj.meta["steps"][-1] == _steps_at(times, _WINDOW, traj.meta["dt"])
     assert all(len(taken) == len(times) - 1 for taken in runs)
+    # each run scales the step count of every interval by one ratio: 2
+    # after the pilot, then the predicted one
+    assert runs[1] == [2 * n for n in runs[0]]
+    assert all(_scaled(prev, cur) for prev, cur in zip(runs[1:], runs[2:]))
+    assert traj.meta["dt"] == _longest(_spans(times, _WINDOW), runs[-1])
+
+
+def test_dense_samples_are_refined_by_every_run(monkeypatch):
+    runs = _counting_kernel(monkeypatch)
+    h0, v, fld, s0, times = _dense_setup()
+    traj = propagate(h0, v, fld, s0, times)
+    assert runs[0] == [1] * (len(times) - 1)
+    assert runs[1] == [2] * (len(times) - 1)
+    assert 0.0 < traj.meta["step_error"] <= 1e-8
 
 
 def test_batch_rows_run_the_ladder_their_meta_implies(monkeypatch):
     # every run takes all rows not yet certified; the last row to leave
-    # accounts for every run, the others for a prefix of them
+    # accounts for every run, the others for a prefix of them.  At this tol
+    # the weak row certifies in the pilot pair, the strong one after it
     runs = _counting_kernel(monkeypatch)
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
     s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
-    fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.0, 0.3)]
+    fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.01, 0.3)]
     times = np.linspace(*_WINDOW, 5)
-    trajs = propagate_batch(h0, v, fields, [s0, s0], times)
+    weak, strong = propagate_batch(h0, v, fields, [s0, s0], times, tol=1e-6)
+    assert weak.meta["halvings"] == 1 and 0.0 < weak.meta["step_error"] <= 1e-6
+    assert strong.meta["halvings"] >= 2
     steps = [sum(taken) for taken in runs]
-    listed = [t.meta["steps"] for t in trajs]
-    assert listed[0] != listed[1]
-    assert steps == max(listed, key=len)
-    assert all(steps[:len(lst)] == lst for lst in listed)
-    for t in trajs:
-        assert t.meta["steps"][-1] == _steps_at(times, _WINDOW, t.meta["dt"])
+    assert steps == strong.meta["steps"]
+    assert steps[:2] == weak.meta["steps"]
+    assert runs[1] == [2 * n for n in runs[0]] and _scaled(runs[1], runs[2])
+    for t in (weak, strong):
+        assert t.meta["dt"] == _longest(_spans(times, _WINDOW), runs[t.meta["halvings"]])
 
 
-@pytest.mark.parametrize("setup", [functools.partial(_kick_setup, False),
-                                   functools.partial(_kick_setup, True), _strong_field_setup],
-                         ids=["bare", "dressed", "strong"])
-def test_certified_error_bounds_the_actual_error(setup):
+# setup, and the runs after the first it certifies in (None: not checked)
+_CERTIFIED = {
+    "bare": (functools.partial(_kick_setup, False), None),
+    "dressed": (functools.partial(_kick_setup, True), None),
+    "strong": (_strong_field_setup, None),
+    "bare-pilot": (functools.partial(_kick_setup, False, 0.5, 0.6), 1),
+    "dressed-pilot": (functools.partial(_kick_setup, True, 0.3, 0.05), 1),
+    "dense": (_dense_setup, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED))
+def test_certified_error_bounds_the_actual_error(name):
     # the reported step error must track the real error of the certified
-    # run, measured against a run certified four orders tighter, also where
-    # the predicted step is far below the pilot's half step
+    # run, measured against a run certified four orders tighter: where the
+    # predicted step is far below the pilot's half step, where the pilot
+    # pair certifies, and on samples denser than the pilot's steps
+    setup, halvings = _CERTIFIED[name]
     h0, v, fld, s0, times = setup()
     traj = propagate(h0, v, fld, s0, times, tol=1e-8)
     ref = propagate(h0, v, fld, s0, times, tol=1e-12)
     est = traj.meta["step_error"]
     assert 0.0 < est <= 1e-8
     assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1.25 * est
-    if setup is _strong_field_setup:
+    if name == "strong":
         assert traj.meta["steps"][2] > 8 * traj.meta["steps"][1]
+    if halvings is not None:
+        assert traj.meta["halvings"] == halvings
 
 
 # ----------------------------------------------- cross-basis consistency
