@@ -8,10 +8,11 @@ manifest.  Outputs are tab-separated columns plus JSON summaries; nothing
 carries a timestamp, so identical configs produce bit-identical directories.
 
 Exit codes: 0 success, 2 invalid config or arguments (a grid or sample count
-above 100,000 and sample times floating point cannot resolve included), or a
-run above the propagation step cap, 3 the certified propagation failed to
-converge, 4 requested design infeasible.  A failed run writes no output
-directory.  Pulse areas are closed forms and cannot fail.
+above 100,000 and sample times floating point cannot resolve included), a
+run above the propagation step cap, or an output directory that cannot be
+written, 3 the certified propagation failed to converge (a tol below the
+run's norm drift included), 4 requested design infeasible.  A failed run
+writes no output directory.  Pulse areas are closed forms and cannot fail.
 """
 
 import argparse
@@ -228,8 +229,6 @@ SCHEMA = {
     },
     "integrator": {
         "tol": (1e-8, (float, "positive")),
-        "dt": (None, (float, "positive")),
-        "max_halvings": (6, (int, 0)),
     },
     "output": {
         "directory": ("out", _directory),
@@ -529,7 +528,7 @@ def cmd_simulate(cfg, args):
         snapshot_offset=exp["snapshot_tau"] * tau,
         keep_series=True, keep_spectrum=True,
         n_pulse_samples=exp["n_trajectory"],
-        integrator=dict(cfg["integrator"]),
+        tol=cfg["integrator"]["tol"],
     )
     outdir = _outdir(cfg, args, "simulate")
     written = ["orientation.tsv", "spectrum.tsv"]
@@ -579,7 +578,7 @@ def cmd_scan(cfg, args):
           "trace_window": exp["trace_window_tau"] * tau,
           "n_trace": exp["n_trace"],
           "threads": args.threads,
-          "integrator": dict(cfg["integrator"])}
+          "tol": cfg["integrator"]["tol"]}
     # the narrowest bandwidth's field ends last; a composite record reads no
     # snapshot, and also traces the first-order state at _MAGNUS_N_TRACE samples
     t_end = gaussian_for_area(params, 1.0, 1.0 / min(kw["bandwidths"]), params.omega01).t_end
@@ -746,6 +745,11 @@ def main(argv=None):
     except DesignInfeasible as exc:
         print(f"design infeasible: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # the config was read above, so this is the output: an --out that
+        # names a file, or a directory that cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from .model import (
 )
 from .observables import (
     Spectrum,
+    _vertex,
     dressed_populations_phases,
     orientation_trace,
     revival_period,
@@ -235,21 +236,6 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     return pulse, report
 
 
-def _vertex(values, i, band=0.0):
-    """Offset, in samples, of the parabola vertex through samples i - 1, i, i + 1.
-
-    0 at either end of the trace, where the three samples are not concave,
-    or where an error of `band` in them could move the vertex by more than
-    _RESOLUTION of a sample.
-    """
-    if not 0 < i < values.size - 1:
-        return 0.0
-    vm1, v0, vp1 = values[i - 1], values[i], values[i + 1]
-    den = vm1 - 2.0 * v0 + vp1
-    # the vertex moves by up to 2 band / |den| samples
-    return 0.5 * (vm1 - vp1) / den if den < 0 and 2.0 * band <= _RESOLUTION * -den else 0.0
-
-
 def _refined_trace_max(state, energies, cos_op, t0, window, n, error):
     """Max of the free-evolution orientation over [t0, t0 + window), its time and trace.
 
@@ -268,7 +254,7 @@ def _refined_trace_max(state, energies, cos_op, t0, window, n, error):
     t_top = ts[top] + _vertex(vals, top) * dt
     v_top = orientation_trace(state, energies, cos_op, np.array([t_top, t_top + dt])).values[0]
     first = int(np.argmax(vals >= vals[top] - 2.0 * error))
-    t_first = ts[first] + _vertex(vals, first, 2.0 * error) * dt
+    t_first = ts[first] + _vertex(vals, first, 2.0 * error / _RESOLUTION) * dt
     return float(max(v_top, vals[top])), float(t_first), series
 
 
@@ -364,7 +350,7 @@ def _kick_summary(params, fld, traj, cos_op, energies, trace_window=None,
 
 def kick_response(params, fld, trace_window=None, n_trace=16384,
                   snapshot_offset=None, keep_series=False, keep_spectrum=False,
-                  n_pulse_samples=2, integrator=None):
+                  n_pulse_samples=2, tol=1e-8):
     """Propagate one pulse and summarize the post-pulse orientation.
 
     A coupled run (g > 0) runs in the polariton eigenbasis of the cavity on
@@ -383,13 +369,12 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
     where its amplitude is at most ε / 5 % = 20 ε.
     keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
     spectrum, and in-pulse trajectory under non-JSON keys for file export.
-    integrator holds the keyword arguments of propagate (tol, dt,
-    max_halvings).
+    tol is the step error the propagation is certified to (see propagate).
     """
     h0, v, state0, cos_op, energies = _kick_setup(params, fld)
     n_samples = max(2, int(n_pulse_samples))
     traj = propagate(h0, v, fld, state0, np.linspace(fld.t_start, fld.t_end, n_samples),
-                     **(integrator or {}))
+                     tol=tol)
     return _kick_summary(params, fld, traj, cos_op, energies,
                          trace_window=trace_window, n_trace=n_trace,
                          snapshot_offset=snapshot_offset,
@@ -466,13 +451,13 @@ def _composite_worker(params, fld, traj, cos_op, energies, kw):
 def _kick_group_worker(job):
     """The records of one scan job: its fields, propagated as one batch.
 
-    A job is (params, fields that share one window, integrator keywords,
+    A job is (params, fields that share one window, the step tolerance,
     summary keywords, per-record function).
     """
-    params, fields, integ, kw, record = job
+    params, fields, tol, kw, record = job
     h0, v, state0, cos_op, energies = _kick_setup(params, fields[0])
     times = np.array([fields[0].t_start, fields[0].t_end])
-    trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, **integ)
+    trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, tol=tol)
     return [record(params, fld, traj, cos_op, energies, kw)
             for fld, traj in zip(fields, trajs)]
 
@@ -490,7 +475,7 @@ def _scan_groups(jobs, threads):
 def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
                             area=KICK_AREA, trace_window=None, n_trace=16384,
                             snapshot_offset=None, threads=None,
-                            keep_spectrum=False, integrator=None):
+                            keep_spectrum=False, tol=1e-8):
     """Kick-pulse response over carrier detuning x bandwidth x cavity on/off.
 
     Detunings and bandwidths are absolute angular frequencies; the carrier is
@@ -515,7 +500,7 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
         for bw in bandwidths:
             fields = [gaussian_for_area(run_params, area, 1.0 / bw, params.omega01 + det)
                       for det in detunings]
-            jobs.append((run_params, fields, integrator or {}, kw, _kick_worker))
+            jobs.append((run_params, fields, tol, kw, _kick_worker))
             axes += [(bool(cav), float(bw), float(det)) for det in detunings]
 
     records = _scan_groups(jobs, threads)
@@ -534,7 +519,7 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
 
 def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIGN_AREA,
                              phase_minus=0.0, branch="+", trace_window=None,
-                             n_trace=16384, threads=None, integrator=None):
+                             n_trace=16384, threads=None, tol=1e-8):
     """Composite-pulse performance versus bandwidth, exact and first-order.
 
     The carrier phases are solved once at reference_bandwidth, with the
@@ -552,7 +537,7 @@ def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIG
     carriers = ref_pulse.components
     kw = {"trace_window": trace_window, "n_trace": n_trace}
     jobs = [(params, [composite_for_area(params, area, 1.0 / bw, carriers)],
-             integrator or {}, kw, _composite_worker) for bw in bandwidths]
+             tol, kw, _composite_worker) for bw in bandwidths]
     records = _scan_groups(jobs, threads)
     for bw, rec in zip(bandwidths, records):
         rec["bandwidth"] = float(bw)

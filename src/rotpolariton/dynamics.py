@@ -5,17 +5,19 @@ One split-step kernel propagates R state rows at once, each under its own
 field, in the eigenbasis of v: there a field kick is a diagonal phase per
 row and the drift is one dense block shared by all rows, built once per
 step size.  The composition weights are Kahan and Li's sixth-order
-nine-stage composition.  Outside the field window the evolution is applied
-in closed form, which makes long post-pulse traces essentially free.
+nine-stage composition.
 
 Step control predicts, then certifies.  A pilot pair, a heuristic coarse
 step that resolves the fastest carrier and the coupled drift gaps and its
 half, gives a Richardson estimate; from err ~ dt^p each later run scales
 the step count of every sample interval by the ratio predicted to land
 safely under the tolerance, and is certified against the run before it.
-So every interval in the field is refined, however short, and none escapes
-the estimate.  Rows of one batch share the finest pilot step any of them
-needs and leave one by one, each once its own estimate is certified.
+So every interval is refined, however short, and none escapes the
+estimate.  Rows of one batch share the finest pilot step any of them needs
+and leave one by one, each once its own estimate is certified.  The exact
+evolution is unitary, so a row's norm drift is a lower bound on its error:
+it enters the estimate, and a row whose drift alone exceeds the tolerance
+stops there, since roundoff grows with the steps.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -158,11 +160,6 @@ class _SplitFrame:
         """Free evolution of state rows over tau: (W^H exp(-i tau eps) W)^T."""
         return (self.wv.T * np.exp(-1j * tau * self.eps)) @ self.wv.conj()
 
-    def free(self, y, taus):
-        """Rows y after free evolution over each of taus, shape (taus, rows, dim)."""
-        phases = np.exp(-1j * np.multiply.outer(taus, self.eps))
-        return ((y @ self.wv.T) * phases[:, None, :]) @ self.wv.conj()
-
 
 # split-step composition weights: one step of length h is the product of
 # Strang sub-steps of lengths c h, the symmetric sixth-order nine-stage
@@ -184,40 +181,40 @@ _PHASE_ELEMS = 1 << 16
 # schedule is built _CHUNK sub-steps at a time.  At about 2 us per sub-step,
 # nine to a step, the cap is some 35 s per run; the largest run of the
 # presets takes 8,454 steps, of the tests 80,000 (a fixed-step run) and, among
-# certified runs, 23,108 (a reference certified at tol 1e-12)
+# certified runs, 11,626
 _MAX_STEPS = 2_000_000
 
+# the most runs after the pilot: its half, then each at the predicted step
+_MAX_HALVINGS = 6
 
-def _step_counts(want, on):
-    """ceil(want) steps, at least 1, in each sample interval in the field (on).
 
-    Intervals outside the field take 0.  A run above _MAX_STEPS steps, or
-    with an infinite or undefined count, raises ConfigError before it starts.
+def _step_counts(want):
+    """ceil(want) steps, at least 1, in each sample interval.
+
+    A run above _MAX_STEPS steps, or with an infinite or undefined count,
+    raises ConfigError before it starts.
     """
     with np.errstate(invalid="ignore"):
-        steps = np.maximum(1.0, np.ceil(want[on]))
+        steps = np.maximum(1.0, np.ceil(want))
         total = float(np.sum(steps))
     if not total <= _MAX_STEPS:
         raise ConfigError(f"propagation: a run needs {total:.4g} steps, "
                           f"above the cap of {_MAX_STEPS}")
-    n = np.zeros(on.size, dtype=int)
-    n[on] = steps
-    return n
+    return steps.astype(int)
 
 
-def _split_steps(frame, fields, lo, n, h, weights):
+def _split_steps(frame, fields, lo, n, h):
     """The split-step kernel of one run at one step size.
 
-    Returns advance(y, i, pre, post), which takes all state rows y through
-    sample interval i: a drift over `pre`, the n[i] steps of length h[i] in
-    the field, and a drift over `post`.  Kicks sit at the sub-step
-    midpoints.  The half drifts that close one sub-step and open the next
-    are fused, so a step costs len(weights) diagonal kicks and dense drifts
-    for all rows together.  The kick schedule and its field phases are built
-    about _CHUNK sub-steps at a time, consumed in step order across
-    intervals, so no array grows with the step count.
+    Returns advance(y, i), which takes all state rows y through the n[i]
+    steps of length h[i] of sample interval i, from lo[i].  Kicks sit at the
+    sub-step midpoints.  The half drifts that close one sub-step and open the
+    next are fused, so a step costs len(_WEIGHTS) diagonal kicks and dense
+    drifts for all rows together.  The kick schedule and its field phases
+    are built about _CHUNK sub-steps at a time, consumed in step order
+    across intervals, so no array grows with the step count.
     """
-    c = np.asarray(weights)
+    c = np.asarray(_WEIGHTS)
     fuse = 0.5 * (c + np.roll(c, -1))
     mid = np.cumsum(c) - 0.5 * c  # sub-step midpoints, in steps
     ends = np.cumsum(n)
@@ -248,17 +245,17 @@ def _split_steps(frame, fields, lo, n, h, weights):
             block = blocks[tau] = frame.drift(tau)
         return block
 
-    def advance(y, i, pre, post):
+    def advance(y, i):
         half = 0.5 * c[0] * h[i]
         drifts = cycle([drift(f * h[i]) for f in fuse])
-        y = np.dot(y, drift(pre + half))
+        y = np.dot(y, drift(half))
         kicked = np.empty_like(y)
         for kick, block in zip(islice(stream, n[i] * c.size), drifts):
             # in place, and np.dot over @: less call overhead on small operands
             np.multiply(y, kick, out=kicked)
             np.dot(kicked, block, out=y)
         # the last fused drift overshoots the closing half drift by c[0] h / 2
-        return np.dot(y, drift(post - half))
+        return np.dot(y, drift(-half))
 
     return advance
 
@@ -306,59 +303,46 @@ def _default_dt(frame, fld):
     return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD
 
 
-def _run_sampled(frame, fields, y0, times, lo, hi, n):
-    """One run of n[i] steps over the field overlap [lo[i], hi[i]] of interval i.
+def _run_sampled(frame, fields, y0, times, n):
+    """One run of n[i] steps over each sample interval [times[i], times[i + 1]].
 
     Returns the frame states of all rows at every sample time, shape
     (times, rows, dim), and the longest step taken.
     """
-    on = n > 0
-    h = np.zeros(n.size)
-    h[on] = (hi[on] - lo[on]) / n[on]
-    advance = _split_steps(frame, fields, lo, n, h, _WEIGHTS)
+    h = np.diff(times) / n
+    advance = _split_steps(frame, fields, times[:-1], n, h)
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y = y0
     for i in range(times.size - 1):
-        if n[i]:
-            y = advance(y, i, lo[i] - times[i], times[i + 1] - hi[i])
-        else:
-            y = y @ frame.drift(times[i + 1] - times[i])
-        out[i + 1] = y
+        out[i + 1] = y = advance(y, i)
     return out, float(h.max())
 
 
-def _richardson(n_coarse, n_fine):
-    """r^p - 1 for the smallest step ratio r = n_fine / n_coarse in the field.
-
-    Every interval in the field takes more steps in the finer run, so r > 1
-    and the difference of the runs sees the step error of each interval.
-    """
-    on = n_fine > 0
-    return float(np.min(n_fine[on] / n_coarse[on])) ** _ORDER - 1.0
-
-
-def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvings=6):
+def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     """Propagate each initial state through its own field; one result per row.
 
     Row r starts from states0[r] and feels fields[r].  The rows must share
-    basis, start time and field window; they run together, and each run
-    after the first is compared with the one before it.  The Richardson
-    estimate of a row (the difference of the two runs over r^order - 1, with
-    r the smallest ratio of their step counts over the sample intervals in
-    the field, per-sample 2-norm) certifies it once it reaches `tol` (in the
-    pilot pair, tol / _PILOT_MARGIN), and the row leaves.  The first run
-    steps each interval at the finest pilot step any of the fields needs (or
-    `dt`).  Every later run multiplies the step count of every interval by a
-    ratio, rounded up: 2 after the first, then (e / (_SAFETY tol))^(1/order),
-    the ratio predicted to land at _SAFETY tol from e, the worst estimate of
-    the rows left.
+    basis, start time and field window, and `times` must lie in that window
+    (otherwise ValueError); they run together, and each run after the first
+    is compared with the one before it.  A row's step error is the larger of
+    its Richardson estimate (the difference of the two runs over
+    r^order - 1, with r the smallest ratio of their step counts over the
+    sample intervals, per-sample 2-norm) and its norm drift
+    max_k | |psi_k| - |psi_0| |, a lower bound on its error.  The row is
+    certified, and leaves, once that reaches `tol` (in the pilot pair,
+    tol / _PILOT_MARGIN).  The first run steps each interval at the finest
+    pilot step any of the fields needs.  Every later run multiplies the step
+    count of every interval by a ratio, rounded up: 2 after the first, then
+    (e / (_SAFETY tol))^(1/order), the ratio predicted to land at _SAFETY tol
+    from e, the worst estimate of the rows left.
 
-    `max_halvings` caps the runs after the first.  Each Trajectory's meta
-    holds the longest step of its last run ("dt"), the runs after the first
-    ("halvings"), the kernel steps of each run ("steps") and the estimate
-    ("step_error").  Returns a list holding, per row, its Trajectory or,
-    when the runs are spent first, its NotConverged error.  A run that would
-    take more than _MAX_STEPS steps raises ConfigError.
+    Each Trajectory's meta holds the longest step of its last run ("dt"),
+    the runs after the first ("halvings"), the kernel steps of each run
+    ("steps") and the step error ("step_error").  Returns a list holding,
+    per row, its Trajectory or its NotConverged error: a row fails once its
+    norm drift alone exceeds `tol`, or when _MAX_HALVINGS runs after the
+    first are spent.  A run that would take more than _MAX_STEPS steps
+    raises ConfigError.
     """
     fields, states0 = list(fields), list(states0)
     if not states0 or len(fields) != len(states0):
@@ -373,73 +357,73 @@ def propagate_batch(h0, v, fields, states0, times, dt=None, tol=1e-8, max_halvin
         raise ValueError("times must be a strictly increasing 1d array, length >= 2")
     if any(abs(times[0] - s.time) > 1e-12 * max(1.0, abs(times[0])) for s in states0):
         raise ValueError("times[0] must equal state0.time")
-    windows = {None if f is None else (f.t_start, f.t_end) for f in fields}
+    windows = {(f.t_start, f.t_end) for f in fields}
     if len(windows) != 1:
         raise ValueError("the fields of one batch must share their window")
+    (window,) = windows
+    if times[0] < window[0] or times[-1] > window[1]:
+        raise ValueError(f"times [{times[0]:g}, {times[-1]:g}] reach outside the field "
+                         f"window [{window[0]:g}, {window[1]:g}]")
 
     frame = _SplitFrame(h0m, vm)
     y0 = frame.to_frame(np.array([s.amplitudes for s in states0]))
-
-    def trajectory(y, meta):
-        return Trajectory(times, frame.from_frame(y), basis=first.basis,
-                          labels=first.labels, meta=meta)
-
-    (window,) = windows
-    if window is None or window[1] <= times[0] or window[0] >= times[-1]:
-        # no field overlap: closed-form drift at the sample times
-        states = frame.free(y0, times - times[0])
-        meta = {"dt": None, "halvings": 0, "steps": [], "step_error": 0.0}
-        return [trajectory(states[:, r], dict(meta)) for r in range(len(states0))]
-
-    dt0 = min(_default_dt(frame, f) for f in fields) if dt is None else float(dt)
-    lo = np.clip(times[:-1], *window)
-    hi = np.clip(times[1:], *window)
-    on = hi > lo
+    dt0 = min(_default_dt(frame, f) for f in fields)
     with np.errstate(divide="ignore", over="ignore"):
-        n_prev = _step_counts((hi - lo) / dt0, on)
+        n_prev = _step_counts(np.diff(times) / dt0)
     results = [None] * len(states0)
     rows = np.arange(len(states0))
-    err = np.full(rows.size, np.inf)
-    prev, longest = _run_sampled(frame, fields, y0, times, lo, hi, n_prev)
+    prev, longest = _run_sampled(frame, fields, y0, times, n_prev)
     steps = [int(n_prev.sum())]
-    for k in range(1, max_halvings + 1):
+    for k in range(1, _MAX_HALVINGS + 1):
         # 2 after the pilot, then the ratio predicted to land at _SAFETY tol;
-        # either is above 1, so every interval in the field is refined
+        # either is above 1, so every interval is refined
         ratio = 2.0 if k == 1 else (float(np.max(err)) / (_SAFETY * tol)) ** (1.0 / _ORDER)
-        n_cur = _step_counts(ratio * n_prev, on)
-        cur, longest = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, lo, hi,
-                                    n_cur)
+        n_cur = _step_counts(ratio * n_prev)
+        cur, longest = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, n_cur)
         steps.append(int(n_cur.sum()))
-        err = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / _richardson(n_prev, n_cur)
+        states = [frame.from_frame(cur[:, j]) for j in range(rows.size)]
+        norms = [np.linalg.norm(s, axis=1) for s in states]
+        drift = np.array([np.max(np.abs(m - m[0])) for m in norms])
+        # every interval takes more steps in this run, so the smallest ratio
+        # r of the step counts is above 1 and the difference sees each one
+        r = float(np.min(n_cur / n_prev))
+        rich = np.max(np.linalg.norm(cur - prev, axis=2), axis=0) / (r ** _ORDER - 1.0)
+        err = np.maximum(rich, drift)
         done = err <= (tol / _PILOT_MARGIN if k == 1 else tol)
         for j in np.flatnonzero(done):
-            results[rows[j]] = trajectory(cur[:, j], {"dt": longest, "halvings": k,
-                                                      "steps": list(steps),
-                                                      "step_error": float(err[j])})
-        rows, err, prev, n_prev = rows[~done], err[~done], cur[:, ~done], n_cur
+            results[rows[j]] = Trajectory(times, states[j], basis=first.basis,
+                                          labels=first.labels,
+                                          meta={"dt": longest, "halvings": k,
+                                                "steps": list(steps),
+                                                "step_error": float(err[j])})
+        for j in np.flatnonzero(drift > tol):
+            results[rows[j]] = NotConverged(
+                f"norm drift {drift[j]:.3e} exceeds tol {tol:g} after {steps[-1]} steps: "
+                f"roundoff rules out a certified error this small")
+        keep = ~done & (drift <= tol)
+        rows, err, prev, n_prev = rows[keep], err[keep], cur[:, keep], n_cur
         if not rows.size:
             return results
     for r, e in zip(rows, err):
         results[r] = NotConverged(
             f"step control stalled at estimated error {e:.3e}, tol {tol:g}, after "
-            f"{max_halvings} runs past the first (dt = {longest:g})"
+            f"{_MAX_HALVINGS} runs past the first (dt = {longest:g})"
         )
     return results
 
 
-def propagate(h0, v, fld, state0, times, dt=None, tol=1e-8, max_halvings=6):
+def propagate(h0, v, fld, state0, times, tol=1e-8):
     """Propagate state0 through the field, sampling at `times`.
 
     h0 and v may be OperatorMatrix (basis tags are then checked against the
-    state) or plain arrays.  `fld` may be None for pure free evolution.
-    `times` must be strictly increasing and start at state0.time.  The result
-    is certified as in propagate_batch: a pilot pair predicts the step, and
-    the Richardson estimate of the returned solution's error (per-sample
-    2-norm) must reach `tol` within `max_halvings` runs after the first, or
-    NotConverged is raised.  This is the one-row call of propagate_batch.
+    state) or plain arrays.  `times` must be strictly increasing, start at
+    state0.time and lie in the field window.  The result is certified as in
+    propagate_batch: a pilot pair predicts the step, and the step error of
+    the returned solution (per-sample 2-norm, at least its norm drift) must
+    reach `tol`, or NotConverged is raised.  This is the one-row call of
+    propagate_batch.
     """
-    (result,) = propagate_batch(h0, v, [fld], [state0], times, dt=dt, tol=tol,
-                                max_halvings=max_halvings)
+    (result,) = propagate_batch(h0, v, [fld], [state0], times, tol=tol)
     if isinstance(result, NotConverged):
         raise result
     return result

@@ -204,6 +204,21 @@ def _lagged_pearson(x):
     return np.clip(r, -1.0, 1.0)
 
 
+def _vertex(values, i, band=0.0):
+    """Offset, in samples, of the parabola vertex through samples i - 1, i, i + 1.
+
+    0 at either end of the series, where the three samples are not concave,
+    or where an error of `band` in them could move the vertex by more than
+    a sample.
+    """
+    if not 0 < i < values.size - 1:
+        return 0.0
+    vm1, v0, vp1 = values[i - 1], values[i], values[i + 1]
+    den = vm1 - 2.0 * v0 + vp1
+    # the vertex moves by up to 2 band / |den| samples
+    return 0.5 * (vm1 - vp1) / den if den < 0 and 2.0 * band <= -den else 0.0
+
+
 def revival_period(series, min_lag=None):
     """Time shift after which the signal repeats.
 
@@ -236,13 +251,7 @@ def revival_period(series, min_lag=None):
         run_end += 1
     seg = r[run_start:run_end + 1]
     m = run_start + int(np.argmax(seg))
-    if 0 < m < n - 1:
-        rm1, r0, rp1 = r[m - 1], r[m], r[m + 1]
-        denom = rm1 - 2.0 * r0 + rp1
-        delta = 0.5 * (rm1 - rp1) / denom if denom < 0 else 0.0
-    else:
-        delta = 0.0
-    return float((m + delta) * dt)
+    return float((m + _vertex(r, m)) * dt)
 
 
 def _float_gcd(values, rtol=1e-9):

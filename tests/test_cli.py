@@ -186,8 +186,11 @@ def test_coupled_cavity_needs_photon_states():
 
 
 def test_integrator_validation():
-    with pytest.raises(ConfigError, match="max_halvings"):
-        resolve_config({"integrator": {"max_halvings": -1}})
+    # step control takes only tol: the pilot step and the run cap are fixed
+    for key, value in (("dt", 0.5), ("max_halvings", 6)):
+        with pytest.raises(ConfigError, match=f"unknown config key integrator.'{key}'"):
+            resolve_config({"integrator": {key: value}})
+    assert set(resolve_config({})["integrator"]) == {"tol"}
     with pytest.raises(ConfigError, match="tol"):
         resolve_config({"integrator": {"tol": -1.0}})
     with pytest.raises(ConfigError, match="n_trace"):
@@ -251,13 +254,34 @@ def test_unknown_preset_exits_via_argparse(capsys):
 
 def test_failed_convergence_exits_3(tmp_path, capsys):
     cfg = merged(FAST, {"system": {"j_max": 3, "n_max": 1},
-                        "integrator": {"tol": 1e-13, "max_halvings": 0}})
+                        "integrator": {"tol": 1e-15}})
     path = write_cfg(tmp_path / "strict.yaml", cfg)
     out = tmp_path / "run"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 3
     assert "convergence failure" in capsys.readouterr().err
     # the run fails before any output is written
     assert not out.exists()
+
+
+def test_a_tol_below_the_norm_drift_exits_3(tmp_path, capsys):
+    # the designed pulse's certified run drifts in norm by some 3e-12, a
+    # lower bound on its error: a tol of 1e-13 stops there, not after the
+    # last run step control may take
+    path = write_cfg(tmp_path / "tight.yaml", {"integrator": {"tol": 1e-13}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "fig4", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "convergence failure: norm drift" in err and "exceeds tol 1e-13 after" in err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "sub"):
+        assert main(["oracle", "--out", str(out)]) == 2
+        assert "output error: " in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_infeasible_design_exits_4(tmp_path, capsys):
@@ -306,7 +330,8 @@ def test_bare_composite_carriers_sit_around_the_0_1_line():
 @pytest.mark.parametrize("name, cfg", [
     ("detuning", {"field": {"detuning_g": 1.0e300}}),
     ("carrier", {"field": {"kind": "composite", "carriers": [{"detuning_g": 1.0e300}]}}),
-    ("dt", {"integrator": {"dt": 1.0e-300}}),
+    # a window a million times the default's: 5e7 steps at the pilot step
+    ("narrowband", {"field": {"bandwidth_g": 1.0e-6}}),
     ("area", {"field": {"area": 1.0e300}}),
 ])
 def test_runs_above_the_step_cap_exit_2(tmp_path, capsys, name, cfg):
@@ -623,7 +648,8 @@ def test_json_safe_refuses_what_it_cannot_write():
 
 
 def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):
-    frozen = {"integrator": {"tol": 1e-13, "max_halvings": 0}}
+    # a tol below every record's norm drift
+    frozen = {"integrator": {"tol": 1e-15}}
     kinds = {"detuning": ("orientation_cavon_bw1.tsv", {"detunings_g": [-1.0, 0.0, 1.0],
                                                         "bandwidths_g": [1.0],
                                                         "cavity": [True]}),
