@@ -1,8 +1,8 @@
 """Rotational-polariton simulator and pulse-design toolkit.
 
 A single polar linear molecule exchanges one quantum with a resonant cavity
-mode.  A run has one of two models: the rotor alone (no coupling), or the
-polariton (dressed) basis of the coupled system.  The package propagates
+mode.  A run has one of two models, which build_model picks: the rotor alone
+(no coupling), or the polariton (dressed) basis of the coupled system.  The package propagates
 arbitrary linearly polarized drive fields in either, extracts orientation
 traces, spectra, and revival periods, and designs the two-color pulse that
 restores the bare orientation maximum 1/sqrt(3) inside the cavity.
@@ -42,14 +42,12 @@ from .errors import (
     UnknownUnit,
 )
 from .model import (
-    DressedBasis,
     OperatorMatrix,
     SystemParams,
-    build_dressed_basis,
+    build_model,
     convert_units,
     cos_theta_elements,
     doublet_energies,
-    dressed_cos_matrix,
     mu_tilde_doublet,
     mu_tilde_ground,
 )

@@ -8,11 +8,12 @@ manifest.  Outputs are tab-separated columns plus JSON summaries; nothing
 carries a timestamp, so identical configs produce bit-identical directories.
 
 Exit codes: 0 success, 2 invalid config or arguments (a grid or sample count
-above 100,000 and sample times floating point cannot resolve included), a
-run above the propagation step cap, or an output directory that cannot be
-written, 3 the certified propagation failed to converge (a tol below the
-run's norm drift included), 4 requested design infeasible.  A failed run
-writes no output directory.  Pulse areas are closed forms and cannot fail.
+above 100,000, --threads above 256 and sample times floating point cannot
+resolve included), a run above the propagation step cap, or an output
+directory that cannot be written, 3 the certified propagation failed to
+converge (a tol below the run's norm drift included), 4 requested design
+infeasible.  A failed run writes no output directory.  Pulse areas are
+closed forms and cannot fail.
 """
 
 import argparse
@@ -37,7 +38,7 @@ from .control import (
     scan_detuning_bandwidth,
 )
 from .errors import ConfigError, DesignInfeasible, NotConverged
-from .model import SystemParams, build_dressed_basis, convert_units, dressed_cos_matrix
+from .model import SystemParams, build_model, convert_units
 from .observables import orientation_max_oracle
 from .pulse import composite_for_area, field_to_dict, gaussian_for_area
 
@@ -123,6 +124,8 @@ def _quantity(node, path, units):
 
 # a start/stop/num grid or sample count larger than this is a typo, not a run
 _MAX_GRID = 100_000
+# worker processes a scan may ask for; a process pool starts all of them at once
+_MAX_THREADS = 256
 # basis states of a run: j_max + 1 on the rotor alone, 2 (n_max + 1) dressed;
 # the states of a trajectory of _MAX_GRID samples x 64 states take 102 MB
 _MAX_DIM = 64
@@ -531,7 +534,7 @@ def cmd_simulate(cfg, args):
         tol=cfg["integrator"]["tol"],
     )
     outdir = _outdir(cfg, args, "simulate")
-    written = ["orientation.tsv", "spectrum.tsv"]
+    written = ["orientation.tsv", "spectrum.tsv", "trajectory.tsv"]
 
     series = rec["series"]
     _write_tsv(os.path.join(outdir, "orientation.tsv"),
@@ -540,13 +543,11 @@ def cmd_simulate(cfg, args):
 
     _write_spectrum(os.path.join(outdir, "spectrum.tsv"), rec["spectrum"], params)
 
-    traj = rec.get("trajectory")
-    if traj is not None:
-        cols = ["time_au"] + [f"{part}({lab})" for lab in traj.labels for part in ("re", "im")]
-        # a complex row viewed as floats is re, im of each amplitude in turn
-        rows = np.column_stack([traj.times, traj.states.view(float)]).tolist()
-        _write_tsv(os.path.join(outdir, "trajectory.tsv"), cols, rows)
-        written.append("trajectory.tsv")
+    traj = rec["trajectory"]
+    cols = ["time_au"] + [f"{part}({lab})" for lab in traj.labels for part in ("re", "im")]
+    # a complex row viewed as floats is re, im of each amplitude in turn
+    rows = np.column_stack([traj.times, traj.states.view(float)]).tolist()
+    _write_tsv(os.path.join(outdir, "trajectory.tsv"), cols, rows)
 
     summary = {k: v for k, v in rec.items() if k not in ("series", "spectrum", "trajectory")}
     if design_report is not None:
@@ -667,9 +668,8 @@ def cmd_oracle(cfg, args):
     params, _ = build_params(cfg)
     if not cfg["system"]["cavity"]:
         raise ConfigError("oracle: needs the cavity on (dressed states undefined otherwise)")
-    basis = build_dressed_basis(params)
-    cos_op = dressed_cos_matrix(params)
-    result = orientation_max_oracle(cos_op, basis.energies, basis.labels)
+    model = build_model(params)
+    result = orientation_max_oracle(model.cos, model.energies, model.labels)
     outdir = _outdir(cfg, args, "oracle")
     _write_json(os.path.join(outdir, "oracle.json"), result)
     print(f"oracle: max orientation {result['max']:.8f} at populations "
@@ -693,9 +693,10 @@ def _build_parser():
                         help="named base config to layer --config over")
     common.add_argument("--out", help="output directory (overrides output.directory)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for scans; a detuning scan gives each "
-                             "(cavity, bandwidth) group to one process, a composite "
-                             "scan each bandwidth")
+                        help=f"worker processes for scans (at most {_MAX_THREADS}, and "
+                             "no more than the scan has jobs); a detuning scan gives "
+                             "each (cavity, bandwidth) group to one process, a "
+                             "composite scan each bandwidth")
     common.add_argument("--seed", type=int, default=None,
                         help="recorded in the manifest; runs are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -732,8 +733,9 @@ def main(argv=None):
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config is not valid YAML: {exc}") from None
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+        if args.threads is not None and not 1 <= args.threads <= _MAX_THREADS:
+            raise ConfigError(f"--threads: must be between 1 and {_MAX_THREADS}, "
+                              f"got {args.threads}")
         cfg = resolve_config(raw, preset=args.preset)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

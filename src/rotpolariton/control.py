@@ -23,7 +23,6 @@ bandwidth, whose record adds the first-order comparison.  Jobs go to worker
 processes as they are, and the records come back in job order.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
@@ -37,10 +36,9 @@ from .dynamics import (
 )
 from .errors import DesignInfeasible, NoRevivalFound, NotConverged
 from .model import (
+    Model,
     OperatorMatrix,
-    build_dressed_basis,
-    cos_theta_elements,
-    dressed_cos_matrix,
+    build_model,
     doublet_energies,
     mu_tilde_doublet,
     mu_tilde_ground,
@@ -236,23 +234,25 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     return pulse, report
 
 
-def _refined_trace_max(state, energies, cos_op, t0, window, n, error):
+def _refined_trace_max(state, model, t0, window, n, error):
     """Max of the free-evolution orientation over [t0, t0 + window), its time and trace.
 
-    The max is the larger of the best sample and the trace at the parabola
-    vertex around it.  A state error `error` moves the trace by up to twice
-    that, so its time is the earliest sample within 2 `error` of the best
-    one, moved to the vertex there where that band resolves it: roundoff
-    then cannot choose among the copies of a maximum that the trace repeats
-    with its revivals, nor move the vertex of a shallow one.
+    The state evolves freely in `model`.  The max is the larger of the best
+    sample and the trace at the parabola vertex around it.  A state error
+    `error` moves the trace by up to twice that, so its time is the earliest
+    sample within 2 `error` of the best one, moved to the vertex there where
+    that band resolves it: roundoff then cannot choose among the copies of a
+    maximum that the trace repeats with its revivals, nor move the vertex of
+    a shallow one.
     """
     dt = window / n
     ts = t0 + dt * np.arange(n)
-    series = orientation_trace(state, energies, cos_op, ts)
+    series = orientation_trace(state, model.energies, model.cos, ts)
     vals = series.values
     top = int(np.argmax(vals))
     t_top = ts[top] + _vertex(vals, top) * dt
-    v_top = orientation_trace(state, energies, cos_op, np.array([t_top, t_top + dt])).values[0]
+    v_top = orientation_trace(state, model.energies, model.cos,
+                              np.array([t_top, t_top + dt])).values[0]
     first = int(np.argmax(vals >= vals[top] - 2.0 * error))
     t_first = ts[first] + _vertex(vals, first, 2.0 * error / _RESOLUTION) * dt
     return float(max(v_top, vals[top])), float(t_first), series
@@ -267,30 +267,19 @@ def _trace_revival(series, tau):
 
 
 def _kick_setup(params, fld):
-    """Drift, drive, initial state, cos theta and drift energies of a kick.
+    """Drift, drive, initial state and model of a kick.
 
-    A coupled run (g > 0) takes the dressed basis; otherwise the rotor is
-    alone, with energies B J(J+1) and no photon ladder.  Either way
-    h0 = diag(energies), v = mu cos theta, and the run starts at index 0.
+    The model is build_model's: h0 = diag(energies), v = mu cos theta, and
+    the run starts in its first state.
     """
-    if params.coupling > 0:
-        basis = build_dressed_basis(params)
-        labels, energies, cos_op = basis.labels, basis.energies, dressed_cos_matrix(params)
-    elif params.n_max > 0:
-        raise ValueError(f"an uncoupled run is the rotor alone and needs n_max = 0, "
-                         f"got {params.n_max}")
-    else:
-        j = np.arange(params.j_max + 1, dtype=float)
-        labels = tuple(f"J{k},n0" for k in range(params.j_max + 1))
-        energies = params.rot_const * j * (j + 1.0)
-        cos_op = cos_theta_elements(params.j_max)
-    state0 = unit_state(labels, 0, basis=cos_op.basis, time=fld.t_start)
-    return (OperatorMatrix(np.diag(energies), basis=cos_op.basis),
-            OperatorMatrix(params.dipole * cos_op.matrix.real, basis=cos_op.basis),
-            state0, cos_op, energies)
+    model = build_model(params)
+    tag = model.cos.basis
+    return (OperatorMatrix(np.diag(model.energies), basis=tag),
+            OperatorMatrix(params.dipole * model.cos.matrix.real, basis=tag),
+            unit_state(model.labels, 0, basis=tag, time=fld.t_start), model)
 
 
-def _kick_summary(params, fld, traj, cos_op, energies, trace_window=None,
+def _kick_summary(params, fld, traj, model, trace_window=None,
                   n_trace=16384, snapshot_offset=None, keep_series=False,
                   keep_spectrum=False):
     """Post-pulse record of one propagated kick; see kick_response."""
@@ -302,10 +291,11 @@ def _kick_summary(params, fld, traj, cos_op, energies, trace_window=None,
     end = traj.state_at(len(traj) - 1)
     error = traj.meta["step_error"]
 
-    vmax, t_max, series = _refined_trace_max(end, energies, cos_op,
-                                             fld.t_end, trace_window, n_trace, error)
+    vmax, t_max, series = _refined_trace_max(end, model, fld.t_end, trace_window,
+                                             n_trace, error)
     snap_t = fld.t_end + snapshot_offset
-    snap = orientation_trace(end, energies, cos_op, np.array([snap_t, snap_t + tau])).values[0]
+    snap = orientation_trace(end, model.energies, model.cos,
+                             np.array([snap_t, snap_t + tau])).values[0]
 
     spec = spectrum(series)
     # a trace whose error band the certificate does not resolve is flat: its
@@ -343,8 +333,6 @@ def _kick_summary(params, fld, traj, cos_op, energies, trace_window=None,
         rec["series"] = series
     if keep_spectrum:
         rec["spectrum"] = spec
-    if len(traj) > 2:
-        rec["trajectory"] = traj
     return rec
 
 
@@ -353,12 +341,12 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
                   n_pulse_samples=2, tol=1e-8):
     """Propagate one pulse and summarize the post-pulse orientation.
 
-    A coupled run (g > 0) runs in the polariton eigenbasis of the cavity on
-    the 0-1 line, an uncoupled one on the rotor alone, which needs n_max = 0
-    (otherwise ValueError); the drive is mu cos theta in both.  Returns a
-    plain dict: orientation max (parabola-refined), value at the snapshot
-    offset after the pulse, revival period (None if undetected), spectral
-    peaks, final populations.
+    The run propagates the model build_model picks: the polariton eigenbasis
+    of the cavity on the 0-1 line when coupled (g > 0), otherwise the rotor
+    alone, which needs n_max = 0 (otherwise ValueError); the drive is
+    mu cos theta in both.  Returns a plain dict: orientation max
+    (parabola-refined), value at the snapshot offset after the pulse,
+    revival period (None if undetected), spectral peaks, final populations.
     No value is read off roundoff: each must be resolved by the certified
     step error ε to _RESOLUTION (5 %).  A trace moves by up to 2 ε, so one
     whose largest |value| is below 2 ε / 5 % = 40 ε is flat, with t_max and
@@ -367,35 +355,39 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
     the parabola vertex there where that resolves the vertex to 5 % of a
     sample.  A dressed phase, resolved to ε / |amplitude| radians, is None
     where its amplitude is at most ε / 5 % = 20 ε.
-    keep_series / keep_spectrum / n_pulse_samples > 2 attach the full trace,
-    spectrum, and in-pulse trajectory under non-JSON keys for file export.
+    keep_series / keep_spectrum attach the full trace and spectrum, and the
+    in-pulse trajectory of n_pulse_samples (at least 2) samples is always
+    attached, all under non-JSON keys for file export.
     tol is the step error the propagation is certified to (see propagate).
     """
-    h0, v, state0, cos_op, energies = _kick_setup(params, fld)
+    h0, v, state0, model = _kick_setup(params, fld)
     n_samples = max(2, int(n_pulse_samples))
     traj = propagate(h0, v, fld, state0, np.linspace(fld.t_start, fld.t_end, n_samples),
                      tol=tol)
-    return _kick_summary(params, fld, traj, cos_op, energies,
-                         trace_window=trace_window, n_trace=n_trace,
-                         snapshot_offset=snapshot_offset,
-                         keep_series=keep_series, keep_spectrum=keep_spectrum)
+    rec = _kick_summary(params, fld, traj, model, trace_window=trace_window,
+                        n_trace=n_trace, snapshot_offset=snapshot_offset,
+                        keep_series=keep_series, keep_spectrum=keep_spectrum)
+    rec["trajectory"] = traj
+    return rec
 
 
 def magnus_final_state(params, fld):
     """First-order analytic end-of-pulse state, with its drift phases since t = 0.
 
     It lives on the first five dressed states, |0;0>, |+-;0> and |+-;1>, so
-    it needs n_max >= 2, otherwise ValueError.
+    it needs n_max >= 2, otherwise ValueError.  Returns the state and the
+    dressed model cut to those five states.
     """
     if params.n_max < 2:
         raise ValueError(f"the first-order state needs |+-;1>, so n_max >= 2, "
                          f"got {params.n_max}")
     amps = magnus_wavefunction(compute_areas(params, fld))
-    basis = build_dressed_basis(params)
-    energies = basis.energies[:5]
-    state = StateVector(np.exp(-1j * energies * fld.t_end) * amps, basis="dressed",
-                        time=fld.t_end, labels=basis.labels[:5])
-    return state, energies
+    full = build_model(params)
+    model = Model(full.labels[:5], full.energies[:5],
+                  OperatorMatrix(full.cos.matrix[:5, :5], basis="dressed"))
+    state = StateVector(np.exp(-1j * model.energies * fld.t_end) * amps, basis="dressed",
+                        time=fld.t_end, labels=model.labels)
+    return state, model
 
 
 @dataclass(frozen=True)
@@ -412,24 +404,22 @@ class ScanResult:
         return len(self.records)
 
 
-def _kick_worker(params, fld, traj, cos_op, energies, kw):
+def _kick_worker(params, fld, traj, model, kw):
     """One kick record, from its propagated trajectory or its failure."""
     if isinstance(traj, NotConverged):
         return {"converged": False, "error": str(traj)}
-    rec = _kick_summary(params, fld, traj, cos_op, energies, **kw)
+    rec = _kick_summary(params, fld, traj, model, **kw)
     return {**rec, "converged": True}
 
 
-def _composite_worker(params, fld, traj, cos_op, energies, kw):
+def _composite_worker(params, fld, traj, model, kw):
     """One composite record: the exact kick against the first-order pulse map."""
-    exact = _kick_worker(params, fld, traj, cos_op, energies, {**kw, "keep_series": True})
+    exact = _kick_worker(params, fld, traj, model, {**kw, "keep_series": True})
     if not exact["converged"]:
         return exact
-    mstate, men = magnus_final_state(params, fld)
-    sub = cos_op.matrix[np.ix_(range(5), range(5))]
-    mmax, _, _ = _refined_trace_max(
-        mstate, men, OperatorMatrix(sub, basis="dressed"),
-        fld.t_end, exact["series"].window, _MAGNUS_N_TRACE, 0.0)
+    mstate, mmodel = magnus_final_state(params, fld)
+    mmax, _, _ = _refined_trace_max(mstate, mmodel, fld.t_end, exact["series"].window,
+                                    _MAGNUS_N_TRACE, 0.0)
     mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
     epops = exact["populations"]
     pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mstate.labels)
@@ -455,17 +445,23 @@ def _kick_group_worker(job):
     summary keywords, per-record function).
     """
     params, fields, tol, kw, record = job
-    h0, v, state0, cos_op, energies = _kick_setup(params, fields[0])
+    h0, v, state0, model = _kick_setup(params, fields[0])
     times = np.array([fields[0].t_start, fields[0].t_end])
     trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, tol=tol)
-    return [record(params, fld, traj, cos_op, energies, kw)
-            for fld, traj in zip(fields, trajs)]
+    return [record(params, fld, traj, model, kw) for fld, traj in zip(fields, trajs)]
 
 
 def _scan_groups(jobs, threads):
-    """The records of all jobs, in job order; threads > 1 runs jobs in processes."""
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """The records of all jobs, in job order.
+
+    Where min(threads, jobs) is above 1, that many worker processes run the
+    jobs; the process pool is imported only then.
+    """
+    workers = min(threads or 1, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_kick_group_worker, jobs, chunksize=1))
     else:
         groups = [_kick_group_worker(job) for job in jobs]

@@ -1,4 +1,4 @@
-"""System definition: units, parameters, the dressed basis, and cos theta.
+"""System definition: units, parameters, and the model of a run.
 
 A single polar linear molecule (rigid rotor, M = 0 manifold) couples to one
 cavity mode that sits on its 0-1 rotational line, w_c = omega01 = 2B, by
@@ -6,10 +6,10 @@ construction.  Everything internal runs in Hartree atomic units with
 hbar = 1, so energies double as angular frequencies.  Inputs are accepted in
 wavenumbers (rotational constant) and Debye (permanent dipole).
 
-A run has one of two models, each described by its energies and cos theta;
-the drive is mu cos theta in both.  Without coupling the rotor is alone:
-energies B J(J+1) on J = 0 .. j_max.  With it, the run uses the resonant
-Jaynes-Cummings ladder in its dressed basis:
+A run has one of two models, each described by its energies and cos theta
+(build_model picks it); the drive is mu cos theta in both.  Without
+coupling the rotor is alone: energies B J(J+1) on J = 0 .. j_max.  With it,
+the run uses the resonant Jaynes-Cummings ladder in its dressed basis:
 
 * the light-matter coupling strength ``g`` is the vacuum Rabi element on the
   0-1 line.
@@ -31,10 +31,9 @@ __all__ = [
     "SystemParams",
     "OperatorMatrix",
     "operator_matrix",
-    "DressedBasis",
+    "Model",
     "cos_theta_elements",
-    "build_dressed_basis",
-    "dressed_cos_matrix",
+    "build_model",
     "doublet_energies",
     "mu_tilde_ground",
     "mu_tilde_doublet",
@@ -187,75 +186,66 @@ def mu_tilde_doublet(params):
 
 
 @dataclass(frozen=True)
-class DressedBasis:
-    """Polariton eigenbasis of the resonant Jaynes-Cummings block structure.
+class Model:
+    """The model a run propagates: its basis labels, energies and cos theta.
 
-    Ordering: |0;0>, then (+;n, -;n) for n = 0 .. n_max-1, then the lone
-    |J=1, n_max> edge state left unpaired by the photon truncation.  The
-    transform's columns are the dressed states expressed over the two-level
-    rotor product basis (j in {0,1}, lexicographic (n, j) indexing).
+    The drift is diag(energies) and the drive mu cos theta, both in the
+    basis tag of `cos`.
     """
 
-    n_max: int
     labels: tuple
     energies: np.ndarray
-    transform: np.ndarray
+    cos: OperatorMatrix
 
     def __post_init__(self):
         e = np.array(self.energies, dtype=float)
-        u = np.array(self.transform, dtype=complex)
         e.setflags(write=False)
-        u.setflags(write=False)
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "transform", u)
 
     @property
     def dim(self):
-        return 2 * (self.n_max + 1)
+        return len(self.labels)
 
     def index(self, label):
         return self.labels.index(label)
 
 
-def build_dressed_basis(params):
-    """Construct the dressed basis of the resonant ladder."""
+def build_model(params):
+    """The run's model: the resonant dressed ladder with coupling, else the rotor.
+
+    Without coupling the rotor is alone, with energies B J(J+1) on
+    J = 0 .. j_max and cos theta from cos_theta_elements; it needs n_max = 0,
+    otherwise ValueError.  With coupling the states are |0;0>, then
+    (+;n, -;n) for n = 0 .. n_max-1, then the |J=1, n_max> edge state the
+    photon truncation leaves unpaired; it needs n_max >= 1.  With
+    c = <0|cos|1> and s = 1/sqrt(2), cos theta couples |0;0> to |+-;0> by
+    +-c s, each |+-;n> to |l;n+1> by l s c s, and |+-;n_max-1> to the edge
+    by c s.
+    """
     n_max = params.n_max
+    if params.coupling == 0:
+        if n_max > 0:
+            raise ValueError(f"an uncoupled run is the rotor alone and needs n_max = 0, "
+                             f"got {n_max}")
+        j = np.arange(params.j_max + 1, dtype=float)
+        return Model(tuple(f"J{k},n0" for k in range(params.j_max + 1)),
+                     params.rot_const * j * (j + 1.0), cos_theta_elements(params.j_max))
     if n_max < 1:
         raise ValueError("dressed basis needs n_max >= 1")
-    dim = 2 * (n_max + 1)
-
-    def pidx(j, n):
-        return 2 * n + j
-
-    u = np.zeros((dim, dim))
     labels = ["0;0"]
     energies = [0.0]
-    u[pidx(0, 0), 0] = 1.0
-    col = 1
-    s = 1.0 / np.sqrt(2.0)
     for n in range(n_max):
-        up, lo = doublet_energies(params, n)
-        u[pidx(0, n + 1), col] = s
-        u[pidx(1, n), col] = s
-        labels.append(f"+;{n}")
-        energies.append(up)
-        col += 1
-        u[pidx(0, n + 1), col] = s
-        u[pidx(1, n), col] = -s
-        labels.append(f"-;{n}")
-        energies.append(lo)
-        col += 1
-    # photon-truncation edge state |J=1, n_max> has no |J=0, n_max+1> partner
-    u[pidx(1, n_max), col] = 1.0
+        labels += [f"+;{n}", f"-;{n}"]
+        energies += doublet_energies(params, n)
     labels.append("edge")
     energies.append(params.omega01 + n_max * params.omega01)
-    return DressedBasis(n_max=n_max, labels=tuple(labels), energies=np.array(energies), transform=u)
 
-
-def dressed_cos_matrix(params):
-    """Bare cos(theta) observable conjugated into the dressed basis."""
-    basis = build_dressed_basis(params)
-    u = basis.transform
-    cos2 = np.kron(np.eye(params.n_max + 1), cos_theta_elements(1).matrix.real)
-    m = u.conj().T @ cos2 @ u
-    return OperatorMatrix(0.5 * (m + m.conj().T), basis="dressed")
+    c = cos_theta_elements(1).matrix.real[0, 1]
+    s = 1.0 / np.sqrt(2.0)
+    m = np.zeros((len(labels), len(labels)))
+    m[0, 1:3] = c * s, -(c * s)
+    # |+-;n> sits at 1 + 2n, |+-;n+1> at 3 + 2n; the edge state is last
+    for n in range(n_max - 1):
+        m[1 + 2 * n:3 + 2 * n, 3 + 2 * n:5 + 2 * n] = s * c * s, -(s * c * s)
+    m[-3:-1, -1] = c * s
+    return Model(tuple(labels), energies, OperatorMatrix(m + m.T, basis="dressed"))

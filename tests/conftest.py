@@ -121,16 +121,15 @@ def orientation_dense(amplitudes, energies, m, times, t0):
 # ------------------------------------------------------------ dressed model
 
 def dressed_operators(params):
-    """(diag E, mu cos theta, basis) of the dressed model.
+    """(diag E, mu cos theta, model) of the dressed model.
 
-    The drift and drive a coupled kick propagates, written from the dressed
-    basis and its cos theta.
+    The drift and drive a coupled kick propagates, written from the model's
+    energies and cos theta.
     """
-    basis = rp.build_dressed_basis(params)
-    cos_op = rp.dressed_cos_matrix(params)
-    return (rp.OperatorMatrix(np.diag(basis.energies), basis="dressed"),
-            rp.OperatorMatrix(params.dipole * cos_op.matrix.real, basis="dressed"),
-            basis)
+    model = rp.build_model(params)
+    return (rp.OperatorMatrix(np.diag(model.energies), basis="dressed"),
+            rp.OperatorMatrix(params.dipole * model.cos.matrix.real, basis="dressed"),
+            model)
 
 
 # ------------------------------------------------------ cross-frame reference
@@ -138,7 +137,8 @@ def dressed_operators(params):
 # The product (rotor x photon) basis, its full Hamiltonian with the
 # counter-rotating coupling, and its bridge to the dressed states.  The
 # package propagates the dressed basis or the rotor alone, never this frame;
-# the cross-frame checks compare the two through these helpers.
+# the cross-frame checks compare the two through these helpers, and the
+# bridge's transform is the reference for the closed-form dressed cos theta.
 #
 # Conventions: product basis states are (rotor J, photon n) ordered
 # lexicographically in (n, J), i.e. all J for n = 0, then n = 1, ...  The
@@ -211,7 +211,33 @@ def build_product_basis(j_max, n_max):
     return ProductBasis(j_max=j_max, n_max=n_max)
 
 
-def project_to_dressed(amplitudes, params, basis=None, photon_parity=True):
+def dressed_transform(params):
+    """The dressed states written over the two-level rotor x photon basis.
+
+    Rows are (j, n) with j in {0, 1}, at index 2 n + j; columns follow the
+    labels of rp.build_model: |0;0> = |0, 0>, |+-;n> = (|0, n+1> +- |1, n>)
+    / sqrt(2), and the edge state |1, n_max>.  Real and orthogonal.
+    """
+    n_max = params.n_max
+    dim = 2 * (n_max + 1)
+    s = 1.0 / np.sqrt(2.0)
+    u = np.zeros((dim, dim))
+    u[0, 0] = 1.0
+    for n in range(n_max):
+        u[2 * (n + 1), 1 + 2 * n:3 + 2 * n] = s
+        u[2 * n + 1, 1 + 2 * n:3 + 2 * n] = s, -s
+    u[-1, -1] = 1.0
+    return u
+
+
+def dressed_cos_reference(params):
+    """cos theta of the dressed states, u^T (1 x cos_2) u with u the transform."""
+    u = dressed_transform(params)
+    cos2 = np.kron(np.eye(params.n_max + 1), rp.cos_theta_elements(1).matrix.real)
+    return u.T @ cos2 @ u
+
+
+def project_to_dressed(amplitudes, params, photon_parity=True):
     """Project product-basis amplitudes (full j_max ladder) onto dressed states.
 
     The full Hamiltonian carries the coupling with a minus sign while the
@@ -219,8 +245,6 @@ def project_to_dressed(amplitudes, params, basis=None, photon_parity=True):
     photon parity (-1)^n, which this projection absorbs (photon_parity=True).
     Weight in J >= 2 rotor states is dropped, so the result can have norm < 1.
     """
-    if basis is None:
-        basis = rp.build_dressed_basis(params)
     amps = np.asarray(amplitudes, dtype=complex)
     pb = build_product_basis(params.j_max, params.n_max)
     if amps.shape[-1] != pb.dim:
@@ -230,50 +254,48 @@ def project_to_dressed(amplitudes, params, basis=None, photon_parity=True):
         for j in (0, 1):
             phase = (-1.0) ** n if photon_parity else 1.0
             two[..., 2 * n + j] = phase * amps[..., pb.index(j, n)]
-    return two @ basis.transform.conj()
+    return two @ dressed_transform(params)
 
 
-def embed_dressed_vectors(params, basis=None, photon_parity=True):
+def embed_dressed_vectors(params, photon_parity=True):
     """Dressed-state column vectors written over the full product basis.
 
-    Columns follow basis.labels; the photon-parity gauge matches
-    project_to_dressed, so conj(emb).T @ psi reproduces that projection.
+    Columns follow the labels of rp.build_model; the photon-parity gauge
+    matches project_to_dressed, so conj(emb).T @ psi reproduces that
+    projection.
     """
-    if basis is None:
-        basis = rp.build_dressed_basis(params)
+    u = dressed_transform(params)
     pb = build_product_basis(params.j_max, params.n_max)
-    emb = np.zeros((pb.dim, basis.dim))
+    emb = np.zeros((pb.dim, u.shape[1]))
     for n in range(params.n_max + 1):
         phase = (-1.0) ** n if photon_parity else 1.0
         for j in (0, 1):
-            # the resonant transform is real by construction
-            emb[pb.index(j, n), :] = phase * basis.transform[2 * n + j, :].real
+            emb[pb.index(j, n), :] = phase * u[2 * n + j, :]
     return emb
 
 
-def adiabatic_dressed_vectors(params, basis=None):
+def adiabatic_dressed_vectors(params):
     """Exact eigenvectors of the static full Hamiltonian, one per dressed label.
 
     Each column is the eigenvector of h0 (counter-rotating coupling included)
     with the largest overlap onto the corresponding dressed state, with its
-    phase aligned to that overlap.  Returns (vectors, energies, basis).  The
+    phase aligned to that overlap.  Returns (vectors, energies, model).  The
     matching must be injective; a collision means the couplings are too strong
     for the dressed labels to identify polaritons.
     """
-    if basis is None:
-        basis = rp.build_dressed_basis(params)
+    model = rp.build_model(params)
     h0, _ = build_full_hamiltonian(params)
     evals, evecs = np.linalg.eigh(h0.matrix)
-    emb = embed_dressed_vectors(params, basis)
+    emb = embed_dressed_vectors(params)
     overlaps = np.abs(evecs.conj().T @ emb)
     picks = np.argmax(overlaps, axis=0)
-    if len(set(picks.tolist())) != basis.dim:
+    if len(set(picks.tolist())) != model.dim:
         raise ValueError("dressed-to-exact eigenvector matching is not injective")
-    vectors = np.empty((evecs.shape[0], basis.dim), dtype=complex)
+    vectors = np.empty((evecs.shape[0], model.dim), dtype=complex)
     for k, i in enumerate(picks):
         ov = np.vdot(evecs[:, i], emb[:, k])
         vectors[:, k] = evecs[:, i] * (ov / abs(ov))
-    return vectors, evals[picks].copy(), basis
+    return vectors, evals[picks].copy(), model
 
 
 # ------------------------------------------------------------ parameters
@@ -345,6 +367,5 @@ def magnus_sweep(p_cavity):
 
 @pytest.fixture(scope="session")
 def oracle_result(p_cavity):
-    bas = rp.build_dressed_basis(p_cavity)
-    cos_op = rp.dressed_cos_matrix(p_cavity)
-    return rp.orientation_max_oracle(cos_op, bas.energies, bas.labels)
+    model = rp.build_model(p_cavity)
+    return rp.orientation_max_oracle(model.cos, model.energies, model.labels)

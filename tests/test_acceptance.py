@@ -19,6 +19,7 @@ from conftest import (
     area_by_quadrature,
     build_full_hamiltonian,
     cos_matrix_quadrature,
+    dressed_transform,
 )
 from rotpolariton import DESIGN_AREA
 
@@ -134,9 +135,9 @@ def test_numerical_invariants_hold_at_machine_level(
 
     # operators stay hermitian, the dressing transform orthogonal
     h0, v = build_full_hamiltonian(p_cavity)
-    for op in (h0.matrix, v.matrix, rp.dressed_cos_matrix(p_cavity).matrix):
+    for op in (h0.matrix, v.matrix, rp.build_model(p_cavity).cos.matrix):
         assert np.max(np.abs(op - op.conj().T)) <= 1e-12
-    t = rp.build_dressed_basis(p_cavity).transform
+    t = dressed_transform(p_cavity)
     assert np.max(np.abs(t @ t.T - np.eye(t.shape[0]))) <= 1e-12
 
     # dipole matrix against an independent quadrature

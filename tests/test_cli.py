@@ -454,7 +454,8 @@ def test_simulate_names_the_files_it_wrote(tmp_path, capsys, n_trajectory):
     (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
     named = line[len(f"wrote {out}/"):].split(", ")
     assert sorted(named) == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
-    assert ("trajectory.tsv" in named) == (n_trajectory > 2)
+    # every simulate writes its trajectory, down to the pulse's two ends
+    assert np.loadtxt(out / "trajectory.tsv").shape == (n_trajectory, 1 + 2 * 6)
 
 
 def test_simulate_reruns_are_bit_identical(tmp_path, capsys):
@@ -769,6 +770,52 @@ def test_threads_below_one_exit_2(tmp_path, capsys):
         assert main(["oracle", "--threads", threads, "--out", str(out)]) == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_threads_above_the_cap_exit_2(tmp_path, capsys):
+    # rejected before any scan starts, so no process is made
+    out = tmp_path / "run"
+    argv = ["scan", "--preset", "fig3", "--threads", str(cli._MAX_THREADS + 1), "--out", str(out)]
+    assert main(argv) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that runs jobs in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_a_scan_starts_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    cfg = merged(FAST, {"scan": {"detunings_g": [0.0], "bandwidths_g": [1.0, 2.0],
+                                 "cavity": [True, False]}})
+    path = write_cfg(tmp_path / "scan.yaml", cfg)
+    for threads, made in (("256", [4]), ("3", [3]), ("1", [])):
+        out = tmp_path / f"run{threads}"
+        assert main(["scan", "--config", path, "--threads", threads, "--out", str(out)]) == 0
+        assert _RecordingPool.made == made
+        _RecordingPool.made.clear()
+    capsys.readouterr()
+    # the pool ran every job: its records are the in-process ones
+    assert (tmp_path / "run256" / "records.jsonl").read_text() == \
+        (tmp_path / "run1" / "records.jsonl").read_text()
 
 
 # ----------------------------------------------------- main() never tracebacks

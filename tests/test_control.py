@@ -274,8 +274,8 @@ def _assert_matches_reference(p, fld, rec):
     # whose photon ladder is one state, and the dressed model against its
     # diag E and mu cos theta: the same arithmetic, so equal bits
     if p.coupling > 0:
-        h0, v, basis = dressed_operators(p)
-        labels, tag, cos_op = basis.labels, "dressed", rp.dressed_cos_matrix(p)
+        h0, v, model = dressed_operators(p)
+        labels, tag, cos_op = model.labels, "dressed", model.cos
     else:
         h0, v = build_full_hamiltonian(p)
         labels, tag = tuple(f"J{j},n0" for j in range(p.j_max + 1)), "product"
@@ -316,11 +316,13 @@ def test_uncoupled_kick_rejects_a_photon_ladder():
 def test_magnus_final_state_matches_exact_at_narrow_bandwidth(
         designed, composite_exact, p_cavity):
     fld, _rep = designed
-    state, energies = rp.magnus_final_state(p_cavity, fld)
-    assert state.labels == ("0;0", "+;0", "-;0", "+;1", "-;1")
+    state, model = rp.magnus_final_state(p_cavity, fld)
+    assert state.labels == model.labels == ("0;0", "+;0", "-;0", "+;1", "-;1")
     w0 = rp.doublet_energies(p_cavity, 0)
     w1 = rp.doublet_energies(p_cavity, 1)
-    assert np.allclose(energies, [0.0, w0[0], w0[1], w1[0], w1[1]])
+    assert np.allclose(model.energies, [0.0, w0[0], w0[1], w1[0], w1[1]])
+    # cos theta of the five states is the full model's block
+    assert np.array_equal(model.cos.matrix, rp.build_model(p_cavity).cos.matrix[:5, :5])
     mpops = {lab: float(abs(a) ** 2) for lab, a in zip(state.labels, state.amplitudes)}
     epops = composite_exact["populations"]
     diff = max(abs(mpops[lab] - epops[lab]) for lab in state.labels)
@@ -371,10 +373,9 @@ def test_time_of_maximum_is_the_earliest_copy_the_error_resolves(amplitude):
     a = np.zeros(9, dtype=complex)
     a[0] = np.sqrt(1.0 - amplitude ** 2 / 2.0)
     a[1] = amplitude / np.sqrt(2.0) * np.exp(1j * 1.0)
-    state = rp.StateVector(a / np.linalg.norm(a), basis="bare")
-    energies = np.array([B * j * (j + 1) for j in range(9)])
-    cosm = rp.cos_theta_elements(8).matrix
-    vmax, t_max, series = _refined_trace_max(state, energies, cosm, 0.0, 8.0 * TAU, 1024, 1e-9)
+    state = rp.StateVector(a / np.linalg.norm(a), basis="rotor")
+    model = rp.build_model(unit_params(coupling=0.0, n_max=0))
+    vmax, t_max, series = _refined_trace_max(state, model, 0.0, 8.0 * TAU, 1024, 1e-9)
     # the maximum itself is refined either way
     a = state.amplitudes
     assert vmax == pytest.approx(2.0 * abs(a[0] * a[1]) / np.sqrt(3.0), rel=1e-8)

@@ -12,6 +12,8 @@ from conftest import (
     build_full_hamiltonian,
     build_product_basis,
     cos_matrix_quadrature,
+    dressed_cos_reference,
+    dressed_transform,
     embed_dressed_vectors,
     ocs_params,
     project_to_dressed,
@@ -42,7 +44,7 @@ def test_params_validation():
         unit_params(j_max=0)
     # coupled cavity with no photon ladder cannot be dressed
     with pytest.raises(ValueError):
-        rp.build_dressed_basis(unit_params(n_max=0))
+        rp.build_model(unit_params(n_max=0))
 
 
 def test_unit_conversions():
@@ -125,11 +127,41 @@ def test_bare_hamiltonian_has_no_coupling():
     assert np.max(np.abs(h0.matrix - np.diag(np.diag(h0.matrix)))) == 0.0
 
 
-# --------------------------------------------------------- dressed basis
+# ------------------------------------------------------------------ models
+
+def test_bare_model_is_the_rotor_alone():
+    p = unit_params(coupling=0.0, n_max=0, j_max=6)
+    model = rp.build_model(p)
+    j = np.arange(7, dtype=float)
+    assert model.labels == tuple(f"J{k},n0" for k in range(7))
+    assert np.array_equal(model.energies, B * j * (j + 1.0))
+    assert model.cos.basis == "rotor"
+    assert np.array_equal(model.cos.matrix, rp.cos_theta_elements(6).matrix)
+    assert model.dim == 7 and model.index("J2,n0") == 2
+
+
+@pytest.mark.parametrize("n_max", range(1, 32))
+def test_closed_form_cos_equals_the_transform_reference(n_max):
+    p = unit_params(n_max=n_max)
+    cos_op = rp.build_model(p).cos
+    assert cos_op.basis == "dressed"
+    assert np.array_equal(cos_op.matrix, dressed_cos_reference(p))
+
+
+@pytest.mark.parametrize("p", [unit_params(), ocs_params(), ocs_params(coupling_ratio=0.3)])
+def test_effective_dipoles_are_the_model_couplings(p):
+    # the pulse areas and the propagated drive share their couplings
+    model = rp.build_model(p)
+    m = p.dipole * model.cos.matrix.real
+    ground = m[model.index("0;0"), model.index("+;0")]
+    doublet = m[model.index("+;0"), model.index("+;1")]
+    assert rp.mu_tilde_ground(p) == pytest.approx(ground, rel=1e-15, abs=0.0)
+    assert rp.mu_tilde_doublet(p) == pytest.approx(doublet, rel=1e-15, abs=0.0)
+
 
 def test_dressed_energies_closed_form():
     p = unit_params()
-    bas = rp.build_dressed_basis(p)
+    bas = rp.build_model(p)
     assert bas.labels[0] == "0;0"
     assert bas.labels[-1] == "edge"
     for n in range(p.n_max):
@@ -143,8 +175,7 @@ def test_dressed_energies_closed_form():
 
 
 def test_dressed_transform_unitary():
-    bas = rp.build_dressed_basis(unit_params())
-    u = bas.transform
+    u = dressed_transform(unit_params())
     assert np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < 1e-12
 
 
@@ -162,8 +193,8 @@ def test_doublet_energies_and_effective_dipoles():
 
 def test_dressed_cos_matrix_elements():
     p = unit_params()
-    bas = rp.build_dressed_basis(p)
-    m = rp.dressed_cos_matrix(p).matrix
+    bas = rp.build_model(p)
+    m = bas.cos.matrix
     i0 = bas.index("0;0")
     # ground-to-doublet elements split the bare 1/sqrt(3) evenly, with the
     # lower member picking up the dressing sign
@@ -176,7 +207,7 @@ def test_dressed_cos_matrix_elements():
             +1.0 / (2.0 * np.sqrt(3.0)), abs=1e-12)
         assert m[bas.index(f"{s};0"), bas.index("-;1")] == pytest.approx(
             -1.0 / (2.0 * np.sqrt(3.0)), abs=1e-12)
-    assert _hermiticity_defect(rp.dressed_cos_matrix(p)) < 1e-14
+    assert _hermiticity_defect(bas.cos) < 1e-14
 
 
 # ------------------------------------------------ frame bridging helpers
@@ -184,7 +215,7 @@ def test_dressed_cos_matrix_elements():
 def test_project_to_dressed_ground_and_rotor_states():
     p = unit_params()
     pb = build_product_basis(p.j_max, p.n_max)
-    bas = rp.build_dressed_basis(p)
+    bas = rp.build_model(p)
     amps = np.zeros(pb.dim, dtype=complex)
     amps[pb.index(0, 0)] = 1.0
     c = project_to_dressed(amps, p)

@@ -10,8 +10,8 @@ from conftest import B, TAU, SQRT3INV, orientation_dense
 
 @pytest.fixture(scope="module")
 def dressed(p_cavity):
-    bas = rp.build_dressed_basis(p_cavity)
-    return bas, rp.dressed_cos_matrix(p_cavity)
+    model = rp.build_model(p_cavity)
+    return model, model.cos
 
 
 def _dressed_state(bas, amps, time=0.0):
