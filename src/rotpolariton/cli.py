@@ -184,6 +184,24 @@ def _flags(node, path):
     return node
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key given twice in one mapping, at any depth."""
+
+    def construct_mapping(self, node, deep=False):
+        # the pairs as written: the parent flattens merge keys (<<) into them
+        pairs = [p for p in node.value if p[0].tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node, _ in pairs:
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def _directory(node, path):
     if not isinstance(node, str) or not node:
         raise ConfigError(f"{path}: expected a nonempty string")
@@ -466,8 +484,7 @@ def _outdir(cfg, args, command):
 
     A run that fails before this call leaves no directory behind.
     """
-    outdir = args.out or cfg["output"]["directory"]
-    cfg["output"]["directory"] = outdir
+    outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
     canon = json.dumps(_json_safe(cfg), sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -727,16 +744,20 @@ def main(argv=None):
         raw = {}
         if args.config is not None:
             try:
-                with open(args.config) as fh:
-                    raw = yaml.safe_load(fh) or {}
+                with open(args.config, encoding="utf-8") as fh:
+                    raw = yaml.load(fh, Loader=_ConfigLoader) or {}
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+            except UnicodeDecodeError:
+                raise ConfigError(f"config {args.config!r} is not UTF-8 text") from None
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config is not valid YAML: {exc}") from None
         if args.threads is not None and not 1 <= args.threads <= _MAX_THREADS:
             raise ConfigError(f"--threads: must be between 1 and {_MAX_THREADS}, "
                               f"got {args.threads}")
         cfg = resolve_config(raw, preset=args.preset)
+        if args.out is not None:
+            cfg["output"]["directory"] = _directory(args.out, "--out")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -178,8 +178,9 @@ _CHUNK = 10240
 _PHASE_ELEMS = 1 << 16
 
 # the most steps one run may take.  It bounds work, not memory: the kick
-# schedule is built _CHUNK sub-steps at a time.  At about 2 us per sub-step,
-# nine to a step, the cap is some 35 s per run; the largest run of the
+# schedule is built _CHUNK sub-steps at a time.  A sub-step, kick phases
+# included, takes about 1.2 us on one state row and 2.0 us on three (dim 10),
+# nine to a step, so the cap is some 22-36 s per run; the largest run of the
 # presets takes 8,454 steps, of the tests 80,000 (a fixed-step run) and, among
 # certified runs, 11,626
 _MAX_STEPS = 2_000_000
@@ -250,10 +251,12 @@ def _split_steps(frame, fields, lo, n, h):
         drifts = cycle([drift(f * h[i]) for f in fuse])
         y = np.dot(y, drift(half))
         kicked = np.empty_like(y)
+        # a few-row sub-step is call overhead: bound ndarray.dot skips np.dot's
+        # dispatcher (same BLAS call), positional outs skip keyword parsing
+        multiply, dot = np.multiply, kicked.dot
         for kick, block in zip(islice(stream, n[i] * c.size), drifts):
-            # in place, and np.dot over @: less call overhead on small operands
-            np.multiply(y, kick, out=kicked)
-            np.dot(kicked, block, out=y)
+            multiply(y, kick, kicked)
+            dot(block, y)
         # the last fused drift overshoots the closing half drift by c[0] h / 2
         return np.dot(y, drift(-half))
 

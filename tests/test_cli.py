@@ -284,6 +284,37 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_an_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    # the rule of output.directory, not a silent fall back to it
+    monkeypatch.chdir(tmp_path)
+    assert main(["oracle", "--out", ""]) == 2
+    assert "config error: --out: expected a nonempty string" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: config {str(path)!r} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("field: {bandwidth_g: 1.0, bandwidth_g: 2.0}\n", "bandwidth_g", 1),
+    ("system:\n  j_max: 3\nsystem:\n  n_max: 1\n", "system", 3),
+    ("scan:\n  detunings_g: {start: 0, stop: 1, num: 2, num: 3}\n", "num", 2),
+])
+def test_duplicate_yaml_keys_exit_2(tmp_path, capsys, text, key, line):
+    # at any depth: last-wins would run a config other than the one written
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"found duplicate key {key!r}\n  in \"{path}\", line {line}," in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_infeasible_design_exits_4(tmp_path, capsys):
     cfg = {"field": {"kind": "designed", "bandwidth_g": 0.5}}
     path = write_cfg(tmp_path / "wide.yaml", cfg)

@@ -300,6 +300,42 @@ def test_merged_eigenvalue_kicks_match_the_exponential(basis, levels):
     assert np.max(np.abs(frame.kicks(arg) - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("basis", ["dressed", "bare"])
+def test_kernel_is_its_documented_product_bit_for_bit(basis, rows):
+    # the kernel's in-place, overhead-trimmed loop must compute exactly
+    # y = (y * kick) @ block per sub-step, between the opening and closing
+    # half drifts; 1,201 steps cross a chunk of the kick schedule
+    from rotpolariton import dynamics
+    from rotpolariton.pulse import field_value
+
+    if basis == "dressed":
+        h0, v, _, _ = _dressed_setup(unit_params())
+        h0, v = h0.matrix, v.matrix
+    else:
+        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8).matrix
+    frame = dynamics._SplitFrame(h0, v)
+    fields = [_batch_field(0.1 * (r + 1), 1.5 + 0.25 * r, r) for r in range(rows)]
+    y0 = np.random.default_rng(rows).normal(size=(rows, frame.w.size)) + 0j
+    times, n = np.array([_WINDOW[0], -1.0, 0.5, _WINDOW[1]]), np.array([400, 1, 800])
+    out, _ = dynamics._run_sampled(frame, fields, y0, times, n)
+
+    c = np.asarray(dynamics._WEIGHTS)
+    fuse, mid = 0.5 * (c + np.roll(c, -1)), np.cumsum(c) - 0.5 * c
+    h = np.diff(times) / n
+    y, want = y0, [y0]
+    for i in range(n.size):
+        y = np.dot(y, frame.drift(0.5 * c[0] * h[i]))
+        for k in range(n[i]):
+            ts = (times[i] + h[i] * k) + h[i] * mid
+            arg = np.stack([field_value(f, ts) for f in fields], axis=-1) * (h[i] * c)[:, None]
+            for kick, tau in zip(frame.kicks(arg), fuse * h[i]):
+                y = np.dot(y * kick, frame.drift(tau))
+        y = np.dot(y, frame.drift(-0.5 * c[0] * h[i]))
+        want.append(y)
+    assert np.array_equal(out, np.array(want))
+
+
 def test_peak_memory_does_not_grow_with_the_step_count():
     # the kick schedule is built one chunk of steps at a time, so a run of
     # 80k steps peaks within one chunk's schedule (56 bytes a step) of a run
