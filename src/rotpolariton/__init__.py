@@ -36,16 +36,15 @@ from .errors import (
     BasisMismatch,
     ConfigError,
     DesignInfeasible,
-    NoRevivalFound,
     NotConverged,
     RotPolaritonError,
-    UnknownUnit,
 )
 from .model import (
+    AU_PER_DEBYE,
+    HARTREE_PER_CM1,
     OperatorMatrix,
     SystemParams,
     build_model,
-    convert_units,
     cos_theta_elements,
     doublet_energies,
     mu_tilde_doublet,
@@ -64,7 +63,6 @@ from .observables import (
 from .pulse import (
     CompositePulse,
     PulseAreaSet,
-    aggregate_areas,
     carrier_ceiling,
     composite_for_area,
     field_to_dict,

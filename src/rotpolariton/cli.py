@@ -21,6 +21,7 @@ import copy
 import hashlib
 import json
 import os
+import reprlib
 import sys
 from functools import partial
 
@@ -38,7 +39,7 @@ from .control import (
     scan_detuning_bandwidth,
 )
 from .errors import ConfigError, DesignInfeasible, NotConverged
-from .model import SystemParams, build_model, convert_units
+from .model import AU_PER_DEBYE, HARTREE_PER_CM1, SystemParams, build_model
 from .observables import orientation_max_oracle
 from .pulse import composite_for_area, field_to_dict, gaussian_for_area
 
@@ -56,6 +57,11 @@ def _deep_merge(base, override):
     return out
 
 
+# quotes config values: a YAML alias can stand for far more data than its file holds
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 2
+
+
 def _finite(val):
     """float(val) when val is a finite number (a boolean is not), else None."""
     if isinstance(val, bool):
@@ -70,21 +76,21 @@ def _finite(val):
 def _number(val, path):
     num = _finite(val)
     if num is None:
-        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+        raise ConfigError(f"{path}: expected a finite number, got {_QUOTE.repr(val)}")
     return num
 
 
 def _integer(val, path):
     num = _finite(val)
     if num is None or num != int(num):
-        raise ConfigError(f"{path}: expected an integer, got {val!r}")
+        raise ConfigError(f"{path}: expected an integer, got {_QUOTE.repr(val)}")
     return int(num)
 
 
 def _boolean(val, path):
     """A true boolean; strings such as "false" are rejected, never coerced."""
     if not isinstance(val, bool):
-        raise ConfigError(f"{path}: expected true or false, got {val!r}")
+        raise ConfigError(f"{path}: expected true or false, got {_QUOTE.repr(val)}")
     return val
 
 
@@ -104,22 +110,22 @@ def _normal(value, path):
 def _quantity(node, path, units):
     """Scalar or {value, unit} mapping, converted to atomic units.
 
-    units maps each accepted unit to its atomic unit; the first is the default.
+    units maps each accepted unit to its atomic-unit factor; the first is the default.
     """
     if isinstance(node, dict):
         extra = set(node) - {"value", "unit"}
         if extra:
-            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+            raise ConfigError(f"{path}: unknown keys {sorted(extra, key=str)}")
         value = node.get("value")
         unit = node.get("unit", next(iter(units)))
     else:
         value, unit = node, next(iter(units))
     if not (isinstance(unit, str) and unit in units):
-        raise ConfigError(f"{path}.unit: expected one of {sorted(units)}, got {unit!r}")
+        raise ConfigError(f"{path}.unit: expected one of {sorted(units)}, got {_QUOTE.repr(unit)}")
     value = _number(value, f"{path}.value")
     if value <= 0:
         raise ConfigError(f"{path}.value: must be positive")
-    return _normal(convert_units(value, unit, units[unit]), path)
+    return _normal(value * units[unit], path)
 
 
 # a start/stop/num grid or sample count larger than this is a typo, not a run
@@ -136,7 +142,7 @@ def _grid(node, path, positive=False):
     if isinstance(node, dict):
         extra = set(node) - {"start", "stop", "num", "log"}
         if extra:
-            raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+            raise ConfigError(f"{path}: unknown keys {sorted(extra, key=str)}")
         if not {"start", "stop", "num"} <= set(node):
             raise ConfigError(f"{path}: grid needs numeric start, stop, num")
         start = _number(node["start"], f"{path}.start")
@@ -197,7 +203,7 @@ class _ConfigLoader(yaml.SafeLoader):
             if key in seen:
                 raise yaml.constructor.ConstructorError(
                     "while constructing a mapping", node.start_mark,
-                    f"found duplicate key {key!r}", key_node.start_mark)
+                    f"found duplicate key {_QUOTE.repr(key)}", key_node.start_mark)
             seen.add(key)
         return mapping
 
@@ -210,14 +216,13 @@ def _directory(node, path):
 
 # SCHEMA[section][key] = (default, rule).  A rule is float or bool; (float,
 # "positive"), (float, "nonnegative") or (int, minimum); a tuple of allowed
-# strings; a dict of units, for a quantity whose value in atomic units is
-# stored as <key>_au; or a check(value, path) returning the value to store.
+# strings; a dict of unit factors, for a quantity whose value in atomic units
+# is stored as <key>_au; or a check(value, path) returning the value to store.
 # A key whose default is None may stay None.
 SCHEMA = {
     "system": {
-        "rot_const": ({"value": 0.20286, "unit": "cm-1"}, {"cm-1": "au", "au": "au"}),
-        "dipole": ({"value": 0.715, "unit": "debye"},
-                   {"debye": "au-dipole", "au-dipole": "au-dipole"}),
+        "rot_const": ({"value": 0.20286, "unit": "cm-1"}, {"cm-1": HARTREE_PER_CM1, "au": 1.0}),
+        "dipole": ({"value": 0.715, "unit": "debye"}, {"debye": AU_PER_DEBYE, "au-dipole": 1.0}),
         "coupling_ratio": (0.1, (float, "positive")),
         "cavity": (True, bool),
         "j_max": (8, (int, 1)),
@@ -303,7 +308,7 @@ def _check(rule, val, path):
     """val checked against a SCHEMA rule other than a quantity; the value to store."""
     if isinstance(rule, tuple) and isinstance(rule[0], str):
         if not isinstance(val, str) or val not in rule:
-            raise ConfigError(f"{path}: expected one of {sorted(rule)}, got {val!r}")
+            raise ConfigError(f"{path}: expected one of {sorted(rule)}, got {_QUOTE.repr(val)}")
         return val
     kind, bound = rule if isinstance(rule, tuple) else (rule, None)
     if kind is bool:
@@ -337,12 +342,12 @@ def resolve_config(raw, preset=None):
         raise ConfigError("config root must be a mapping")
     for section, body in raw.items():
         if section not in DEFAULTS:
-            raise ConfigError(f"unknown config section {section!r}")
+            raise ConfigError(f"unknown config section {_QUOTE.repr(section)}")
         if not isinstance(body, dict):
             raise ConfigError(f"{section}: must be a mapping")
         for key in body:
             if key not in DEFAULTS[section]:
-                raise ConfigError(f"unknown config key {section}.{key!r}")
+                raise ConfigError(f"unknown config key {section}.{_QUOTE.repr(key)}")
     cfg = _deep_merge(base, raw)
     system, field, exp, scan = (cfg[s] for s in ("system", "field", "experiment", "scan"))
 

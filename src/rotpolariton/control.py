@@ -34,7 +34,7 @@ from .dynamics import (
     propagate_batch,
     unit_state,
 )
-from .errors import DesignInfeasible, NoRevivalFound, NotConverged
+from .errors import DesignInfeasible, NotConverged
 from .model import (
     Model,
     OperatorMatrix,
@@ -53,7 +53,7 @@ from .observables import (
     spectrum_peaks,
 )
 from .pulse import (
-    aggregate_areas,
+    PulseAreaSet,
     composite_for_area,
     gaussian_for_area,
     pulse_area_doublet,
@@ -107,7 +107,7 @@ def compute_areas(params, fld):
     w1 = doublet_energies(params, 1)
     up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params))
     dbl = pulse_area_doublet(fld, w0, w1, mu_tilde_doublet(params))
-    return aggregate_areas(up, lo, dbl)
+    return PulseAreaSet(up, lo, dbl)
 
 
 def phase_functional(params, areas):
@@ -258,14 +258,6 @@ def _refined_trace_max(state, model, t0, window, n, error):
     return float(max(v_top, vals[top])), float(t_first), series
 
 
-def _trace_revival(series, tau):
-    """Revival period of an orientation trace, None when there is none."""
-    try:
-        return revival_period(series, min_lag=0.05 * tau)
-    except NoRevivalFound:
-        return None
-
-
 def _kick_setup(params, fld):
     """Drift, drive, initial state and model of a kick.
 
@@ -306,7 +298,7 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
         pw = ph = np.array([])
     else:
         t_max -= fld.t_end
-        period = _trace_revival(series, tau)
+        period = revival_period(series, min_lag=0.05 * tau)
         pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
 
     dressed = bool(params.coupling > 0)

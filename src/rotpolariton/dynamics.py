@@ -1,11 +1,11 @@
 """Wavefunction propagation and the first-order analytic pulse map.
 
 The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent.
-One split-step kernel propagates R state rows at once, each under its own
-field, in the eigenbasis of v: there a field kick is a diagonal phase per
-row and the drift is one dense block shared by all rows, built once per
-step size.  The composition weights are Kahan and Li's sixth-order
-nine-stage composition.
+One split-step kernel, _run_sampled, propagates R state rows at once, each
+under its own field, in the eigenbasis of v: there a field kick is a
+diagonal phase per row and the drift is one dense block shared by all rows,
+built once per step size.  The composition weights are Kahan and Li's
+sixth-order nine-stage composition.
 
 Step control predicts, then certifies.  A pilot pair, a heuristic coarse
 step that resolves the fastest carrier and the coupled drift gaps and its
@@ -171,9 +171,10 @@ _GAMMA = (0.39216144400731413928, 0.33259913678935943860, -0.7062461725576393598
           0.08221359629355080023, 0.79854399093482996340)
 _WEIGHTS = _GAMMA + _GAMMA[-2::-1]
 
-# field values are evaluated for about this many sub-steps at a time (whole
-# steps, so the working set does not grow with the stage count), and their
-# kick phases exponentiated in blocks of at most _PHASE_ELEMS complex numbers
+# _run_sampled evaluates field values for about this many sub-steps at a time
+# (whole steps, so the working set does not grow with the stage count), and
+# exponentiates their kick phases in blocks of at most _PHASE_ELEMS complex
+# numbers
 _CHUNK = 10240
 _PHASE_ELEMS = 1 << 16
 
@@ -202,65 +203,6 @@ def _step_counts(want):
         raise ConfigError(f"propagation: a run needs {total:.4g} steps, "
                           f"above the cap of {_MAX_STEPS}")
     return steps.astype(int)
-
-
-def _split_steps(frame, fields, lo, n, h):
-    """The split-step kernel of one run at one step size.
-
-    Returns advance(y, i), which takes all state rows y through the n[i]
-    steps of length h[i] of sample interval i, from lo[i].  Kicks sit at the
-    sub-step midpoints.  The half drifts that close one sub-step and open the
-    next are fused, so a step costs len(_WEIGHTS) diagonal kicks and dense
-    drifts for all rows together.  The kick schedule and its field phases
-    are built about _CHUNK sub-steps at a time, consumed in step order
-    across intervals, so no array grows with the step count.
-    """
-    c = np.asarray(_WEIGHTS)
-    fuse = 0.5 * (c + np.roll(c, -1))
-    mid = np.cumsum(c) - 0.5 * c  # sub-step midpoints, in steps
-    ends = np.cumsum(n)
-    chunk = max(1, _CHUNK // c.size)
-    sub = max(1, _PHASE_ELEMS // (c.size * len(fields) * frame.w.size))
-
-    def phases():
-        for a in range(0, ends[-1], chunk):
-            # run-wide step k is step k - (ends[i] - n[i]) of interval i
-            k = np.arange(a, min(a + chunk, ends[-1]))
-            i = np.searchsorted(ends, k, side="right")
-            hs = h[i][:, None]
-            starts = lo[i] + h[i] * (k - (ends[i] - n[i]))
-            ts = starts[:, None] + hs * mid
-            arg = np.stack([field_value(f, ts) for f in fields], axis=-1)
-            arg *= (hs * c)[:, :, None]
-            for b in range(0, arg.shape[0], sub):
-                yield frame.kicks(arg[b:b + sub]).reshape(-1, len(fields), frame.w.size)
-
-    # one kick phase per sub-step, in step order across intervals
-    stream = chain.from_iterable(phases())
-    blocks = {}
-
-    def drift(tau):
-        # dense drift blocks, built once per distinct length
-        block = blocks.get(tau)
-        if block is None:
-            block = blocks[tau] = frame.drift(tau)
-        return block
-
-    def advance(y, i):
-        half = 0.5 * c[0] * h[i]
-        drifts = cycle([drift(f * h[i]) for f in fuse])
-        y = np.dot(y, drift(half))
-        kicked = np.empty_like(y)
-        # a few-row sub-step is call overhead: bound ndarray.dot skips np.dot's
-        # dispatcher (same BLAS call), positional outs skip keyword parsing
-        multiply, dot = np.multiply, kicked.dot
-        for kick, block in zip(islice(stream, n[i] * c.size), drifts):
-            multiply(y, kick, kicked)
-            dot(block, y)
-        # the last fused drift overshoots the closing half drift by c[0] h / 2
-        return np.dot(y, drift(-half))
-
-    return advance
 
 
 # the pilot step resolves the fastest frequency with this many steps per
@@ -310,15 +252,61 @@ def _run_sampled(frame, fields, y0, times, n):
     """One run of n[i] steps over each sample interval [times[i], times[i + 1]].
 
     Returns the frame states of all rows at every sample time, shape
-    (times, rows, dim), and the longest step taken.
+    (times, rows, dim).  Kicks sit at the sub-step midpoints.  The half
+    drifts that close one sub-step and open the next are fused, so a step
+    costs len(_WEIGHTS) diagonal kicks and dense drifts for all rows
+    together.  The kick schedule and its field phases are built about _CHUNK
+    sub-steps at a time, consumed in step order across intervals, so no
+    array grows with the step count.
     """
     h = np.diff(times) / n
-    advance = _split_steps(frame, fields, times[:-1], n, h)
+    c = np.asarray(_WEIGHTS)
+    fuse = 0.5 * (c + np.roll(c, -1))
+    mid = np.cumsum(c) - 0.5 * c  # sub-step midpoints, in steps
+    ends = np.cumsum(n)
+    chunk = max(1, _CHUNK // c.size)
+    sub = max(1, _PHASE_ELEMS // (c.size * len(fields) * frame.w.size))
+
+    def phases():
+        for a in range(0, ends[-1], chunk):
+            # run-wide step k is step k - (ends[i] - n[i]) of interval i
+            k = np.arange(a, min(a + chunk, ends[-1]))
+            i = np.searchsorted(ends, k, side="right")
+            hs = h[i][:, None]
+            starts = times[i] + h[i] * (k - (ends[i] - n[i]))
+            ts = starts[:, None] + hs * mid
+            arg = np.stack([field_value(f, ts) for f in fields], axis=-1)
+            arg *= (hs * c)[:, :, None]
+            for b in range(0, arg.shape[0], sub):
+                yield frame.kicks(arg[b:b + sub]).reshape(-1, len(fields), frame.w.size)
+
+    # one kick phase per sub-step, in step order across intervals
+    stream = chain.from_iterable(phases())
+    blocks = {}
+
+    def drift(tau):
+        # dense drift blocks, built once per distinct length
+        block = blocks.get(tau)
+        if block is None:
+            block = blocks[tau] = frame.drift(tau)
+        return block
+
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y = y0
     for i in range(times.size - 1):
-        out[i + 1] = y = advance(y, i)
-    return out, float(h.max())
+        half = 0.5 * c[0] * h[i]
+        drifts = cycle([drift(f * h[i]) for f in fuse])
+        y = np.dot(y, drift(half))
+        kicked = np.empty_like(y)
+        # a few-row sub-step is call overhead: bound ndarray.dot skips np.dot's
+        # dispatcher (same BLAS call), positional outs skip keyword parsing
+        multiply, dot = np.multiply, kicked.dot
+        for kick, block in zip(islice(stream, n[i] * c.size), drifts):
+            multiply(y, kick, kicked)
+            dot(block, y)
+        # the last fused drift overshoots the closing half drift by c[0] h / 2
+        out[i + 1] = y = np.dot(y, drift(-half))
+    return out
 
 
 def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
@@ -375,14 +363,15 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
         n_prev = _step_counts(np.diff(times) / dt0)
     results = [None] * len(states0)
     rows = np.arange(len(states0))
-    prev, longest = _run_sampled(frame, fields, y0, times, n_prev)
+    prev = _run_sampled(frame, fields, y0, times, n_prev)
     steps = [int(n_prev.sum())]
     for k in range(1, _MAX_HALVINGS + 1):
         # 2 after the pilot, then the ratio predicted to land at _SAFETY tol;
         # either is above 1, so every interval is refined
         ratio = 2.0 if k == 1 else (float(np.max(err)) / (_SAFETY * tol)) ** (1.0 / _ORDER)
         n_cur = _step_counts(ratio * n_prev)
-        cur, longest = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, n_cur)
+        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, n_cur)
+        longest = float(np.max(np.diff(times) / n_cur))
         steps.append(int(n_cur.sum()))
         states = [frame.from_frame(cur[:, j]) for j in range(rows.size)]
         norms = [np.linalg.norm(s, axis=1) for s in states]

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, UnknownUnit
+from .errors import BasisMismatch
 
 __all__ = [
     "HARTREE_PER_CM1",
     "AU_PER_DEBYE",
-    "convert_units",
     "SystemParams",
     "OperatorMatrix",
     "operator_matrix",
@@ -42,34 +41,6 @@ __all__ = [
 # CODATA: 1 Hartree = 219474.6313632 cm^-1, 1 e*a0 = 2.5417464519 Debye.
 HARTREE_PER_CM1 = 1.0 / 219474.6313632
 AU_PER_DEBYE = 1.0 / 2.5417464519
-
-# unit name -> (dimension, factor to atomic units)
-_UNITS = {
-    "cm-1": ("energy", HARTREE_PER_CM1),
-    "au": ("energy", 1.0),
-    "debye": ("dipole", AU_PER_DEBYE),
-    "au-dipole": ("dipole", 1.0),
-}
-
-
-def convert_units(value, from_unit, to_unit):
-    """Convert a scalar between supported units of the same dimension.
-
-    Supported names: 'cm-1' and 'au' for energy/angular frequency,
-    'debye' and 'au-dipole' for dipole moments.  Raises UnknownUnit for
-    anything else, ValueError when the dimensions do not match.
-    """
-    try:
-        dim_from, fac_from = _UNITS[from_unit]
-    except KeyError:
-        raise UnknownUnit(f"unknown unit {from_unit!r}") from None
-    try:
-        dim_to, fac_to = _UNITS[to_unit]
-    except KeyError:
-        raise UnknownUnit(f"unknown unit {to_unit!r}") from None
-    if dim_from != dim_to:
-        raise ValueError(f"cannot convert {from_unit!r} ({dim_from}) to {to_unit!r} ({dim_to})")
-    return value * fac_from / fac_to
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, NoRevivalFound
+from .errors import BasisMismatch
 from .model import operator_matrix
 
 __all__ = [
@@ -225,14 +225,14 @@ def revival_period(series, min_lag=None):
     Computes the lag-by-lag Pearson correlation of the series with its shifted
     self, skips the trivial neighborhood of zero lag, and returns the best lag
     inside the first contiguous run with correlation >= 0.999, refined by
-    a parabola through the three samples around the maximum.  Raises
-    NoRevivalFound when the signal never decorrelates or never recurs.
+    a parabola through the three samples around the maximum.  Returns None
+    when the signal is constant, never decorrelates or never recurs.
     """
     if not series.is_uniform():
         raise ValueError("revival_period needs a uniformly sampled series")
     x = series.values - series.values.mean()
     if float(np.max(np.abs(x))) == 0.0:
-        raise NoRevivalFound("series is constant")
+        return None
     dt = series.window / (series.times.size - 1)
     r = _lagged_pearson(x)
     n = x.size
@@ -240,11 +240,11 @@ def revival_period(series, min_lag=None):
     start = 1 if min_lag is None else max(1, int(np.ceil(min_lag / dt)))
     below = np.nonzero(r[start:max_lag] < _REVIVAL_THRESHOLD)[0]
     if below.size == 0:
-        raise NoRevivalFound("signal never decorrelates below the threshold; window too short?")
+        return None
     lo = start + below[0]
     above = np.nonzero(r[lo:max_lag] >= _REVIVAL_THRESHOLD)[0]
     if above.size == 0:
-        raise NoRevivalFound("no recurrence above the threshold inside the window")
+        return None
     run_start = lo + above[0]
     run_end = run_start
     while run_end + 1 < max_lag and r[run_end + 1] >= _REVIVAL_THRESHOLD:

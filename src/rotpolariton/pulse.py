@@ -13,7 +13,8 @@ over the whole pulse.  Every field is one Gaussian envelope under cosine
 carriers, so Theta is a sum of Gaussians in w, evaluated in closed form.
 """
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import reduce
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "pulse_area_ground",
     "pulse_area_doublet",
     "PulseAreaSet",
-    "aggregate_areas",
     "field_to_dict",
 ]
 
@@ -85,12 +85,17 @@ def composite_for_area(params, area, tau0, components):
                           t_start=-_PAD_WIDTHS * tau0, t_end=_PAD_WIDTHS * tau0)
 
 
+def _within_turn(p):
+    """p, or beyond one turn the same angle in [-pi, pi]: w t + p would round w t away."""
+    return p if abs(p) <= 2.0 * math.pi else math.atan2(math.sin(p), math.cos(p))
+
+
 def field_value(spec, t):
     """Evaluate the field at scalar or array times; zero outside the window."""
     t = np.asarray(t, dtype=float)
     inside = (t >= spec.t_start) & (t <= spec.t_end)
     env = spec.e0 * np.exp(-0.5 * (t / spec.tau0) ** 2)
-    carriers = reduce(np.add, (np.cos(w * t + p) for w, p in spec.components))
+    carriers = reduce(np.add, (np.cos(w * t + _within_turn(p)) for w, p in spec.components))
     return np.where(inside, env * carriers, 0.0)
 
 
@@ -147,31 +152,29 @@ def pulse_area_doublet(spec, omega_pm0, omega_pm1, mu1):
 
 @dataclass(frozen=True)
 class PulseAreaSet:
-    """Ground-doublet and doublet-doublet areas with their aggregates."""
+    """Ground-doublet and doublet-doublet areas with their aggregates.
+
+    theta0 = sqrt(|Theta_{+,0}|^2 + |Theta_{-,0}|^2), theta1 likewise over the
+    doublet legs, theta = sqrt(theta0^2 + theta1^2).
+    """
 
     theta_up0: complex
     theta_lo0: complex
     doublet: dict
-    theta0: float
-    theta1: float
-    theta: float
+    theta0: float = dc_field(init=False)
+    theta1: float = dc_field(init=False)
+    theta: float = dc_field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "doublet", dict(self.doublet))
-
-
-def aggregate_areas(theta_up0, theta_lo0, doublet=None):
-    """Combine individual areas into the rotation-angle aggregates.
-
-    theta0 = sqrt(|Theta_{+,0}|^2 + |Theta_{-,0}|^2), theta1 likewise over the
-    four doublet legs, theta = sqrt(theta0^2 + theta1^2).
-    """
-    doublet = dict(doublet or {})
-    theta0 = float(np.hypot(abs(theta_up0), abs(theta_lo0)))
-    theta1 = float(np.sqrt(sum(abs(x) ** 2 for x in doublet.values())))
-    theta = float(np.hypot(theta0, theta1))
-    return PulseAreaSet(theta_up0=complex(theta_up0), theta_lo0=complex(theta_lo0),
-                        doublet=doublet, theta0=theta0, theta1=theta1, theta=theta)
+        doublet = dict(self.doublet)
+        theta0 = float(np.hypot(abs(self.theta_up0), abs(self.theta_lo0)))
+        theta1 = float(np.sqrt(sum(abs(x) ** 2 for x in doublet.values())))
+        object.__setattr__(self, "theta_up0", complex(self.theta_up0))
+        object.__setattr__(self, "theta_lo0", complex(self.theta_lo0))
+        object.__setattr__(self, "doublet", doublet)
+        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta", float(np.hypot(theta0, theta1)))
 
 
 def field_to_dict(spec):

@@ -33,8 +33,8 @@ def unit_params(**over):
 
 def ocs_params(coupling_ratio=0.1, j_max=8, n_max=4, cavity=True):
     """OCS molecule in a resonant cavity; coupling_ratio is g / omega01."""
-    b = rp.convert_units(0.20286, "cm-1", "au")
-    mu = rp.convert_units(0.715, "debye", "au-dipole")
+    b = 0.20286 * rp.HARTREE_PER_CM1
+    mu = 0.715 * rp.AU_PER_DEBYE
     g = coupling_ratio * (2.0 * b) if cavity else 0.0
     return rp.SystemParams(
         rot_const=b,

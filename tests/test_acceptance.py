@@ -5,6 +5,8 @@ and asserts the quantitative targets with their stated tolerances, printing
 the measured numbers so a failing run shows how far off it landed.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,19 @@ def test_numerical_invariants_hold_at_machine_level(
         freq = w1[0 if ell > 0 else 1] - w0[0 if s > 0 else 1]
         want = ell * area_by_quadrature(fld, freq, mu1)
         assert abs(got - want) <= 1e-8
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    print(capsys.readouterr().out)
+    blocked, restored = names["blocked"], names["restored"]
+    # the blockaded kick's maximum lies below its certified error: a flat record
+    assert blocked["orientation_max"] < blocked["step_error"]
+    assert blocked["t_max"] is None
+    assert restored["orientation_max"] == pytest.approx(SQRT3INV, abs=1e-3)
+    assert names["report"].predicted_populations == pytest.approx((0.5, 0.25, 0.25, 0, 0),
+                                                                  abs=1e-6)

@@ -6,7 +6,9 @@ outputs, not the dynamics, are under test.
 """
 
 import json
+import math
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rotpolariton import cli, composite_for_area, convert_units, dynamics, kick_response
+from rotpolariton import HARTREE_PER_CM1, cli, composite_for_area, dynamics, kick_response
 from rotpolariton.cli import (
     DEFAULTS, PRESETS, SCHEMA, _carriers, _flags, _json_safe, build_params, main,
     resolve_config,
@@ -51,8 +53,7 @@ def test_defaults_resolve():
     assert cfg["field"]["kind"] == "gaussian"
     assert cfg["field"]["area"] == pytest.approx(KICK_AREA)
     assert cfg["scan"]["detunings_g"] == [0.0]
-    assert cfg["system"]["rot_const_au"] == pytest.approx(
-        convert_units(0.20286, "cm-1", "au"))
+    assert cfg["system"]["rot_const_au"] == 0.20286 * HARTREE_PER_CM1
 
 
 def test_presets_resolve():
@@ -98,14 +99,17 @@ def test_quantity_forms():
     assert cfg["system"]["dipole_au"] == 0.5
     # bare scalar keeps the spectroscopic default unit
     cfg = resolve_config({"system": {"rot_const": 2.0}})
-    assert cfg["system"]["rot_const_au"] == pytest.approx(
-        2.0 * convert_units(1.0, "cm-1", "au"))
+    assert cfg["system"]["rot_const_au"] == 2.0 * HARTREE_PER_CM1
     with pytest.raises(ConfigError, match="unit"):
         resolve_config({"system": {"rot_const": {"value": 1.0, "unit": "eV"}}})
     with pytest.raises(ConfigError, match="positive"):
         resolve_config({"system": {"dipole": -0.7}})
-    with pytest.raises(ConfigError, match="unknown keys"):
-        resolve_config({"system": {"rot_const": {"value": 1.0, "units": "au"}}})
+    # keys of mixed types are still listed, not compared
+    for extra in ({"units": "au"}, {1: 2, "a": 3}):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            resolve_config({"system": {"rot_const": {"value": 1.0, **extra}}})
+    with pytest.raises(ConfigError, match=r"unknown keys \[1, 'a'\]"):
+        resolve_config({"scan": {"detunings_g": {1: 2, "a": 3}}})
 
 
 def test_grid_forms():
@@ -525,7 +529,7 @@ def test_simulate_bare_preset_reaches_the_two_level_bound(tmp_path, capsys):
 
     summary = json.loads((out / "populations.json").read_text())
     assert summary["orientation_max"] == pytest.approx(1.0 / np.sqrt(3.0), abs=0.01)
-    b_au = convert_units(0.20286, "cm-1", "au")
+    b_au = 0.20286 * HARTREE_PER_CM1
     assert summary["revival_period"] == pytest.approx(np.pi / b_au, rel=5e-3)
 
     manifest = json.loads((out / "manifest.json").read_text())
@@ -733,6 +737,38 @@ def test_booleans_must_be_booleans(tmp_path, capsys):
     path = write_cfg(tmp_path / "quoted.yaml", {"system": {"cavity": "false"}})
     assert main(["oracle", "--config", path, "--out", str(tmp_path / "run")]) == 2
     assert "system.cavity" in capsys.readouterr().err
+
+
+def test_aliased_values_are_quoted_short(tmp_path, capsys):
+    # a few hundred bytes of YAML anchors stand for 10^8 numbers; the message
+    # that rejects them quotes a few
+    lines = ["scan:", "  detunings_g:", "    - &a0 [" + ", ".join(["1.5"] * 10) + "]"]
+    lines += [f"    - &a{k} [" + ", ".join([f"*a{k - 1}"] * 10) + "]" for k in range(1, 8)]
+    path = tmp_path / "aliases.yaml"
+    path.write_text("\n".join(lines + ["system: {rot_const: *a7}", ""]))
+    start = time.perf_counter()
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and "system.rot_const" in err
+    assert elapsed < 1.0 and len(err.encode()) < 1024
+
+
+def test_a_carrier_phase_far_beyond_a_turn_keeps_its_carrier(tmp_path, capsys):
+    # cos(w t + 1e300) rounds w t away: the field would lose its carrier
+    far = 1.0e300
+    runs = []
+    for phase in (far, math.atan2(math.sin(far), math.cos(far))):
+        out = tmp_path / f"run{len(runs)}"
+        path = write_cfg(tmp_path / f"phase{len(runs)}.yaml",
+                         {"field": {"bandwidth_g": 1.0, "phase": phase}})
+        assert main(["simulate", "--preset", "bare", "--config", path, "--out", str(out)]) == 0
+        runs.append(out)
+    capsys.readouterr()
+    for name in ("populations.json", "orientation.tsv", "spectrum.tsv", "trajectory.tsv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    pops = json.loads((runs[0] / "populations.json").read_text())["populations"]
+    assert pops["J1,n0"] == pytest.approx(0.4997, abs=1e-3)
 
 
 def test_grids_and_carriers_are_not_coerced():

@@ -207,7 +207,7 @@ def _fixed_steps(h0, v, fields, states, times, steps):
 
     frame = dynamics._SplitFrame(operator_matrix(h0), operator_matrix(v))
     y0 = frame.to_frame(np.array([s.amplitudes for s in states]))
-    out, _ = dynamics._run_sampled(frame, fields, y0, times, np.full(times.size - 1, steps))
+    out = dynamics._run_sampled(frame, fields, y0, times, np.full(times.size - 1, steps))
     # row by row, as propagate_batch returns them
     return np.stack([frame.from_frame(out[:, r]) for r in range(len(states))], axis=1)
 
@@ -318,7 +318,7 @@ def test_kernel_is_its_documented_product_bit_for_bit(basis, rows):
     fields = [_batch_field(0.1 * (r + 1), 1.5 + 0.25 * r, r) for r in range(rows)]
     y0 = np.random.default_rng(rows).normal(size=(rows, frame.w.size)) + 0j
     times, n = np.array([_WINDOW[0], -1.0, 0.5, _WINDOW[1]]), np.array([400, 1, 800])
-    out, _ = dynamics._run_sampled(frame, fields, y0, times, n)
+    out = dynamics._run_sampled(frame, fields, y0, times, n)
 
     c = np.asarray(dynamics._WEIGHTS)
     fuse, mid = 0.5 * (c + np.roll(c, -1)), np.cumsum(c) - 0.5 * c
@@ -369,24 +369,17 @@ def test_batch_rejects_fields_with_different_windows():
 
 
 def _counting_kernel(monkeypatch):
-    """Record n[i] at every interval the split-step kernel runs, one list per run."""
+    """Record the step counts n of every run of the split-step kernel, one list per run."""
     from rotpolariton import dynamics
 
     runs = []
-    inner = dynamics._split_steps
+    inner = dynamics._run_sampled
 
-    def counting(frame, fields, lo, n, h):
-        advance = inner(frame, fields, lo, n, h)
-        taken = []
-        runs.append(taken)
+    def counting(frame, fields, y0, times, n):
+        runs.append(list(n))
+        return inner(frame, fields, y0, times, n)
 
-        def counted(y, i):
-            taken.append(int(n[i]))
-            return advance(y, i)
-
-        return counted
-
-    monkeypatch.setattr(dynamics, "_split_steps", counting)
+    monkeypatch.setattr(dynamics, "_run_sampled", counting)
     return runs
 
 
@@ -628,7 +621,7 @@ def test_magnus_wavefunction_quarter_area():
     # theta0 = pi/4 with balanced lines puts (1/2, 1/4, 1/4) on the triplet
     A = np.pi / 4.0 / np.sqrt(2.0)
     dbl = {(s, l): 0.0 for s in (1, -1) for l in (1, -1)}
-    areas = rp.aggregate_areas(A * np.exp(0.3j), A * np.exp(-1.1j), dbl)
+    areas = rp.PulseAreaSet(A * np.exp(0.3j), A * np.exp(-1.1j), dbl)
     amps = rp.magnus_wavefunction(areas)
     pops = np.abs(amps) ** 2
     assert pops[0] == pytest.approx(0.5, abs=1e-12)
@@ -642,7 +635,7 @@ def test_magnus_wavefunction_quarter_area():
 
 def test_magnus_wavefunction_zero_field_is_identity():
     dbl = {(s, l): 0.0 for s in (1, -1) for l in (1, -1)}
-    areas = rp.aggregate_areas(0.0, 0.0, dbl)
+    areas = rp.PulseAreaSet(0.0, 0.0, dbl)
     amps = rp.magnus_wavefunction(areas)
     assert abs(amps[0]) == pytest.approx(1.0)
     assert np.max(np.abs(amps[1:])) == 0.0

@@ -48,14 +48,19 @@ def test_params_validation():
 
 
 def test_unit_conversions():
-    v = rp.convert_units(0.20286, "cm-1", "au")
-    assert v == pytest.approx(0.20286 * 4.556335252767e-6, rel=1e-6)
-    assert rp.convert_units(1.0, "debye", "au-dipole") == pytest.approx(0.3934303, rel=1e-5)
-    assert rp.convert_units(1.0, "au", "au") == 1.0
-    with pytest.raises(rp.UnknownUnit):
-        rp.convert_units(1.0, "eV", "au")
-    with pytest.raises(ValueError):
-        rp.convert_units(1.0, "cm-1", "debye")
+    assert 0.20286 * rp.HARTREE_PER_CM1 == pytest.approx(0.20286 * 4.556335252767e-6,
+                                                         rel=1e-6)
+    assert rp.AU_PER_DEBYE == pytest.approx(0.3934303, rel=1e-5)
+    # the config scales each quantity by its unit's factor, atomic units by 1
+    from rotpolariton.cli import resolve_config
+
+    system = resolve_config({"system": {"rot_const": {"value": 0.20286, "unit": "cm-1"},
+                                        "dipole": {"value": 0.715, "unit": "au-dipole"}}})
+    assert system["system"]["rot_const_au"] == 0.20286 * rp.HARTREE_PER_CM1
+    assert system["system"]["dipole_au"] == 0.715
+    # only an energy unit measures the rotational constant
+    with pytest.raises(rp.ConfigError, match="unit"):
+        resolve_config({"system": {"rot_const": {"value": 1.0, "unit": "debye"}}})
 
 
 def test_ocs_defaults():

@@ -264,10 +264,13 @@ def test_revival_period_shift_invariance():
     assert periods[0] == pytest.approx(periods[1], rel=1e-6)
 
 
-def test_revival_period_constant_series_fails():
+def test_revival_period_is_none_without_a_revival():
     t = np.linspace(0.0, 10.0, 512)
-    with pytest.raises(rp.NoRevivalFound):
-        rp.revival_period(rp.TimeSeries(times=t, values=np.full(512, 0.3)))
+    noise = np.random.default_rng(0).normal(size=512)
+    # constant, never decorrelating (a ramp correlates 1 at every lag),
+    # decorrelating without recurrence
+    for values in (np.full(512, 0.3), t, noise):
+        assert rp.revival_period(rp.TimeSeries(times=t, values=values)) is None
 
 
 # ------------------------------------------------------------------- oracle

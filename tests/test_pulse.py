@@ -1,5 +1,7 @@
 """Field specs and spectral pulse areas."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,24 @@ def test_composite_field_is_carrier_sum():
     want = env * (np.cos(2.2 * t + 0.1) + np.cos(1.8 * t - 0.3))
     assert rp.field_value(fld, t) == pytest.approx(want, abs=1e-15)
     assert rp.carrier_ceiling(fld) == pytest.approx(2.2)
+
+
+def test_carrier_phases_beyond_a_turn_are_reduced_to_one():
+    ts = np.linspace(-14.0, 14.0, 257)
+
+    def value(phase):
+        return rp.field_value(rp.CompositePulse(e0=0.5, tau0=2.0, components=((3.0, phase),),
+                                                t_start=-14.0, t_end=14.0), ts)
+
+    env = 0.5 * np.exp(-0.5 * (ts / 2.0) ** 2)
+    # within a turn a phase is used as it is, bit for bit
+    for phase in (0.7, -2.0 * np.pi, 2.0 * np.pi):
+        assert np.array_equal(value(phase), env * np.cos(3.0 * ts + phase))
+    # beyond it, rounding w t + phase would erase w t; the phase's angle is used
+    for far in (0.5 + 2.0 * np.pi * 1e12, 1.0e300, -3.0e17):
+        near = math.atan2(math.sin(far), math.cos(far))
+        assert np.array_equal(value(far), value(near))
+        assert np.max(np.abs(value(far) - env * np.cos(3.0 * ts + near))) <= 1e-15
 
 
 def test_gaussian_for_area_hits_requested_area():
