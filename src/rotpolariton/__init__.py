@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 from .control import (
     DESIGN_AREA,
     KICK_AREA,
-    ConditionReport,
-    ScanResult,
     check_conditions,
     compute_areas,
     design_composite,

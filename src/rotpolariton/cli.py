@@ -230,7 +230,7 @@ SCHEMA = {
     },
     "field": {
         "kind": ("gaussian", ("gaussian", "composite", "designed")),
-        # default: pi/4 gaussian, pi sqrt(2)/8 otherwise
+        # null: each pulse's own default, pi/4 for a kick, pi sqrt(2)/8 otherwise
         "area": (None, (float, "nonnegative")),
         "bandwidth_g": (0.1, (float, "positive")),  # 1/tau0 in units of g_ref
         "detuning_g": (0.0, float),     # gaussian carrier offset from omega01, units of g_ref
@@ -351,10 +351,6 @@ def resolve_config(raw, preset=None):
     cfg = _deep_merge(base, raw)
     system, field, exp, scan = (cfg[s] for s in ("system", "field", "experiment", "scan"))
 
-    # the default that follows another key
-    if field["area"] is None:
-        field["area"] = KICK_AREA if field["kind"] == "gaussian" else DESIGN_AREA
-
     for section, rules in SCHEMA.items():
         for key, (default, rule) in rules.items():
             val, path = cfg[section][key], f"{section}.{key}"
@@ -426,34 +422,32 @@ def build_field(cfg, params, g_ref):
     tau0 = 1.0 / (f["bandwidth_g"] * g_ref)
     if f["kind"] == "gaussian":
         carrier = params.omega01 + f["detuning_g"] * g_ref
-        return gaussian_for_area(params, f["area"], tau0, carrier, f["phase"]), None
+        area = KICK_AREA if f["area"] is None else f["area"]
+        return gaussian_for_area(params, area, tau0, carrier, f["phase"]), None
+    area = DESIGN_AREA if f["area"] is None else f["area"]
     if f["kind"] == "composite":
         comps = [(params.omega01 + c["detuning_g"] * g_ref, c["phase"])
                  for c in f["carriers"]]
-        return composite_for_area(params, f["area"], tau0, comps), None
-    return design_composite(params, bandwidth=f["bandwidth_g"] * g_ref, area=f["area"],
+        return composite_for_area(params, area, tau0, comps), None
+    return design_composite(params, bandwidth=f["bandwidth_g"] * g_ref, area=area,
                             phase_minus=f["phase_minus"], branch=f["branch"])
 
 
 # ---------------------------------------------------------------- output
 
 
-def _json_safe(obj):
-    """obj with numpy scalars and arrays made plain; TypeError on anything else."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+def _plain(obj):
+    """json's hook for what it cannot write: a numpy scalar or array becomes
+    its Python value or list; anything else, a complex number included,
+    raises TypeError."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
 
 
@@ -491,7 +485,7 @@ def _outdir(cfg, args, command):
     """
     outdir = cfg["output"]["directory"]
     os.makedirs(outdir, exist_ok=True)
-    canon = json.dumps(_json_safe(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=_plain)
     manifest = {
         "package": "rotpolariton",
         "version": __version__,
@@ -507,18 +501,6 @@ def _outdir(cfg, args, command):
 
 
 # ---------------------------------------------------------------- commands
-
-
-def _field_area(cfg, designed):
-    """field.area of a kick (designed=False) or of a designed two-color pulse.
-
-    The resolved area defaults by field.kind; a kind of the other family
-    means the user never chose this area, so the family's own default holds.
-    """
-    f = cfg["field"]
-    if (f["kind"] == "gaussian") == designed:
-        return DESIGN_AREA if designed else KICK_AREA
-    return f["area"]
 
 
 def _check_trace_times(exp, tau, t_end, n_trace, snapshot=True):
@@ -551,7 +533,6 @@ def cmd_simulate(cfg, args):
         trace_window=exp["trace_window_tau"] * tau,
         n_trace=exp["n_trace"],
         snapshot_offset=exp["snapshot_tau"] * tau,
-        keep_series=True, keep_spectrum=True,
         n_pulse_samples=exp["n_trajectory"],
         tol=cfg["integrator"]["tol"],
     )
@@ -573,7 +554,7 @@ def cmd_simulate(cfg, args):
 
     summary = {k: v for k, v in rec.items() if k not in ("series", "spectrum", "trajectory")}
     if design_report is not None:
-        summary["design_report"] = design_report.as_dict()
+        summary["design_report"] = design_report
         summary["field"] = field_to_dict(fld)
     _write_json(os.path.join(outdir, "populations.json"), summary)
     written.append("populations.json")
@@ -597,6 +578,7 @@ def cmd_scan(cfg, args):
                           "state, which needs |+-;1>, so n_max >= 2")
     exp = cfg["experiment"]
     tau = params.revival_time
+    area = cfg["field"]["area"]
     kw = {"bandwidths": [b * g_ref for b in sc["bandwidths_g"]],
           "trace_window": exp["trace_window_tau"] * tau,
           "n_trace": exp["n_trace"],
@@ -609,11 +591,11 @@ def cmd_scan(cfg, args):
     _check_trace_times(exp, tau, t_end, exp["n_trace"] if detuning else
                        max(exp["n_trace"], _MAGNUS_N_TRACE), snapshot=detuning)
     if detuning:
-        result = scan_detuning_bandwidth(
+        records, meta = scan_detuning_bandwidth(
             params,
             detunings=[d * g_ref for d in sc["detunings_g"]],
             cavity=sc["cavity"],
-            area=_field_area(cfg, designed=False),
+            area=KICK_AREA if area is None else area,
             snapshot_offset=exp["snapshot_tau"] * tau,
             keep_spectrum=sc["write_spectra"],
             **kw,
@@ -627,13 +609,13 @@ def cmd_scan(cfg, args):
                    [_cells((rec["detuning"] / g_ref, rec.get("orientation_max"),
                             rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
                             _per(rec.get("revival_period"), tau), rec["converged"]))
-                    for rec in result.records[k * n:(k + 1) * n]])
+                    for rec in records[k * n:(k + 1) * n]])
                   for k, (cav, bw) in enumerate(groups)]
     else:
-        result = scan_composite_bandwidth(
+        records, meta = scan_composite_bandwidth(
             params,
             reference_bandwidth=sc["reference_bandwidth_g"] * g_ref,
-            area=_field_area(cfg, designed=True),
+            area=DESIGN_AREA if area is None else area,
             phase_minus=cfg["field"]["phase_minus"],
             branch=cfg["field"]["branch"],
             **kw,
@@ -644,22 +626,22 @@ def cmd_scan(cfg, args):
                    [_cells((rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
                             rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
                             _per(rec.get("revival_period"), tau), rec["converged"]))
-                    for rec in result.records])]
+                    for rec in records])]
 
     outdir = _outdir(cfg, args, "scan")
     for name, columns, rows in tables:
         _write_tsv(os.path.join(outdir, name), columns, rows)
     with open(os.path.join(outdir, "records.jsonl"), "w") as fh:
-        for i, rec in enumerate(result.records):
+        for i, rec in enumerate(records):
             # spectra go to their own files, never into the records
             body = {k: v for k, v in rec.items() if k != "spectrum"}
-            fh.write(json.dumps(_json_safe({"index": i, **body}), sort_keys=True) + "\n")
+            fh.write(json.dumps({"index": i, **body}, sort_keys=True, default=_plain) + "\n")
             if rec.get("spectrum") is not None:
                 _write_spectrum(os.path.join(outdir, f"spectrum_{i:04d}.tsv"),
                                 rec["spectrum"], params)
-    _write_json(os.path.join(outdir, "scan_meta.json"), result.meta)
+    _write_json(os.path.join(outdir, "scan_meta.json"), meta)
 
-    print(f"scan: {len(result)} records -> {outdir}")
+    print(f"scan: {len(records)} records -> {outdir}")
     return 0
 
 
@@ -669,19 +651,18 @@ def cmd_design(cfg, args):
     pulse, report = design_composite(
         params,
         bandwidth=f["bandwidth_g"] * g_ref,
-        area=_field_area(cfg, designed=True),
+        area=DESIGN_AREA if f["area"] is None else f["area"],
         phase_minus=f["phase_minus"],
         branch=f["branch"],
     )
     outdir = _outdir(cfg, args, "design")
     _write_json(os.path.join(outdir, "field.json"), field_to_dict(pulse))
-    body = report.as_dict()
-    body["carriers"] = [list(c) for c in pulse.components]
-    body["solved_phase_up"] = pulse.components[0][1]
-    _write_json(os.path.join(outdir, "report.json"), body)
+    report["carriers"] = [list(c) for c in pulse.components]
+    report["solved_phase_up"] = pulse.components[0][1]
+    _write_json(os.path.join(outdir, "report.json"), report)
     print(f"design: solved upper-carrier phase {pulse.components[0][1]:.9f} rad "
-          f"(phase functional {report.phase_value_g:.6f} g, "
-          f"residual {report.phase_residual_g:.2e} g)")
+          f"(phase functional {report['phase_value_g']:.6f} g, "
+          f"residual {report['phase_residual_g']:.2e} g)")
     print(f"wrote {outdir}/field.json, report.json")
     return 0
 
@@ -717,8 +698,8 @@ def _build_parser():
     common.add_argument("--threads", type=int, default=None,
                         help=f"worker processes for scans (at most {_MAX_THREADS}, and "
                              "no more than the scan has jobs); a detuning scan gives "
-                             "each (cavity, bandwidth) group to one process, a "
-                             "composite scan each bandwidth")
+                             "each (cavity, bandwidth) group to one process, 256 "
+                             "detunings at a time, a composite scan each bandwidth")
     common.add_argument("--seed", type=int, default=None,
                         help="recorded in the manifest; runs are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,12 +18,13 @@ The designed pulse is then checked against every condition.
 Both scans run through one driver.  A scan job holds fields that share one
 window; the job propagates them as one batch and turns each trajectory into a
 record with the job's per-record function.  The detuning scan sends one job
-per (cavity, bandwidth) group, the composite scan one single-field job per
-bandwidth, whose record adds the first-order comparison.  Jobs go to worker
-processes as they are, and the records come back in job order.
+per 256 detunings of a (cavity, bandwidth) group, the composite scan one
+single-field job per bandwidth, whose record adds the first-order comparison.
+Jobs go to worker processes as they are, and the records come back in job
+order.  Both scans return (records, meta), plain lists and dicts.
 """
 
-from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .observables import (
 )
 from .pulse import (
     PulseAreaSet,
+    _within_turn,
     composite_for_area,
     gaussian_for_area,
     pulse_area_doublet,
@@ -65,11 +67,9 @@ __all__ = [
     "KICK_AREA",
     "compute_areas",
     "phase_functional",
-    "ConditionReport",
     "check_conditions",
     "design_composite",
     "kick_response",
-    "ScanResult",
     "scan_detuning_bandwidth",
     "scan_composite_bandwidth",
 ]
@@ -85,6 +85,10 @@ _MAX_BANDWIDTH_RATIO = 0.2
 _RESIDUAL_TOL = 1e-6
 # spectral peaks reported in a kick record: lines above 5% of the strongest
 _PEAKS_REL_HEIGHT = 0.05
+# the most fields one scan job propagates as a batch: the kernel holds about
+# _CHUNK field values per row at once (82 kB), so a group of 20,000 detunings
+# in one job needs 1.6 GB
+_JOB_ROWS = 256
 # samples of the first-order trace a composite record compares against
 _MAGNUS_N_TRACE = 8192
 # a value read off a propagated state is reported only where the certified
@@ -120,33 +124,12 @@ def phase_functional(params, areas):
     return w_lo * np.angle(areas.theta_up0) - w_up * np.angle(-areas.theta_lo0)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Diagnostics of a candidate field against the design conditions.
-
-    All phase quantities are in units of the coupling g; amplitude residuals
-    are radians of spectral area.
-    """
-
-    area_target: float
-    amp_residuals: dict
-    phase_value_g: float
-    phase_residual_g: float
-    phase_residual_alt_g: float
-    blockade_residuals: dict
-    theta0: float
-    theta1: float
-    predicted_populations: tuple
-    predicted_orientation_max: float
-    areas: object = None
-
-    def as_dict(self):
-        """Every field but the raw areas, for the JSON outputs."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "areas"}
-
-
 def check_conditions(params, fld, area_target=DESIGN_AREA):
-    """Measure a field against the amplitude, phase, and blockade conditions."""
+    """Measure a field against the amplitude, phase, and blockade conditions.
+
+    Returns a plain dict.  Phase quantities are in units of the coupling g;
+    amplitude residuals are radians of spectral area.
+    """
     areas = compute_areas(params, fld)
     g = params.coupling
     phi = phase_functional(params, areas)
@@ -160,20 +143,19 @@ def check_conditions(params, fld, area_target=DESIGN_AREA):
     pops = np.abs(magnus_wavefunction(areas)) ** 2
     p0, pu, pl = pops[0], pops[1], pops[2]
     predicted = (2.0 / np.sqrt(6.0)) * (np.sqrt(p0 * pu) + np.sqrt(p0 * pl))
-    return ConditionReport(
-        area_target=float(area_target),
-        amp_residuals={"up": float(abs(areas.theta_up0) - area_target),
-                       "lo": float(abs(areas.theta_lo0) - area_target)},
-        phase_value_g=float(phi / g),
-        phase_residual_g=float(resid),
-        phase_residual_alt_g=float(resid_alt),
-        blockade_residuals=leak,
-        theta0=areas.theta0,
-        theta1=areas.theta1,
-        predicted_populations=tuple(float(p) for p in pops),
-        predicted_orientation_max=float(predicted),
-        areas=areas,
-    )
+    return {
+        "area_target": float(area_target),
+        "amp_residuals": {"up": float(abs(areas.theta_up0) - area_target),
+                          "lo": float(abs(areas.theta_lo0) - area_target)},
+        "phase_value_g": float(phi / g),
+        "phase_residual_g": float(resid),
+        "phase_residual_alt_g": float(resid_alt),
+        "blockade_residuals": leak,
+        "theta0": areas.theta0,
+        "theta1": areas.theta1,
+        "predicted_populations": tuple(float(p) for p in pops),
+        "predicted_orientation_max": float(predicted),
+    }
 
 
 def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branch="+"):
@@ -185,8 +167,10 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     branch ("+" or "-") selects the root of Phi = +g pi or -g pi (mod 2 g pi).
     arg Theta_up is the upper carrier phase, so between its 2 pi jumps
     Phi = w_lo phi_up + const and the roots are written down.  The one nearest
-    (target + w_up phase_minus) / w_lo is taken, and one Newton step of slope
-    w_lo removes the carriers' cross-talk.  Returns (pulse, report).
+    (target + w_up phase_minus) / w_lo is taken, with phase_minus beyond one
+    turn reduced to one as field_value does, and one Newton step of slope
+    w_lo removes the carriers' cross-talk.  Returns (pulse, report), the
+    report being check_conditions' dict.
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -203,7 +187,9 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     if w_lo == 0:
         raise DesignInfeasible("the lower doublet line sits at zero frequency")
     target = (1.0 if branch == "+" else -1.0) * g * np.pi
-    c = (target + w_up * _wrap(phase_minus, 2.0 * np.pi)) / w_lo
+    # the lower phase as the field applies it: beyond one turn, reduced to one
+    pm = _within_turn(phase_minus)
+    c = (target + w_up * _wrap(pm, 2.0 * np.pi)) / w_lo
     step = 2.0 * np.pi * g / abs(w_lo)
     # the roots c + k step whose upper phase lies in (-pi, pi]; their copies
     # are 2 pi apart
@@ -211,7 +197,7 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     if k_lo > k_hi:
         raise DesignInfeasible(f"the phase condition has no root with the lower "
                                f"doublet line at {w_lo / g:g} g")
-    guess = (target + w_up * phase_minus) / w_lo
+    guess = (target + w_up * pm) / w_lo
     # there are |w_lo| / g of them; the nearest to the guess on the circle
     # neighbours the wrapped guess or is one of the two ends
     near = np.floor((_wrap(guess, 2.0 * np.pi) - c) / step)
@@ -225,11 +211,11 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     pulse = make(phi_up - _wrap(val - target, 2.0 * g * np.pi) / w_lo)
     report = check_conditions(params, pulse, area_target=area)
 
-    if report.phase_residual_g > _RESIDUAL_TOL:
+    if report["phase_residual_g"] > _RESIDUAL_TOL:
         raise DesignInfeasible(
-            f"solved phase misses the manifold by {report.phase_residual_g:.3e} g"
+            f"solved phase misses the manifold by {report['phase_residual_g']:.3e} g"
         )
-    if max(abs(r) for r in report.amp_residuals.values()) > _RESIDUAL_TOL * max(1.0, area):
+    if max(abs(r) for r in report["amp_residuals"].values()) > _RESIDUAL_TOL * max(1.0, area):
         raise DesignInfeasible("carrier cross-talk spoils the amplitude condition")
     return pulse, report
 
@@ -329,8 +315,7 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
 
 
 def kick_response(params, fld, trace_window=None, n_trace=16384,
-                  snapshot_offset=None, keep_series=False, keep_spectrum=False,
-                  n_pulse_samples=2, tol=1e-8):
+                  snapshot_offset=None, n_pulse_samples=2, tol=1e-8):
     """Propagate one pulse and summarize the post-pulse orientation.
 
     The run propagates the model build_model picks: the polariton eigenbasis
@@ -347,18 +332,17 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
     the parabola vertex there where that resolves the vertex to 5 % of a
     sample.  A dressed phase, resolved to ε / |amplitude| radians, is None
     where its amplitude is at most ε / 5 % = 20 ε.
-    keep_series / keep_spectrum attach the full trace and spectrum, and the
-    in-pulse trajectory of n_pulse_samples (at least 2) samples is always
-    attached, all under non-JSON keys for file export.
+    The full trace ("series"), its spectrum ("spectrum") and the in-pulse
+    trajectory of n_pulse_samples samples ("trajectory"; fewer than 2 raise
+    ValueError) are attached under non-JSON keys for file export.
     tol is the step error the propagation is certified to (see propagate).
     """
     h0, v, state0, model = _kick_setup(params, fld)
-    n_samples = max(2, int(n_pulse_samples))
-    traj = propagate(h0, v, fld, state0, np.linspace(fld.t_start, fld.t_end, n_samples),
-                     tol=tol)
+    traj = propagate(h0, v, fld, state0,
+                     np.linspace(fld.t_start, fld.t_end, n_pulse_samples), tol=tol)
     rec = _kick_summary(params, fld, traj, model, trace_window=trace_window,
                         n_trace=n_trace, snapshot_offset=snapshot_offset,
-                        keep_series=keep_series, keep_spectrum=keep_spectrum)
+                        keep_series=True, keep_spectrum=True)
     rec["trajectory"] = traj
     return rec
 
@@ -380,20 +364,6 @@ def magnus_final_state(params, fld):
     state = StateVector(np.exp(-1j * model.energies * fld.t_end) * amps, basis="dressed",
                         time=fld.t_end, labels=model.labels)
     return state, model
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Ordered scan records plus the axes and parameters that made them."""
-
-    records: tuple
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-
-    def __len__(self):
-        return len(self.records)
 
 
 def _kick_worker(params, fld, traj, model, kw):
@@ -470,13 +440,14 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     omega01 + detuning.  Bare runs reuse the same parameters with the
     coupling switched off and no photon ladder, so they run on the rotor
     alone.  All detunings of one (cavity, bandwidth) group share the
-    Hamiltonian and the field window, so they propagate as one batch, from
-    the finest pilot step any of them needs; each record still carries its
-    own runs ("halvings", "steps") and certified step error.  Worker
-    processes take whole groups, so no more than one process per group is
-    busy, and the records do not depend on `threads`.
-    Records keep the axes, the orientation maximum and snapshot, the revival
-    period, and the strongest spectral peaks, in deterministic axis order.
+    Hamiltonian and the field window, so they propagate in batches of up to
+    _JOB_ROWS (256), in order, each from the finest pilot step any of its
+    fields needs; each record still carries its own runs ("halvings",
+    "steps") and certified step error.  Worker processes take whole batches,
+    so the records do not depend on `threads`.
+    Returns (records, meta).  Records keep the axes, the orientation maximum
+    and snapshot, the revival period, and the strongest spectral peaks, in
+    deterministic axis order.
     """
     cavity = tuple(cavity) if isinstance(cavity, (tuple, list)) else (cavity,)
     kw = {"trace_window": trace_window, "n_trace": n_trace,
@@ -488,7 +459,8 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
         for bw in bandwidths:
             fields = [gaussian_for_area(run_params, area, 1.0 / bw, params.omega01 + det)
                       for det in detunings]
-            jobs.append((run_params, fields, tol, kw, _kick_worker))
+            jobs += [(run_params, fields[i:i + _JOB_ROWS], tol, kw, _kick_worker)
+                     for i in range(0, len(fields), _JOB_ROWS)]
             axes += [(bool(cav), float(bw), float(det)) for det in detunings]
 
     records = _scan_groups(jobs, threads)
@@ -502,7 +474,7 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
         "cavity": [bool(c) for c in cavity],
         "params": asdict(params),
     }
-    return ScanResult(records=tuple(records), meta=meta)
+    return records, meta
 
 
 def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIGN_AREA,
@@ -517,7 +489,7 @@ def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIG
     job, so `threads` worker processes take one bandwidth each, and the
     records do not depend on `threads`.  Each record carries the exact and
     first-order orientation maxima, over the post-pulse trace window, and
-    their population mismatch.
+    their population mismatch.  Returns (records, meta).
     """
     ref_pulse, report = design_composite(params, bandwidth=reference_bandwidth,
                                          area=area, phase_minus=phase_minus,
@@ -535,7 +507,7 @@ def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIG
         "bandwidths": [float(b) for b in bandwidths],
         "reference_bandwidth": float(reference_bandwidth),
         "carriers": [list(c) for c in carriers],
-        "design_report": report.as_dict(),
+        "design_report": report,
         "params": asdict(params),
     }
-    return ScanResult(records=tuple(records), meta=meta)
+    return records, meta

@@ -337,8 +337,7 @@ def broadband_kick(p_cavity):
     """
     fld = rp.gaussian_for_area(p_cavity, rp.KICK_AREA, tau0=1.0 / G,
                                omega0=p_cavity.omega01)
-    return rp.kick_response(p_cavity, fld, trace_window=80.0 * TAU,
-                            n_trace=32768, keep_spectrum=True)
+    return rp.kick_response(p_cavity, fld, trace_window=80.0 * TAU, n_trace=32768)
 
 
 @pytest.fixture(scope="session")

@@ -93,7 +93,7 @@ def test_solved_carrier_phase_matches_the_analytic_root(designed):
 
 def test_first_order_model_tracks_exact_dynamics_and_degrades_monotonically(
         magnus_sweep):
-    recs = sorted(magnus_sweep.records, key=lambda r: r["bandwidth"])
+    recs = sorted(magnus_sweep[0], key=lambda r: r["bandwidth"])
     assert [r["bandwidth"] for r in recs] == pytest.approx(
         [b * G for b in SWEEP_BW])
     diffs = [r["max_population_diff"] for r in recs]
@@ -177,5 +177,5 @@ def test_readme_library_quick_start_runs(capsys):
     assert blocked["orientation_max"] < blocked["step_error"]
     assert blocked["t_max"] is None
     assert restored["orientation_max"] == pytest.approx(SQRT3INV, abs=1e-3)
-    assert names["report"].predicted_populations == pytest.approx((0.5, 0.25, 0.25, 0, 0),
+    assert names["report"]["predicted_populations"] == pytest.approx((0.5, 0.25, 0.25, 0, 0),
                                                                   abs=1e-6)

@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rotpolariton import HARTREE_PER_CM1, cli, composite_for_area, dynamics, kick_response
 from rotpolariton.cli import (
-    DEFAULTS, PRESETS, SCHEMA, _carriers, _flags, _json_safe, build_params, main,
+    DEFAULTS, PRESETS, SCHEMA, _carriers, _flags, _plain, build_params, main,
     resolve_config,
 )
-from rotpolariton.control import DESIGN_AREA, KICK_AREA
+from rotpolariton.control import DESIGN_AREA
 from rotpolariton.errors import ConfigError
 
 # small, fast run shared by several smoke tests
@@ -51,7 +51,8 @@ def merged(*parts):
 def test_defaults_resolve():
     cfg = resolve_config({})
     assert cfg["field"]["kind"] == "gaussian"
-    assert cfg["field"]["area"] == pytest.approx(KICK_AREA)
+    # null: each pulse the command builds takes its own default area
+    assert cfg["field"]["area"] is None
     assert cfg["scan"]["detunings_g"] == [0.0]
     assert cfg["system"]["rot_const_au"] == 0.20286 * HARTREE_PER_CM1
 
@@ -142,7 +143,7 @@ def test_field_validation():
     cfg = resolve_config({"field": {"kind": "composite",
                                     "carriers": [{"detuning_g": 1.0},
                                                  {"detuning_g": -1.0, "phase": 0.3}]}})
-    assert cfg["field"]["area"] == pytest.approx(DESIGN_AREA)
+    assert cfg["field"]["area"] is None
     assert cfg["field"]["carriers"][1] == {"detuning_g": -1.0, "phase": 0.3}
     with pytest.raises(ConfigError, match="cavity"):
         resolve_config({"system": {"cavity": False, "n_max": 0},
@@ -277,6 +278,26 @@ def test_a_tol_below_the_norm_drift_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "convergence failure: norm drift" in err and "exceeds tol 1e-13 after" in err
     assert not out.exists()
+
+
+def test_step_control_that_spends_its_runs_exits_3(tmp_path, capsys, monkeypatch):
+    # one run past the pilot: the pilot pair misses tol 1e-8 by far, while
+    # the norm drift meets it, so step control stalls rather than stops
+    monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 1)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_cfg(tmp_path / "fast.yaml", FAST),
+                 "--out", str(out)]) == 3
+    assert "convergence failure: step control stalled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_set_field_area_applies_to_the_design(tmp_path, capsys):
+    # field.kind stays gaussian; the area is the design's all the same
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path / "area.yaml", {"field": {"area": 0.3}})
+    assert main(["design", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "report.json").read_text())["area_target"] == 0.3
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -547,6 +568,7 @@ def test_design_command_reports_the_solved_phase(tmp_path, capsys):
 
     report = json.loads((out / "report.json").read_text())
     assert report["solved_phase_up"] == pytest.approx(np.pi / 9.0, abs=1e-6)
+    assert report["area_target"] == DESIGN_AREA
     assert abs(report["phase_residual_g"]) < 1e-6
     assert report["predicted_orientation_max"] == pytest.approx(
         1.0 / np.sqrt(3.0), abs=1e-6)
@@ -632,7 +654,8 @@ def test_scan_command_composite_kind(tmp_path, capsys):
 
 
 def test_scans_read_the_field_area_phase_branch_and_trace_window(tmp_path, capsys):
-    field = {"kind": "designed", "area": 0.3, "phase_minus": 1.0, "branch": "-"}
+    # a set field.area holds for the pulses of either scan, whatever field.kind
+    field = {"area": 0.3, "phase_minus": 1.0, "branch": "-"}
     comp = merged(FAST, {"field": field},
                   {"scan": {"kind": "composite", "bandwidths_g": [1.0],
                             "reference_bandwidth_g": 0.1}})
@@ -641,6 +664,7 @@ def test_scans_read_the_field_area_phase_branch_and_trace_window(tmp_path, capsy
                  "--out", str(out)]) == 0
     meta = json.loads((out / "scan_meta.json").read_text())
     assert meta["area"] == 0.3
+    assert json.loads((out / "manifest.json").read_text())["config"]["field"]["area"] == 0.3
     assert meta["carriers"][1][1] == 1.0
     assert meta["design_report"]["phase_residual_g"] < 1e-6
     (rec,) = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
@@ -650,7 +674,7 @@ def test_scans_read_the_field_area_phase_branch_and_trace_window(tmp_path, capsy
     want = kick_response(params, fld, trace_window=20.0 * params.revival_time, n_trace=2048)
     assert rec["orientation_max_exact"] == want["orientation_max"]
 
-    kick = merged(FAST, {"field": {"area": 0.3}},
+    kick = merged(FAST, {"field": {"kind": "designed", "area": 0.3}},
                   {"scan": {"detunings_g": [0.0], "bandwidths_g": [1.0], "cavity": [True]}})
     out = tmp_path / "kick"
     assert main(["scan", "--config", write_cfg(tmp_path / "kick.yaml", kick),
@@ -674,13 +698,13 @@ def test_scan_records_leave_the_spectra_to_their_files(tmp_path, capsys):
         assert np.loadtxt(out / f"spectrum_{i:04d}.tsv").shape[1] == 3
 
 
-def test_json_safe_refuses_what_it_cannot_write():
-    assert _json_safe({1: (np.float64(0.5), np.int64(2), np.bool_(True)),
-                       "a": np.arange(2.0)}) == {"1": [0.5, 2, True], "a": [0.0, 1.0]}
-    with pytest.raises(TypeError):
-        _json_safe({"a": [1.0, object()]})
-    with pytest.raises(TypeError):
-        _json_safe({"z": 1j})
+def test_json_hook_writes_numpy_and_refuses_the_rest():
+    payload = {"1": (np.float64(0.1), np.int64(2), np.bool_(True)), "a": np.arange(2.0)}
+    assert json.dumps(payload, sort_keys=True, default=_plain) == \
+        '{"1": [0.1, 2, true], "a": [0.0, 1.0]}'
+    for bad in (object(), 1j, np.complex128(1j), np.array([1j])):
+        with pytest.raises(TypeError):
+            json.dumps({"a": [1.0, bad]}, default=_plain)
 
 
 def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):

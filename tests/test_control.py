@@ -1,10 +1,13 @@
 """Pulse design conditions, the composite solver, and the scan harness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rotpolariton as rp
+from rotpolariton import control
 from conftest import (
     B,
     G,
@@ -33,10 +36,10 @@ def test_zero_field_condition_report(p_cavity):
     fld = rp.CompositePulse(e0=0.0, tau0=1.0 / (0.1 * G), components=((2.0 * B, 0.0),),
                             t_start=-7.0 / (0.1 * G), t_end=7.0 / (0.1 * G))
     rep = rp.check_conditions(p_cavity, fld)
-    assert rep.amp_residuals["up"] == pytest.approx(-rp.DESIGN_AREA)
-    assert rep.amp_residuals["lo"] == pytest.approx(-rp.DESIGN_AREA)
-    assert rep.predicted_orientation_max == 0.0
-    assert rep.predicted_populations[0] == pytest.approx(1.0)
+    assert rep["amp_residuals"]["up"] == pytest.approx(-rp.DESIGN_AREA)
+    assert rep["amp_residuals"]["lo"] == pytest.approx(-rp.DESIGN_AREA)
+    assert rep["predicted_orientation_max"] == 0.0
+    assert rep["predicted_populations"][0] == pytest.approx(1.0)
 
 
 def test_single_resonant_carrier_misses_both_lines(p_cavity):
@@ -44,24 +47,24 @@ def test_single_resonant_carrier_misses_both_lines(p_cavity):
     fld = rp.gaussian_for_area(p_cavity, rp.KICK_AREA, tau0=1.0 / (0.1 * G),
                                omega0=p_cavity.omega01)
     rep = rp.check_conditions(p_cavity, fld)
-    assert rep.amp_residuals["up"] == pytest.approx(-rp.DESIGN_AREA, abs=1e-6)
-    assert rep.amp_residuals["lo"] == pytest.approx(-rp.DESIGN_AREA, abs=1e-6)
-    assert rep.predicted_orientation_max < 1e-6
+    assert rep["amp_residuals"]["up"] == pytest.approx(-rp.DESIGN_AREA, abs=1e-6)
+    assert rep["amp_residuals"]["lo"] == pytest.approx(-rp.DESIGN_AREA, abs=1e-6)
+    assert rep["predicted_orientation_max"] < 1e-6
 
 
 # ------------------------------------------------------------------ design
 
 def test_designed_pulse_meets_all_conditions(designed):
     _fld, rep = designed
-    assert rep.phase_residual_g < 1e-6
+    assert rep["phase_residual_g"] < 1e-6
     # the same manifold written without the lower-line sign flip sits at
     # 0 mod 2 g pi; both bookkeepings must agree on the solution
-    assert rep.phase_residual_alt_g < 1e-6
-    assert abs(rep.amp_residuals["up"]) < 1e-9
-    assert abs(rep.amp_residuals["lo"]) < 1e-9
-    assert max(rep.blockade_residuals.values()) < 1e-6
-    assert rep.predicted_orientation_max == pytest.approx(SQRT3INV, abs=1e-6)
-    pp = rep.predicted_populations
+    assert rep["phase_residual_alt_g"] < 1e-6
+    assert abs(rep["amp_residuals"]["up"]) < 1e-9
+    assert abs(rep["amp_residuals"]["lo"]) < 1e-9
+    assert max(rep["blockade_residuals"].values()) < 1e-6
+    assert rep["predicted_orientation_max"] == pytest.approx(SQRT3INV, abs=1e-6)
+    pp = rep["predicted_populations"]
     assert pp[0] == pytest.approx(0.5, abs=1e-9)
     assert pp[1] == pytest.approx(0.25, abs=1e-9)
     assert pp[2] == pytest.approx(0.25, abs=1e-9)
@@ -71,7 +74,7 @@ def test_default_design_lands_on_the_analytic_root(designed):
     # with closed-form areas the solve is limited by roundoff alone
     fld, rep = designed
     assert abs(fld.components[0][1] - np.pi / 9.0) <= 1e-14
-    assert max(abs(r) for r in rep.amp_residuals.values()) <= 1e-14
+    assert max(abs(r) for r in rep["amp_residuals"].values()) <= 1e-14
 
 
 def test_designed_phase_is_the_analytic_root(designed):
@@ -89,7 +92,7 @@ def test_design_scales_with_coupling():
     p = unit_params(coupling=0.4 * B)
     fld, rep = rp.design_composite(p, bandwidth=0.1 * 0.4 * B)
     assert fld.components[0][1] == pytest.approx(np.pi / 4.0, abs=1e-9)
-    assert rep.phase_residual_g < 1e-6
+    assert rep["phase_residual_g"] < 1e-6
 
 
 def test_phase_functional_root_is_unique_per_period(designed, p_cavity):
@@ -145,8 +148,8 @@ def test_design_finds_the_root_past_an_angle_jump(bandwidth_g, phase_minus, bran
     fld, rep = rp.design_composite(p, bandwidth=bandwidth_g * p.coupling,
                                    phase_minus=phase_minus, branch=branch)
     assert fld.components[1][1] == phase_minus
-    assert rep.phase_residual_g < 1e-6
-    assert rep.predicted_orientation_max == pytest.approx(SQRT3INV, abs=1e-6)
+    assert rep["phase_residual_g"] < 1e-6
+    assert rep["predicted_orientation_max"] == pytest.approx(SQRT3INV, abs=1e-6)
 
 
 @pytest.mark.parametrize("coupling_ratio, phase_minus", [(0.3, 1.0), (0.15, 2.0)])
@@ -170,8 +173,8 @@ def _phase_residual(p, fld, phi_up, target):
 
 
 # a wrapped guess between the last root below pi and the first above -pi,
-# nearer the last one
-@example(coupling_ratio=0.13, bandwidth_g=0.05, phase_minus=-21.5, branch="-")
+# nearer the last one (the guess of phase_minus -21.5, from within a turn)
+@example(coupling_ratio=0.13, bandwidth_g=0.05, phase_minus=-2.150013390278801, branch="-")
 @settings(max_examples=25, deadline=None)
 @given(coupling_ratio=st.floats(0.05, 0.45), bandwidth_g=st.floats(0.02, 0.2),
        phase_minus=st.floats(-7.0, 7.0), branch=st.sampled_from("+-"))
@@ -181,9 +184,12 @@ def test_design_takes_the_root_nearest_the_guess(coupling_ratio, bandwidth_g, ph
     g = p.coupling
     fld, rep = rp.design_composite(p, bandwidth=bandwidth_g * g, phase_minus=phase_minus,
                                    branch=branch)
-    assert rep.phase_residual_g <= 1e-12
+    assert rep["phase_residual_g"] <= 1e-12
     w_up, w_lo = rp.doublet_energies(p, 0)
     target = (1.0 if branch == "+" else -1.0) * g * np.pi
+    if abs(phase_minus) > 2.0 * np.pi:
+        # the phase the field applies
+        phase_minus = math.atan2(math.sin(phase_minus), math.cos(phase_minus))
     guess = (target + w_up * phase_minus) / w_lo
     dist = abs(fld.components[0][1] - guess)
     # Phi moves with slope w_lo and jumps where the upper area's angle
@@ -210,8 +216,19 @@ def test_newton_step_absorbs_the_carrier_cross_talk():
     p = ocs_params(coupling_ratio=0.7)
     fld, rep = rp.design_composite(p, bandwidth=0.2 * p.coupling, phase_minus=-5.5,
                                    branch="+")
-    assert rep.phase_residual_g <= 1e-12
-    assert max(abs(r) for r in rep.amp_residuals.values()) <= 1e-6
+    assert rep["phase_residual_g"] <= 1e-12
+    assert max(abs(r) for r in rep["amp_residuals"].values()) <= 1e-6
+
+
+@pytest.mark.parametrize("phase_minus", [1.0e300, 1.0e6, -7.0])
+def test_a_lower_phase_beyond_a_turn_designs_as_its_reduced_angle(p_cavity, phase_minus):
+    # the field applies such a phase reduced to one turn, so the design does
+    reduced = math.atan2(math.sin(phase_minus), math.cos(phase_minus))
+    far, rep = rp.design_composite(p_cavity, bandwidth=0.1 * G, phase_minus=phase_minus)
+    near, _ = rp.design_composite(p_cavity, bandwidth=0.1 * G, phase_minus=reduced)
+    assert far.components[0][1] == near.components[0][1]
+    assert abs(far.components[0][1]) <= np.pi
+    assert rep["phase_residual_g"] <= 1e-12
 
 
 def test_design_with_custom_area(p_cavity):
@@ -219,9 +236,9 @@ def test_design_with_custom_area(p_cavity):
     areas = rp.compute_areas(p_cavity, fld)
     assert abs(areas.theta_up0) == pytest.approx(0.3, abs=1e-9)
     assert abs(areas.theta_lo0) == pytest.approx(0.3, abs=1e-9)
-    assert rep.phase_residual_g < 1e-6
+    assert rep["phase_residual_g"] < 1e-6
     # smaller area, smaller transfer: the predicted maximum drops
-    assert rep.predicted_orientation_max < SQRT3INV
+    assert rep["predicted_orientation_max"] < SQRT3INV
 
 
 def test_design_infeasible_cases(p_cavity):
@@ -245,12 +262,12 @@ def test_design_at_a_tiny_coupling_does_not_list_its_roots():
     # one nearest the guess is found without an array or a loop over them
     p = ocs_params(coupling_ratio=1e-12)
     _fld, rep = rp.design_composite(p, bandwidth=0.1 * p.coupling)
-    assert rep.phase_residual_g < 1e-6
+    assert rep["phase_residual_g"] < 1e-6
 
 
 def test_design_boundary_bandwidth_is_accepted(p_cavity):
     fld, rep = rp.design_composite(p_cavity, bandwidth=0.2 * G)
-    assert rep.phase_residual_g < 1e-6
+    assert rep["phase_residual_g"] < 1e-6
 
 
 # ----------------------------------------------------------------- responses
@@ -313,6 +330,15 @@ def test_uncoupled_kick_rejects_a_photon_ladder():
         rp.kick_response(p, fld)
 
 
+def test_kick_records_its_trace_spectrum_and_pulse_samples(bare_kick, p_bare):
+    assert {"series", "spectrum", "trajectory"} <= set(bare_kick)
+    assert len(bare_kick["trajectory"]) == 2
+    # a trajectory needs both ends of the pulse; no count is rounded up to it
+    fld = rp.gaussian_for_area(p_bare, rp.KICK_AREA, tau0=1.0 / G, omega0=p_bare.omega01)
+    with pytest.raises(ValueError, match="length >= 2"):
+        rp.kick_response(p_bare, fld, n_pulse_samples=1)
+
+
 def test_magnus_final_state_matches_exact_at_narrow_bandwidth(
         designed, composite_exact, p_cavity):
     fld, _rep = designed
@@ -354,13 +380,13 @@ def broad_scan(p_cavity):
 
 
 def test_scan_record_layout(broad_scan):
-    res = broad_scan
-    assert len(res) == 6
+    records, meta = broad_scan
+    assert len(records) == 6
     # axis order: cavity block, then bandwidth, then detuning
-    assert [r["cavity"] for r in res.records] == [True] * 3 + [False] * 3
-    assert [r["detuning"] for r in res.records][:3] == [-G, 0.0, G]
-    assert all(r["converged"] for r in res.records)
-    assert res.meta["kind"] == "detuning_bandwidth"
+    assert [r["cavity"] for r in records] == [True] * 3 + [False] * 3
+    assert [r["detuning"] for r in records][:3] == [-G, 0.0, G]
+    assert all(r["converged"] for r in records)
+    assert meta["kind"] == "detuning_bandwidth"
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e-5])
@@ -392,7 +418,8 @@ def test_time_of_maximum_is_the_earliest_copy_the_error_resolves(amplitude):
 def test_bare_resonant_kick_hits_the_bound(broad_scan):
     # with no cavity the quarter-area resonant kick balances J = 0 and 1
     # regardless of bandwidth
-    bare = {r["detuning"]: r for r in broad_scan.records if not r["cavity"]}
+    records, _ = broad_scan
+    bare = {r["detuning"]: r for r in records if not r["cavity"]}
     assert bare[0.0]["orientation_max"] == pytest.approx(SQRT3INV, abs=0.01)
     # detuned carriers lose spectral weight on the line, never gain
     assert bare[-G]["orientation_max"] < bare[0.0]["orientation_max"] + 1e-9
@@ -400,7 +427,8 @@ def test_bare_resonant_kick_hits_the_bound(broad_scan):
 
 
 def test_cavity_enhancement_at_doublet_lines(narrow_scan):
-    cav = {r["detuning"]: r for r in narrow_scan.records}
+    records, _ = narrow_scan
+    cav = {r["detuning"]: r for r in records}
     on_line = min(cav[-G]["orientation_max"], cav[G]["orientation_max"])
     blocked = cav[0.0]["orientation_max"]
     assert on_line > 5.0 * blocked
@@ -409,7 +437,8 @@ def test_cavity_enhancement_at_doublet_lines(narrow_scan):
 def test_detuning_sign_selects_the_doublet_branch(narrow_scan):
     # driving below resonance feeds the lower line (slower beat, longer
     # period); above resonance the upper line (faster beat)
-    cav = {r["detuning"]: r for r in narrow_scan.records}
+    records, _ = narrow_scan
+    cav = {r["detuning"]: r for r in records}
     for det, line in ((-G, 2.0 * B - G), (G, 2.0 * B + G)):
         pw = np.array(cav[det]["peaks_omega"])
         ph = np.array(cav[det]["peaks_height"])
@@ -420,14 +449,27 @@ def test_scan_is_deterministic_across_thread_counts(p_cavity):
     # three detunings per (cavity, bandwidth) group, so each group is a batch
     kw = dict(detunings=[-G, 0.0, G], bandwidths=[0.5 * G, 1.0 * G],
               cavity=(True,), n_trace=4096)
-    r1 = rp.scan_detuning_bandwidth(p_cavity, threads=1, **kw)
-    r2 = rp.scan_detuning_bandwidth(p_cavity, threads=2, **kw)
+    r1, _ = rp.scan_detuning_bandwidth(p_cavity, threads=1, **kw)
+    r2, _ = rp.scan_detuning_bandwidth(p_cavity, threads=2, **kw)
     assert len(r1) == len(r2) == 6
-    for a, b in zip(r1.records, r2.records):
+    for a, b in zip(r1, r2):
         assert a["orientation_max"] == b["orientation_max"]   # bit-identical
         assert a["populations"] == b["populations"]
         assert (a["halvings"], a["step_error"]) == (b["halvings"], b["step_error"])
         assert a["step_error"] <= 1e-8
+
+
+def test_a_group_above_the_job_bound_runs_as_consecutive_batches(p_cavity, monkeypatch):
+    # with room for two rows per job, three detunings run as [d0, d1] and
+    # [d2]: each batch starts from the finest pilot step of its own fields
+    kw = dict(bandwidths=[1.0 * G], cavity=(True,), n_trace=2048)
+    dets = [-G, 0.0, G]
+    first, _ = rp.scan_detuning_bandwidth(p_cavity, dets[:2], **kw)
+    last, _ = rp.scan_detuning_bandwidth(p_cavity, dets[2:], **kw)
+    monkeypatch.setattr(control, "_JOB_ROWS", 2)
+    split, meta = rp.scan_detuning_bandwidth(p_cavity, dets, **kw)
+    assert split == first + last   # bit-identical, every key
+    assert meta["detunings"] == dets
 
 
 def test_composite_scan_is_deterministic_across_thread_counts(p_cavity):
@@ -436,18 +478,18 @@ def test_composite_scan_is_deterministic_across_thread_counts(p_cavity):
               n_trace=2048)
     r1 = rp.scan_composite_bandwidth(p_cavity, threads=1, **kw)
     r2 = rp.scan_composite_bandwidth(p_cavity, threads=2, **kw)
-    assert len(r1) == len(r2) == 3
-    assert r1.records == r2.records   # bit-identical, every key
-    assert all(r["converged"] for r in r1.records)
+    assert len(r1[0]) == len(r2[0]) == 3
+    assert r1 == r2   # bit-identical, every key of the records and the meta
+    assert all(r["converged"] for r in r1[0])
 
 
 def test_composite_scan_reuses_reference_carriers(magnus_sweep, designed):
     fld, _rep = designed
-    res = magnus_sweep
-    assert [c[0] for c in res.meta["carriers"]] == [fld.components[0][0],
-                                                    fld.components[1][0]]
-    assert res.meta["carriers"][0][1] == pytest.approx(fld.components[0][1], abs=1e-12)
-    assert all(r["converged"] for r in res.records)
-    for r in res.records:
+    records, meta = magnus_sweep
+    assert [c[0] for c in meta["carriers"]] == [fld.components[0][0],
+                                                fld.components[1][0]]
+    assert meta["carriers"][0][1] == pytest.approx(fld.components[0][1], abs=1e-12)
+    assert all(r["converged"] for r in records)
+    for r in records:
         assert 0.0 < r["orientation_max_exact"] <= SQRT3INV + 1e-6
         assert r["max_population_diff"] >= 0.0

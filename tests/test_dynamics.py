@@ -160,6 +160,18 @@ def test_not_converged_when_step_control_is_frozen():
         propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]), tol=1e-17)
 
 
+def test_step_control_stalls_once_its_runs_are_spent(monkeypatch):
+    # this kick certifies at tol 1e-8 two runs past the pilot, its norm
+    # drift far below tol; allowed one, step control stalls
+    monkeypatch.setattr(rp.dynamics, "_MAX_HALVINGS", 1)
+    p = unit_params(j_max=2, n_max=1)
+    h0, v, bas, _ = _dressed_setup(p)
+    fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
+    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
+    with pytest.raises(rp.NotConverged, match=r"stalled .* after 1 runs past the first"):
+        propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]), tol=1e-8)
+
+
 def test_times_outside_the_field_window_are_rejected():
     p = unit_params(j_max=2, n_max=1)
     h0, v, bas, _ = _dressed_setup(p)

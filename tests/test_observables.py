@@ -267,9 +267,10 @@ def test_revival_period_shift_invariance():
 def test_revival_period_is_none_without_a_revival():
     t = np.linspace(0.0, 10.0, 512)
     noise = np.random.default_rng(0).normal(size=512)
-    # constant, never decorrelating (a ramp correlates 1 at every lag),
-    # decorrelating without recurrence
-    for values in (np.full(512, 0.3), t, noise):
+    # constant (0.25 exactly, and 0.3, whose mean rounds off by 6e-17),
+    # never decorrelating (a ramp correlates 1 at every lag), decorrelating
+    # without recurrence
+    for values in (np.full(512, 0.25), np.full(512, 0.3), t, noise):
         assert rp.revival_period(rp.TimeSeries(times=t, values=values)) is None
 
 
