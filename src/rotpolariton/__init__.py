@@ -22,16 +22,8 @@ from .control import (
     scan_composite_bandwidth,
     scan_detuning_bandwidth,
 )
-from .dynamics import (
-    StateVector,
-    Trajectory,
-    magnus_wavefunction,
-    propagate,
-    propagate_batch,
-    unit_state,
-)
+from .dynamics import Trajectory, magnus_wavefunction, propagate, propagate_batch
 from .errors import (
-    BasisMismatch,
     ConfigError,
     DesignInfeasible,
     NotConverged,
@@ -40,7 +32,6 @@ from .errors import (
 from .model import (
     AU_PER_DEBYE,
     HARTREE_PER_CM1,
-    OperatorMatrix,
     SystemParams,
     build_model,
     cos_theta_elements,

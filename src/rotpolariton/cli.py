@@ -547,7 +547,8 @@ def cmd_simulate(cfg, args):
     _write_spectrum(os.path.join(outdir, "spectrum.tsv"), rec["spectrum"], params)
 
     traj = rec["trajectory"]
-    cols = ["time_au"] + [f"{part}({lab})" for lab in traj.labels for part in ("re", "im")]
+    cols = ["time_au"] + [f"{part}({lab})" for lab in build_model(params).labels
+                          for part in ("re", "im")]
     # a complex row viewed as floats is re, im of each amplitude in turn
     rows = np.column_stack([traj.times, traj.states.view(float)]).tolist()
     _write_tsv(os.path.join(outdir, "trajectory.tsv"), cols, rows)

@@ -28,17 +28,10 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .dynamics import (
-    StateVector,
-    magnus_wavefunction,
-    propagate,
-    propagate_batch,
-    unit_state,
-)
+from .dynamics import magnus_wavefunction, propagate, propagate_batch
 from .errors import DesignInfeasible, NotConverged
 from .model import (
     Model,
-    OperatorMatrix,
     build_model,
     doublet_energies,
     mu_tilde_doublet,
@@ -169,7 +162,9 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     Phi = w_lo phi_up + const and the roots are written down.  The one nearest
     (target + w_up phase_minus) / w_lo is taken, with phase_minus beyond one
     turn reduced to one as field_value does, and one Newton step of slope
-    w_lo removes the carriers' cross-talk.  Returns (pulse, report), the
+    w_lo removes the carriers' cross-talk.  An area at which either ground
+    area of that guess vanishes, 0 or one that underflows, leaves no phase
+    to solve and raises DesignInfeasible.  Returns (pulse, report), the
     report being check_conditions' dict.
     """
     if branch not in ("+", "-"):
@@ -207,7 +202,11 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     def make(phi):
         return composite_for_area(params, area, tau0, [(w_up, phi), (w_lo, phase_minus)])
 
-    val = phase_functional(params, compute_areas(params, make(phi_up)))
+    areas = compute_areas(params, make(phi_up))
+    if areas.theta_up0 == 0 or areas.theta_lo0 == 0:
+        raise DesignInfeasible(f"at area {area:g} a carrier's ground area vanishes, "
+                               f"so it has no phase to solve")
+    val = phase_functional(params, areas)
     pulse = make(phi_up - _wrap(val - target, 2.0 * g * np.pi) / w_lo)
     report = check_conditions(params, pulse, area_target=area)
 
@@ -220,24 +219,24 @@ def design_composite(params, bandwidth, area=DESIGN_AREA, phase_minus=0.0, branc
     return pulse, report
 
 
-def _refined_trace_max(state, model, t0, window, n, error):
+def _refined_trace_max(amplitudes, model, t0, window, n, error):
     """Max of the free-evolution orientation over [t0, t0 + window), its time and trace.
 
-    The state evolves freely in `model`.  The max is the larger of the best
-    sample and the trace at the parabola vertex around it.  A state error
-    `error` moves the trace by up to twice that, so its time is the earliest
-    sample within 2 `error` of the best one, moved to the vertex there where
-    that band resolves it: roundoff then cannot choose among the copies of a
-    maximum that the trace repeats with its revivals, nor move the vertex of
-    a shallow one.
+    The amplitudes, the state at t0, evolve freely in `model`.  The max is
+    the larger of the best sample and the trace at the parabola vertex
+    around it.  A state error `error` moves the trace by up to twice that,
+    so its time is the earliest sample within 2 `error` of the best one,
+    moved to the vertex there where that band resolves it: roundoff then
+    cannot choose among the copies of a maximum that the trace repeats with
+    its revivals, nor move the vertex of a shallow one.
     """
     dt = window / n
     ts = t0 + dt * np.arange(n)
-    series = orientation_trace(state, model.energies, model.cos, ts)
+    series = orientation_trace(amplitudes, t0, model.energies, model.cos, ts)
     vals = series.values
     top = int(np.argmax(vals))
     t_top = ts[top] + _vertex(vals, top) * dt
-    v_top = orientation_trace(state, model.energies, model.cos,
+    v_top = orientation_trace(amplitudes, t0, model.energies, model.cos,
                               np.array([t_top, t_top + dt])).values[0]
     first = int(np.argmax(vals >= vals[top] - 2.0 * error))
     t_first = ts[first] + _vertex(vals, first, 2.0 * error / _RESOLUTION) * dt
@@ -251,10 +250,9 @@ def _kick_setup(params, fld):
     the run starts in its first state.
     """
     model = build_model(params)
-    tag = model.cos.basis
-    return (OperatorMatrix(np.diag(model.energies), basis=tag),
-            OperatorMatrix(params.dipole * model.cos.matrix.real, basis=tag),
-            unit_state(model.labels, 0, basis=tag, time=fld.t_start), model)
+    state0 = np.zeros(len(model.labels), dtype=complex)
+    state0[0] = 1.0
+    return np.diag(model.energies), params.dipole * model.cos, state0, model
 
 
 def _kick_summary(params, fld, traj, model, trace_window=None,
@@ -266,13 +264,13 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
         trace_window = 40.0 * tau
     if snapshot_offset is None:
         snapshot_offset = 6.75 * tau
-    end = traj.state_at(len(traj) - 1)
+    end = traj.states[-1]
     error = traj.meta["step_error"]
 
     vmax, t_max, series = _refined_trace_max(end, model, fld.t_end, trace_window,
                                              n_trace, error)
     snap_t = fld.t_end + snapshot_offset
-    snap = orientation_trace(end, model.energies, model.cos,
+    snap = orientation_trace(end, fld.t_end, model.energies, model.cos,
                              np.array([snap_t, snap_t + tau])).values[0]
 
     spec = spectrum(series)
@@ -288,7 +286,7 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
         pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
 
     dressed = bool(params.coupling > 0)
-    pops = {lab: float(abs(a) ** 2) for lab, a in zip(traj.labels, end.amplitudes)}
+    pops = {lab: float(abs(a) ** 2) for lab, a in zip(model.labels, end)}
     rec = {
         "dressed": dressed,
         "orientation_max": vmax,
@@ -299,8 +297,9 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
         "peaks_omega": pw.tolist(),
         "peaks_height": ph.tolist(),
         "populations": pops,
-        "phases": dressed_populations_phases(end, error / _RESOLUTION) if dressed else None,
-        "norm_final": end.norm(),
+        "phases": (dressed_populations_phases(end, model.labels, error / _RESOLUTION)
+                   if dressed else None),
+        "norm_final": float(np.linalg.norm(end)),
         "halvings": traj.meta.get("halvings"),
         "steps": traj.meta.get("steps"),
         "step_error": traj.meta.get("step_error"),
@@ -351,19 +350,17 @@ def magnus_final_state(params, fld):
     """First-order analytic end-of-pulse state, with its drift phases since t = 0.
 
     It lives on the first five dressed states, |0;0>, |+-;0> and |+-;1>, so
-    it needs n_max >= 2, otherwise ValueError.  Returns the state and the
-    dressed model cut to those five states.
+    it needs n_max >= 2, otherwise ValueError.  Returns the amplitudes at
+    the end of the pulse, fld.t_end, and the dressed model cut to those five
+    states, whose labels name the amplitudes.
     """
     if params.n_max < 2:
         raise ValueError(f"the first-order state needs |+-;1>, so n_max >= 2, "
                          f"got {params.n_max}")
     amps = magnus_wavefunction(compute_areas(params, fld))
     full = build_model(params)
-    model = Model(full.labels[:5], full.energies[:5],
-                  OperatorMatrix(full.cos.matrix[:5, :5], basis="dressed"))
-    state = StateVector(np.exp(-1j * model.energies * fld.t_end) * amps, basis="dressed",
-                        time=fld.t_end, labels=model.labels)
-    return state, model
+    model = Model(full.labels[:5], full.energies[:5], full.cos[:5, :5])
+    return np.exp(-1j * model.energies * fld.t_end) * amps, model
 
 
 def _kick_worker(params, fld, traj, model, kw):
@@ -382,9 +379,9 @@ def _composite_worker(params, fld, traj, model, kw):
     mstate, mmodel = magnus_final_state(params, fld)
     mmax, _, _ = _refined_trace_max(mstate, mmodel, fld.t_end, exact["series"].window,
                                     _MAGNUS_N_TRACE, 0.0)
-    mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mstate.labels, mstate.amplitudes)}
+    mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mmodel.labels, mstate)}
     epops = exact["populations"]
-    pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mstate.labels)
+    pop_diff = max(abs(mpops[lab] - epops[lab]) for lab in mmodel.labels)
     return {
         "orientation_max_exact": exact["orientation_max"],
         "orientation_max_magnus": float(mmax),

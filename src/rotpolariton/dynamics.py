@@ -20,19 +20,16 @@ it enters the estimate, and a row whose drift alone exceeds the tolerance
 stops there, since roundoff grows with the steps.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import chain, cycle, islice
 
 import numpy as np
 
-from .errors import BasisMismatch, ConfigError, NotConverged
-from .model import operator_matrix
+from .errors import ConfigError, NotConverged
 from .pulse import carrier_ceiling, field_value
 
 __all__ = [
-    "StateVector",
     "Trajectory",
-    "unit_state",
     "propagate",
     "propagate_batch",
     "magnus_wavefunction",
@@ -40,72 +37,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes tagged with basis and time."""
-
-    amplitudes: np.ndarray
-    basis: str
-    time: float = 0.0
-    labels: tuple = None
-
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex)
-        if a.ndim != 1:
-            raise ValueError("amplitudes must be a 1d array")
-        if self.labels is not None and len(self.labels) != a.size:
-            raise ValueError("labels length does not match amplitudes")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def dim(self):
-        return self.amplitudes.size
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """States sampled on a time grid, all in one basis."""
+    """States (times, dim) sampled at `times`, with the run's step-control meta."""
 
     times: np.ndarray
     states: np.ndarray
-    basis: str
-    labels: tuple = None
-    meta: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        s = np.array(self.states, dtype=complex)
-        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.size:
-            raise ValueError("need times (m,) and states (m, dim)")
-        t.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-    def __len__(self):
-        return self.times.size
-
-    @property
-    def dim(self):
-        return self.states.shape[1]
-
-    def state_at(self, i):
-        return StateVector(self.states[i], basis=self.basis, time=float(self.times[i]),
-                           labels=self.labels)
-
-
-def unit_state(labels, which, basis, time=0.0):
-    """Basis state picked by label (str) or index (int)."""
-    labels = tuple(labels)
-    idx = labels.index(which) if isinstance(which, str) else int(which)
-    a = np.zeros(len(labels), dtype=complex)
-    a[idx] = 1.0
-    return StateVector(a, basis=basis, time=time, labels=labels)
+    meta: dict
 
 
 class _SplitFrame:
@@ -114,7 +51,7 @@ class _SplitFrame:
     There a field kick exp(i c h E(t) v) is a diagonal phase on each state
     row, and the free drift exp(-i tau h0) is one dense block for all rows.
     States are rows: y = psi @ conj(u) and psi = y @ u.T, with u the
-    eigenvectors of v in the operators' basis.
+    eigenvectors of v in the operators' basis.  h0 and v are complex arrays.
     """
 
     def __init__(self, h0, v):
@@ -122,7 +59,7 @@ class _SplitFrame:
         if np.max(np.abs(offdiag)) < 1e-14 * max(1.0, np.max(np.abs(h0))):
             self.eps = np.diag(h0).real.copy()
             q = None
-            self.vt = np.asarray(v, dtype=complex)
+            self.vt = v
         else:
             self.eps, q = np.linalg.eigh(h0)
             self.vt = q.conj().T @ v @ q
@@ -312,11 +249,12 @@ def _run_sampled(frame, fields, y0, times, n):
 def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     """Propagate each initial state through its own field; one result per row.
 
-    Row r starts from states0[r] and feels fields[r].  The rows must share
-    basis, start time and field window, and `times` must lie in that window
-    (otherwise ValueError); they run together, and each run after the first
-    is compared with the one before it.  A row's step error is the larger of
-    its Richardson estimate (the difference of the two runs over
+    h0 and v are the (dim, dim) drift and drive arrays, H(t) = h0 - E(t) v.
+    Row r starts from states0[r], its amplitudes at times[0], and feels
+    fields[r].  The fields must share their window, and `times` must lie in
+    it (otherwise ValueError); the rows run together, and each run after the
+    first is compared with the one before it.  A row's step error is the
+    larger of its Richardson estimate (the difference of the two runs over
     r^order - 1, with r the smallest ratio of their step counts over the
     sample intervals, per-sample 2-norm) and its norm drift
     max_k | |psi_k| - |psi_0| |, a lower bound on its error.  The row is
@@ -327,7 +265,8 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     (e / (_SAFETY tol))^(1/order), the ratio predicted to land at _SAFETY tol
     from e, the worst estimate of the rows left.
 
-    Each Trajectory's meta holds the longest step of its last run ("dt"),
+    Each Trajectory holds the sample times, the row's states at them, shape
+    (times, dim), and a meta dict: the longest step of its last run ("dt"),
     the runs after the first ("halvings"), the kernel steps of each run
     ("steps") and the step error ("step_error").  Returns a list holding,
     per row, its Trajectory or its NotConverged error: a row fails once its
@@ -335,19 +274,12 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     first are spent.  A run that would take more than _MAX_STEPS steps
     raises ConfigError.
     """
-    fields, states0 = list(fields), list(states0)
-    if not states0 or len(fields) != len(states0):
+    fields, psi0 = list(fields), np.array(states0, dtype=complex)
+    if psi0.ndim != 2 or not fields or len(fields) != len(psi0):
         raise ValueError("need one field per initial state, and at least one")
-    first = states0[0]
-    if any(s.basis != first.basis or s.dim != first.dim for s in states0):
-        raise BasisMismatch("the initial states of one batch must share their basis")
-    h0m = operator_matrix(h0, first.basis, first.dim)
-    vm = operator_matrix(v, first.basis, first.dim)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1d array, length >= 2")
-    if any(abs(times[0] - s.time) > 1e-12 * max(1.0, abs(times[0])) for s in states0):
-        raise ValueError("times[0] must equal state0.time")
     windows = {(f.t_start, f.t_end) for f in fields}
     if len(windows) != 1:
         raise ValueError("the fields of one batch must share their window")
@@ -356,13 +288,15 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
         raise ValueError(f"times [{times[0]:g}, {times[-1]:g}] reach outside the field "
                          f"window [{window[0]:g}, {window[1]:g}]")
 
-    frame = _SplitFrame(h0m, vm)
-    y0 = frame.to_frame(np.array([s.amplitudes for s in states0]))
+    # complex copies: real ones would go to the real eigensolvers, whose
+    # eigenvectors differ in their last bits
+    frame = _SplitFrame(np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex))
+    y0 = frame.to_frame(psi0)
     dt0 = min(_default_dt(frame, f) for f in fields)
     with np.errstate(divide="ignore", over="ignore"):
         n_prev = _step_counts(np.diff(times) / dt0)
-    results = [None] * len(states0)
-    rows = np.arange(len(states0))
+    results = [None] * len(fields)
+    rows = np.arange(len(fields))
     prev = _run_sampled(frame, fields, y0, times, n_prev)
     steps = [int(n_prev.sum())]
     for k in range(1, _MAX_HALVINGS + 1):
@@ -383,11 +317,10 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
         err = np.maximum(rich, drift)
         done = err <= (tol / _PILOT_MARGIN if k == 1 else tol)
         for j in np.flatnonzero(done):
-            results[rows[j]] = Trajectory(times, states[j], basis=first.basis,
-                                          labels=first.labels,
-                                          meta={"dt": longest, "halvings": k,
-                                                "steps": list(steps),
-                                                "step_error": float(err[j])})
+            results[rows[j]] = Trajectory(times, states[j],
+                                          {"dt": longest, "halvings": k,
+                                           "steps": list(steps),
+                                           "step_error": float(err[j])})
         for j in np.flatnonzero(drift > tol):
             results[rows[j]] = NotConverged(
                 f"norm drift {drift[j]:.3e} exceeds tol {tol:g} after {steps[-1]} steps: "
@@ -405,15 +338,14 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
 
 
 def propagate(h0, v, fld, state0, times, tol=1e-8):
-    """Propagate state0 through the field, sampling at `times`.
+    """Propagate the amplitudes state0 through the field, sampling at `times`.
 
-    h0 and v may be OperatorMatrix (basis tags are then checked against the
-    state) or plain arrays.  `times` must be strictly increasing, start at
-    state0.time and lie in the field window.  The result is certified as in
-    propagate_batch: a pilot pair predicts the step, and the step error of
-    the returned solution (per-sample 2-norm, at least its norm drift) must
-    reach `tol`, or NotConverged is raised.  This is the one-row call of
-    propagate_batch.
+    h0 and v are the drift and drive arrays; state0 holds the amplitudes at
+    times[0].  `times` must be strictly increasing and lie in the field
+    window.  The result is certified as in propagate_batch: a pilot pair
+    predicts the step, and the step error of the returned solution
+    (per-sample 2-norm, at least its norm drift) must reach `tol`, or
+    NotConverged is raised.  This is the one-row call of propagate_batch.
     """
     (result,) = propagate_batch(h0, v, [fld], [state0], times, tol=tol)
     if isinstance(result, NotConverged):

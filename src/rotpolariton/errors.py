@@ -9,10 +9,6 @@ class NotConverged(RotPolaritonError, RuntimeError):
     """The propagator's step control spent its runs before certifying the error."""
 
 
-class BasisMismatch(RotPolaritonError, ValueError):
-    """Operator and state live in different bases."""
-
-
 class DesignInfeasible(RotPolaritonError, RuntimeError):
     """Requested composite-pulse design has no solution in the valid regime."""
 

@@ -22,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch
-
 __all__ = [
     "HARTREE_PER_CM1",
     "AU_PER_DEBYE",
     "SystemParams",
-    "OperatorMatrix",
-    "operator_matrix",
     "Model",
     "cos_theta_elements",
     "build_model",
@@ -88,44 +84,6 @@ class SystemParams:
         return np.pi / self.rot_const
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator with a basis tag so mismatched algebra fails loudly."""
-
-    matrix: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("OperatorMatrix must be square")
-        m = np.array(m, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-def operator_matrix(op, basis=None, dim=None):
-    """The complex matrix of an OperatorMatrix or a bare array, checked.
-
-    A tagged operator must be in `basis` and the matrix must be dim x dim,
-    wherever these are given; a mismatch raises BasisMismatch.  Bare arrays
-    carry no tag, so only their shape is checked.
-    """
-    if isinstance(op, OperatorMatrix):
-        if basis is not None and op.basis != basis:
-            raise BasisMismatch(f"operator in basis {op.basis!r}, expected {basis!r}")
-        m = op.matrix
-    else:
-        m = np.asarray(op, dtype=complex)
-    if dim is not None and m.shape != (dim, dim):
-        raise BasisMismatch("operator and state dimensions disagree")
-    return m
-
-
 def cos_theta_elements(j_max):
     """cos(theta) in the M = 0 rotor basis, truncated at j_max.
 
@@ -137,7 +95,7 @@ def cos_theta_elements(j_max):
     off = (j + 1) / np.sqrt((2 * j + 1) * (2 * j + 3))
     m[j, j + 1] = off
     m[j + 1, j] = off
-    return OperatorMatrix(m, basis="rotor")
+    return m
 
 
 def doublet_energies(params, n):
@@ -160,25 +118,19 @@ def mu_tilde_doublet(params):
 class Model:
     """The model a run propagates: its basis labels, energies and cos theta.
 
-    The drift is diag(energies) and the drive mu cos theta, both in the
-    basis tag of `cos`.
+    The drift is diag(energies) and the drive mu cos theta.  Both arrays are
+    real and read-only.
     """
 
     labels: tuple
     energies: np.ndarray
-    cos: OperatorMatrix
+    cos: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.energies, dtype=float)
-        e.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def index(self, label):
-        return self.labels.index(label)
+        for name in ("energies", "cos"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def build_model(params):
@@ -211,7 +163,7 @@ def build_model(params):
     labels.append("edge")
     energies.append(params.omega01 + n_max * params.omega01)
 
-    c = cos_theta_elements(1).matrix.real[0, 1]
+    c = cos_theta_elements(1)[0, 1]
     s = 1.0 / np.sqrt(2.0)
     m = np.zeros((len(labels), len(labels)))
     m[0, 1:3] = c * s, -(c * s)
@@ -219,4 +171,4 @@ def build_model(params):
     for n in range(n_max - 1):
         m[1 + 2 * n:3 + 2 * n, 3 + 2 * n:5 + 2 * n] = s * c * s, -(s * c * s)
     m[-3:-1, -1] = c * s
-    return Model(tuple(labels), energies, OperatorMatrix(m + m.T, basis="dressed"))
+    return Model(tuple(labels), energies, m + m.T)

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch
-from .model import operator_matrix
-
 __all__ = [
     "TimeSeries",
     "Spectrum",
@@ -92,34 +89,33 @@ class Spectrum:
         return float(self.omega[1] - self.omega[0])
 
 
-def orientation_trace(state, energies, cos_op, times):
+def orientation_trace(amplitudes, t0, energies, cos, times):
     """<cos theta>(t) under free evolution from one snapshot, on a uniform grid.
 
-    Valid once the drift is diagonal in the state's basis (the drive is over).
-    With b the snapshot, m = cos theta and w_ij = E_i - E_j, the trace is
+    The snapshot holds the amplitudes at time t0, in the basis of `energies`
+    and of the (dim, dim) matrix `cos`; it is valid once the drift is
+    diagonal there (the drive is over).  With b the snapshot, m = cos theta
+    and w_ij = E_i - E_j, the trace is
 
-        sum_i m_ii |b_i|^2 + Re sum_{i<j, m_ij != 0} 2 conj(b_i) m_ij b_j exp(i w_ij t),
+        sum_i m_ii |b_i|^2 + Re sum_{i<j, m_ij != 0} 2 conj(b_i) m_ij b_j exp(i w_ij (t - t0)),
 
     a sum over the couplings of cos theta (16 dressed, 8 bare).  On the
-    uniform grid t_0 + k dt, k = q s + r with s ~ sqrt(n), each phase is a
-    product of two tables, exp(i w (t_{qs} - t_0)) and exp(i w (t_r - t_0)),
-    so the n samples take 2 sqrt(n) exponentials per coupling and one matmul.
-    A grid that is not uniform raises ValueError.
+    uniform grid t_k = times[0] + k dt, k = q s + r with s ~ sqrt(n), each
+    phase is a product of two tables, exp(i w (t_{qs} - times[0])) and
+    exp(i w (t_r - t0)), so the n samples take 2 sqrt(n) exponentials per
+    coupling and one matmul.  A grid that is not uniform raises ValueError.
+    Returns a TimeSeries.
     """
-    m = operator_matrix(cos_op, state.basis, state.dim)
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (state.dim,):
-        raise BasisMismatch("energies length does not match the state")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or not _is_uniform(times):
         raise ValueError("orientation_trace needs a uniform grid of at least two times")
-    b = state.amplitudes
+    b, m, energies = np.asarray(amplitudes), np.asarray(cos), np.asarray(energies, dtype=float)
     i, j = np.nonzero(np.triu(m, 1))
     coef = 2.0 * b[i].conj() * m[i, j] * b[j]
     w = energies[i] - energies[j]
     s = math.isqrt(times.size - 1) + 1
     coarse = np.exp(1j * np.outer(times[::s] - times[0], w)) * coef
-    fine = np.exp(1j * np.outer(times[:s] - state.time, w))
+    fine = np.exp(1j * np.outer(times[:s] - t0, w))
     vals = (coarse @ fine.T).real.ravel()[:times.size]
     vals += np.real(np.diag(m)) @ np.abs(b) ** 2
     return TimeSeries(times, vals)
@@ -154,7 +150,7 @@ def spectrum_peaks(spec, rel_height=0.05):
     return spec.omega[idx], a[idx]
 
 
-def dressed_populations_phases(state, floor):
+def dressed_populations_phases(amplitudes, labels, floor):
     """Per-label populations and phases relative to the ground amplitude.
 
     A phase is None where its amplitude is at most `floor`: the caller sets
@@ -162,16 +158,13 @@ def dressed_populations_phases(state, floor):
     freely.  If the ground amplitude |0;0> is absent or at most `floor`, the
     raw phases are returned instead.
     """
-    if state.labels is None:
-        raise ValueError("state has no labels")
-    amps = state.amplitudes
     ref = 0.0
-    if _GROUND_LABEL in state.labels:
-        a0 = amps[state.labels.index(_GROUND_LABEL)]
+    if _GROUND_LABEL in labels:
+        a0 = amplitudes[labels.index(_GROUND_LABEL)]
         if abs(a0) > floor:
             ref = np.angle(a0)
     out = {}
-    for lab, a in zip(state.labels, amps):
+    for lab, a in zip(labels, amplitudes):
         ph = None
         if abs(a) > floor:
             ph = float(np.mod(np.angle(a) - ref + np.pi, 2 * np.pi) - np.pi)
@@ -284,7 +277,8 @@ def orientation_max_oracle(cos_op, energies, labels, states=("0;0", "+;0", "-;0"
     idx = [labels.index(s) for s in states]
     if len(idx) < 2:
         raise ValueError("the oracle needs a subspace of at least two states")
-    m = operator_matrix(cos_op)
+    # a complex copy: the real eigensolver's eigenvectors differ in their last bits
+    m = np.asarray(cos_op, dtype=complex)
     vals, vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
     c = vecs[:, -1] * np.exp(-1j * np.angle(vecs[0, -1]))
     en = np.asarray(energies, dtype=float)[idx]

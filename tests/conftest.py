@@ -91,8 +91,7 @@ def schrodinger_dop853(h0, v, fld, psi0, times):
     """
     from scipy.integrate import solve_ivp
 
-    h0 = np.asarray(getattr(h0, "matrix", h0), dtype=complex)
-    v = np.asarray(getattr(v, "matrix", v), dtype=complex)
+    h0, v = np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex)
     w, phi = np.array(fld.components).T
 
     def rhs(t, y):
@@ -127,9 +126,7 @@ def dressed_operators(params):
     energies and cos theta.
     """
     model = rp.build_model(params)
-    return (rp.OperatorMatrix(np.diag(model.energies), basis="dressed"),
-            rp.OperatorMatrix(params.dipole * model.cos.matrix.real, basis="dressed"),
-            model)
+    return np.diag(model.energies), params.dipole * model.cos, model
 
 
 # ------------------------------------------------------ cross-frame reference
@@ -173,17 +170,14 @@ def build_full_hamiltonian(params):
     ndim = params.n_max + 1
     jvals = np.arange(jdim, dtype=float)
     rotor_h = np.diag(params.rot_const * jvals * (jvals + 1.0))
-    mucos = params.dipole * rp.cos_theta_elements(params.j_max).matrix.real
+    mucos = params.dipole * rp.cos_theta_elements(params.j_max)
 
     h0 = np.kron(np.eye(ndim), rotor_h) + np.kron(params.omega01 * _photon_number(params.n_max), np.eye(jdim))
     if params.coupling != 0.0:
         lam = params.coupling / params.mu01
         h0 = h0 - lam * np.kron(_photon_x(params.n_max), mucos)
     v = np.kron(np.eye(ndim), mucos)
-    return (
-        rp.OperatorMatrix(h0, basis="product"),
-        rp.OperatorMatrix(v, basis="product"),
-    )
+    return h0, v
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ def dressed_transform(params):
 def dressed_cos_reference(params):
     """cos theta of the dressed states, u^T (1 x cos_2) u with u the transform."""
     u = dressed_transform(params)
-    cos2 = np.kron(np.eye(params.n_max + 1), rp.cos_theta_elements(1).matrix.real)
+    cos2 = np.kron(np.eye(params.n_max + 1), rp.cos_theta_elements(1))
     return u.T @ cos2 @ u
 
 
@@ -285,13 +279,13 @@ def adiabatic_dressed_vectors(params):
     """
     model = rp.build_model(params)
     h0, _ = build_full_hamiltonian(params)
-    evals, evecs = np.linalg.eigh(h0.matrix)
+    evals, evecs = np.linalg.eigh(h0)
     emb = embed_dressed_vectors(params)
     overlaps = np.abs(evecs.conj().T @ emb)
     picks = np.argmax(overlaps, axis=0)
-    if len(set(picks.tolist())) != model.dim:
+    if len(set(picks.tolist())) != len(model.labels):
         raise ValueError("dressed-to-exact eigenvector matching is not injective")
-    vectors = np.empty((evecs.shape[0], model.dim), dtype=complex)
+    vectors = np.empty((evecs.shape[0], len(model.labels)), dtype=complex)
     for k, i in enumerate(picks):
         ov = np.vdot(evecs[:, i], emb[:, k])
         vectors[:, k] = evecs[:, i] * (ov / abs(ov))

@@ -358,6 +358,18 @@ def test_failed_scan_design_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("area", [0.0, 1.0e-320])
+@pytest.mark.parametrize("argv", [["design"], ["scan", "--preset", "fig5"]])
+def test_a_vanishing_design_area_exits_4_and_names_it(tmp_path, capsys, argv, area):
+    # the carriers' ground areas vanish, so they have no phase to solve for
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path / "area.yaml", {"field": {"area": area}})
+    assert main(argv + ["--config", path, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"design infeasible: at area {area:g} a carrier's ground area vanishes" in err
+    assert not out.exists()
+
+
 def test_composite_scan_needs_the_first_doublet_rung(tmp_path, capsys):
     # the first-order state it compares against holds |+-;1>, which n_max 1 lacks
     cfg = {"system": {"n_max": 1}, "scan": {"kind": "composite", "bandwidths_g": [1.0]}}

@@ -1,4 +1,4 @@
-"""Propagation: state types, the kernel against an independent ODE solver,
+"""Propagation: the trajectory, the kernel against an independent ODE solver,
 the batched kernel, frame consistency between the dressed and the product
 basis, and the first-order pulse map."""
 
@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotpolariton as rp
-from rotpolariton.dynamics import propagate, propagate_batch, unit_state
-from rotpolariton.model import operator_matrix
+from rotpolariton.dynamics import propagate, propagate_batch
 from conftest import (
     B,
     G,
@@ -22,40 +21,31 @@ from conftest import (
 )
 
 
+def _unit(labels, which):
+    """The basis state picked by label (str) or index (int), as complex amplitudes."""
+    a = np.zeros(len(labels), dtype=complex)
+    a[labels.index(which) if isinstance(which, str) else which] = 1.0
+    return a
+
+
 def _dressed_setup(params):
     h0, v, bas = dressed_operators(params)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed")
-    return h0, v, bas, s0
+    return h0, v, bas, _unit(bas.labels, "0;0")
 
 
-# ------------------------------------------------------------ state types
-
-def test_state_vector_basics():
-    s = rp.StateVector(np.array([0.6, 0.8j]), basis="dressed", labels=("a", "b"))
-    assert s.dim == 2
-    assert s.norm() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        rp.StateVector(np.array([1.0, 0.0]), basis="x", labels=("a",))
-    # amplitudes are frozen
-    with pytest.raises(ValueError):
-        s.amplitudes[0] = 0.0
-
-
-def test_unit_state_and_label_expansion():
-    labels = ("0;0", "+;0", "-;0")
-    s = unit_state(labels, "-;0", basis="dressed")
-    assert s.amplitudes[2] == 1.0 and s.norm() == 1.0
-
+# -------------------------------------------------------------- trajectory
 
 def test_trajectory_accessors():
-    ts = np.array([0.0, 1.0, 2.0])
-    st = np.eye(3, dtype=complex)
-    traj = rp.Trajectory(times=ts, states=st, basis="dressed", labels=("a", "b", "c"))
-    assert traj.dim == 3 and len(traj) == 3
-    assert traj.state_at(1).time == 1.0
-    assert traj.state_at(2).norm() == 1.0
-    with pytest.raises(ValueError):
-        rp.Trajectory(times=ts, states=st[:2], basis="dressed")
+    p = unit_params(j_max=2, n_max=1)
+    h0, v, bas, s0 = _dressed_setup(p)
+    fld = rp.gaussian_for_area(p, 0.5, tau0=2.0, omega0=p.omega01)
+    ts = np.linspace(fld.t_start, fld.t_end, 3)
+    traj = propagate(h0, v, fld, s0, ts)
+    assert isinstance(traj, rp.Trajectory)
+    assert np.array_equal(traj.times, ts)
+    assert traj.states.shape == (3, len(bas.labels)) and traj.states.dtype == complex
+    assert np.max(np.abs(traj.states[0] - s0)) < 1e-14
+    assert set(traj.meta) == {"dt", "halvings", "steps", "step_error"}
 
 
 # ------------------------------------------------------------- propagation
@@ -66,10 +56,9 @@ def test_zero_field_reduces_to_free_evolution():
     fld = rp.CompositePulse(e0=0.0, tau0=2.0, components=((2.0, 0.0),),
                             t_start=-14.0, t_end=14.0)
     rng = np.random.default_rng(3)
-    a = rng.normal(size=bas.dim) + 1j * rng.normal(size=bas.dim)
+    a = rng.normal(size=len(bas.labels)) + 1j * rng.normal(size=len(bas.labels))
     a /= np.linalg.norm(a)
-    start = rp.StateVector(a, basis="dressed", time=-14.0)
-    traj = propagate(h0, v, fld, start, np.linspace(-14.0, 14.0, 9))
+    traj = propagate(h0, v, fld, a, np.linspace(-14.0, 14.0, 9))
     for i, t in enumerate(traj.times):
         want = a * np.exp(-1j * bas.energies * (t + 14.0))
         assert np.max(np.abs(traj.states[i] - want)) < 5e-12
@@ -79,19 +68,18 @@ def test_eigenstate_is_stationary_under_weak_drive():
     # far-off-resonant weak drive: populations stay put to high order
     p = unit_params()
     h0, v, bas, _ = _dressed_setup(p)
-    s0 = unit_state(bas.labels, "edge", basis="dressed", time=-21.0)
+    s0 = _unit(bas.labels, "edge")
     fld = rp.CompositePulse(e0=1e-8, tau0=3.0, components=((0.37, 0.0),),
                             t_start=-21.0, t_end=21.0)
     traj = propagate(h0, v, fld, s0, np.array([-21.0, 21.0]))
     pops = np.abs(traj.states[-1]) ** 2
-    assert pops[bas.index("edge")] == pytest.approx(1.0, abs=1e-9)
+    assert pops[bas.labels.index("edge")] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_norm_is_conserved_through_a_strong_kick():
     p = unit_params()
     h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.5, tau0=1.0 / G, omega0=p.omega01)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
     traj = propagate(h0, v, fld, s0, np.linspace(fld.t_start, fld.t_end, 17))
     assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
     assert traj.meta["step_error"] < 1e-8
@@ -105,16 +93,12 @@ def test_propagator_is_linear():
     # certified runs can land on different step sizes per initial state, so
     # hold each one well below the comparison tolerance
     for which in bas.labels[:3]:
-        s0 = unit_state(bas.labels, which, basis="dressed", time=fld.t_start)
-        traj = propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]),
-                         tol=1e-11)
+        traj = propagate(h0, v, fld, _unit(bas.labels, which),
+                         np.array([fld.t_start, fld.t_end]), tol=1e-11)
         outs.append(traj.states[-1])
     coef = np.array([0.5, 0.5j, -np.sqrt(0.5)])
-    mix = np.zeros(bas.dim, dtype=complex)
-    for c, which in zip(coef, bas.labels[:3]):
-        mix += c * unit_state(bas.labels, which, basis="dressed").amplitudes
-    smix = rp.StateVector(mix, basis="dressed", time=fld.t_start)
-    tmix = propagate(h0, v, fld, smix, np.array([fld.t_start, fld.t_end]),
+    mix = sum(c * _unit(bas.labels, which) for c, which in zip(coef, bas.labels[:3]))
+    tmix = propagate(h0, v, fld, mix, np.array([fld.t_start, fld.t_end]),
                      tol=1e-11)
     want = sum(c * o for c, o in zip(coef, outs))
     assert np.max(np.abs(tmix.states[-1] - want)) < 1e-9
@@ -138,14 +122,14 @@ def test_kernel_matches_dop853(name):
         labels = bas.labels
     else:
         h0, v = build_full_hamiltonian(p)
-        labels = tuple(range(h0.dim))
+        labels = tuple(range(len(h0)))
     assert len(labels) == dim
     fld = rp.gaussian_for_area(p, 1.2, tau0=1.0 / (4.0 * G), omega0=p.omega01)
     # the middle four envelope widths, where 95% of the area is
     times = np.linspace(-2.0 * fld.tau0, 2.0 * fld.tau0, 5)
-    s0 = _random_state(7, labels, time=times[0], basis=basis)
+    s0 = _random_state(7, labels)
     traj = propagate(h0, v, fld, s0, times, tol=1e-10)
-    ref = schrodinger_dop853(h0, v, fld, s0.amplitudes, times)
+    ref = schrodinger_dop853(h0, v, fld, s0, times)
     assert np.max(np.abs(traj.states - ref)) < 1e-8
 
 
@@ -154,8 +138,8 @@ def test_not_converged_when_step_control_is_frozen():
     # lower bound on its error, stops it at once and names the drift
     p = unit_params(j_max=2, n_max=1)
     h0, v, bas, _ = _dressed_setup(p)
+    h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
     with pytest.raises(rp.NotConverged, match=r"norm drift .* after \d+ steps"):
         propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]), tol=1e-17)
 
@@ -166,8 +150,8 @@ def test_step_control_stalls_once_its_runs_are_spent(monkeypatch):
     monkeypatch.setattr(rp.dynamics, "_MAX_HALVINGS", 1)
     p = unit_params(j_max=2, n_max=1)
     h0, v, bas, _ = _dressed_setup(p)
+    h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
     with pytest.raises(rp.NotConverged, match=r"stalled .* after 1 runs past the first"):
         propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]), tol=1e-8)
 
@@ -175,14 +159,14 @@ def test_step_control_stalls_once_its_runs_are_spent(monkeypatch):
 def test_times_outside_the_field_window_are_rejected():
     p = unit_params(j_max=2, n_max=1)
     h0, v, bas, _ = _dressed_setup(p)
+    h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
     for times in ([fld.t_start, fld.t_end + 1.0], [fld.t_start, fld.t_end, fld.t_end + 1.0]):
         with pytest.raises(ValueError, match="field window"):
             propagate(h0, v, fld, s0, np.array(times))
-    early = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start - 1.0)
+    # a state that starts before the field
     with pytest.raises(ValueError, match="field window"):
-        propagate(h0, v, fld, early, np.array([fld.t_start - 1.0, fld.t_end]))
+        propagate(h0, v, fld, s0, np.array([fld.t_start - 1.0, fld.t_end]))
 
 
 # ------------------------------------------------------ the batched kernel
@@ -203,10 +187,17 @@ _fields = st.builds(_batch_field, e0=st.floats(0.0, 0.3), omega0=st.floats(1.0, 
                     phi0=st.floats(0.0, 2.0 * np.pi))
 
 
-def _random_state(seed, labels, time=_WINDOW[0], basis="dressed"):
+def _random_state(seed, labels):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
-    return rp.StateVector(a / np.linalg.norm(a), basis=basis, time=time, labels=labels)
+    return a / np.linalg.norm(a)
+
+
+def _frame(h0, v):
+    """The kernel's frame of h0 and v, built from complex copies as propagate_batch does."""
+    from rotpolariton import dynamics
+
+    return dynamics._SplitFrame(np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex))
 
 
 def _fixed_steps(h0, v, fields, states, times, steps):
@@ -217,8 +208,8 @@ def _fixed_steps(h0, v, fields, states, times, steps):
     """
     from rotpolariton import dynamics
 
-    frame = dynamics._SplitFrame(operator_matrix(h0), operator_matrix(v))
-    y0 = frame.to_frame(np.array([s.amplitudes for s in states]))
+    frame = _frame(h0, v)
+    y0 = frame.to_frame(np.array(states, dtype=complex))
     out = dynamics._run_sampled(frame, fields, y0, times, np.full(times.size - 1, steps))
     # row by row, as propagate_batch returns them
     return np.stack([frame.from_frame(out[:, r]) for r in range(len(states))], axis=1)
@@ -271,9 +262,8 @@ def test_batch_row_equals_its_solo_run(fields, seed):
                                   max_size=3))
 def test_propagation_is_linear_in_the_initial_state(fld, coef):
     h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    basis = [unit_state(bas.labels, i, basis="dressed", time=_WINDOW[0]) for i in range(3)]
-    mix = rp.StateVector(sum(c * s.amplitudes for c, s in zip(coef, basis)),
-                         basis="dressed", time=_WINDOW[0], labels=bas.labels)
+    basis = [_unit(bas.labels, i) for i in range(3)]
+    mix = sum(c * s for c, s in zip(coef, basis))
     times = np.linspace(*_WINDOW, 3)
     states = _fixed_steps(h0, v, [fld] * 4, basis + [mix], times, 200)
     want = sum(c * states[:, r] for r, c in enumerate(coef))
@@ -284,8 +274,7 @@ def test_rows_leave_the_ladder_one_by_one():
     # a field-free row certifies in the pilot pair (30 steps, norm drift
     # 6e-14); a strong row goes on to runs of about 1,100 steps, whose norm
     # drift (2e-12) exceeds tol, and only that row reports NotConverged
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    h0, v, bas, s0 = _dressed_setup(_P_BATCH)
     quiet, loud = _batch_field(0.0, 2.0, 0.0), _batch_field(0.3, 2.0, 0.0)
     tol = 3e-13
     calm, stalled = propagate_batch(h0, v, [quiet, loud], [s0, s0], np.array(_WINDOW),
@@ -298,14 +287,11 @@ def test_rows_leave_the_ladder_one_by_one():
 def test_merged_eigenvalue_kicks_match_the_exponential(basis, levels):
     # a kick takes one exponential per distinct |eigenvalue| of v: +-mu01
     # dressed, and bare 0 and the four positive Gauss-Legendre nodes
-    from rotpolariton.dynamics import _SplitFrame
-
     if basis == "dressed":
         h0, v, _, _ = _dressed_setup(unit_params())
-        h0, v = h0.matrix, v.matrix
     else:
-        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8).matrix
-    frame = _SplitFrame(h0, v)
+        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8)
+    frame = _frame(h0, v)
     assert frame.levels.size == levels
     arg = np.random.default_rng(levels).normal(size=(256, 3, 2))
     want = np.exp(1j * arg[..., None] * frame.w)
@@ -323,10 +309,9 @@ def test_kernel_is_its_documented_product_bit_for_bit(basis, rows):
 
     if basis == "dressed":
         h0, v, _, _ = _dressed_setup(unit_params())
-        h0, v = h0.matrix, v.matrix
     else:
-        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8).matrix
-    frame = dynamics._SplitFrame(h0, v)
+        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8)
+    frame = _frame(h0, v)
     fields = [_batch_field(0.1 * (r + 1), 1.5 + 0.25 * r, r) for r in range(rows)]
     y0 = np.random.default_rng(rows).normal(size=(rows, frame.w.size)) + 0j
     times, n = np.array([_WINDOW[0], -1.0, 0.5, _WINDOW[1]]), np.array([400, 1, 800])
@@ -356,8 +341,7 @@ def test_peak_memory_does_not_grow_with_the_step_count():
 
     from rotpolariton import dynamics
 
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    h0, v, bas, s0 = _dressed_setup(_P_BATCH)
     fld = _batch_field(0.3, 2.0, 0.0)
     peaks = []
     for steps in (20_000, 80_000):
@@ -370,9 +354,27 @@ def test_peak_memory_does_not_grow_with_the_step_count():
     assert abs(peaks[1] - peaks[0]) < dynamics._CHUNK // len(dynamics._WEIGHTS) * 56
 
 
+@pytest.mark.parametrize("basis", ["dressed", "product"])
+def test_real_and_complex_operators_give_the_same_bits(basis):
+    # the kernel takes complex copies of h0 and v: where h0 is not diagonal
+    # (the coupled product basis), a real pair would go to the real
+    # eigensolvers, whose eigenvectors differ in their last bits
+    if basis == "dressed":
+        h0, v, _ = dressed_operators(_P_BATCH)
+    else:
+        h0, v = build_full_hamiltonian(_P_BATCH)
+    s0 = _unit(range(len(h0)), 0)
+    fields = [_batch_field(0.3, 2.0, 0.0), _batch_field(0.1, 1.9, 0.7)]
+    times = np.linspace(*_WINDOW, 3)
+    real = propagate_batch(h0, v, fields, [s0, s0], times)
+    cplx = propagate_batch(np.array(h0, dtype=complex), np.array(v, dtype=complex),
+                           fields, [s0, s0], times)
+    for a, b in zip(real, cplx):
+        assert np.array_equal(a.states, b.states) and a.meta == b.meta
+
+
 def test_batch_rejects_fields_with_different_windows():
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    h0, v, bas, s0 = _dressed_setup(_P_BATCH)
     other = rp.CompositePulse(e0=0.1, tau0=1.5, components=((2.0, 0.0),),
                               t_start=_WINDOW[0], t_end=12.0)
     with pytest.raises(ValueError, match="window"):
@@ -407,16 +409,14 @@ def _longest(times, counts):
 
 def _strong_field_setup(e0=0.3):
     # four sample intervals across the field window
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    h0, v, bas, s0 = _dressed_setup(_P_BATCH)
     return h0, v, _batch_field(e0, 2.0, 0.0), s0, np.linspace(*_WINDOW, 5)
 
 
 def _dense_setup():
     # more sample intervals than twice the pilot's steps: each is shorter
     # than the pilot's half step, so the pilot pair steps each once and twice
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    h0, v, bas, s0 = _dressed_setup(_P_BATCH)
     return h0, v, _batch_field(0.3, 2.0, 0.0), s0, np.linspace(*_WINDOW, 257)
 
 
@@ -425,12 +425,10 @@ def _kick_setup(cavity, bandwidth=0.1, area=rp.KICK_AREA):
     p = unit_params() if cavity else unit_params(coupling=0.0, n_max=0)
     fld = rp.gaussian_for_area(p, area, tau0=1.0 / (bandwidth * G), omega0=p.omega01)
     if cavity:
-        h0, v, bas, _ = _dressed_setup(p)
-        labels, tag = bas.labels, "dressed"
+        h0, v, _ = dressed_operators(p)
     else:
         h0, v = build_full_hamiltonian(p)
-        labels, tag = tuple(range(h0.dim)), "product"
-    s0 = unit_state(labels, 0, basis=tag, time=fld.t_start)
+    s0 = _unit(range(len(h0)), 0)
     return h0, v, fld, s0, np.array([fld.t_start, fld.t_end])
 
 
@@ -463,8 +461,7 @@ def test_batch_rows_run_the_ladder_their_meta_implies(monkeypatch):
     # accounts for every run, the others for a prefix of them.  At this tol
     # the weak row certifies in the pilot pair, the strong one after it
     runs = _counting_kernel(monkeypatch)
-    h0, v, bas, _ = _dressed_setup(_P_BATCH)
-    s0 = unit_state(bas.labels, "0;0", basis="dressed", time=_WINDOW[0])
+    h0, v, bas, s0 = _dressed_setup(_P_BATCH)
     fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.001, 0.3)]
     times = np.linspace(*_WINDOW, 5)
     weak, strong = propagate_batch(h0, v, fields, [s0, s0], times, tol=1e-6)
@@ -563,14 +560,12 @@ def _population_mismatch(ratio, j_max, n_max, bw_ratio):
     fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (bw_ratio * g),
                                omega0=p.omega01)
     h0d, vd, bas = dressed_operators(p)
-    s0d = unit_state(bas.labels, "0;0", basis="dressed", time=fld.t_start)
-    td = propagate(h0d, vd, fld, s0d, np.array([fld.t_start, fld.t_end]), tol=1e-9)
+    td = propagate(h0d, vd, fld, _unit(bas.labels, "0;0"), np.array([fld.t_start, fld.t_end]), tol=1e-9)
     pd = np.abs(td.states[-1]) ** 2
 
     h0f, vf = build_full_hamiltonian(p)
     vecs, _evals, _ = adiabatic_dressed_vectors(p)
-    s0f = rp.StateVector(vecs[:, 0], basis="product", time=fld.t_start)
-    tf = propagate(h0f, vf, fld, s0f, np.array([fld.t_start, fld.t_end]), tol=1e-9)
+    tf = propagate(h0f, vf, fld, vecs[:, 0], np.array([fld.t_start, fld.t_end]), tol=1e-9)
     pf = np.abs(vecs.conj().T @ tf.states[-1]) ** 2
     return float(np.max(np.abs(pd - pf)))
 
@@ -606,9 +601,7 @@ def test_truncation_is_converged():
     pops = {}
     for p in (p8, p10):
         h0, v = build_full_hamiltonian(p)
-        s0 = unit_state([f"J{j}" for j in range(p.j_max + 1)], 0,
-                        basis="product", time=fld.t_start)
-        traj = propagate(h0, v, fld, s0, np.array([fld.t_start, fld.t_end]))
+        traj = propagate(h0, v, fld, _unit(range(p.j_max + 1), 0), np.array([fld.t_start, fld.t_end]))
         pops[p.j_max] = np.abs(traj.states[-1]) ** 2
     assert np.max(np.abs(pops[8] - pops[10][:9])) < 1e-6
     assert np.sum(pops[10][9:]) < 1e-6
@@ -619,8 +612,7 @@ def test_truncation_is_converged():
         h0, v, bas = dressed_operators(p)
         fldc = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / (0.5 * G),
                                     omega0=p.omega01)
-        s0 = unit_state(bas.labels, "0;0", basis="dressed", time=fldc.t_start)
-        traj = propagate(h0, v, fldc, s0, np.array([fldc.t_start, fldc.t_end]))
+        traj = propagate(h0, v, fldc, _unit(bas.labels, "0;0"), np.array([fldc.t_start, fldc.t_end]))
         d[n_max] = {lab: float(abs(a) ** 2)
                     for lab, a in zip(bas.labels, traj.states[-1])}
     common = [lab for lab in d[4] if lab != "edge"]

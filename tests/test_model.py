@@ -22,7 +22,7 @@ from conftest import (
 
 
 def _hermiticity_defect(op):
-    return float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
+    return float(np.max(np.abs(op - op.conj().T)))
 
 
 # ------------------------------------------------------------- parameters
@@ -87,13 +87,13 @@ def test_product_basis_indexing():
 
 def test_cos_theta_elements_match_quadrature_oracle():
     for j_max in (1, 4, 8, 10):
-        got = rp.cos_theta_elements(j_max).matrix.real
+        got = rp.cos_theta_elements(j_max)
         want = cos_matrix_quadrature(j_max)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_cos_theta_known_values():
-    m = rp.cos_theta_elements(4).matrix.real
+    m = rp.cos_theta_elements(4)
     assert m[0, 1] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-14)
     assert m[1, 2] == pytest.approx(2.0 / np.sqrt(15.0), abs=1e-14)
     assert np.all(np.diag(m) == 0.0)        # parity: no diagonal elements
@@ -107,10 +107,10 @@ def test_full_hamiltonian_structure():
     p = unit_params(j_max=4, n_max=2)
     h0, v = build_full_hamiltonian(p)
     pb = build_product_basis(4, 2)
-    assert h0.dim == pb.dim == v.dim
+    assert h0.shape == v.shape == (pb.dim, pb.dim)
     assert _hermiticity_defect(h0) < 1e-15
     assert _hermiticity_defect(v) < 1e-15
-    d = np.diag(h0.matrix).real
+    d = np.diag(h0).real
     # drift diagonal: B j(j+1) + omega_c n
     assert d[pb.index(0, 0)] == pytest.approx(0.0)
     assert d[pb.index(1, 0)] == pytest.approx(2.0 * B)
@@ -118,18 +118,18 @@ def test_full_hamiltonian_structure():
     assert d[pb.index(2, 1)] == pytest.approx(6.0 * B + W01)
     # coupling block: -(g / mu01) * mu cos theta * (a + adag)
     i, k = pb.index(1, 0), pb.index(0, 1)
-    assert h0.matrix[i, k] == pytest.approx(-G, abs=1e-14)
+    assert h0[i, k] == pytest.approx(-G, abs=1e-14)
     i2, k2 = pb.index(1, 1), pb.index(0, 2)
-    assert h0.matrix[i2, k2] == pytest.approx(-G * np.sqrt(2.0), abs=1e-13)
+    assert h0[i2, k2] == pytest.approx(-G * np.sqrt(2.0), abs=1e-13)
     # drive operator acts on the molecule only
-    assert v.matrix[pb.index(0, 0), pb.index(1, 0)] == pytest.approx(p.mu01)
-    assert v.matrix[pb.index(0, 0), pb.index(1, 1)] == 0.0
+    assert v[pb.index(0, 0), pb.index(1, 0)] == pytest.approx(p.mu01)
+    assert v[pb.index(0, 0), pb.index(1, 1)] == 0.0
 
 
 def test_bare_hamiltonian_has_no_coupling():
     p = unit_params(coupling=0.0, n_max=0)
     h0, v = build_full_hamiltonian(p)
-    assert np.max(np.abs(h0.matrix - np.diag(np.diag(h0.matrix)))) == 0.0
+    assert np.max(np.abs(h0 - np.diag(np.diag(h0)))) == 0.0
 
 
 # ------------------------------------------------------------------ models
@@ -140,26 +140,25 @@ def test_bare_model_is_the_rotor_alone():
     j = np.arange(7, dtype=float)
     assert model.labels == tuple(f"J{k},n0" for k in range(7))
     assert np.array_equal(model.energies, B * j * (j + 1.0))
-    assert model.cos.basis == "rotor"
-    assert np.array_equal(model.cos.matrix, rp.cos_theta_elements(6).matrix)
-    assert model.dim == 7 and model.index("J2,n0") == 2
+    assert np.array_equal(model.cos, rp.cos_theta_elements(6))
+    # the model's arrays are real and read-only
+    for a in (model.energies, model.cos):
+        assert a.dtype == float and not a.flags.writeable
 
 
 @pytest.mark.parametrize("n_max", range(1, 32))
 def test_closed_form_cos_equals_the_transform_reference(n_max):
     p = unit_params(n_max=n_max)
-    cos_op = rp.build_model(p).cos
-    assert cos_op.basis == "dressed"
-    assert np.array_equal(cos_op.matrix, dressed_cos_reference(p))
+    assert np.array_equal(rp.build_model(p).cos, dressed_cos_reference(p))
 
 
 @pytest.mark.parametrize("p", [unit_params(), ocs_params(), ocs_params(coupling_ratio=0.3)])
 def test_effective_dipoles_are_the_model_couplings(p):
     # the pulse areas and the propagated drive share their couplings
     model = rp.build_model(p)
-    m = p.dipole * model.cos.matrix.real
-    ground = m[model.index("0;0"), model.index("+;0")]
-    doublet = m[model.index("+;0"), model.index("+;1")]
+    m = p.dipole * model.cos
+    ground = m[model.labels.index("0;0"), model.labels.index("+;0")]
+    doublet = m[model.labels.index("+;0"), model.labels.index("+;1")]
     assert rp.mu_tilde_ground(p) == pytest.approx(ground, rel=1e-15, abs=0.0)
     assert rp.mu_tilde_doublet(p) == pytest.approx(doublet, rel=1e-15, abs=0.0)
 
@@ -170,13 +169,13 @@ def test_dressed_energies_closed_form():
     assert bas.labels[0] == "0;0"
     assert bas.labels[-1] == "edge"
     for n in range(p.n_max):
-        up = bas.energies[bas.index(f"+;{n}")]
-        lo = bas.energies[bas.index(f"-;{n}")]
+        up = bas.energies[bas.labels.index(f"+;{n}")]
+        lo = bas.energies[bas.labels.index(f"-;{n}")]
         assert up == pytest.approx(W01 * (n + 1) + G * np.sqrt(n + 1), abs=1e-12)
         assert lo == pytest.approx(W01 * (n + 1) - G * np.sqrt(n + 1), abs=1e-12)
     # uncoupled top rung: |J=1> with the photon ladder full
-    assert bas.energies[bas.index("edge")] == pytest.approx(W01 + p.n_max * W01)
-    assert bas.dim == 2 * (p.n_max + 1)
+    assert bas.energies[bas.labels.index("edge")] == pytest.approx(W01 + p.n_max * W01)
+    assert len(bas.labels) == 2 * (p.n_max + 1)
 
 
 def test_dressed_transform_unitary():
@@ -199,18 +198,18 @@ def test_doublet_energies_and_effective_dipoles():
 def test_dressed_cos_matrix_elements():
     p = unit_params()
     bas = rp.build_model(p)
-    m = bas.cos.matrix
-    i0 = bas.index("0;0")
+    m = bas.cos
+    i0 = bas.labels.index("0;0")
     # ground-to-doublet elements split the bare 1/sqrt(3) evenly, with the
     # lower member picking up the dressing sign
-    assert m[i0, bas.index("+;0")] == pytest.approx(+1.0 / np.sqrt(6.0), abs=1e-12)
-    assert m[i0, bas.index("-;0")] == pytest.approx(-1.0 / np.sqrt(6.0), abs=1e-12)
-    assert abs(m[bas.index("+;0"), bas.index("-;0")]) < 1e-14
+    assert m[i0, bas.labels.index("+;0")] == pytest.approx(+1.0 / np.sqrt(6.0), abs=1e-12)
+    assert m[i0, bas.labels.index("-;0")] == pytest.approx(-1.0 / np.sqrt(6.0), abs=1e-12)
+    assert abs(m[bas.labels.index("+;0"), bas.labels.index("-;0")]) < 1e-14
     # doublet-to-doublet: sign follows the destination branch
     for s in "+-":
-        assert m[bas.index(f"{s};0"), bas.index("+;1")] == pytest.approx(
+        assert m[bas.labels.index(f"{s};0"), bas.labels.index("+;1")] == pytest.approx(
             +1.0 / (2.0 * np.sqrt(3.0)), abs=1e-12)
-        assert m[bas.index(f"{s};0"), bas.index("-;1")] == pytest.approx(
+        assert m[bas.labels.index(f"{s};0"), bas.labels.index("-;1")] == pytest.approx(
             -1.0 / (2.0 * np.sqrt(3.0)), abs=1e-12)
     assert _hermiticity_defect(bas.cos) < 1e-14
 
@@ -224,13 +223,13 @@ def test_project_to_dressed_ground_and_rotor_states():
     amps = np.zeros(pb.dim, dtype=complex)
     amps[pb.index(0, 0)] = 1.0
     c = project_to_dressed(amps, p)
-    assert abs(c[bas.index("0;0")]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(c[bas.labels.index("0;0")]) == pytest.approx(1.0, abs=1e-12)
     # bare |J=1, n=0> splits evenly over the ground doublet
     amps = np.zeros(pb.dim, dtype=complex)
     amps[pb.index(1, 0)] = 1.0
     c = project_to_dressed(amps, p)
-    assert abs(c[bas.index("+;0")]) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-    assert abs(c[bas.index("-;0")]) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert abs(c[bas.labels.index("+;0")]) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert abs(c[bas.labels.index("-;0")]) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -245,11 +244,11 @@ def test_adiabatic_vectors_are_exact_eigenvectors():
     p = unit_params()
     h0, _v = build_full_hamiltonian(p)
     vecs, evals, bas = adiabatic_dressed_vectors(p)
-    resid = h0.matrix @ vecs - vecs * evals[None, :]
+    resid = h0 @ vecs - vecs * evals[None, :]
     assert np.max(np.abs(resid)) < 1e-12
     # counter-rotating terms repel the ground state downward by ~g^2/omega01
-    assert evals[bas.index("0;0")] < 0.0
-    assert evals[bas.index("0;0")] == pytest.approx(-G ** 2 / (2.0 * W01), rel=0.3)
+    assert evals[bas.labels.index("0;0")] < 0.0
+    assert evals[bas.labels.index("0;0")] == pytest.approx(-G ** 2 / (2.0 * W01), rel=0.3)
     # they stay close to their resonant counterparts at g = 0.1 omega01
     emb = embed_dressed_vectors(p)
     ov = np.abs(np.sum(emb.conj() * vecs, axis=0))
