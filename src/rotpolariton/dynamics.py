@@ -7,19 +7,27 @@ diagonal phase per row and the drift is one dense block shared by all rows,
 built once per step size.  The composition weights are Kahan and Li's
 sixth-order nine-stage composition.
 
+Every run steps over a run grid: the sample times, plus breakpoints that
+split each sample interval longer than half an envelope width into equal
+parts.  Each run interval takes steps in proportion to the integral of
+|E|^(1/7) over it, the density that spreads the local error evenly, so the
+steps sit where the Gaussian field is.
+
 Step control predicts, then certifies.  A pilot pair, a heuristic coarse
-step that resolves the fastest carrier and the coupled drift gaps and its
-half, gives a Richardson estimate; from err ~ dt^p each later run scales
-the step count of every sample interval by the ratio predicted to land
-safely under the tolerance, and is certified against the run before it.
-So every interval is refined, however short, and none escapes the
-estimate.  Rows of one batch share the finest pilot step any of them needs
-and leave one by one, each once its own estimate is certified.  The exact
-evolution is unitary, so a row's norm drift is a lower bound on its error:
-it enters the estimate, and a row whose drift alone exceeds the tolerance
-stops there, since roundoff grows with the steps.
+step at the envelope's peak that resolves the fastest carrier and the
+coupled drift gaps and its half, gives a Richardson estimate; from
+err ~ dt^p each later run scales the step count of every run interval by
+the ratio predicted to land safely under the tolerance, and is certified
+against the run before it at the sample times.  So every interval is
+refined, however short, and none escapes the estimate.  Rows of one batch
+share the finest pilot step any of them needs and leave one by one, each
+once its own estimate is certified.  The exact evolution is unitary, so a
+row's norm drift is a lower bound on its error: it enters the estimate, and
+a row whose drift alone exceeds the tolerance stops there, since roundoff
+grows with the steps.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain, cycle, islice
 
@@ -119,8 +127,8 @@ _PHASE_ELEMS = 1 << 16
 # schedule is built _CHUNK sub-steps at a time.  A sub-step, kick phases
 # included, takes about 1.2 us on one state row and 2.0 us on three (dim 10),
 # nine to a step, so the cap is some 22-36 s per run; the largest run of the
-# presets takes 8,454 steps, of the tests 80,000 (a fixed-step run) and, among
-# certified runs, 11,626
+# presets takes 5,720 steps, of the tests 80,000 (a fixed-step run) and, among
+# certified runs, 6,862
 _MAX_STEPS = 2_000_000
 
 # the most runs after the pilot: its half, then each at the predicted step
@@ -128,7 +136,7 @@ _MAX_HALVINGS = 6
 
 
 def _step_counts(want):
-    """ceil(want) steps, at least 1, in each sample interval.
+    """ceil(want) steps, at least 1, in each run interval.
 
     A run above _MAX_STEPS steps, or with an infinite or undefined count,
     raises ConfigError before it starts.
@@ -154,12 +162,14 @@ _ORDER = 6
 # one run although the pilot pair sits at the edge of the asymptotic regime.
 # It also keeps step errors well under the flat-trace rule of control: at
 # 1/4 a weak seed-0 benchmark trace (maximum 1.4e-7) lands at an error of
-# 2.9e-9, close to the 3.5e-9 where it would turn flat; at 1/8, 1.45e-9
+# 2.9e-9, close to the 3.5e-9 where it would turn flat; at 1/8, 1.45e-9 on
+# evenly spaced steps and 6.3e-10 on the graded run grid
 _SAFETY = 1.0 / 8.0
 
 # a row leaves in the pilot pair only at an estimate of tol / _PILOT_MARGIN
 # or below: one step per period sits outside the dt^p regime on weak dressed
-# kicks, whose pilot-pair estimates read up to 1.155 times low
+# kicks, whose pilot-pair estimates read up to 1.155 times low (1.148 on the
+# graded run grid, at 0.3 g and area 5e-4)
 _PILOT_MARGIN = 1.25
 
 
@@ -185,10 +195,40 @@ def _default_dt(frame, fld):
     return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD
 
 
-def _run_sampled(frame, fields, y0, times, n):
-    """One run of n[i] steps over each sample interval [times[i], times[i + 1]].
+# the run grid splits every sample interval longer than this many envelope
+# widths tau0 into equal parts, so that step counts can follow the envelope:
+# a scan record's window of +-7 tau0 becomes 28 run intervals (14 and 56
+# measured alike, 7 up to a quarter worse)
+_GRID_WIDTHS = 0.5
 
-    Returns the frame states of all rows at every sample time, shape
+
+def _run_grid(times, tau0):
+    """The grid a run steps over, the indices of the sample times in it, and its weights.
+
+    The grid is the sample times plus breakpoints that split every sample
+    interval longer than _GRID_WIDTHS tau0 into equal parts.  With an exact
+    drift, a step's local error carries a factor E(t) and goes as h^(p+1)
+    |E(t)|; spread evenly over the run, it asks for a step density
+    proportional to |E|^(1/(p+1)), the envelope exp(-t^2 / 2 tau0^2) to the
+    power 1/7 (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  An
+    interval's weight is that density's integral over it, in erf values, so
+    weight / dt steps make the local step dt at the envelope's peak.
+    """
+    # the slack keeps a window of a whole number of half widths from rounding
+    # up to one part more
+    parts = np.maximum(1, np.ceil(np.diff(times) / (_GRID_WIDTHS * tau0) - 1e-9)).astype(int)
+    grid = np.concatenate([np.linspace(a, b, k + 1)[:-1]
+                           for a, b, k in zip(times[:-1], times[1:], parts)] + [times[-1:]])
+    samples = np.concatenate([[0], np.cumsum(parts)])
+    width = math.sqrt(2.0 * (_ORDER + 1)) * tau0
+    erfs = np.array([math.erf(t / width) for t in grid])
+    return grid, samples, 0.5 * math.sqrt(math.pi) * width * np.diff(erfs)
+
+
+def _run_sampled(frame, fields, y0, times, n):
+    """One run of n[i] steps over each interval [times[i], times[i + 1]] of a grid.
+
+    Returns the frame states of all rows at every grid time, shape
     (times, rows, dim).  Kicks sit at the sub-step midpoints.  The half
     drifts that close one sub-step and open the next are fused, so a step
     costs len(_WEIGHTS) diagonal kicks and dense drifts for all rows
@@ -253,17 +293,22 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     Row r starts from states0[r], its amplitudes at times[0], and feels
     fields[r].  The fields must share their window, and `times` must lie in
     it (otherwise ValueError); the rows run together, and each run after the
-    first is compared with the one before it.  A row's step error is the
-    larger of its Richardson estimate (the difference of the two runs over
-    r^order - 1, with r the smallest ratio of their step counts over the
-    sample intervals, per-sample 2-norm) and its norm drift
+    first is compared with the one before it.  Every run steps over one run
+    grid (see _run_grid), the sample times split at breakpoints by the
+    broadest envelope tau0 of the batch, whose step density is at least
+    every row's.  A row's step error is the larger of its Richardson
+    estimate (the difference of the two runs at the sample times over
+    r^order - 1, with r the smallest ratio of their step counts over the run
+    intervals, per-sample 2-norm) and its norm drift
     max_k | |psi_k| - |psi_0| |, a lower bound on its error.  The row is
     certified, and leaves, once that reaches `tol` (in the pilot pair,
-    tol / _PILOT_MARGIN).  The first run steps each interval at the finest
-    pilot step any of the fields needs.  Every later run multiplies the step
-    count of every interval by a ratio, rounded up: 2 after the first, then
-    (e / (_SAFETY tol))^(1/order), the ratio predicted to land at _SAFETY tol
-    from e, the worst estimate of the rows left.
+    tol / _PILOT_MARGIN).  The first run steps each run interval by its
+    envelope weight over the finest pilot step any of the fields needs, so
+    its local step at the envelope's peak is that pilot step.  Every later
+    run multiplies the step count of every run interval by a ratio, rounded
+    up: 2 after the first, then (e / (_SAFETY tol))^(1/order), the ratio
+    predicted to land at _SAFETY tol from e, the worst estimate of the rows
+    left.
 
     Each Trajectory holds the sample times, the row's states at them, shape
     (times, dim), and a meta dict: the longest step of its last run ("dt"),
@@ -293,19 +338,20 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     frame = _SplitFrame(np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex))
     y0 = frame.to_frame(psi0)
     dt0 = min(_default_dt(frame, f) for f in fields)
+    grid, samples, weights = _run_grid(times, max(f.tau0 for f in fields))
     with np.errstate(divide="ignore", over="ignore"):
-        n_prev = _step_counts(np.diff(times) / dt0)
+        n_prev = _step_counts(weights / dt0)
     results = [None] * len(fields)
     rows = np.arange(len(fields))
-    prev = _run_sampled(frame, fields, y0, times, n_prev)
+    prev = _run_sampled(frame, fields, y0, grid, n_prev)[samples]
     steps = [int(n_prev.sum())]
     for k in range(1, _MAX_HALVINGS + 1):
         # 2 after the pilot, then the ratio predicted to land at _SAFETY tol;
         # either is above 1, so every interval is refined
         ratio = 2.0 if k == 1 else (float(np.max(err)) / (_SAFETY * tol)) ** (1.0 / _ORDER)
         n_cur = _step_counts(ratio * n_prev)
-        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], times, n_cur)
-        longest = float(np.max(np.diff(times) / n_cur))
+        cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], grid, n_cur)[samples]
+        longest = float(np.max(np.diff(grid) / n_cur))
         steps.append(int(n_cur.sum()))
         states = [frame.from_frame(cur[:, j]) for j in range(rows.size)]
         norms = [np.linalg.norm(s, axis=1) for s in states]

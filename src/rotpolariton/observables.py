@@ -172,18 +172,18 @@ def dressed_populations_phases(amplitudes, labels, floor):
     return out
 
 
-def _lagged_pearson(x):
-    """Pearson correlation of x[:-l] with x[l:] for every lag l, via FFT."""
+def _lagged_pearson(x, count):
+    """Pearson correlation of x[:-l] with x[l:] for the lags l < count, via FFT."""
     n = x.size
-    m = np.arange(n, 0, -1, dtype=float)  # overlap length per lag 0..n-1
+    m = np.arange(n, n - count, -1, dtype=float)  # overlap length per lag
     # cross sums by autocorrelation
     nfft = int(2 ** np.ceil(np.log2(2 * n)))
     fx = np.fft.rfft(x, nfft)
-    sxy = np.fft.irfft(fx * fx.conj(), nfft)[:n]
+    sxy = np.fft.irfft(fx * fx.conj(), nfft)[:count]
     cs = np.concatenate([[0.0], np.cumsum(x)])
     cs2 = np.concatenate([[0.0], np.cumsum(x * x)])
     # prefix x[:n-l] and suffix x[l:] moments
-    lags = np.arange(n)
+    lags = np.arange(count)
     s1 = cs[n - lags]
     s1sq = cs2[n - lags]
     s2 = cs[n] - cs[lags]
@@ -227,9 +227,10 @@ def revival_period(series, min_lag=None):
     if float(np.max(np.abs(x))) == 0.0:
         return None
     dt = series.window / (series.times.size - 1)
-    r = _lagged_pearson(x)
     n = x.size
     max_lag = (2 * n) // 3  # keep at least a third of the samples overlapping
+    # the search reads lags below max_lag, and the vertex one lag beyond
+    r = _lagged_pearson(x, max_lag + 1)
     start = 1 if min_lag is None else max(1, int(np.ceil(min_lag / dt)))
     below = np.nonzero(r[start:max_lag] < _REVIVAL_THRESHOLD)[0]
     if below.size == 0:

@@ -209,7 +209,8 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 2
     bad_key = write_cfg(tmp_path / "bad_key.yaml", {"system": {"jmax": 3}})
     assert main(["simulate", "--config", bad_key]) == 2
-    # Yoshida-4 is the one propagation kernel, so there is no method to set
+    # Kahan and Li's sixth-order composition is the one propagation kernel,
+    # so there is no method to set
     method = write_cfg(tmp_path / "method.yaml", {"integrator": {"method": "yoshida4"}})
     assert main(["simulate", "--config", method]) == 2
     not_yaml = tmp_path / "broken.yaml"

@@ -2,6 +2,7 @@
 the batched kernel, frame consistency between the dressed and the product
 basis, and the first-order pulse map."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -383,14 +384,14 @@ def test_batch_rejects_fields_with_different_windows():
 
 
 def _counting_kernel(monkeypatch):
-    """Record the step counts n of every run of the split-step kernel, one list per run."""
+    """Record every run of the split-step kernel: its run grid and its step counts n."""
     from rotpolariton import dynamics
 
     runs = []
     inner = dynamics._run_sampled
 
     def counting(frame, fields, y0, times, n):
-        runs.append(list(n))
+        runs.append((times, list(n)))
         return inner(frame, fields, y0, times, n)
 
     monkeypatch.setattr(dynamics, "_run_sampled", counting)
@@ -432,27 +433,40 @@ def _kick_setup(cavity, bandwidth=0.1, area=rp.KICK_AREA):
     return h0, v, fld, s0, np.array([fld.t_start, fld.t_end])
 
 
+def _one_grid(runs):
+    """The run grid all runs share, and the step counts of each run."""
+    grid = runs[0][0]
+    assert all(np.array_equal(g, grid) for g, _ in runs)
+    return grid, [taken for _, taken in runs]
+
+
 def test_kernel_steps_match_the_ladder_in_the_trajectory_meta(monkeypatch):
     runs = _counting_kernel(monkeypatch)
     h0, v, fld, s0, times = _strong_field_setup()
     traj = propagate(h0, v, fld, s0, times)
+    grid, counts = _one_grid(runs)
     assert traj.meta["halvings"] >= 2
     assert len(traj.meta["steps"]) == traj.meta["halvings"] + 1
-    assert [sum(taken) for taken in runs] == traj.meta["steps"]
-    assert all(len(taken) == len(times) - 1 for taken in runs)
-    # each run scales the step count of every interval by one ratio: 2
+    assert [sum(taken) for taken in counts] == traj.meta["steps"]
+    # the four sample intervals of 5 split into 7 run intervals each
+    assert np.isin(times, grid).all() and grid.size - 1 == 28
+    assert all(len(taken) == grid.size - 1 for taken in counts)
+    # each run scales the step count of every run interval by one ratio: 2
     # after the pilot, then the predicted one
-    assert runs[1] == [2 * n for n in runs[0]]
-    assert all(_scaled(prev, cur) for prev, cur in zip(runs[1:], runs[2:]))
-    assert traj.meta["dt"] == _longest(times, runs[-1])
+    assert counts[1] == [2 * n for n in counts[0]]
+    assert all(_scaled(prev, cur) for prev, cur in zip(counts[1:], counts[2:]))
+    assert traj.meta["dt"] == _longest(grid, counts[-1])
 
 
 def test_dense_samples_are_refined_by_every_run(monkeypatch):
     runs = _counting_kernel(monkeypatch)
     h0, v, fld, s0, times = _dense_setup()
     traj = propagate(h0, v, fld, s0, times)
-    assert runs[0] == [1] * (len(times) - 1)
-    assert runs[1] == [2] * (len(times) - 1)
+    # sample intervals shorter than half an envelope width gain no breakpoints
+    grid, counts = _one_grid(runs)
+    assert np.array_equal(grid, times)
+    assert counts[0] == [1] * (len(times) - 1)
+    assert counts[1] == [2] * (len(times) - 1)
     assert 0.0 < traj.meta["step_error"] <= 1e-8
 
 
@@ -465,14 +479,63 @@ def test_batch_rows_run_the_ladder_their_meta_implies(monkeypatch):
     fields = [_batch_field(e0, 2.0, 0.0) for e0 in (0.001, 0.3)]
     times = np.linspace(*_WINDOW, 5)
     weak, strong = propagate_batch(h0, v, fields, [s0, s0], times, tol=1e-6)
+    grid, counts = _one_grid(runs)
     assert weak.meta["halvings"] == 1 and 0.0 < weak.meta["step_error"] <= 1e-6
     assert strong.meta["halvings"] >= 2
-    steps = [sum(taken) for taken in runs]
+    steps = [sum(taken) for taken in counts]
     assert steps == strong.meta["steps"]
     assert steps[:2] == weak.meta["steps"]
-    assert runs[1] == [2 * n for n in runs[0]] and _scaled(runs[1], runs[2])
+    assert counts[1] == [2 * n for n in counts[0]] and _scaled(counts[1], counts[2])
     for t in (weak, strong):
-        assert t.meta["dt"] == _longest(times, runs[t.meta["halvings"]])
+        assert t.meta["dt"] == _longest(grid, counts[t.meta["halvings"]])
+
+
+def test_the_run_grid_splits_long_intervals_and_weighs_them_by_the_envelope():
+    from rotpolariton import dynamics
+
+    tau0 = 1.5
+    # a scan row's window, +-7 widths, and a long and a short sample interval
+    for times, parts in (([-7.0 * tau0, 7.0 * tau0], [28]), ([-10.0, 3.0, 3.5], [18, 1])):
+        times = np.array(times)
+        grid, samples, weights = dynamics._run_grid(times, tau0)
+        assert np.array_equal(grid[samples], times)
+        assert list(np.diff(samples)) == parts
+        assert np.max(np.diff(grid)) <= 0.5 * tau0 * (1.0 + 1e-12)
+        # each weight is the integral of the density exp(-t^2 / 14 tau0^2),
+        # here by 16-point Gauss-Legendre quadrature
+        x, q = np.polynomial.legendre.leggauss(16)
+        for lo, hi, w in zip(grid[:-1], grid[1:], weights):
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            quad = 0.5 * (hi - lo) * np.dot(q, np.exp(-t * t / (14.0 * tau0 ** 2)))
+            assert w == pytest.approx(quad, rel=1e-12)
+
+
+def test_every_run_interval_takes_a_step_and_the_samples_come_back(monkeypatch):
+    # a kick's window is one sample interval, which its run grid splits in
+    # 28; the tails of the envelope take one step per run interval
+    runs = _counting_kernel(monkeypatch)
+    h0, v, fld, s0, times = _kick_setup(True, 0.3)
+    traj = propagate(h0, v, fld, s0, times)
+    grid, counts = _one_grid(runs)
+    assert grid.size - 1 == 28 and min(counts[0]) == 1
+    assert all(min(taken) >= 1 for taken in counts)
+    assert np.array_equal(traj.times, times) and traj.states.shape == (2, len(h0))
+
+
+def test_a_batch_of_different_envelopes_certifies_every_row(monkeypatch):
+    # two kicks of one area share a window but not their width; the run grid
+    # follows the broader envelope, whose step density is the higher one
+    runs = _counting_kernel(monkeypatch)
+    h0, v, broad, s0, times = _kick_setup(True, 0.3)
+    narrow = dataclasses.replace(broad, tau0=broad.tau0 / 2.0, e0=2.0 * broad.e0)
+    trajs = propagate_batch(h0, v, [narrow, broad], [s0, s0], times)
+    grid, _ = _one_grid(runs)
+    assert grid.size - 1 == 28
+    for fld, traj in zip((narrow, broad), trajs):
+        ref = _reference(h0, v, fld, s0, times, 8000)
+        est = traj.meta["step_error"]
+        assert 0.0 < est <= 1e-8
+        assert np.max(np.linalg.norm(traj.states - ref, axis=1)) <= 1.25 * est
 
 
 def _reference(h0, v, fld, s0, times, steps):
@@ -484,13 +547,16 @@ def _reference(h0, v, fld, s0, times, steps):
 # 1 in the pilot pair), and the steps per sample interval of its reference.
 # Each reference takes the steps a run certified at tol 1e-12 took (estimates
 # of 3e-14 to 2e-13) before the norm drift entered the step error; at that
-# tol these runs now stop at their drift of 2e-12 to 9e-11
+# tol these runs now stop at their drift of 2e-12 to 9e-11.  On the graded
+# run grid, "strong" needs e0 5 for a predicted run of more than 8 times its
+# pilot's half run, and "dressed-pilot" an area of 5e-4 to certify in the
+# pilot pair
 _CERTIFIED = {
     "bare": (functools.partial(_kick_setup, False, 0.5, 0.6), 2, 5363),
     "dressed": (functools.partial(_kick_setup, True), 2, 19846),
-    "strong": (functools.partial(_strong_field_setup, 3.0), 2, 414),
+    "strong": (functools.partial(_strong_field_setup, 5.0), 2, 414),
     "bare-pilot": (functools.partial(_kick_setup, False), 1, 23108),
-    "dressed-pilot": (functools.partial(_kick_setup, True, 0.3, 0.01), 1, 1856),
+    "dressed-pilot": (functools.partial(_kick_setup, True, 0.3, 0.0005), 1, 1856),
     "dense": (_dense_setup, 1, 4),
 }
 
