@@ -40,7 +40,6 @@ from .model import (
     mu_tilde_ground,
 )
 from .observables import (
-    Spectrum,
     TimeSeries,
     dressed_populations_phases,
     orientation_max_oracle,

@@ -473,9 +473,9 @@ def _write_tsv(path, columns, rows):
 
 
 def _write_spectrum(path, spec, params):
+    omega, amp = spec
     _write_tsv(path, ["omega_au", "omega_over_B", "amplitude"],
-               np.column_stack([spec.omega, spec.omega / params.rot_const,
-                                spec.amplitude]).tolist())
+               np.column_stack([omega, omega / params.rot_const, amp]).tolist())
 
 
 def _outdir(cfg, args, command):

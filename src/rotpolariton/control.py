@@ -38,7 +38,6 @@ from .model import (
     mu_tilde_ground,
 )
 from .observables import (
-    Spectrum,
     _vertex,
     dressed_populations_phases,
     orientation_trace,
@@ -231,13 +230,13 @@ def _refined_trace_max(amplitudes, model, t0, window, n, error):
     its revivals, nor move the vertex of a shallow one.
     """
     dt = window / n
-    ts = t0 + dt * np.arange(n)
-    series = orientation_trace(amplitudes, t0, model.energies, model.cos, ts)
-    vals = series.values
+    series = orientation_trace(amplitudes, t0, model.energies, model.cos, t0, dt, n)
+    ts, vals = series.times, series.values
     top = int(np.argmax(vals))
     t_top = ts[top] + _vertex(vals, top) * dt
+    # a trace holds at least two samples; the vertex value is the first
     v_top = orientation_trace(amplitudes, t0, model.energies, model.cos,
-                              np.array([t_top, t_top + dt])).values[0]
+                              t_top, dt, 2).values[0]
     first = int(np.argmax(vals >= vals[top] - 2.0 * error))
     t_first = ts[first] + _vertex(vals, first, 2.0 * error / _RESOLUTION) * dt
     return float(max(v_top, vals[top])), float(t_first), series
@@ -271,19 +270,19 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
                                              n_trace, error)
     snap_t = fld.t_end + snapshot_offset
     snap = orientation_trace(end, fld.t_end, model.energies, model.cos,
-                             np.array([snap_t, snap_t + tau])).values[0]
+                             snap_t, tau, 2).values[0]
 
-    spec = spectrum(series)
+    omega, amp = spectrum(series)
     # a trace whose error band the certificate does not resolve is flat: its
     # time of maximum, revival and spectrum would be read off roundoff
     if 2.0 * error > _RESOLUTION * float(np.max(np.abs(series.values))):
         t_max = period = None
-        spec = Spectrum(spec.omega, np.full(spec.omega.size, np.nan))
+        amp = np.full(omega.size, np.nan)
         pw = ph = np.array([])
     else:
         t_max -= fld.t_end
         period = revival_period(series, min_lag=0.05 * tau)
-        pw, ph = spectrum_peaks(spec, rel_height=_PEAKS_REL_HEIGHT)
+        pw, ph = spectrum_peaks(omega, amp, rel_height=_PEAKS_REL_HEIGHT)
 
     dressed = bool(params.coupling > 0)
     pops = {lab: float(abs(a) ** 2) for lab, a in zip(model.labels, end)}
@@ -300,16 +299,16 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
         "phases": (dressed_populations_phases(end, model.labels, error / _RESOLUTION)
                    if dressed else None),
         "norm_final": float(np.linalg.norm(end)),
-        "halvings": traj.meta.get("halvings"),
-        "steps": traj.meta.get("steps"),
-        "step_error": traj.meta.get("step_error"),
+        "halvings": traj.meta["halvings"],
+        "steps": traj.meta["steps"],
+        "step_error": error,
         "trace_window": float(trace_window),
         "n_trace": int(n_trace),
     }
     if keep_series:
         rec["series"] = series
     if keep_spectrum:
-        rec["spectrum"] = spec
+        rec["spectrum"] = (omega, amp)
     return rec
 
 
@@ -331,9 +330,10 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
     the parabola vertex there where that resolves the vertex to 5 % of a
     sample.  A dressed phase, resolved to ε / |amplitude| radians, is None
     where its amplitude is at most ε / 5 % = 20 ε.
-    The full trace ("series"), its spectrum ("spectrum") and the in-pulse
-    trajectory of n_pulse_samples samples ("trajectory"; fewer than 2 raise
-    ValueError) are attached under non-JSON keys for file export.
+    The full trace ("series"), its spectrum ("spectrum", the pair
+    (omega, amplitude)) and the in-pulse trajectory of n_pulse_samples
+    samples ("trajectory"; fewer than 2 raise ValueError) are attached
+    under non-JSON keys for file export.
     tol is the step error the propagation is certified to (see propagate).
     """
     h0, v, state0, model = _kick_setup(params, fld)
@@ -446,7 +446,6 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     and snapshot, the revival period, and the strongest spectral peaks, in
     deterministic axis order.
     """
-    cavity = tuple(cavity) if isinstance(cavity, (tuple, list)) else (cavity,)
     kw = {"trace_window": trace_window, "n_trace": n_trace,
           "snapshot_offset": snapshot_offset, "keep_spectrum": keep_spectrum}
     jobs = []

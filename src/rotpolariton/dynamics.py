@@ -84,12 +84,6 @@ class _SplitFrame:
         group[order] = np.concatenate([[0], np.cumsum(new)])
         self.gather = group + self.levels.size * (self.w < 0)
 
-    def to_frame(self, psi):
-        return psi @ self.u.conj()
-
-    def from_frame(self, y):
-        return y @ self.u.T
-
     def kicks(self, arg):
         """exp(i arg w) for each eigenvalue w of v, shape arg.shape + (dim,)."""
         u = self.levels.size
@@ -336,7 +330,7 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
     # complex copies: real ones would go to the real eigensolvers, whose
     # eigenvectors differ in their last bits
     frame = _SplitFrame(np.asarray(h0, dtype=complex), np.asarray(v, dtype=complex))
-    y0 = frame.to_frame(psi0)
+    y0 = psi0 @ frame.u.conj()
     dt0 = min(_default_dt(frame, f) for f in fields)
     grid, samples, weights = _run_grid(times, max(f.tau0 for f in fields))
     with np.errstate(divide="ignore", over="ignore"):
@@ -353,7 +347,7 @@ def propagate_batch(h0, v, fields, states0, times, tol=1e-8):
         cur = _run_sampled(frame, [fields[r] for r in rows], y0[rows], grid, n_cur)[samples]
         longest = float(np.max(np.diff(grid) / n_cur))
         steps.append(int(n_cur.sum()))
-        states = [frame.from_frame(cur[:, j]) for j in range(rows.size)]
+        states = [cur[:, j] @ frame.u.T for j in range(rows.size)]
         norms = [np.linalg.norm(s, axis=1) for s in states]
         drift = np.array([np.max(np.abs(m - m[0])) for m in norms])
         # every interval takes more steps in this run, so the smallest ratio

@@ -3,7 +3,9 @@
 The orientation signal is the expectation of cos(theta).  Post-pulse dynamics
 under a diagonal drift are evaluated in closed form from a single snapshot, as
 a sum of cosines over the couplings of cos(theta), so a long trace costs two
-short phase tables rather than a propagation.  The bound on
+short phase tables rather than a propagation.  A trace is a TimeSeries,
+whose samples sit on a uniform grid by type, so its spectrum and revival
+read the stored step and never check the grid again.  The bound on
 the orientation over a few dressed states is the top eigenpair of the
 projected cos(theta) block, not a search.
 """
@@ -15,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "TimeSeries",
-    "Spectrum",
     "orientation_trace",
     "spectrum",
     "spectrum_peaks",
@@ -24,73 +25,48 @@ __all__ = [
     "orientation_max_oracle",
 ]
 
-# a sample grid is uniform when its steps agree to this relative tolerance
-_UNIFORM_RTOL = 1e-9
 # the lagged correlation at which a trace counts as repeating itself
 _REVIVAL_THRESHOLD = 0.999
 # phases are reported relative to this dressed state
 _GROUND_LABEL = "0;0"
 
 
-def _is_uniform(times):
-    d = np.diff(times)
-    # rounding moves each time by up to np.spacing(max |t|), a step by two
-    # of them, so two steps of an exactly uniform grid differ by up to four
-    jitter = 4.0 * np.spacing(np.max(np.abs(times[[0, -1]])))
-    return bool(np.all(np.abs(d - d[0]) <= _UNIFORM_RTOL * abs(d[0]) + jitter))
-
-
 @dataclass(frozen=True)
 class TimeSeries:
-    """Real scalar signal on a strictly increasing time grid."""
+    """Real scalar signal sampled at t0 + dt k, k = 0 .. len(values) - 1.
 
-    times: np.ndarray
+    The grid is uniform by construction, so the spectrum and the revival
+    read its step `dt` as stored.  dt must be finite and positive and the
+    values 1d, at least two of them (otherwise ValueError).
+    """
+
+    t0: float
+    dt: float
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
         v = np.array(self.values, dtype=float)
-        if t.ndim != 1 or v.shape != t.shape or t.size < 2:
-            raise ValueError("need matching 1d times and values, length >= 2")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        t.setflags(write=False)
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if v.ndim != 1 or v.size < 2:
+            raise ValueError("need 1d values, length >= 2")
         v.setflags(write=False)
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "values", v)
 
     @property
-    def window(self):
-        return float(self.times[-1] - self.times[0])
-
-    def is_uniform(self):
-        return _is_uniform(self.times)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided magnitude spectrum on an angular-frequency grid."""
-
-    omega: np.ndarray
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.omega, dtype=float)
-        a = np.array(self.amplitude, dtype=float)
-        if w.ndim != 1 or a.shape != w.shape:
-            raise ValueError("omega and amplitude must be matching 1d arrays")
-        w.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "omega", w)
-        object.__setattr__(self, "amplitude", a)
+    def times(self):
+        return self.t0 + self.dt * np.arange(self.values.size)
 
     @property
-    def domega(self):
-        return float(self.omega[1] - self.omega[0])
+    def window(self):
+        """Time from the first sample to the last, as the difference of the two."""
+        return float(self.t0 + self.dt * (self.values.size - 1) - self.t0)
 
 
-def orientation_trace(amplitudes, t0, energies, cos, times):
-    """<cos theta>(t) under free evolution from one snapshot, on a uniform grid.
+def orientation_trace(amplitudes, t0, energies, cos, start, dt, n):
+    """<cos theta>(t) under free evolution from one snapshot, at t = start + dt k, k < n.
 
     The snapshot holds the amplitudes at time t0, in the basis of `energies`
     and of the (dim, dim) matrix `cos`; it is valid once the drift is
@@ -99,16 +75,13 @@ def orientation_trace(amplitudes, t0, energies, cos, times):
 
         sum_i m_ii |b_i|^2 + Re sum_{i<j, m_ij != 0} 2 conj(b_i) m_ij b_j exp(i w_ij (t - t0)),
 
-    a sum over the couplings of cos theta (16 dressed, 8 bare).  On the
-    uniform grid t_k = times[0] + k dt, k = q s + r with s ~ sqrt(n), each
-    phase is a product of two tables, exp(i w (t_{qs} - times[0])) and
-    exp(i w (t_r - t0)), so the n samples take 2 sqrt(n) exponentials per
-    coupling and one matmul.  A grid that is not uniform raises ValueError.
-    Returns a TimeSeries.
+    a sum over the couplings of cos theta (16 dressed, 8 bare).  With
+    k = q s + r and s ~ sqrt(n), each phase is a product of two tables,
+    exp(i w (t_{qs} - start)) and exp(i w (t_r - t0)), so the n samples take
+    2 sqrt(n) exponentials per coupling and one matmul.  Returns the n
+    samples as a TimeSeries.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or not _is_uniform(times):
-        raise ValueError("orientation_trace needs a uniform grid of at least two times")
+    times = start + dt * np.arange(n)
     b, m, energies = np.asarray(amplitudes), np.asarray(cos), np.asarray(energies, dtype=float)
     i, j = np.nonzero(np.triu(m, 1))
     coef = 2.0 * b[i].conj() * m[i, j] * b[j]
@@ -118,36 +91,33 @@ def orientation_trace(amplitudes, t0, energies, cos, times):
     fine = np.exp(1j * np.outer(times[:s] - t0, w))
     vals = (coarse @ fine.T).real.ravel()[:times.size]
     vals += np.real(np.diag(m)) @ np.abs(b) ** 2
-    return TimeSeries(times, vals)
+    return TimeSeries(start, dt, vals)
 
 
 def spectrum(series):
-    """One-sided magnitude spectrum dt * |rfft| of a uniform time series.
+    """One-sided magnitude spectrum dt * |rfft| of a time series; (omega, amplitude).
 
-    The mean is subtracted first, so there is no zero-frequency line; the bin
-    spacing is 2 pi / window.
+    The mean is subtracted first, so there is no zero-frequency line; the
+    angular-frequency bins are 2 pi / (n dt) apart.
     """
-    if not series.is_uniform():
-        raise ValueError("spectrum needs a uniformly sampled series")
     x = series.values - series.values.mean()
-    dt = series.window / (series.times.size - 1)
-    amp = dt * np.abs(np.fft.rfft(x))
-    omega = 2.0 * np.pi * np.fft.rfftfreq(series.times.size, d=dt)
-    return Spectrum(omega, amp)
+    amp = series.dt * np.abs(np.fft.rfft(x))
+    omega = 2.0 * np.pi * np.fft.rfftfreq(x.size, d=series.dt)
+    return omega, amp
 
 
-def spectrum_peaks(spec, rel_height=0.05):
+def spectrum_peaks(omega, amplitude, rel_height=0.05):
     """Strict local maxima at or above rel_height * global max; (omegas, heights).
 
     An exact plateau has no strict maximum and is not a peak.
     """
-    a = spec.amplitude
+    a = amplitude
     if a.size < 3:
         return np.array([]), np.array([])
     floor = rel_height * float(np.max(a))
     mid = a[1:-1]
     idx = np.flatnonzero((mid > a[:-2]) & (mid > a[2:]) & (mid >= floor)) + 1
-    return spec.omega[idx], a[idx]
+    return omega[idx], a[idx]
 
 
 def dressed_populations_phases(amplitudes, labels, floor):
@@ -221,12 +191,10 @@ def revival_period(series, min_lag=None):
     a parabola through the three samples around the maximum.  Returns None
     when the signal is constant, never decorrelates or never recurs.
     """
-    if not series.is_uniform():
-        raise ValueError("revival_period needs a uniformly sampled series")
     x = series.values - series.values.mean()
     if float(np.max(np.abs(x))) == 0.0:
         return None
-    dt = series.window / (series.times.size - 1)
+    dt = series.dt
     n = x.size
     max_lag = (2 * n) // 3  # keep at least a third of the samples overlapping
     # the search reads lags below max_lag, and the vertex one lag beyond

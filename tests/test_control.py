@@ -278,12 +278,12 @@ def _refined_max(state, energies, m, t0, window, n):
     is larger."""
     dt = window / n
     ts = t0 + dt * np.arange(n)
-    vals = rp.orientation_trace(state, t0, energies, m, ts).values
+    vals = rp.orientation_trace(state, t0, energies, m, t0, dt, n).values
     i = int(np.argmax(vals))
     den = vals[i - 1] - 2.0 * vals[i] + vals[i + 1] if 0 < i < n - 1 else 0.0
     shift = 0.5 * (vals[i - 1] - vals[i + 1]) / den if den < 0 else 0.0
     t = ts[i] + shift * dt
-    vertex = rp.orientation_trace(state, t0, energies, m, np.array([t, t + dt]))
+    vertex = rp.orientation_trace(state, t0, energies, m, t, dt, 2)
     return float(max(vertex.values[0], vals[i]))
 
 

@@ -210,10 +210,10 @@ def _fixed_steps(h0, v, fields, states, times, steps):
     from rotpolariton import dynamics
 
     frame = _frame(h0, v)
-    y0 = frame.to_frame(np.array(states, dtype=complex))
+    y0 = np.array(states, dtype=complex) @ frame.u.conj()
     out = dynamics._run_sampled(frame, fields, y0, times, np.full(times.size - 1, steps))
     # row by row, as propagate_batch returns them
-    return np.stack([frame.from_frame(out[:, r]) for r in range(len(states))], axis=1)
+    return np.stack([out[:, r] @ frame.u.T for r in range(len(states))], axis=1)
 
 
 @settings(max_examples=8, deadline=None)

@@ -90,8 +90,8 @@ def test_orientation_trace_matches_explicit_free_evolution(dressed, dressed_op, 
     rng = np.random.default_rng(seed)
     a = rng.normal(size=energies.size) + 1j * rng.normal(size=energies.size)
     a /= np.linalg.norm(a)
-    times = start + step * np.arange(n)
-    series = rp.orientation_trace(a, t0, energies, cos_op, times)
+    series = rp.orientation_trace(a, t0, energies, cos_op, start, step, n)
+    times = series.times
     want = orientation_dense(a, energies, cos_op, times, t0)
     m = cos_op
     i, j = np.nonzero(np.triu(m, 1))
@@ -115,14 +115,10 @@ def test_transition_sum_trace_matches_the_dense_formula(coupling, n):
     a /= np.linalg.norm(a)
     t0 = rng.uniform(-5.0, 5.0)
     times = t0 + 0.3 + 40.0 * TAU / n * np.arange(n)
-    got = rp.orientation_trace(a, t0, energies, m, times).values
+    series = rp.orientation_trace(a, t0, energies, m, t0 + 0.3, 40.0 * TAU / n, n)
+    assert np.array_equal(series.times, times)
     want = orientation_dense(a, energies, m, times, t0)
-    assert np.max(np.abs(got - want)) <= 1e-12
-    if n > 2:
-        jolted = times.copy()
-        jolted[1] += 1e-3 * (times[1] - times[0])
-        with pytest.raises(ValueError, match="uniform"):
-            rp.orientation_trace(a, t0, energies, m, jolted)
+    assert np.max(np.abs(series.values - want)) <= 1e-12
 
 
 # ----------------------------------------------------------------- spectrum
@@ -133,13 +129,13 @@ def test_spectrum_of_pure_cosine_recovers_amplitude():
     n = 4096
     t = np.linspace(0.0, w, n, endpoint=False)
     omega0 = 2.0 * np.pi * 24.0 / w
-    series = rp.TimeSeries(times=t, values=0.37 * np.cos(omega0 * t) + 0.11)
-    spec = rp.spectrum(series)
-    assert spec.domega == pytest.approx(2.0 * np.pi / w, rel=1e-9)
-    line = spec.amplitude[np.argmin(np.abs(spec.omega - omega0))]
+    series = rp.TimeSeries(t0=0.0, dt=w / n, values=0.37 * np.cos(omega0 * t) + 0.11)
+    omega, amp = rp.spectrum(series)
+    assert omega[1] - omega[0] == pytest.approx(2.0 * np.pi / w, rel=1e-9)
+    line = amp[np.argmin(np.abs(omega - omega0))]
     assert line == pytest.approx(0.37 * w / 2.0, rel=0.05)
     # the mean is subtracted, so there is no zero-frequency line
-    assert spec.amplitude[0] < 1e-10 * line
+    assert amp[0] < 1e-10 * line
 
 
 def test_spectrum_peak_positions_stable_under_window_doubling():
@@ -149,55 +145,78 @@ def test_spectrum_peak_positions_stable_under_window_doubling():
     t = np.linspace(0.0, 2.0 * w, 2 * n, endpoint=False)
     sig = (0.3 * np.cos(1.8 * t + 0.2) + 0.2 * np.cos(2.2 * t - 1.0)
            + 0.01 * rng.normal(size=t.size))
-    half = rp.spectrum(rp.TimeSeries(times=t[:n], values=sig[:n]))
-    full = rp.spectrum(rp.TimeSeries(times=t, values=sig))
-    for spec in (half, full):
-        pw, _ph = rp.spectrum_peaks(spec, rel_height=0.3)
+    half = rp.spectrum(rp.TimeSeries(t0=0.0, dt=w / n, values=sig[:n]))
+    full = rp.spectrum(rp.TimeSeries(t0=0.0, dt=w / n, values=sig))
+    bin_half = half[0][1] - half[0][0]
+    for omega, amp in (half, full):
+        pw, _ph = rp.spectrum_peaks(omega, amp, rel_height=0.3)
         assert len(pw) == 2
-        assert abs(pw[0] - 1.8) <= half.domega
-        assert abs(pw[1] - 2.2) <= half.domega
+        assert abs(pw[0] - 1.8) <= bin_half
+        assert abs(pw[1] - 2.2) <= bin_half
 
 
 def test_spectrum_peaks_match_scipy_find_peaks(broadband_kick):
     # scipy is a test-only dependency, kept as the reference peak finder
     from scipy.signal import find_peaks
 
-    spec = broadband_kick["spectrum"]
+    omega, amp = broadband_kick["spectrum"]
     for rel in (0.05, 0.3):
-        pw, ph = rp.spectrum_peaks(spec, rel_height=rel)
-        idx, _ = find_peaks(spec.amplitude, height=rel * float(np.max(spec.amplitude)))
+        pw, ph = rp.spectrum_peaks(omega, amp, rel_height=rel)
+        idx, _ = find_peaks(amp, height=rel * float(np.max(amp)))
         assert len(idx) >= 2
-        assert np.array_equal(pw, spec.omega[idx])
-        assert np.array_equal(ph, spec.amplitude[idx])
+        assert np.array_equal(pw, omega[idx])
+        assert np.array_equal(ph, amp[idx])
 
 
 def test_spectrum_peaks_are_strict_local_maxima_at_or_above_the_floor():
     # floor 0.25 * 4 = 1: the plateau at 2 is no peak, 0.9 is below the
     # floor, 1.0 sits on it, and the end points are never peaks
     amp = np.array([0.0, 2.0, 2.0, 0.0, 3.0, 0.5, 0.9, 0.4, 1.0, 0.2, 4.0])
-    spec = rp.Spectrum(omega=np.arange(amp.size, dtype=float), amplitude=amp)
-    pw, ph = rp.spectrum_peaks(spec, rel_height=0.25)
+    pw, ph = rp.spectrum_peaks(np.arange(amp.size, dtype=float), amp, rel_height=0.25)
     assert list(pw) == [4.0, 8.0]
     assert list(ph) == [3.0, 1.0]
 
 
 def test_time_series_validation():
-    with pytest.raises(ValueError):
-        rp.TimeSeries(times=np.array([0.0, 1.0, 0.5]), values=np.zeros(3))
-    with pytest.raises(ValueError):
-        rp.TimeSeries(times=np.array([0.0]), values=np.array([1.0]))
+    for dt in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            rp.TimeSeries(t0=0.0, dt=dt, values=np.zeros(3))
+    for values in (np.array([1.0]), np.zeros((2, 2)), np.array(0.5)):
+        with pytest.raises(ValueError, match="1d"):
+            rp.TimeSeries(t0=0.0, dt=1.0, values=values)
+    series = rp.TimeSeries(t0=2.5, dt=0.5, values=[1, 2, 3, 4])
+    assert series.times.tolist() == [2.5, 3.0, 3.5, 4.0]
+    assert series.window == 1.5
+    assert series.values.dtype == float and not series.values.flags.writeable
 
 
-def test_uniformity_allows_the_rounding_of_late_sample_times():
+def test_a_late_grid_runs_through_the_trace_spectrum_and_revival():
     # a trace of 0.1 revival periods after a 0.1 g bare kick, in atomic units:
-    # rounding near t = 3.8e8 moves the 20.7 au steps by 3e-9 of a step
-    t0, dt = 3.79e8, 20.7
-    late = rp.TimeSeries(times=t0 + dt * np.arange(16384), values=np.zeros(16384))
-    assert np.ptp(np.diff(late.times)) > 1e-9 * dt
-    assert late.is_uniform()
-    jolted = late.times.copy()
-    jolted[100] += 1e-6 * dt
-    assert not rp.TimeSeries(times=jolted, values=np.zeros(16384)).is_uniform()
+    # rounding near t = 3.8e8 moves the 20.7 au steps of t0 + dt k by 3e-9
+    # of a step.  A beat of 64 periods in the window sits on spectrum bin 64
+    # and repeats every 256 samples
+    start, dt, n = 3.79e8, 20.7, 16384
+    t0 = start - 1e6
+    w = 2.0 * np.pi * 64 / (n * dt)
+    energies = np.array([0.0, w])
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    series = rp.orientation_trace(a, t0, energies, m, start, dt, n)
+    assert np.ptp(np.diff(series.times)) > 1e-9 * dt
+    want = orientation_dense(a, energies, m, series.times, t0)
+    # both sides round the phase w (t - t0), of up to 1.6e3 rad, and the
+    # trace reads t_k as t_{qs} + t_r - start: four times rounded by half a
+    # spacing each, so up to two spacings of t (6e-8 au here) apart
+    rounding = w * (np.finfo(float).eps * (series.times[-1] - t0)
+                    + 2.0 * np.spacing(series.times[-1]))
+    assert np.max(np.abs(series.values - want)) <= 1e-12 + rounding
+    omega, amp = rp.spectrum(series)
+    pw, _ph = rp.spectrum_peaks(omega, amp)
+    assert pw.tolist() == [omega[64]]
+    assert omega[64] == pytest.approx(w, rel=1e-12)
+    # the parabola through the lagged correlations lands within a thousandth
+    # of a sample of the beat period (5e-5 of one here)
+    assert abs(rp.revival_period(series) - 256 * dt) <= 1e-3 * dt
 
 
 # --------------------------------------------------- populations and phases
@@ -234,8 +253,7 @@ def test_revival_period_of_bare_superposition():
     en = np.array([B * j * (j + 1) for j in range(9)])
     a = np.zeros(9, dtype=complex)
     a[0] = a[1] = 1.0 / np.sqrt(2.0)
-    times = np.linspace(0.0, 12.0 * TAU, 4096)
-    series = rp.orientation_trace(a, 0.0, en, cosm, times)
+    series = rp.orientation_trace(a, 0.0, en, cosm, 0.0, 12.0 * TAU / 4095, 4096)
     T = rp.revival_period(series, min_lag=0.05 * TAU)
     assert abs(T - TAU) / TAU < 1e-3
 
@@ -247,8 +265,7 @@ def test_revival_period_shift_invariance():
     a[0], a[1], a[2] = 0.8, 0.5, np.sqrt(1.0 - 0.64 - 0.25)
     periods = []
     for t0 in (0.0, 3.7 * TAU):
-        times = t0 + np.linspace(0.0, 10.0 * TAU, 4096)
-        series = rp.orientation_trace(a, 0.0, en, cosm, times)
+        series = rp.orientation_trace(a, 0.0, en, cosm, t0, 10.0 * TAU / 4095, 4096)
         periods.append(rp.revival_period(series, min_lag=0.05 * TAU))
     assert periods[0] == pytest.approx(periods[1], rel=1e-6)
 
@@ -260,7 +277,7 @@ def test_revival_period_is_none_without_a_revival():
     # never decorrelating (a ramp correlates 1 at every lag), decorrelating
     # without recurrence
     for values in (np.full(512, 0.25), np.full(512, 0.3), t, noise):
-        assert rp.revival_period(rp.TimeSeries(times=t, values=values)) is None
+        assert rp.revival_period(rp.TimeSeries(t0=0.0, dt=t[1], values=values)) is None
 
 
 # ------------------------------------------------------------------- oracle
