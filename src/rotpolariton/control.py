@@ -75,8 +75,6 @@ _MAX_BANDWIDTH_RATIO = 0.2
 # the largest phase (units of g) and amplitude residuals a designed pulse
 # may keep
 _RESIDUAL_TOL = 1e-6
-# spectral peaks reported in a kick record: lines above 5% of the strongest
-_PEAKS_REL_HEIGHT = 0.05
 # the most fields one scan job propagates as a batch: the kernel holds about
 # _CHUNK field values per row at once (82 kB), so a group of 20,000 detunings
 # in one job needs 1.6 GB
@@ -242,7 +240,7 @@ def _refined_trace_max(amplitudes, model, t0, window, n, error):
     return float(max(v_top, vals[top])), float(t_first), series
 
 
-def _kick_setup(params, fld):
+def _kick_setup(params):
     """Drift, drive, initial state and model of a kick.
 
     The model is build_model's: h0 = diag(energies), v = mu cos theta, and
@@ -255,9 +253,8 @@ def _kick_setup(params, fld):
 
 
 def _kick_summary(params, fld, traj, model, trace_window=None,
-                  n_trace=16384, snapshot_offset=None, keep_series=False,
-                  keep_spectrum=False):
-    """Post-pulse record of one propagated kick; see kick_response."""
+                  n_trace=16384, snapshot_offset=None):
+    """(record, series, (omega, amplitude)) of one propagated kick; see kick_response."""
     tau = params.revival_time
     if trace_window is None:
         trace_window = 40.0 * tau
@@ -282,7 +279,7 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
     else:
         t_max -= fld.t_end
         period = revival_period(series, min_lag=0.05 * tau)
-        pw, ph = spectrum_peaks(omega, amp, rel_height=_PEAKS_REL_HEIGHT)
+        pw, ph = spectrum_peaks(omega, amp)
 
     dressed = bool(params.coupling > 0)
     pops = {lab: float(abs(a) ** 2) for lab, a in zip(model.labels, end)}
@@ -305,11 +302,7 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
         "trace_window": float(trace_window),
         "n_trace": int(n_trace),
     }
-    if keep_series:
-        rec["series"] = series
-    if keep_spectrum:
-        rec["spectrum"] = (omega, amp)
-    return rec
+    return rec, series, (omega, amp)
 
 
 def kick_response(params, fld, trace_window=None, n_trace=16384,
@@ -336,14 +329,12 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
     under non-JSON keys for file export.
     tol is the step error the propagation is certified to (see propagate).
     """
-    h0, v, state0, model = _kick_setup(params, fld)
+    h0, v, state0, model = _kick_setup(params)
     traj = propagate(h0, v, fld, state0,
                      np.linspace(fld.t_start, fld.t_end, n_pulse_samples), tol=tol)
-    rec = _kick_summary(params, fld, traj, model, trace_window=trace_window,
-                        n_trace=n_trace, snapshot_offset=snapshot_offset,
-                        keep_series=True, keep_spectrum=True)
-    rec["trajectory"] = traj
-    return rec
+    rec, series, spec = _kick_summary(params, fld, traj, model, trace_window=trace_window,
+                                      n_trace=n_trace, snapshot_offset=snapshot_offset)
+    return {**rec, "series": series, "spectrum": spec, "trajectory": traj}
 
 
 def magnus_final_state(params, fld):
@@ -363,21 +354,26 @@ def magnus_final_state(params, fld):
     return np.exp(-1j * model.energies * fld.t_end) * amps, model
 
 
-def _kick_worker(params, fld, traj, model, kw):
-    """One kick record, from its propagated trajectory or its failure."""
+def _kick_worker(params, fld, traj, model, keep_spectrum=False, **kw):
+    """One kick record, from its propagated trajectory or its failure.
+
+    keep_spectrum attaches the trace's (omega, amplitude) as "spectrum".
+    """
     if isinstance(traj, NotConverged):
         return {"converged": False, "error": str(traj)}
-    rec = _kick_summary(params, fld, traj, model, **kw)
+    rec, _, spec = _kick_summary(params, fld, traj, model, **kw)
+    if keep_spectrum:
+        rec["spectrum"] = spec
     return {**rec, "converged": True}
 
 
-def _composite_worker(params, fld, traj, model, kw):
+def _composite_worker(params, fld, traj, model, **kw):
     """One composite record: the exact kick against the first-order pulse map."""
-    exact = _kick_worker(params, fld, traj, model, {**kw, "keep_series": True})
-    if not exact["converged"]:
-        return exact
+    if isinstance(traj, NotConverged):
+        return {"converged": False, "error": str(traj)}
+    exact, series, _ = _kick_summary(params, fld, traj, model, **kw)
     mstate, mmodel = magnus_final_state(params, fld)
-    mmax, _, _ = _refined_trace_max(mstate, mmodel, fld.t_end, exact["series"].window,
+    mmax, _, _ = _refined_trace_max(mstate, mmodel, fld.t_end, series.window,
                                     _MAGNUS_N_TRACE, 0.0)
     mpops = {lab: float(abs(a) ** 2) for lab, a in zip(mmodel.labels, mstate)}
     epops = exact["populations"]
@@ -401,13 +397,13 @@ def _kick_group_worker(job):
     """The records of one scan job: its fields, propagated as one batch.
 
     A job is (params, fields that share one window, the step tolerance,
-    summary keywords, per-record function).
+    the per-record function's keywords, per-record function).
     """
     params, fields, tol, kw, record = job
-    h0, v, state0, model = _kick_setup(params, fields[0])
+    h0, v, state0, model = _kick_setup(params)
     times = np.array([fields[0].t_start, fields[0].t_end])
     trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, tol=tol)
-    return [record(params, fld, traj, model, kw) for fld, traj in zip(fields, trajs)]
+    return [record(params, fld, traj, model, **kw) for fld, traj in zip(fields, trajs)]
 
 
 def _scan_groups(jobs, threads):

@@ -4,8 +4,9 @@ The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent.
 One split-step kernel, _run_sampled, propagates R state rows at once, each
 under its own field, in the eigenbasis of v: there a field kick is a
 diagonal phase per row and the drift is one dense block shared by all rows,
-built once per step size.  The composition weights are Kahan and Li's
-sixth-order nine-stage composition.
+built once per step size, from h0 always diagonalised, however small its
+couplings.  The composition weights are Kahan and Li's sixth-order nine-stage
+composition.
 
 Every run steps over a run grid: the sample times, plus breakpoints that
 split each sample interval longer than half an envelope width into equal
@@ -56,23 +57,18 @@ class Trajectory:
 class _SplitFrame:
     """The eigenbasis of v, in which every propagation runs.
 
-    There a field kick exp(i c h E(t) v) is a diagonal phase on each state
-    row, and the free drift exp(-i tau h0) is one dense block for all rows.
-    States are rows: y = psi @ conj(u) and psi = y @ u.T, with u the
-    eigenvectors of v in the operators' basis.  h0 and v are complex arrays.
+    h0 is always diagonalised first, diagonal or not, into eps and q.  There a
+    field kick exp(i c h E(t) v) is a diagonal phase on each state row, and
+    the free drift exp(-i tau h0) is one dense block for all rows.  States
+    are rows: y = psi @ conj(u) and psi = y @ u.T, with u the eigenvectors
+    of v in the operators' basis.  h0 and v are complex arrays.
     """
 
     def __init__(self, h0, v):
-        offdiag = h0 - np.diag(np.diag(h0))
-        if np.max(np.abs(offdiag)) < 1e-14 * max(1.0, np.max(np.abs(h0))):
-            self.eps = np.diag(h0).real.copy()
-            q = None
-            self.vt = v
-        else:
-            self.eps, q = np.linalg.eigh(h0)
-            self.vt = q.conj().T @ v @ q
+        self.eps, q = np.linalg.eigh(h0)
+        self.vt = q.conj().T @ v @ q
         self.w, self.wv = np.linalg.eigh(self.vt)
-        self.u = self.wv if q is None else q @ self.wv
+        self.u = q @ self.wv
         # v has few distinct |eigenvalues|: +-mu01 dressed, the symmetric
         # Gauss-Legendre nodes bare.  Those within a few ulps are merged, so
         # a kick takes one exponential per level, and conjugates for w < 0.

@@ -109,7 +109,8 @@ def spectrum(series):
 def spectrum_peaks(omega, amplitude, rel_height=0.05):
     """Strict local maxima at or above rel_height * global max; (omegas, heights).
 
-    An exact plateau has no strict maximum and is not a peak.
+    An exact plateau has no strict maximum and is not a peak.  A kick record
+    reports the peaks at the default height, lines above 5 % of the strongest.
     """
     a = amplitude
     if a.size < 3:
@@ -182,11 +183,11 @@ def _vertex(values, i, band=0.0):
     return 0.5 * (vm1 - vp1) / den if den < 0 and 2.0 * band <= -den else 0.0
 
 
-def revival_period(series, min_lag=None):
+def revival_period(series, min_lag=0.0):
     """Time shift after which the signal repeats.
 
     Computes the lag-by-lag Pearson correlation of the series with its shifted
-    self, skips the trivial neighborhood of zero lag, and returns the best lag
+    self, skips zero lag and the lags below min_lag, and returns the best lag
     inside the first contiguous run with correlation >= 0.999, refined by
     a parabola through the three samples around the maximum.  Returns None
     when the signal is constant, never decorrelates or never recurs.
@@ -199,7 +200,7 @@ def revival_period(series, min_lag=None):
     max_lag = (2 * n) // 3  # keep at least a third of the samples overlapping
     # the search reads lags below max_lag, and the vertex one lag beyond
     r = _lagged_pearson(x, max_lag + 1)
-    start = 1 if min_lag is None else max(1, int(np.ceil(min_lag / dt)))
+    start = max(1, int(np.ceil(min_lag / dt)))
     below = np.nonzero(r[start:max_lag] < _REVIVAL_THRESHOLD)[0]
     if below.size == 0:
         return None

@@ -19,6 +19,8 @@ from functools import reduce
 
 import numpy as np
 
+from .model import mu_tilde_ground
+
 __all__ = [
     "CompositePulse",
     "gaussian_for_area",
@@ -79,8 +81,7 @@ def composite_for_area(params, area, tau0, components):
     Peak amplitude per carrier sqrt(2/pi) * area / (|mu01/sqrt(2)| * tau0), so
     a carrier sitting on one doublet line accumulates |Theta| = area.
     """
-    mu0 = params.mu01 / np.sqrt(2.0)
-    e0 = np.sqrt(2.0 / np.pi) * area / (mu0 * tau0)
+    e0 = np.sqrt(2.0 / np.pi) * area / (mu_tilde_ground(params) * tau0)
     return CompositePulse(e0=e0, tau0=tau0, components=tuple(components),
                           t_start=-_PAD_WIDTHS * tau0, t_end=_PAD_WIDTHS * tau0)
 

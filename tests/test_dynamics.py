@@ -65,6 +65,19 @@ def test_zero_field_reduces_to_free_evolution():
         assert np.max(np.abs(traj.states[i] - want)) < 5e-12
 
 
+def test_a_coupling_far_below_the_level_energies_is_kept():
+    # two degenerate levels at a rotor energy E, coupled by eps = 1e-9 E: the
+    # drift is diagonalised however small its couplings, so over T the
+    # second level fills as sin(eps T); eigenvalue roundoff leaves about 5e-14
+    E, eps, T = 9.2e-7, 1e-15, 7e8
+    h0 = np.array([[E, eps], [eps, E]])
+    fld = rp.CompositePulse(e0=0.0, tau0=T / 14.0, components=((E, 0.0),),
+                            t_start=-T / 2.0, t_end=T / 2.0)
+    traj = propagate(h0, np.diag([1.0, -1.0]), fld, np.array([1.0, 0.0]),
+                     np.array([-T / 2.0, T / 2.0]))
+    assert abs(abs(traj.states[-1, 1]) - np.sin(eps * T)) <= 1e-12
+
+
 def test_eigenstate_is_stationary_under_weak_drive():
     # far-off-resonant weak drive: populations stay put to high order
     p = unit_params()
@@ -106,8 +119,9 @@ def test_propagator_is_linear():
 
 
 # (params, basis, dim) of the runs checked against DOP853: the dressed basis
-# at two sizes, and a coupled product basis, whose h0 is not diagonal, so the
-# kernel's frame diagonalizes it before it takes the eigenbasis of v
+# at two sizes, and a coupled product basis, whose h0 is not diagonal, so
+# diagonalizing it, as the kernel's frame does every h0, changes the basis
+# before the eigenbasis of v is taken
 _DOP853_RUNS = {
     "dressed6": (unit_params(j_max=2, n_max=2), "dressed", 6),
     "dressed40": (unit_params(j_max=1, n_max=19), "dressed", 40),
@@ -357,9 +371,9 @@ def test_peak_memory_does_not_grow_with_the_step_count():
 
 @pytest.mark.parametrize("basis", ["dressed", "product"])
 def test_real_and_complex_operators_give_the_same_bits(basis):
-    # the kernel takes complex copies of h0 and v: where h0 is not diagonal
-    # (the coupled product basis), a real pair would go to the real
-    # eigensolvers, whose eigenvectors differ in their last bits
+    # the kernel takes complex copies of h0 and v: a real pair would go to
+    # the real eigensolvers, whose eigenvectors differ in their last bits,
+    # and the frame diagonalizes both h0 and v in either basis
     if basis == "dressed":
         h0, v, _ = dressed_operators(_P_BATCH)
     else:
@@ -611,6 +625,23 @@ def test_weights_are_of_the_kernels_order():
 
 
 # ----------------------------------------------- cross-basis consistency
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_change_of_basis_rotates_the_result(seed):
+    # h0, v and the initial state turned by a random unitary U: the
+    # certified result is U times the unturned one, each within tol of the
+    # exact evolution, at every sample
+    h0, v, fld, _, _ = _kick_setup(True, 1.0)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=h0.shape) + 1j * rng.normal(size=h0.shape))
+    s0 = _random_state(seed, range(len(h0)))
+    times = np.linspace(fld.t_start, fld.t_end, 5)
+    tol = 1e-8
+    plain = propagate(h0, v, fld, s0, times, tol=tol)
+    turned = propagate(u @ h0 @ u.conj().T, u @ v @ u.conj().T, fld, u @ s0, times, tol=tol)
+    assert np.max(np.linalg.norm(turned.states - plain.states @ u.T, axis=1)) <= 2.0 * tol
+
 
 @functools.lru_cache(maxsize=None)
 def _population_mismatch(ratio, j_max, n_max, bw_ratio):
