@@ -152,7 +152,6 @@ def test_not_converged_when_step_control_is_frozen():
     # roundoff freezes step control: a tol below the run's norm drift, a
     # lower bound on its error, stops it at once and names the drift
     p = unit_params(j_max=2, n_max=1)
-    h0, v, bas, _ = _dressed_setup(p)
     h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
     with pytest.raises(rp.NotConverged, match=r"norm drift .* after \d+ steps"):
@@ -164,7 +163,6 @@ def test_step_control_stalls_once_its_runs_are_spent(monkeypatch):
     # drift far below tol; allowed one, step control stalls
     monkeypatch.setattr(rp.dynamics, "_MAX_HALVINGS", 1)
     p = unit_params(j_max=2, n_max=1)
-    h0, v, bas, _ = _dressed_setup(p)
     h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
     with pytest.raises(rp.NotConverged, match=r"stalled .* after 1 runs past the first"):
@@ -173,7 +171,6 @@ def test_step_control_stalls_once_its_runs_are_spent(monkeypatch):
 
 def test_times_outside_the_field_window_are_rejected():
     p = unit_params(j_max=2, n_max=1)
-    h0, v, bas, _ = _dressed_setup(p)
     h0, v, bas, s0 = _dressed_setup(p)
     fld = rp.gaussian_for_area(p, 1.0, tau0=2.0, omega0=p.omega01)
     for times in ([fld.t_start, fld.t_end + 1.0], [fld.t_start, fld.t_end, fld.t_end + 1.0]):
@@ -298,15 +295,19 @@ def test_rows_leave_the_ladder_one_by_one():
     assert isinstance(stalled, rp.NotConverged) and "norm drift" in str(stalled)
 
 
+def _kernel_operators(basis):
+    """h0 and v of the dressed 10-state ladder, or of the bare rotor up to j = 8."""
+    if basis == "dressed":
+        h0, v, _, _ = _dressed_setup(unit_params())
+        return h0, v
+    return np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8)
+
+
 @pytest.mark.parametrize("basis, levels", [("dressed", 1), ("bare", 5)])
 def test_merged_eigenvalue_kicks_match_the_exponential(basis, levels):
     # a kick takes one exponential per distinct |eigenvalue| of v: +-mu01
     # dressed, and bare 0 and the four positive Gauss-Legendre nodes
-    if basis == "dressed":
-        h0, v, _, _ = _dressed_setup(unit_params())
-    else:
-        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8)
-    frame = _frame(h0, v)
+    frame = _frame(*_kernel_operators(basis))
     assert frame.levels.size == levels
     arg = np.random.default_rng(levels).normal(size=(256, 3, 2))
     want = np.exp(1j * arg[..., None] * frame.w)
@@ -317,35 +318,65 @@ def test_merged_eigenvalue_kicks_match_the_exponential(basis, levels):
 @pytest.mark.parametrize("basis", ["dressed", "bare"])
 def test_kernel_is_its_documented_product_bit_for_bit(basis, rows):
     # the kernel's in-place, overhead-trimmed loop must compute exactly
-    # y = (y * kick) @ block per sub-step, between the opening and closing
-    # half drifts; 1,201 steps cross a chunk of the kick schedule
+    # y = (y * kick) @ block per sub-step on the state rows' float view,
+    # between the opening and closing half drifts; 1,201 steps cross a chunk
+    # of the kick schedule
     from rotpolariton import dynamics
     from rotpolariton.pulse import field_value
 
-    if basis == "dressed":
-        h0, v, _, _ = _dressed_setup(unit_params())
-    else:
-        h0, v = np.diag([B * j * (j + 1) for j in range(9)]), rp.cos_theta_elements(8)
-    frame = _frame(h0, v)
+    frame = _frame(*_kernel_operators(basis))
     fields = [_batch_field(0.1 * (r + 1), 1.5 + 0.25 * r, r) for r in range(rows)]
     y0 = np.random.default_rng(rows).normal(size=(rows, frame.w.size)) + 0j
     times, n = np.array([_WINDOW[0], -1.0, 0.5, _WINDOW[1]]), np.array([400, 1, 800])
     out = dynamics._run_sampled(frame, fields, y0, times, n)
+
+    def drift(y, tau):
+        return (y.view(float) @ frame.drift([tau])[0]).view(complex)
 
     c = np.asarray(dynamics._WEIGHTS)
     fuse, mid = 0.5 * (c + np.roll(c, -1)), np.cumsum(c) - 0.5 * c
     h = np.diff(times) / n
     y, want = y0, [y0]
     for i in range(n.size):
-        y = np.dot(y, frame.drift(0.5 * c[0] * h[i]))
+        y = drift(y, 0.5 * c[0] * h[i])
         for k in range(n[i]):
             ts = (times[i] + h[i] * k) + h[i] * mid
             arg = np.stack([field_value(f, ts) for f in fields], axis=-1) * (h[i] * c)[:, None]
             for kick, tau in zip(frame.kicks(arg), fuse * h[i]):
-                y = np.dot(y * kick, frame.drift(tau))
-        y = np.dot(y, frame.drift(-0.5 * c[0] * h[i]))
+                y = drift(y * kick, tau)
+        y = drift(y, -0.5 * c[0] * h[i])
         want.append(y)
     assert np.array_equal(out, np.array(want))
+
+
+def _complex_drift(frame, tau):
+    """The complex drift block D = (W^H exp(-i tau eps) W)^T: y evolves as y @ D."""
+    return (frame.wv.T * np.exp(-1j * tau * frame.eps)) @ frame.wv.conj()
+
+
+@pytest.mark.parametrize("basis", ["dressed", "bare"])
+def test_real_drift_blocks_are_exact_copies_of_the_complex_block(basis):
+    # the real form adds no rounding: its interleaved quarters are D's real
+    # and imaginary parts, for either sign of tau
+    frame = _frame(*_kernel_operators(basis))
+    taus = np.array([0.37, -0.37, 2.5, -11.0, 0.0])
+    for tau, block in zip(taus, frame.drift(taus)):
+        d = _complex_drift(frame, tau)
+        assert block.shape == (2 * d.shape[0], 2 * d.shape[1])
+        for (r, s), want in (((0, 0), d.real), ((0, 1), d.imag),
+                             ((1, 0), -d.imag), ((1, 1), d.real)):
+            assert np.array_equal(block[r::2, s::2], want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 8), tau=st.floats(-20.0, 20.0), seed=st.integers(0, 2 ** 32 - 1),
+       basis=st.sampled_from(["dressed", "bare"]))
+def test_float_view_product_is_the_complex_product(rows, tau, seed, basis):
+    frame = _frame(*_kernel_operators(basis))
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(rows, frame.w.size)) + 1j * rng.normal(size=(rows, frame.w.size))
+    real = (y.view(float) @ frame.drift([tau])[0]).view(complex)
+    assert np.max(np.abs(real - y @ _complex_drift(frame, tau))) <= 1e-15 * np.linalg.norm(y)
 
 
 def test_peak_memory_does_not_grow_with_the_step_count():
