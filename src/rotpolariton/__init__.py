@@ -10,53 +10,10 @@ restores the bare orientation maximum 1/sqrt(3) inside the cavity.
 
 __version__ = "0.1.0"
 
-from .control import (
-    DESIGN_AREA,
-    KICK_AREA,
-    check_conditions,
-    compute_areas,
-    design_composite,
-    kick_response,
-    magnus_final_state,
-    phase_functional,
-    scan_composite_bandwidth,
-    scan_detuning_bandwidth,
-)
-from .dynamics import Trajectory, magnus_wavefunction, propagate, propagate_batch
-from .errors import (
-    ConfigError,
-    DesignInfeasible,
-    NotConverged,
-    RotPolaritonError,
-)
-from .model import (
-    AU_PER_DEBYE,
-    HARTREE_PER_CM1,
-    SystemParams,
-    build_model,
-    cos_theta_elements,
-    doublet_energies,
-    mu_tilde_doublet,
-    mu_tilde_ground,
-)
-from .observables import (
-    TimeSeries,
-    dressed_populations_phases,
-    orientation_max_oracle,
-    orientation_trace,
-    revival_period,
-    spectrum,
-    spectrum_peaks,
-)
-from .pulse import (
-    CompositePulse,
-    PulseAreaSet,
-    carrier_ceiling,
-    composite_for_area,
-    field_to_dict,
-    field_value,
-    gaussian_for_area,
-    pulse_area_doublet,
-    pulse_area_ground,
-    spectral_area,
-)
+# the package surface is the union of the modules' __all__ lists
+from .control import *
+from .dynamics import *
+from .errors import *
+from .model import *
+from .observables import *
+from .pulse import *

@@ -704,23 +704,18 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help="recorded in the manifest; runs are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="one pulse: trajectory, orientation trace, spectrum")
-    sub.add_parser("scan", parents=[common],
-                   help="grids over detuning/bandwidth or composite bandwidth")
-    sub.add_parser("design", parents=[common],
-                   help="solve the two-color phase condition")
-    sub.add_parser("oracle", parents=[common],
-                   help="orientation bound on the lowest dressed states "
-                        "(top eigenpair of cos theta)")
+    for name, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
 
 
+# each command's function and its help line, in the order --help lists them
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "scan": cmd_scan,
-    "design": cmd_design,
-    "oracle": cmd_oracle,
+    "simulate": (cmd_simulate, "one pulse: trajectory, orientation trace, spectrum"),
+    "scan": (cmd_scan, "grids over detuning/bandwidth or composite bandwidth"),
+    "design": (cmd_design, "solve the two-color phase condition"),
+    "oracle": (cmd_oracle, "orientation bound on the lowest dressed states "
+                           "(top eigenpair of cos theta)"),
 }
 
 
@@ -745,7 +740,7 @@ def main(argv=None):
         cfg = resolve_config(raw, preset=args.preset)
         if args.out is not None:
             cfg["output"]["directory"] = _directory(args.out, "--out")
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

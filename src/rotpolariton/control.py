@@ -1,4 +1,4 @@
-"""Two-color pulse design, design-condition checks, and parameter scans.
+"""Two-color pulse design, the first-order pulse map, condition checks, and scans.
 
 The orientation-restoring scheme drives both ground-to-doublet lines with one
 Gaussian envelope.  Amplitude fixes the populations (1/2, 1/4, 1/4); the
@@ -13,7 +13,9 @@ the torus line traced by the two free phases conserves exactly this
 combination.  Phi is linear in phi_up between the 2 pi jumps of an angle, so
 the designer writes its roots down and polishes the one nearest the unwrapped
 guess with one Newton step on the closed-form areas (pulse.spectral_area).
-The designed pulse is then checked against every condition.
+The designed pulse is then checked against every condition, with the
+populations that the first-order pulse map (magnus_wavefunction) predicts
+from the areas on the lowest five dressed states.
 
 Both scans run through one driver.  A scan job holds fields that share one
 window; the job propagates them as one batch and turns each trajectory into a
@@ -28,7 +30,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .dynamics import magnus_wavefunction, propagate, propagate_batch
+from .dynamics import propagate, propagate_batch
 from .errors import DesignInfeasible, NotConverged
 from .model import (
     Model,
@@ -58,10 +60,12 @@ __all__ = [
     "DESIGN_AREA",
     "KICK_AREA",
     "compute_areas",
+    "magnus_wavefunction",
     "phase_functional",
     "check_conditions",
     "design_composite",
     "kick_response",
+    "magnus_final_state",
     "scan_detuning_bandwidth",
     "scan_composite_bandwidth",
 ]
@@ -102,6 +106,36 @@ def compute_areas(params, fld):
     up, lo = pulse_area_ground(fld, w0, mu_tilde_ground(params))
     dbl = pulse_area_doublet(fld, w0, w1, mu_tilde_doublet(params))
     return PulseAreaSet(up, lo, dbl)
+
+
+def magnus_wavefunction(areas):
+    """First-order analytic pulse map on the lowest five dressed states.
+
+    Given the spectral areas accumulated up to some instant, returns the
+    amplitudes of |0;0>, |+;0>, |-;0>, |+;1>, |-;1> without their drift
+    phases, as one complex array:
+
+        c_ground = 1 - theta0^2 (1 - cos Theta) / Theta^2
+        c_{l;0}  = i (sin Theta / Theta) conj(Theta_{l,0})
+        c_{l;1}  = -((1 - cos Theta)/Theta^2) conj(sum_s Theta_{s,0} Theta_{s,l,1})
+
+    with Theta the total aggregate area.  The Theta -> 0 limits are handled
+    through numerically stable sinc forms.
+    """
+    th = areas.theta
+    # (1 - cos x)/x^2 = sinc(x/2pi)^2 / 2 with numpy's normalized sinc
+    hfac = 0.5 * np.sinc(th / (2.0 * np.pi)) ** 2
+    sfac = np.sinc(th / np.pi)
+
+    t0 = {+1: areas.theta_up0, -1: areas.theta_lo0}
+    amps = np.empty(5, dtype=complex)
+    amps[0] = 1.0 - areas.theta0 ** 2 * hfac
+    amps[1] = 1j * sfac * np.conj(t0[+1])
+    amps[2] = 1j * sfac * np.conj(t0[-1])
+    for col, l in ((3, +1), (4, -1)):
+        cross = sum(t0[s] * areas.doublet[(s, l)] for s in (+1, -1))
+        amps[col] = -hfac * np.conj(cross)
+    return amps
 
 
 def phase_functional(params, areas):

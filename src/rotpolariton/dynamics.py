@@ -1,4 +1,4 @@
-"""Wavefunction propagation and the first-order analytic pulse map.
+"""Wavefunction propagation.
 
 The total Hamiltonian is H(t) = h0 - E(t) v with h0, v time independent.
 One split-step kernel, _run_sampled, propagates R state rows at once, each
@@ -43,7 +43,6 @@ __all__ = [
     "Trajectory",
     "propagate",
     "propagate_batch",
-    "magnus_wavefunction",
 ]
 
 
@@ -401,32 +400,3 @@ def propagate(h0, v, fld, state0, times, tol=1e-8):
         raise result
     return result
 
-
-def magnus_wavefunction(areas):
-    """First-order analytic pulse map on the lowest five dressed states.
-
-    Given the spectral areas accumulated up to some instant, returns the
-    amplitudes of |0;0>, |+;0>, |-;0>, |+;1>, |-;1> without their drift
-    phases, as one complex array:
-
-        c_ground = 1 - theta0^2 (1 - cos Theta) / Theta^2
-        c_{l;0}  = i (sin Theta / Theta) conj(Theta_{l,0})
-        c_{l;1}  = -((1 - cos Theta)/Theta^2) conj(sum_s Theta_{s,0} Theta_{s,l,1})
-
-    with Theta the total aggregate area.  The Theta -> 0 limits are handled
-    through numerically stable sinc forms.
-    """
-    th = areas.theta
-    # (1 - cos x)/x^2 = sinc(x/2pi)^2 / 2 with numpy's normalized sinc
-    hfac = 0.5 * np.sinc(th / (2.0 * np.pi)) ** 2
-    sfac = np.sinc(th / np.pi)
-
-    t0 = {+1: areas.theta_up0, -1: areas.theta_lo0}
-    amps = np.empty(5, dtype=complex)
-    amps[0] = 1.0 - areas.theta0 ** 2 * hfac
-    amps[1] = 1j * sfac * np.conj(t0[+1])
-    amps[2] = 1j * sfac * np.conj(t0[-1])
-    for col, l in ((3, +1), (4, -1)):
-        cross = sum(t0[s] * areas.doublet[(s, l)] for s in (+1, -1))
-        amps[col] = -hfac * np.conj(cross)
-    return amps

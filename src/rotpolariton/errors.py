@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["RotPolaritonError", "NotConverged", "DesignInfeasible", "ConfigError"]
+
 
 class RotPolaritonError(Exception):
     """Base class for all package-specific errors."""

@@ -745,29 +745,3 @@ def test_truncation_is_converged():
                     for lab, a in zip(bas.labels, traj.states[-1])}
     common = [lab for lab in d[4] if lab != "edge"]
     assert max(abs(d[4][lab] - d[6][lab]) for lab in common) < 1e-6
-
-
-# ------------------------------------------------------- analytic pulse map
-
-def test_magnus_wavefunction_quarter_area():
-    # theta0 = pi/4 with balanced lines puts (1/2, 1/4, 1/4) on the triplet
-    A = np.pi / 4.0 / np.sqrt(2.0)
-    dbl = {(s, l): 0.0 for s in (1, -1) for l in (1, -1)}
-    areas = rp.PulseAreaSet(A * np.exp(0.3j), A * np.exp(-1.1j), dbl)
-    amps = rp.magnus_wavefunction(areas)
-    pops = np.abs(amps) ** 2
-    assert pops[0] == pytest.approx(0.5, abs=1e-12)
-    assert pops[1] == pytest.approx(0.25, abs=1e-12)
-    assert pops[2] == pytest.approx(0.25, abs=1e-12)
-    assert pops[3] == pytest.approx(0.0, abs=1e-12)
-    # first-order map conjugates the drive phase into the amplitudes
-    assert np.angle(amps[1]) == pytest.approx(np.pi / 2.0 - 0.3, abs=1e-12)
-    assert np.angle(amps[2]) == pytest.approx(np.pi / 2.0 + 1.1, abs=1e-12)
-
-
-def test_magnus_wavefunction_zero_field_is_identity():
-    dbl = {(s, l): 0.0 for s in (1, -1) for l in (1, -1)}
-    areas = rp.PulseAreaSet(0.0, 0.0, dbl)
-    amps = rp.magnus_wavefunction(areas)
-    assert abs(amps[0]) == pytest.approx(1.0)
-    assert np.max(np.abs(amps[1:])) == 0.0
