@@ -24,6 +24,7 @@ import os
 import reprlib
 import sys
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -462,14 +463,28 @@ def _cells(row):
             for v in row]
 
 
+# _write_tsv formats and writes this many rows at a time, so the text it
+# holds is bounded by the block, not by the row count
+_TSV_BLOCK = 4096
+
+
 def _write_tsv(path, columns, rows):
     """A '# ' header, then rows of Python floats and ints, each written by repr.
 
-    A 2d float array becomes such rows through .tolist().
+    A 2d float array becomes such rows through .tolist().  Every value is its
+    repr, Python's shortest text that reads back as the same double; a block
+    of _TSV_BLOCK rows is formatted by one % over a line template of one %r
+    per column, and written at once.  A row whose length is not the number of
+    columns raises ValueError.
     """
+    width, rows = len(columns), iter(rows)
+    line = "\t".join(["%r"] * width) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + "\t".join(columns) + "\n")
-        fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
+        while block := list(islice(rows, _TSV_BLOCK)):
+            if set(map(len, block)) != {width}:
+                raise ValueError(f"{path}: a row does not have {width} values")
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _write_spectrum(path, spec, params):

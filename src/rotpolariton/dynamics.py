@@ -219,9 +219,12 @@ def _run_grid(times, tau0):
     # the slack keeps a window of a whole number of half widths from rounding
     # up to one part more
     parts = np.maximum(1, np.ceil(np.diff(times) / (_GRID_WIDTHS * tau0) - 1e-9)).astype(int)
-    grid = np.concatenate([np.linspace(a, b, k + 1)[:-1]
-                           for a, b, k in zip(times[:-1], times[1:], parts)] + [times[-1:]])
     samples = np.concatenate([[0], np.cumsum(parts)])
+    # part j of sample interval [a, b] starts at j ((b - a) / k) + a, the
+    # arithmetic of np.linspace(a, b, k + 1), so the grid is its bits
+    j = np.arange(samples[-1]) - np.repeat(samples[:-1], parts)
+    grid = np.append(j * np.repeat(np.diff(times) / parts, parts)
+                     + np.repeat(times[:-1], parts), times[-1])
     width = math.sqrt(2.0 * (_ORDER + 1)) * tau0
     erfs = np.array([math.erf(t / width) for t in grid])
     return grid, samples, 0.5 * math.sqrt(math.pi) * width * np.diff(erfs)
@@ -234,7 +237,11 @@ def _run_sampled(frame, fields, y0, times, n):
     (times, rows, dim).  Kicks sit at the sub-step midpoints.  The half
     drifts that close one sub-step and open the next are fused, so a step
     costs len(_WEIGHTS) diagonal kicks and dense drifts for all rows
-    together, each drift one real product on the rows' float view.  The kick
+    together, each drift one real product on the rows' float view.  The
+    drift blocks of every distinct step length of the run are built in one
+    call before it starts, and each interval looks its own up by index.  An
+    interval's opening half drift reads the state stored at its start, and
+    its closing one writes the state at its end, in place.  The kick
     schedule and its field phases are built about _CHUNK sub-steps at a
     time, consumed in step order across intervals, so no array grows with
     the step count.
@@ -262,29 +269,30 @@ def _run_sampled(frame, fields, y0, times, n):
 
     # one kick phase per sub-step, in step order across intervals
     stream = chain.from_iterable(phases())
-    # the opening and closing half drifts and the fused ones, one batch per
-    # step length: neighbouring intervals alternate among a few lengths
+    # per distinct step length, built in one call: the opening and closing
+    # half drifts, then the fused ones; neighbouring intervals alternate
+    # among a few lengths
     taus = np.concatenate([[0.5 * c[0], -0.5 * c[0]], fuse])
-    blocks = {}
+    lengths, which = np.unique(h, return_inverse=True)
+    built = frame.drift(np.outer(lengths, taus).ravel())
+    blocks = [(b[0], b[1], list(b[2:])) for b in np.split(built, lengths.size)]
 
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y0
-    y, kicked = y0.copy(), np.empty_like(y0)
+    y, kicked = np.empty_like(y0), np.empty_like(y0)
     # a few-row sub-step is call overhead: bound ndarray.dot skips np.dot's
     # dispatcher, positional outs skip keyword parsing, and the float views
     # reach BLAS's small real product instead of the complex one
     multiply, kf_dot, yf = np.multiply, kicked.view(float).dot, y.view(float)
-    for i in range(times.size - 1):
-        if h[i] not in blocks:
-            blocks[h[i]] = list(frame.drift(taus * h[i]))
-        opening, closing, *fused = blocks[h[i]]
-        yf[...] = yf @ opening
+    outf = out.view(float)
+    for i, k in enumerate(which):
+        opening, closing, fused = blocks[k]
+        outf[i].dot(opening, yf)
         for kick, block in zip(islice(stream, n[i] * c.size), cycle(fused)):
             multiply(y, kick, kicked)
             kf_dot(block, yf)
         # the last fused drift overshoots the closing half drift by c[0] h / 2
-        yf[...] = yf @ closing
-        out[i + 1] = y
+        yf.dot(closing, outf[i + 1])
     return out
 
 

@@ -720,6 +720,59 @@ def test_json_hook_writes_numpy_and_refuses_the_rest():
             json.dumps({"a": [1.0, bad]}, default=_plain)
 
 
+def _per_row_tsv(columns, rows):
+    """The text _write_tsv wrote with one join of reprs per row, kept as its reference."""
+    return "".join(["# " + "\t".join(columns) + "\n"]
+                   + ["\t".join(map(repr, row)) + "\n" for row in rows])
+
+
+_TSV_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0 ** 53]
+
+
+# every edge, None (nan) and a bool (0 or 1) in one table across a block edge
+@example(width=3, n_rows=cli._TSV_BLOCK + 1, pool=_TSV_EDGES + [None, True, False, 0.1])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(width=st.integers(1, 5),
+       n_rows=st.sampled_from([0, 1, 2, cli._TSV_BLOCK, cli._TSV_BLOCK + 1]),
+       pool=st.lists(st.one_of(st.sampled_from(_TSV_EDGES), st.floats(), st.none(),
+                               st.booleans()), min_size=1, max_size=12))
+def test_tsv_text_is_the_per_row_join_of_reprs(tmp_path, width, n_rows, pool):
+    # rows of floats, and _cells rows holding 0 and 1 ints, written in blocks
+    # of rows: the bytes of the per-row join, each cell read back bit for bit
+    values = cli._cells(pool)
+    rows = [[values[(r * width + k) % len(values)] for k in range(width)]
+            for r in range(n_rows)]
+    columns = [f"c{k}" for k in range(width)]
+    path = tmp_path / "t.tsv"
+    cli._write_tsv(path, columns, rows)
+    # line by line: a diff of two whole texts of 4,097 lines takes pytest minutes
+    lines, want = path.read_text().splitlines(), _per_row_tsv(columns, rows).splitlines()
+    assert len(lines) == len(want) == n_rows + 1
+    bad = [i for i, (a, b) in enumerate(zip(lines, want)) if a != b]
+    assert not bad, f"{len(bad)} lines differ, first {lines[bad[0]]!r} != {want[bad[0]]!r}"
+    for line, row in zip(lines[1:], rows):
+        assert [float(cell).hex() for cell in line.split("\t")] == \
+            [float(v).hex() for v in row]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(width=st.integers(1, 5), n_rows=st.sampled_from([1, cli._TSV_BLOCK + 1]),
+       at=st.integers(0, cli._TSV_BLOCK), change=st.sampled_from([-1, 1]))
+def test_a_tsv_row_of_the_wrong_length_raises(tmp_path, width, n_rows, at, change):
+    rows = [[0.5] * width for _ in range(n_rows)]
+    rows[at % n_rows] = [0.5] * (width + change)
+    with pytest.raises(ValueError, match=f"does not have {width} values"):
+        cli._write_tsv(tmp_path / "t.tsv", [f"c{k}" for k in range(width)], rows)
+
+
+def test_a_short_and_a_long_tsv_row_that_balance_still_raise(tmp_path):
+    # 2 + 4 values fill two 3-column lines: only a per-row check sees them
+    with pytest.raises(ValueError):
+        cli._write_tsv(tmp_path / "t.tsv", ["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0, 5.0, 6.0]])
+
+
 def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):
     # a tol below every record's norm drift
     frozen = {"integrator": {"tol": 1e-15}}

@@ -42,6 +42,19 @@ def test_identical_directories_pass(outdir):
     assert _run(outdir, other) == 0
 
 
+def test_byte_equal_files_read_identical_and_rewritten_ones_equal(outdir):
+    other = _copy(outdir, "b")
+    # the same values in other text: 0.5 as 5e-1, and the JSON indented
+    (other / "orientation.tsv").write_text("# time_au\torientation\n0.0\t5e-1\n1.0\t-0.25\n")
+    (other / "report.json").write_text(json.dumps({"phase": 0.349, "carriers": [[1.8, 0.0]]},
+                                                  indent=2))
+    out = io.StringIO()
+    assert compare_outputs.compare(str(outdir), str(other), out=out)
+    assert out.getvalue() == ("ok   orientation.tsv: equal\n"
+                              "ok   records.jsonl: identical\n"
+                              "ok   report.json: equal\n")
+
+
 def test_a_value_past_its_tolerance_fails(outdir):
     other = _copy(outdir, "b")
     (other / "orientation.tsv").write_text("# time_au\torientation\n0.0\t0.5\n1.0\t-0.2500001\n")

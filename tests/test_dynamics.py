@@ -4,10 +4,11 @@ basis, and the first-order pulse map."""
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rotpolariton as rp
 from rotpolariton.dynamics import propagate, propagate_batch
@@ -319,34 +320,39 @@ def test_merged_eigenvalue_kicks_match_the_exponential(basis, levels):
 def test_kernel_is_its_documented_product_bit_for_bit(basis, rows):
     # the kernel's in-place, overhead-trimmed loop must compute exactly
     # y = (y * kick) @ block per sub-step on the state rows' float view,
-    # between the opening and closing half drifts; 1,201 steps cross a chunk
-    # of the kick schedule
+    # between the opening and closing half drifts, each block built for its
+    # own interval; 1,201 steps cross a chunk of the kick schedule, and 64
+    # intervals of 1-32 steps, each count twice and never side by side, share
+    # 32 step lengths among them, looked up from blocks built in one batch
     from rotpolariton import dynamics
     from rotpolariton.pulse import field_value
 
     frame = _frame(*_kernel_operators(basis))
     fields = [_batch_field(0.1 * (r + 1), 1.5 + 0.25 * r, r) for r in range(rows)]
     y0 = np.random.default_rng(rows).normal(size=(rows, frame.w.size)) + 0j
-    times, n = np.array([_WINDOW[0], -1.0, 0.5, _WINDOW[1]]), np.array([400, 1, 800])
-    out = dynamics._run_sampled(frame, fields, y0, times, n)
+    c = np.asarray(dynamics._WEIGHTS)
+    fuse, mid = 0.5 * (c + np.roll(c, -1)), np.cumsum(c) - 0.5 * c
 
     def drift(y, tau):
         return (y.view(float) @ frame.drift([tau])[0]).view(complex)
 
-    c = np.asarray(dynamics._WEIGHTS)
-    fuse, mid = 0.5 * (c + np.roll(c, -1)), np.cumsum(c) - 0.5 * c
-    h = np.diff(times) / n
-    y, want = y0, [y0]
-    for i in range(n.size):
-        y = drift(y, 0.5 * c[0] * h[i])
-        for k in range(n[i]):
-            ts = (times[i] + h[i] * k) + h[i] * mid
-            arg = np.stack([field_value(f, ts) for f in fields], axis=-1) * (h[i] * c)[:, None]
-            for kick, tau in zip(frame.kicks(arg), fuse * h[i]):
-                y = drift(y * kick, tau)
-        y = drift(y, -0.5 * c[0] * h[i])
-        want.append(y)
-    assert np.array_equal(out, np.array(want))
+    many = 1 + (5 * np.arange(64)) % 32
+    for times, n in ((np.array([_WINDOW[0], -1.0, 0.5, _WINDOW[1]]), np.array([400, 1, 800])),
+                     (np.linspace(*_WINDOW, 65), many)):
+        out = dynamics._run_sampled(frame, fields, y0, times, n)
+        h = np.diff(times) / n
+        assert np.unique(h).size == np.unique(n).size
+        y, want = y0, [y0]
+        for i in range(n.size):
+            y = drift(y, 0.5 * c[0] * h[i])
+            for k in range(n[i]):
+                ts = (times[i] + h[i] * k) + h[i] * mid
+                arg = np.stack([field_value(f, ts) for f in fields], axis=-1) * (h[i] * c)[:, None]
+                for kick, tau in zip(frame.kicks(arg), fuse * h[i]):
+                    y = drift(y * kick, tau)
+            y = drift(y, -0.5 * c[0] * h[i])
+            want.append(y)
+        assert np.array_equal(out, np.array(want))
 
 
 def _complex_drift(frame, tau):
@@ -553,6 +559,40 @@ def test_the_run_grid_splits_long_intervals_and_weighs_them_by_the_envelope():
             t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
             quad = 0.5 * (hi - lo) * np.dot(q, np.exp(-t * t / (14.0 * tau0 ** 2)))
             assert w == pytest.approx(quad, rel=1e-12)
+
+
+def _linspace_run_grid(times, tau0):
+    """_run_grid as it was built before: one np.linspace per sample interval."""
+    from rotpolariton import dynamics
+
+    parts = np.maximum(1, np.ceil(np.diff(times) / (dynamics._GRID_WIDTHS * tau0)
+                                  - 1e-9)).astype(int)
+    grid = np.concatenate([np.linspace(a, b, k + 1)[:-1]
+                           for a, b, k in zip(times[:-1], times[1:], parts)] + [times[-1:]])
+    samples = np.concatenate([[0], np.cumsum(parts)])
+    width = np.sqrt(2.0 * (dynamics._ORDER + 1)) * tau0
+    erfs = np.array([math.erf(t / width) for t in grid])
+    return grid, samples, 0.5 * np.sqrt(np.pi) * width * np.diff(erfs)
+
+
+# a kick's window, one sample interval of +-7 widths (CI's one_interval case)
+@example(start=-7.0, gaps=[14.0], tau0=1234.5)
+# a simulate's 257 trajectory samples, every interval under half a width
+@example(start=-7.0, gaps=[14.0 / 256] * 256, tau0=1.5)
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-50.0, 50.0),
+       gaps=st.lists(st.one_of(st.floats(1e-3, 0.5), st.floats(0.5, 12.0)),
+                     min_size=1, max_size=40),
+       tau0=st.floats(1e-2, 1e4))
+def test_the_run_grid_is_the_linspace_grid_bit_for_bit(start, gaps, tau0):
+    # times and gaps in widths tau0: a sample interval shorter than half a
+    # width stays whole, a longer one splits into equal parts
+    times = tau0 * (start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    assume(np.all(np.diff(times) > 0))
+    from rotpolariton import dynamics
+
+    for got, want in zip(dynamics._run_grid(times, tau0), _linspace_run_grid(times, tau0)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_every_run_interval_takes_a_step_and_the_samples_come_back(monkeypatch):

@@ -12,9 +12,10 @@ t_max=0 demands exact equality.  nan agrees with nan.  Strings, booleans,
 nulls, the shape of a table or a JSON tree, and any other file type must
 match exactly.  manifest.json is skipped: it names its own directory.
 
-Prints one line per file, headed by the worst difference per column or, when
-no number moved, by the first problem found, and exits 1
-when a file is missing on either side or any value lies beyond its tolerance.
+Prints one line per file: "identical" when its bytes match, "equal" when
+its text differs but no value moved, else the worst difference per column
+or, when no number moved, the first problem found.  Exits 1 when a file is
+missing on either side or any value lies beyond its tolerance.
 """
 
 import argparse
@@ -31,6 +32,11 @@ def _files(root):
     for base, _, names in os.walk(root):
         out |= {os.path.relpath(os.path.join(base, n), root) for n in names if n not in SKIP}
     return out
+
+
+def _bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _tsv(path):
@@ -82,8 +88,7 @@ def compare_file(old, new, atol, rtol, tols):
     """Problems found and the worst (absolute, column-relative) difference per column."""
     read = _tsv if old.endswith(".tsv") else _json if old.endswith((".json", ".jsonl")) else None
     if read is None:
-        with open(old, "rb") as fa, open(new, "rb") as fb:
-            return ([] if fa.read() == fb.read() else ["bytes differ"]), {}
+        return ([] if _bytes(old) == _bytes(new) else ["bytes differ"]), {}
     try:
         la, lb = list(read(old)), list(read(new))
     except ValueError as exc:
@@ -120,8 +125,11 @@ def compare(old_dir, new_dir, atol=0.0, rtol=0.0, tols=None, out=sys.stdout):
             print(f"FAIL {rel}: only in {old_dir if rel in fa else new_dir}", file=out)
             ok = False
             continue
-        problems, worst = compare_file(os.path.join(old_dir, rel), os.path.join(new_dir, rel),
-                                       atol, rtol, tols)
+        a, b = os.path.join(old_dir, rel), os.path.join(new_dir, rel)
+        if _bytes(a) == _bytes(b):
+            print(f"ok   {rel}: identical", file=out)
+            continue
+        problems, worst = compare_file(a, b, atol, rtol, tols)
         moved = {k: w for k, w in worst.items() if w[0] > 0}
         status = "FAIL" if problems else "ok  "
         summary = ", ".join(f"{k} |d| {w[0]:.2g} rel {w[1]:.2g}" for k, w in sorted(moved.items()))
