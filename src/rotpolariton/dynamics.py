@@ -80,6 +80,12 @@ class _SplitFrame:
         group = np.empty(self.w.size, dtype=int)
         group[order] = np.concatenate([[0], np.cumsum(new)])
         self.gather = group + self.levels.size * (self.w < 0)
+        # what sizes the pilot step (_default_dt) of every field: the largest
+        # drift gap v couples, and v's 2-norm
+        vt = np.abs(self.vt)
+        gaps = np.abs(self.eps[:, None] - self.eps[None, :])[vt > 1e-12 * float(vt.max())]
+        self.w_gap = float(gaps.max()) if gaps.size else 0.0
+        self.v_norm = float(np.linalg.norm(self.vt, 2))
 
     def kicks(self, arg):
         """exp(i arg w) for each eigenvalue w of v, shape arg.shape + (dim,)."""
@@ -185,14 +191,9 @@ def _default_dt(frame, fld):
     The pilot pair runs at this step and its half; their estimate predicts
     the certified step, so the pilot needs to be coarse, not accurate.
     """
-    vt = np.abs(frame.vt)
-    coupled = vt > 1e-12 * float(vt.max())
-    gaps = np.abs(frame.eps[:, None] - frame.eps[None, :])[coupled]
-    w_gap = float(gaps.max()) if gaps.size else 0.0
     ts = np.linspace(fld.t_start, fld.t_end, 513)
     peak = float(np.max(np.abs(field_value(fld, ts))))
-    w_rabi = peak * float(np.linalg.norm(frame.vt, 2))
-    w_fast = carrier_ceiling(fld) + w_gap + w_rabi
+    w_fast = carrier_ceiling(fld) + frame.w_gap + peak * frame.v_norm
     w_fast = max(w_fast, 2.0 * np.pi / (fld.t_end - fld.t_start))
     return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD
 
@@ -271,11 +272,14 @@ def _run_sampled(frame, fields, y0, times, n):
     stream = chain.from_iterable(phases())
     # per distinct step length, built in one call: the opening and closing
     # half drifts, then the fused ones; neighbouring intervals alternate
-    # among a few lengths
-    taus = np.concatenate([[0.5 * c[0], -0.5 * c[0]], fuse])
+    # among a few lengths.  The weights are palindromic, so the 11 drifts of
+    # a step take 7 distinct lengths, each built once
+    taus, slot = np.unique(np.concatenate([[0.5 * c[0], -0.5 * c[0]], fuse]),
+                           return_inverse=True)
     lengths, which = np.unique(h, return_inverse=True)
-    built = frame.drift(np.outer(lengths, taus).ravel())
-    blocks = [(b[0], b[1], list(b[2:])) for b in np.split(built, lengths.size)]
+    built = frame.drift(np.outer(lengths, taus).ravel()).reshape(lengths.size, taus.size,
+                                                                 2 * frame.w.size, -1)
+    blocks = [(b[slot[0]], b[slot[1]], list(b[slot[2:]])) for b in built]
 
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y0

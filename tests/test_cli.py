@@ -729,8 +729,10 @@ def _per_row_tsv(columns, rows):
 _TSV_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0 ** 53]
 
 
-# every edge, None (nan) and a bool (0 or 1) in one table across a block edge
+# every edge, None (nan) and a bool (0 or 1) in one table across a block
+# edge, and across an array chunk's edge
 @example(width=3, n_rows=cli._TSV_BLOCK + 1, pool=_TSV_EDGES + [None, True, False, 0.1])
+@example(width=5, n_rows=cli._TSV_BLOCK + 1, pool=_TSV_EDGES + [None, True, 0.1, -2.5e-7])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(width=st.integers(1, 5),
@@ -739,21 +741,24 @@ _TSV_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0 ** 53]
                                st.booleans()), min_size=1, max_size=12))
 def test_tsv_text_is_the_per_row_join_of_reprs(tmp_path, width, n_rows, pool):
     # rows of floats, and _cells rows holding 0 and 1 ints, written in blocks
-    # of rows: the bytes of the per-row join, each cell read back bit for bit
+    # of rows, and the same values as a float array through the digit path:
+    # the bytes of the per-row join, each cell read back bit for bit
     values = cli._cells(pool)
     rows = [[values[(r * width + k) % len(values)] for k in range(width)]
             for r in range(n_rows)]
+    array = np.array(rows, dtype=float).reshape(n_rows, width)
     columns = [f"c{k}" for k in range(width)]
     path = tmp_path / "t.tsv"
-    cli._write_tsv(path, columns, rows)
-    # line by line: a diff of two whole texts of 4,097 lines takes pytest minutes
-    lines, want = path.read_text().splitlines(), _per_row_tsv(columns, rows).splitlines()
-    assert len(lines) == len(want) == n_rows + 1
-    bad = [i for i, (a, b) in enumerate(zip(lines, want)) if a != b]
-    assert not bad, f"{len(bad)} lines differ, first {lines[bad[0]]!r} != {want[bad[0]]!r}"
-    for line, row in zip(lines[1:], rows):
-        assert [float(cell).hex() for cell in line.split("\t")] == \
-            [float(v).hex() for v in row]
+    for given, table in ((rows, rows), (array, array.tolist())):
+        cli._write_tsv(path, columns, given)
+        # line by line: a diff of two whole texts of 4,097 lines takes pytest minutes
+        lines, want = path.read_text().splitlines(), _per_row_tsv(columns, table).splitlines()
+        assert len(lines) == len(want) == n_rows + 1
+        bad = [i for i, (a, b) in enumerate(zip(lines, want)) if a != b]
+        assert not bad, f"{len(bad)} lines differ, first {lines[bad[0]]!r} != {want[bad[0]]!r}"
+        for line, row in zip(lines[1:], table):
+            assert [float(cell).hex() for cell in line.split("\t")] == \
+                [float(v).hex() for v in row]
 
 
 @settings(max_examples=20, deadline=None,
@@ -763,8 +768,13 @@ def test_tsv_text_is_the_per_row_join_of_reprs(tmp_path, width, n_rows, pool):
 def test_a_tsv_row_of_the_wrong_length_raises(tmp_path, width, n_rows, at, change):
     rows = [[0.5] * width for _ in range(n_rows)]
     rows[at % n_rows] = [0.5] * (width + change)
+    columns = [f"c{k}" for k in range(width)]
     with pytest.raises(ValueError, match=f"does not have {width} values"):
-        cli._write_tsv(tmp_path / "t.tsv", [f"c{k}" for k in range(width)], rows)
+        cli._write_tsv(tmp_path / "t.tsv", columns, rows)
+    # an array of another width, or not 2d, raises alike
+    for array in (np.full((n_rows, width + change), 0.5), np.full(width, 0.5)):
+        with pytest.raises(ValueError, match=f"does not have {width} values"):
+            cli._write_tsv(tmp_path / "t.tsv", columns, array)
 
 
 def test_a_short_and_a_long_tsv_row_that_balance_still_raise(tmp_path):
