@@ -24,7 +24,6 @@ import os
 import reprlib
 import sys
 from functools import cache, partial
-from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -452,23 +451,10 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _per(value, unit):
-    """value / unit, or None (written as nan) when the record lacks the value."""
-    return None if value is None else value / unit
-
-
-def _cells(row):
-    """A scan-table row as _write_tsv takes it: None as nan, a bool as 0 or 1."""
-    return [float("nan") if v is None else int(v) if isinstance(v, bool) else float(v)
-            for v in row]
-
-
-# _write_tsv formats and writes a list this many rows at a time, and an array
-# this many values at a time (whole rows), so the text it holds is bounded by
-# the block.  On an array the digit arithmetic's temporaries then stay in a
-# 2 MB L2 cache: the 395k values of one simulate_io iteration took 0.83x the
-# time of one block per array (16,384 values: 0.91x)
-_TSV_BLOCK = 4096
+# _write_tsv formats and writes this many values at a time (whole rows), so
+# the text it holds is bounded by the chunk and the digit arithmetic's
+# temporaries stay in a 2 MB L2 cache: the 395k values of one simulate_io
+# iteration took 0.83x the time of one chunk per array (16,384 values: 0.91x)
 _TSV_VALUES = 8192
 
 # 10^k as int64, k = 0 ... 18
@@ -598,37 +584,26 @@ def _tsv_text(values, ends):
 
 
 def _write_tsv(path, columns, rows):
-    """A '# ' header, then rows of values, each written as Python's repr writes it.
+    """A '# ' header, then the rows of a 2d float array, each value written as
+    Python's repr writes it.
 
     Every value is repr's text, the shortest that reads back as the same
-    double.  `rows` is a 2d float array, or a list of rows of Python floats
-    and ints.  An array is written _TSV_VALUES values at a time from digits
-    computed in numpy (_tsv_text); the values those digits cannot settle,
-    nan, inf and 0 included, go through repr itself.  A list is written
-    _TSV_BLOCK rows at a time by one % over a line template of one %r per
-    column.  An array of another width, or a row whose length is not the
-    number of columns, raises ValueError.
+    double.  It is written _TSV_VALUES values at a time from digits computed
+    in numpy (_tsv_text); the values those digits cannot settle, nan, inf and
+    0 included, go through repr itself.  An array that is not 2d, or of
+    another width than `columns`, raises ValueError.
     """
     width = len(columns)
-    wrong = f"{path}: a row does not have {width} values"
-    array = isinstance(rows, np.ndarray)
-    if array and (rows.ndim != 2 or rows.shape[1] != width):
-        raise ValueError(wrong)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{path}: a row does not have {width} values")
+    flat = np.asarray(rows, dtype=float).ravel()
+    step = max(1, _TSV_VALUES // width) * width
+    ends = np.arange(min(step, flat.size)) % width == width - 1
     with open(path, "w") as fh:
         fh.write("# " + "\t".join(columns) + "\n")
-        if array:
-            flat = np.asarray(rows, dtype=float).ravel()
-            step = max(1, _TSV_VALUES // width) * width
-            ends = np.arange(min(step, flat.size)) % width == width - 1
-            for a in range(0, flat.size, step):
-                chunk = flat[a:a + step]
-                fh.write(_tsv_text(chunk, ends[:chunk.size]))
-            return
-        rows, line = iter(rows), "\t".join(["%r"] * width) + "\n"
-        while block := list(islice(rows, _TSV_BLOCK)):
-            if set(map(len, block)) != {width}:
-                raise ValueError(wrong)
-            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+        for a in range(0, flat.size, step):
+            chunk = flat[a:a + step]
+            fh.write(_tsv_text(chunk, ends[:chunk.size]))
 
 
 def _write_spectrum(path, spec, params):
@@ -765,11 +740,14 @@ def cmd_scan(cfg, args):
         groups = [(cav, bw) for cav in sc["cavity"] for bw in sc["bandwidths_g"]]
         columns = ["detuning_g", "orientation_max", "orientation_snapshot",
                    "t_max_tau", "revival_tau", "converged"]
-        tables = [(_orientation_tsv(cav, bw), columns,
-                   [_cells((rec["detuning"] / g_ref, rec.get("orientation_max"),
-                            rec.get("orientation_snapshot"), _per(rec.get("t_max"), tau),
-                            _per(rec.get("revival_period"), tau), rec["converged"]))
-                    for rec in records[k * n:(k + 1) * n]])
+        # a missing value (None) reads nan, and the converged flag 1.0 or 0.0
+        table = np.array([(rec["detuning"], rec.get("orientation_max"),
+                           rec.get("orientation_snapshot"), rec.get("t_max"),
+                           rec.get("revival_period"), rec["converged"])
+                          for rec in records], dtype=float)
+        table[:, 0] /= g_ref
+        table[:, 3:5] /= tau
+        tables = [(_orientation_tsv(cav, bw), columns, table[k * n:(k + 1) * n])
                   for k, (cav, bw) in enumerate(groups)]
     else:
         records, meta = scan_composite_bandwidth(
@@ -780,13 +758,16 @@ def cmd_scan(cfg, args):
             branch=cfg["field"]["branch"],
             **kw,
         )
+        table = np.array([(rec["bandwidth"], rec.get("orientation_max_exact"),
+                           rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
+                           rec.get("revival_period"), rec["converged"])
+                          for rec in records], dtype=float)
+        table[:, 0] /= g_ref
+        table[:, 4] /= tau
         tables = [("composite_bandwidth.tsv",
                    ["bandwidth_g", "orientation_max_exact", "orientation_max_magnus",
                     "max_population_diff", "revival_tau", "converged"],
-                   [_cells((rec["bandwidth"] / g_ref, rec.get("orientation_max_exact"),
-                            rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
-                            _per(rec.get("revival_period"), tau), rec["converged"]))
-                    for rec in records])]
+                   table)]
 
     outdir = _outdir(cfg, args, "scan")
     for name, columns, rows in tables:

@@ -611,6 +611,23 @@ def test_oracle_command_writes_the_orientation_bound(tmp_path, capsys):
 # -------------------------------------------------------------------- scan
 
 
+def _assert_scan_cells(path, records, units):
+    """Every cell of a scan TSV is its record's value over its unit, bit for
+    bit: a null reads nan, and the converged flag the text 1.0."""
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        cells = line.split("\t")
+        assert len(cells) == len(units)
+        for cell, (key, unit) in zip(cells, units.items()):
+            value = rec.get(key)
+            if value is None:
+                assert cell == "nan", key
+            else:
+                assert float(cell).hex() == (value / unit).hex(), key
+        assert cells[-1] == "1.0"
+
+
 def test_scan_command_detuning_grid(tmp_path, capsys):
     cfg = merged(FAST, {"scan": {"detunings_g": [-1.0, 0.0, 1.0],
                                  "bandwidths_g": [1.0],
@@ -629,6 +646,10 @@ def test_scan_command_detuning_grid(tmp_path, capsys):
                           "orientation_max", "converged"}
         assert r["converged"]
 
+    params, g_ref = build_params(resolve_config(cfg))
+    tau = params.revival_time
+    units = {"detuning": g_ref, "orientation_max": 1.0, "orientation_snapshot": 1.0,
+             "t_max": tau, "revival_period": tau, "converged": 1.0}
     for name, cav in (("orientation_cavon_bw1.tsv", True),
                       ("orientation_cavoff_bw1.tsv", False)):
         table = np.loadtxt(out / name)
@@ -636,8 +657,7 @@ def test_scan_command_detuning_grid(tmp_path, capsys):
         assert list(table[:, 0]) == [-1.0, 0.0, 1.0]
         assert list(table[:, 5]) == [1.0, 1.0, 1.0]     # the converged column
         # each table holds its own group's records
-        assert list(table[:, 1]) == [r["orientation_max"] for r in records
-                                     if r["cavity"] == cav]
+        _assert_scan_cells(out / name, [r for r in records if r["cavity"] == cav], units)
 
     meta = json.loads((out / "scan_meta.json").read_text())
     assert meta["kind"] == "detuning_bandwidth"
@@ -661,6 +681,12 @@ def test_scan_command_composite_kind(tmp_path, capsys):
     records = [json.loads(line) for line in
                (out / "records.jsonl").read_text().splitlines()]
     assert all("orientation_max_exact" in r for r in records)
+    params, g_ref = build_params(resolve_config(cfg))
+    tau = params.revival_time
+    _assert_scan_cells(out / "composite_bandwidth.tsv", records,
+                       {"bandwidth": g_ref, "orientation_max_exact": 1.0,
+                        "orientation_max_magnus": 1.0, "max_population_diff": 1.0,
+                        "revival_period": tau, "converged": 1.0})
     assert all(0.0 <= r["step_error"] <= 1e-8 for r in records)
     # widening the pulse degrades the first-order description
     assert records[1]["max_population_diff"] > records[0]["max_population_diff"]
@@ -729,58 +755,49 @@ def _per_row_tsv(columns, rows):
 _TSV_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0 ** 53]
 
 
-# every edge, None (nan) and a bool (0 or 1) in one table across a block
-# edge, and across an array chunk's edge
-@example(width=3, n_rows=cli._TSV_BLOCK + 1, pool=_TSV_EDGES + [None, True, False, 0.1])
-@example(width=5, n_rows=cli._TSV_BLOCK + 1, pool=_TSV_EDGES + [None, True, 0.1, -2.5e-7])
+# every edge, None (nan) and a bool (1.0 or 0.0) in one table across an array
+# chunk's edge
+@example(width=3, n_rows=cli._TSV_VALUES // 2 + 1,
+         pool=_TSV_EDGES + [None, True, False, 0.1])
+@example(width=5, n_rows=cli._TSV_VALUES // 2 + 1,
+         pool=_TSV_EDGES + [None, True, 0.1, -2.5e-7])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(width=st.integers(1, 5),
-       n_rows=st.sampled_from([0, 1, 2, cli._TSV_BLOCK, cli._TSV_BLOCK + 1]),
+       n_rows=st.sampled_from([0, 1, 2, cli._TSV_VALUES // 2, cli._TSV_VALUES // 2 + 1]),
        pool=st.lists(st.one_of(st.sampled_from(_TSV_EDGES), st.floats(), st.none(),
                                st.booleans()), min_size=1, max_size=12))
 def test_tsv_text_is_the_per_row_join_of_reprs(tmp_path, width, n_rows, pool):
-    # rows of floats, and _cells rows holding 0 and 1 ints, written in blocks
-    # of rows, and the same values as a float array through the digit path:
-    # the bytes of the per-row join, each cell read back bit for bit
-    values = cli._cells(pool)
-    rows = [[values[(r * width + k) % len(values)] for k in range(width)]
-            for r in range(n_rows)]
-    array = np.array(rows, dtype=float).reshape(n_rows, width)
+    # the pool as cmd_scan builds its tables, None as nan and a bool as 1.0
+    # or 0.0, written through the digit path: the bytes of the per-row join,
+    # each cell read back bit for bit
+    values = np.array(pool, dtype=float)
+    array = np.resize(values, n_rows * width).reshape(n_rows, width)
+    table = array.tolist()
     columns = [f"c{k}" for k in range(width)]
     path = tmp_path / "t.tsv"
-    for given, table in ((rows, rows), (array, array.tolist())):
-        cli._write_tsv(path, columns, given)
-        # line by line: a diff of two whole texts of 4,097 lines takes pytest minutes
-        lines, want = path.read_text().splitlines(), _per_row_tsv(columns, table).splitlines()
-        assert len(lines) == len(want) == n_rows + 1
-        bad = [i for i, (a, b) in enumerate(zip(lines, want)) if a != b]
-        assert not bad, f"{len(bad)} lines differ, first {lines[bad[0]]!r} != {want[bad[0]]!r}"
-        for line, row in zip(lines[1:], table):
-            assert [float(cell).hex() for cell in line.split("\t")] == \
-                [float(v).hex() for v in row]
+    cli._write_tsv(path, columns, array)
+    # line by line: a diff of two whole texts of 4,097 lines takes pytest minutes
+    lines, want = path.read_text().splitlines(), _per_row_tsv(columns, table).splitlines()
+    assert len(lines) == len(want) == n_rows + 1
+    bad = [i for i, (a, b) in enumerate(zip(lines, want)) if a != b]
+    assert not bad, f"{len(bad)} lines differ, first {lines[bad[0]]!r} != {want[bad[0]]!r}"
+    for line, row in zip(lines[1:], table):
+        assert [float(cell).hex() for cell in line.split("\t")] == \
+            [float(v).hex() for v in row]
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(width=st.integers(1, 5), n_rows=st.sampled_from([1, cli._TSV_BLOCK + 1]),
-       at=st.integers(0, cli._TSV_BLOCK), change=st.sampled_from([-1, 1]))
-def test_a_tsv_row_of_the_wrong_length_raises(tmp_path, width, n_rows, at, change):
-    rows = [[0.5] * width for _ in range(n_rows)]
-    rows[at % n_rows] = [0.5] * (width + change)
+@given(width=st.integers(1, 5), n_rows=st.sampled_from([0, 1, cli._TSV_VALUES // 2 + 1]),
+       change=st.sampled_from([-1, 1]))
+def test_a_tsv_row_of_the_wrong_length_raises(tmp_path, width, n_rows, change):
+    # an array of another width, or not 2d, raises
     columns = [f"c{k}" for k in range(width)]
-    with pytest.raises(ValueError, match=f"does not have {width} values"):
-        cli._write_tsv(tmp_path / "t.tsv", columns, rows)
-    # an array of another width, or not 2d, raises alike
-    for array in (np.full((n_rows, width + change), 0.5), np.full(width, 0.5)):
+    for array in (np.full((n_rows, width + change), 0.5), np.full(width, 0.5),
+                  np.full((n_rows, 1, width), 0.5)):
         with pytest.raises(ValueError, match=f"does not have {width} values"):
             cli._write_tsv(tmp_path / "t.tsv", columns, array)
-
-
-def test_a_short_and_a_long_tsv_row_that_balance_still_raise(tmp_path):
-    # 2 + 4 values fill two 3-column lines: only a per-row check sees them
-    with pytest.raises(ValueError):
-        cli._write_tsv(tmp_path / "t.tsv", ["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0, 5.0, 6.0]])
 
 
 def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):
