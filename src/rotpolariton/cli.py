@@ -337,7 +337,8 @@ def resolve_config(raw, preset=None):
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
         base = _deep_merge(base, PRESETS[preset])
-    raw = raw or {}
+    # an empty document loads as None: the one config that overrides nothing
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     for section, body in raw.items():
@@ -863,11 +864,11 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = {}
+        raw = None
         if args.config is not None:
             try:
                 with open(args.config, encoding="utf-8") as fh:
-                    raw = yaml.load(fh, Loader=_ConfigLoader) or {}
+                    raw = yaml.load(fh, Loader=_ConfigLoader)
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
             except UnicodeDecodeError:

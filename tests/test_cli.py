@@ -89,8 +89,10 @@ def test_unknown_sections_and_keys_rejected():
         resolve_config({"system": {"jmax": 3}})
     with pytest.raises(ConfigError, match="mapping"):
         resolve_config({"system": "j_max: 3"})
-    with pytest.raises(ConfigError, match="mapping"):
-        resolve_config([1, 2])
+    # only an empty document (None) overrides nothing; a falsy root is no mapping
+    for root in ([1, 2], [], False, 0, ""):
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            resolve_config(root)
 
 
 def test_quantity_forms():
@@ -316,6 +318,20 @@ def test_an_empty_out_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["oracle", "--out", ""]) == 2
     assert "config error: --out: expected a nonempty string" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_a_config_root_that_is_not_a_mapping_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    for text in ("[]\n", "false\n", "0\n", '""\n'):
+        path.write_text(text)
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: config root must be a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+    # an empty file, a comment alone and null are empty documents: no overrides
+    for text in ("", "# nothing\n", "null\n"):
+        path.write_text(text)
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
     python tools/work_ledger.py BASE HEAD
 
-BASE and HEAD each hold one output directory per config, as the base
-comparison of CI writes them.  A record is a JSON object, in a .json or
+BASE and HEAD each hold one output directory per config, as
+tools/ci_runs.sh writes them.  A record is a JSON object, in a .json or
 .jsonl file, that holds a "steps" list: the kernel steps of each run of one
 propagation.  For every config the ledger prints, for the base and the head,
 the number of records and the total of all their steps, and whether the
