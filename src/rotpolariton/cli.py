@@ -381,6 +381,11 @@ def resolve_config(raw, preset=None):
         raise ConfigError("field.carriers: composite field needs a nonempty list")
     if field["kind"] == "designed" and not system["cavity"]:
         raise ConfigError("field.kind: designed fields need the cavity on")
+    # a scan key its kind does not read would otherwise be dropped silently
+    for key in (("reference_bandwidth_g",) if scan["kind"] == "detuning" else
+                ("detunings_g", "cavity", "write_spectra")):
+        if scan[key] != DEFAULTS["scan"][key]:
+            raise ConfigError(f"scan.{key}: a {scan['kind']} scan does not read it")
     if scan["kind"] == "detuning":
         # each (cavity, bandwidth) group writes its own TSV
         if len(set(scan["cavity"])) < len(scan["cavity"]):
@@ -665,9 +670,9 @@ def cmd_simulate(cfg, args):
     _check_trace_times(exp, tau, fld.t_end, exp["n_trace"])
     rec = kick_response(
         params, fld,
-        trace_window=exp["trace_window_tau"] * tau,
+        trace_window_tau=exp["trace_window_tau"],
         n_trace=exp["n_trace"],
-        snapshot_offset=exp["snapshot_tau"] * tau,
+        snapshot_tau=exp["snapshot_tau"],
         n_pulse_samples=exp["n_trajectory"],
         tol=cfg["integrator"]["tol"],
     )
@@ -716,7 +721,7 @@ def cmd_scan(cfg, args):
     tau = params.revival_time
     area = cfg["field"]["area"]
     kw = {"bandwidths": [b * g_ref for b in sc["bandwidths_g"]],
-          "trace_window": exp["trace_window_tau"] * tau,
+          "trace_window_tau": exp["trace_window_tau"],
           "n_trace": exp["n_trace"],
           "threads": args.threads,
           "tol": cfg["integrator"]["tol"]}
@@ -732,7 +737,7 @@ def cmd_scan(cfg, args):
             detunings=[d * g_ref for d in sc["detunings_g"]],
             cavity=sc["cavity"],
             area=KICK_AREA if area is None else area,
-            snapshot_offset=exp["snapshot_tau"] * tau,
+            snapshot_tau=exp["snapshot_tau"],
             keep_spectrum=sc["write_spectra"],
             **kw,
         )
@@ -789,14 +794,7 @@ def cmd_scan(cfg, args):
 
 def cmd_design(cfg, args):
     params, g_ref = build_params(cfg)
-    f = cfg["field"]
-    pulse, report = design_composite(
-        params,
-        bandwidth=f["bandwidth_g"] * g_ref,
-        area=DESIGN_AREA if f["area"] is None else f["area"],
-        phase_minus=f["phase_minus"],
-        branch=f["branch"],
-    )
+    pulse, report = build_field({"field": {**cfg["field"], "kind": "designed"}}, params, g_ref)
     outdir = _outdir(cfg, args, "design")
     _write_json(os.path.join(outdir, "field.json"), field_to_dict(pulse))
     report["carriers"] = [list(c) for c in pulse.components]

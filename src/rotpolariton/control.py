@@ -286,14 +286,11 @@ def _kick_setup(params):
     return np.diag(model.energies), params.dipole * model.cos, state0, model
 
 
-def _kick_summary(params, fld, traj, model, trace_window=None,
-                  n_trace=16384, snapshot_offset=None):
+def _kick_summary(params, fld, traj, model, trace_window_tau=40.0,
+                  n_trace=16384, snapshot_tau=6.75):
     """(record, series, (omega, amplitude)) of one propagated kick; see kick_response."""
     tau = params.revival_time
-    if trace_window is None:
-        trace_window = 40.0 * tau
-    if snapshot_offset is None:
-        snapshot_offset = 6.75 * tau
+    trace_window, snapshot_offset = trace_window_tau * tau, snapshot_tau * tau
     end = traj.states[-1]
     error = traj.meta["step_error"]
 
@@ -339,16 +336,18 @@ def _kick_summary(params, fld, traj, model, trace_window=None,
     return rec, series, (omega, amp)
 
 
-def kick_response(params, fld, trace_window=None, n_trace=16384,
-                  snapshot_offset=None, n_pulse_samples=2, tol=1e-8):
+def kick_response(params, fld, trace_window_tau=40.0, n_trace=16384,
+                  snapshot_tau=6.75, n_pulse_samples=2, tol=1e-8):
     """Propagate one pulse and summarize the post-pulse orientation.
 
     The run propagates the model build_model picks: the polariton eigenbasis
     of the cavity on the 0-1 line when coupled (g > 0), otherwise the rotor
     alone, which needs n_max = 0 (otherwise ValueError); the drive is
     mu cos theta in both.  Returns a plain dict: orientation max
-    (parabola-refined), value at the snapshot offset after the pulse,
-    revival period (None if undetected), spectral peaks, final populations.
+    (parabola-refined) over trace_window_tau revival periods tau = pi/B
+    after the pulse in n_trace samples, value snapshot_tau tau after it,
+    revival period (None if undetected), spectral peaks, final populations,
+    and those two spans in atomic units ("trace_window", "snapshot_offset").
     No value is read off roundoff: each must be resolved by the certified
     step error ε to _RESOLUTION (5 %).  A trace moves by up to 2 ε, so one
     whose largest |value| is below 2 ε / 5 % = 40 ε is flat, with t_max and
@@ -366,8 +365,8 @@ def kick_response(params, fld, trace_window=None, n_trace=16384,
     h0, v, state0, model = _kick_setup(params)
     traj = propagate(h0, v, fld, state0,
                      np.linspace(fld.t_start, fld.t_end, n_pulse_samples), tol=tol)
-    rec, series, spec = _kick_summary(params, fld, traj, model, trace_window=trace_window,
-                                      n_trace=n_trace, snapshot_offset=snapshot_offset)
+    rec, series, spec = _kick_summary(params, fld, traj, model, trace_window_tau, n_trace,
+                                      snapshot_tau)
     return {**rec, "series": series, "spectrum": spec, "trajectory": traj}
 
 
@@ -389,22 +388,18 @@ def magnus_final_state(params, fld):
 
 
 def _kick_worker(params, fld, traj, model, keep_spectrum=False, **kw):
-    """One kick record, from its propagated trajectory or its failure.
+    """One kick record, from its converged trajectory.
 
     keep_spectrum attaches the trace's (omega, amplitude) as "spectrum".
     """
-    if isinstance(traj, NotConverged):
-        return {"converged": False, "error": str(traj)}
     rec, _, spec = _kick_summary(params, fld, traj, model, **kw)
     if keep_spectrum:
         rec["spectrum"] = spec
-    return {**rec, "converged": True}
+    return rec
 
 
 def _composite_worker(params, fld, traj, model, **kw):
     """One composite record: the exact kick against the first-order pulse map."""
-    if isinstance(traj, NotConverged):
-        return {"converged": False, "error": str(traj)}
     exact, series, _ = _kick_summary(params, fld, traj, model, **kw)
     mstate, mmodel = magnus_final_state(params, fld)
     mmax, _, _ = _refined_trace_max(mstate, mmodel, fld.t_end, series.window,
@@ -418,12 +413,8 @@ def _composite_worker(params, fld, traj, model, **kw):
         "populations_exact": epops,
         "populations_magnus": mpops,
         "max_population_diff": float(pop_diff),
-        "revival_period": exact["revival_period"],
-        "norm_final": exact["norm_final"],
-        "halvings": exact["halvings"],
-        "steps": exact["steps"],
-        "step_error": exact["step_error"],
-        "converged": True,
+        **{k: exact[k] for k in ("revival_period", "norm_final", "halvings", "steps",
+                                 "step_error")},
     }
 
 
@@ -431,13 +422,16 @@ def _kick_group_worker(job):
     """The records of one scan job: its fields, propagated as one batch.
 
     A job is (params, fields that share one window, the step tolerance,
-    the per-record function's keywords, per-record function).
+    the per-record function's keywords, per-record function, which
+    summarizes a converged row); a failed row's record is its error alone.
     """
     params, fields, tol, kw, record = job
     h0, v, state0, model = _kick_setup(params)
     times = np.array([fields[0].t_start, fields[0].t_end])
     trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, tol=tol)
-    return [record(params, fld, traj, model, **kw) for fld, traj in zip(fields, trajs)]
+    return [{"converged": False, "error": str(traj)} if isinstance(traj, NotConverged)
+            else {**record(params, fld, traj, model, **kw), "converged": True}
+            for fld, traj in zip(fields, trajs)]
 
 
 def _scan_groups(jobs, threads):
@@ -458,8 +452,8 @@ def _scan_groups(jobs, threads):
 
 
 def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
-                            area=KICK_AREA, trace_window=None, n_trace=16384,
-                            snapshot_offset=None, threads=None,
+                            area=KICK_AREA, trace_window_tau=40.0, n_trace=16384,
+                            snapshot_tau=6.75, threads=None,
                             keep_spectrum=False, tol=1e-8):
     """Kick-pulse response over carrier detuning x bandwidth x cavity on/off.
 
@@ -471,13 +465,14 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     _JOB_ROWS (256), in order, each from the finest pilot step any of its
     fields needs; each record still carries its own runs ("halvings",
     "steps") and certified step error.  Worker processes take whole batches,
-    so the records do not depend on `threads`.
+    so the records do not depend on `threads`.  trace_window_tau, n_trace
+    and snapshot_tau (revival periods) read each kick as in kick_response.
     Returns (records, meta).  Records keep the axes, the orientation maximum
     and snapshot, the revival period, and the strongest spectral peaks, in
     deterministic axis order.
     """
-    kw = {"trace_window": trace_window, "n_trace": n_trace,
-          "snapshot_offset": snapshot_offset, "keep_spectrum": keep_spectrum}
+    kw = {"trace_window_tau": trace_window_tau, "n_trace": n_trace,
+          "snapshot_tau": snapshot_tau, "keep_spectrum": keep_spectrum}
     jobs = []
     axes = []
     for cav in cavity:
@@ -504,7 +499,7 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
 
 
 def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIGN_AREA,
-                             phase_minus=0.0, branch="+", trace_window=None,
+                             phase_minus=0.0, branch="+", trace_window_tau=40.0,
                              n_trace=16384, threads=None, tol=1e-8):
     """Composite-pulse performance versus bandwidth, exact and first-order.
 
@@ -514,14 +509,14 @@ def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIG
     manifold does not depend on the envelope.  Each bandwidth is one scan
     job, so `threads` worker processes take one bandwidth each, and the
     records do not depend on `threads`.  Each record carries the exact and
-    first-order orientation maxima, over the post-pulse trace window, and
-    their population mismatch.  Returns (records, meta).
+    first-order orientation maxima over trace_window_tau revival periods
+    after the pulse, and their population mismatch.  Returns (records, meta).
     """
     ref_pulse, report = design_composite(params, bandwidth=reference_bandwidth,
                                          area=area, phase_minus=phase_minus,
                                          branch=branch)
     carriers = ref_pulse.components
-    kw = {"trace_window": trace_window, "n_trace": n_trace}
+    kw = {"trace_window_tau": trace_window_tau, "n_trace": n_trace}
     jobs = [(params, [composite_for_area(params, area, 1.0 / bw, carriers)],
              tol, kw, _composite_worker) for bw in bandwidths]
     records = _scan_groups(jobs, threads)

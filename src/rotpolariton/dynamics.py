@@ -158,10 +158,6 @@ def _step_counts(want):
     return steps.astype(int)
 
 
-# the pilot step resolves the fastest frequency with this many steps per
-# period: coarse, since it only sizes the certified step
-_STEPS_PER_PERIOD = 1
-
 # convergence order: err ~ dt^p sizes the predicted step, and a run at step
 # h certified against one at r h has error (difference) / (r^p - 1)
 _ORDER = 6
@@ -195,7 +191,9 @@ def _default_dt(frame, fld):
     peak = float(np.max(np.abs(field_value(fld, ts))))
     w_fast = carrier_ceiling(fld) + frame.w_gap + peak * frame.v_norm
     w_fast = max(w_fast, 2.0 * np.pi / (fld.t_end - fld.t_start))
-    return (2.0 * np.pi / w_fast) / _STEPS_PER_PERIOD
+    # one step per period of the fastest frequency: coarse, since it only
+    # sizes the certified step
+    return 2.0 * np.pi / w_fast
 
 
 # the run grid splits every sample interval longer than this many envelope

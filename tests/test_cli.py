@@ -5,6 +5,7 @@ small (reduced bases, broadband pulses, short traces) because the command
 outputs, not the dynamics, are under test.
 """
 
+import inspect
 import json
 import math
 import shutil
@@ -16,7 +17,10 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rotpolariton import HARTREE_PER_CM1, cli, composite_for_area, dynamics, kick_response
+from rotpolariton import (
+    HARTREE_PER_CM1, cli, composite_for_area, dynamics, kick_response, scan_composite_bandwidth,
+    scan_detuning_bandwidth,
+)
 from rotpolariton.cli import (
     DEFAULTS, PRESETS, SCHEMA, _carriers, _flags, _plain, build_params, main,
     resolve_config,
@@ -75,6 +79,18 @@ def test_presets_resolve():
     # log spacing: constant ratio between neighbours
     ratios = np.diff(np.log(bws))
     assert np.allclose(ratios, ratios[0])
+
+
+def test_control_reads_a_kick_in_the_configs_terms():
+    # the config's read-out keys, units and defaults are control's keywords,
+    # so cli passes them through unconverted
+    exp = DEFAULTS["experiment"]
+    kick = ("trace_window_tau", "n_trace", "snapshot_tau")
+    for fn, keys in ((kick_response, kick), (scan_detuning_bandwidth, kick),
+                     (scan_composite_bandwidth, kick[:2])):
+        params = inspect.signature(fn).parameters
+        assert {k: params[k].default for k in keys} == {k: exp[k] for k in keys}, fn.__name__
+        assert params["tol"].default == DEFAULTS["integrator"]["tol"], fn.__name__
 
 
 def test_unknown_preset_rejected():
@@ -397,6 +413,22 @@ def test_composite_scan_needs_the_first_doublet_rung(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scan, key", [
+    ({"kind": "composite", "detunings_g": [1.0, 2.0]}, "detunings_g"),
+    ({"kind": "composite", "cavity": [False]}, "cavity"),
+    ({"kind": "composite", "write_spectra": True}, "write_spectra"),
+    ({"kind": "detuning", "reference_bandwidth_g": 0.2}, "reference_bandwidth_g"),
+])
+def test_scan_keys_the_scan_kind_does_not_read_exit_2(tmp_path, capsys, scan, key):
+    # read by the other kind only, they would otherwise drop silently: a
+    # composite scan runs the dressed model alone and writes no spectra
+    out = tmp_path / "run"
+    assert main(["scan", "--config", write_cfg(tmp_path / "unread.yaml", {"scan": scan}),
+                 "--out", str(out)]) == 2
+    assert f"config error: scan.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bare_composite_carriers_sit_around_the_0_1_line():
     # with the cavity off, one composite carrier at detuning 0 is the
     # Gaussian kick on the 0-1 line, and reaches its orientation maximum
@@ -682,8 +714,10 @@ def test_scan_command_detuning_grid(tmp_path, capsys):
 
 
 def test_scan_command_composite_kind(tmp_path, capsys):
+    # detunings_g at its default, written out, is no key the scan ignores
     cfg = merged(FAST, {"scan": {"kind": "composite",
                                  "bandwidths_g": [0.5, 1.0],
+                                 "detunings_g": [0.0],
                                  "reference_bandwidth_g": 0.1}})
     path = write_cfg(tmp_path / "comp.yaml", cfg)
     out = tmp_path / "run"
@@ -726,7 +760,7 @@ def test_scans_read_the_field_area_phase_branch_and_trace_window(tmp_path, capsy
     # the exact record is the kick of that pulse over the configured window
     params, g_ref = build_params(resolve_config(comp))
     fld = composite_for_area(params, 0.3, 1.0 / g_ref, meta["carriers"])
-    want = kick_response(params, fld, trace_window=20.0 * params.revival_time, n_trace=2048)
+    want = kick_response(params, fld, trace_window_tau=20.0, n_trace=2048)
     assert rec["orientation_max_exact"] == want["orientation_max"]
 
     kick = merged(FAST, {"field": {"kind": "designed", "area": 0.3}},
@@ -821,11 +855,13 @@ def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):
     frozen = {"integrator": {"tol": 1e-15}}
     kinds = {"detuning": ("orientation_cavon_bw1.tsv", {"detunings_g": [-1.0, 0.0, 1.0],
                                                         "bandwidths_g": [1.0],
-                                                        "cavity": [True]}),
+                                                        "cavity": [True]},
+                          {"cavity", "bandwidth", "detuning"}),
              "composite": ("composite_bandwidth.tsv", {"kind": "composite",
                                                        "bandwidths_g": [0.5, 1.0],
-                                                       "reference_bandwidth_g": 0.1})}
-    for kind, (name, scan) in kinds.items():
+                                                       "reference_bandwidth_g": 0.1},
+                           {"bandwidth"})}
+    for kind, (name, scan, axes) in kinds.items():
         cfg = merged(FAST, {"scan": scan}, frozen)
         path = write_cfg(tmp_path / f"{kind}.yaml", cfg)
         out = tmp_path / kind
@@ -834,6 +870,8 @@ def test_scan_tsvs_keep_records_that_did_not_converge(tmp_path, capsys):
         records = [json.loads(line) for line in
                    (out / "records.jsonl").read_text().splitlines()]
         assert records and not any(r["converged"] for r in records)
+        # a failed record of either kind is its error and its axes alone
+        assert all(set(r) == {"index", "converged", "error"} | axes for r in records)
         table = np.loadtxt(out / name, ndmin=2)
         assert table.shape == (len(records), 6)
         assert np.all(table[:, 5] == 0.0)
