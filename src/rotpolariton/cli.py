@@ -23,6 +23,7 @@ import json
 import os
 import reprlib
 import sys
+from collections import Counter
 from functools import cache, partial
 
 import numpy as np
@@ -73,17 +74,25 @@ def _finite(val):
     return num if np.isfinite(num) else None
 
 
-def _number(val, path):
+def _number(val, path, sign=None):
+    """A finite number; sign "positive" or "nonnegative" bounds it."""
     num = _finite(val)
     if num is None:
         raise ConfigError(f"{path}: expected a finite number, got {_QUOTE.repr(val)}")
+    if sign == "positive" and num <= 0 or sign == "nonnegative" and num < 0:
+        raise ConfigError(f"{path}: must be {sign}")
     return num
 
 
-def _integer(val, path):
+def _integer(val, path, low=None, high=None):
+    """An integral number, within [low, high] where those are given."""
     num = _finite(val)
     if num is None or num != int(num):
         raise ConfigError(f"{path}: expected an integer, got {_QUOTE.repr(val)}")
+    if low is not None and num < low:
+        raise ConfigError(f"{path}: must be >= {low}")
+    if high is not None and num > high:
+        raise ConfigError(f"{path}: must be <= {high}")
     return int(num)
 
 
@@ -91,6 +100,12 @@ def _boolean(val, path):
     """A true boolean; strings such as "false" are rejected, never coerced."""
     if not isinstance(val, bool):
         raise ConfigError(f"{path}: expected true or false, got {_QUOTE.repr(val)}")
+    return val
+
+
+def _choice(val, path, allowed):
+    if not (isinstance(val, str) and val in allowed):
+        raise ConfigError(f"{path}: expected one of {sorted(allowed)}, got {_QUOTE.repr(val)}")
     return val
 
 
@@ -120,11 +135,8 @@ def _quantity(node, path, units):
         unit = node.get("unit", next(iter(units)))
     else:
         value, unit = node, next(iter(units))
-    if not (isinstance(unit, str) and unit in units):
-        raise ConfigError(f"{path}.unit: expected one of {sorted(units)}, got {_QUOTE.repr(unit)}")
-    value = _number(value, f"{path}.value")
-    if value <= 0:
-        raise ConfigError(f"{path}.value: must be positive")
+    _choice(unit, f"{path}.unit", units)
+    value = _number(value, f"{path}.value", "positive")
     return _normal(value * units[unit], path)
 
 
@@ -147,9 +159,7 @@ def _grid(node, path, positive=False):
             raise ConfigError(f"{path}: grid needs numeric start, stop, num")
         start = _number(node["start"], f"{path}.start")
         stop = _number(node["stop"], f"{path}.stop")
-        num = _integer(node["num"], f"{path}.num")
-        if not 1 <= num <= _MAX_GRID:
-            raise ConfigError(f"{path}.num: must be between 1 and {_MAX_GRID}")
+        num = _integer(node["num"], f"{path}.num", low=1, high=_MAX_GRID)
         if _boolean(node.get("log", False), f"{path}.log"):
             if start <= 0 or stop <= 0:
                 raise ConfigError(f"{path}: log grid needs positive endpoints")
@@ -187,6 +197,9 @@ def _flags(node, path):
     if not isinstance(node, (list, tuple)) or not node or \
             any(not isinstance(c, bool) for c in node):
         raise ConfigError(f"{path}: expected a nonempty list of booleans")
+    # each (cavity, bandwidth) group of a detuning scan writes its own TSV
+    if len(set(node)) < len(node):
+        raise ConfigError(f"{path}: true and false may each appear once")
     return node
 
 
@@ -214,47 +227,47 @@ def _directory(node, path):
     return node
 
 
-# SCHEMA[section][key] = (default, rule).  A rule is float or bool; (float,
-# "positive"), (float, "nonnegative") or (int, minimum); a tuple of allowed
-# strings; a dict of unit factors, for a quantity whose value in atomic units
-# is stored as <key>_au; or a check(value, path) returning the value to store.
-# A key whose default is None may stay None.
+# SCHEMA[section][key] = (default, rule).  A rule is a check(value, path)
+# returning the value to store, or a dict of unit factors, for a quantity
+# whose value in atomic units is stored as <key>_au.  A key whose default is
+# None may stay None.
 SCHEMA = {
     "system": {
         "rot_const": ({"value": 0.20286, "unit": "cm-1"}, {"cm-1": HARTREE_PER_CM1, "au": 1.0}),
         "dipole": ({"value": 0.715, "unit": "debye"}, {"debye": AU_PER_DEBYE, "au-dipole": 1.0}),
-        "coupling_ratio": (0.1, (float, "positive")),
-        "cavity": (True, bool),
-        "j_max": (8, (int, 1)),
-        "n_max": (4, (int, 0)),
+        "coupling_ratio": (0.1, partial(_number, sign="positive")),
+        "cavity": (True, _boolean),
+        "j_max": (8, partial(_integer, low=1, high=_MAX_DIM - 1)),
+        "n_max": (4, partial(_integer, low=0, high=_MAX_DIM // 2 - 1)),
     },
     "field": {
-        "kind": ("gaussian", ("gaussian", "composite", "designed")),
+        "kind": ("gaussian", partial(_choice, allowed=("gaussian", "composite", "designed"))),
         # null: each pulse's own default, pi/4 for a kick, pi sqrt(2)/8 otherwise
-        "area": (None, (float, "nonnegative")),
-        "bandwidth_g": (0.1, (float, "positive")),  # 1/tau0 in units of g_ref
-        "detuning_g": (0.0, float),     # gaussian carrier offset from omega01, units of g_ref
-        "phase": (0.0, float),          # gaussian carrier phase
+        "area": (None, partial(_number, sign="nonnegative")),
+        "bandwidth_g": (0.1, partial(_number, sign="positive")),  # 1/tau0 in units of g_ref
+        "detuning_g": (0.0, _number),   # gaussian carrier offset from omega01, units of g_ref
+        "phase": (0.0, _number),        # gaussian carrier phase
         "carriers": (None, _carriers),  # composite: offsets from omega01, units of g_ref
-        "phase_minus": (0.0, float),    # designed: fixed lower-carrier phase
-        "branch": ("+", ("+", "-")),    # designed: root of the phase condition
+        "phase_minus": (0.0, _number),  # designed: fixed lower-carrier phase
+        # designed: root of the phase condition
+        "branch": ("+", partial(_choice, allowed=("+", "-"))),
     },
     "experiment": {
-        "trace_window_tau": (40.0, (float, "positive")),
-        "n_trace": (16384, (int, 64)),
-        "snapshot_tau": (6.75, (float, "nonnegative")),
-        "n_trajectory": (257, (int, 2)),
+        "trace_window_tau": (40.0, partial(_number, sign="positive")),
+        "n_trace": (16384, partial(_integer, low=64)),
+        "snapshot_tau": (6.75, partial(_number, sign="nonnegative")),
+        "n_trajectory": (257, partial(_integer, low=2)),
     },
     "scan": {
-        "kind": ("detuning", ("detuning", "composite")),
+        "kind": ("detuning", partial(_choice, allowed=("detuning", "composite"))),
         "detunings_g": ([0.0], _grid),
         "bandwidths_g": ([0.1], partial(_grid, positive=True)),
         "cavity": ([True], _flags),
-        "write_spectra": (False, bool),
-        "reference_bandwidth_g": (0.1, (float, "positive")),
+        "write_spectra": (False, _boolean),
+        "reference_bandwidth_g": (0.1, partial(_number, sign="positive")),
     },
     "integrator": {
-        "tol": (1e-8, (float, "positive")),
+        "tol": (1e-8, partial(_number, sign="positive")),
     },
     "output": {
         "directory": ("out", _directory),
@@ -304,30 +317,6 @@ PRESETS = {
 }
 
 
-def _check(rule, val, path):
-    """val checked against a SCHEMA rule other than a quantity; the value to store."""
-    if isinstance(rule, tuple) and isinstance(rule[0], str):
-        if not isinstance(val, str) or val not in rule:
-            raise ConfigError(f"{path}: expected one of {sorted(rule)}, got {_QUOTE.repr(val)}")
-        return val
-    kind, bound = rule if isinstance(rule, tuple) else (rule, None)
-    if kind is bool:
-        return _boolean(val, path)
-    if kind is int:
-        num = _integer(val, path)
-        if num < bound:
-            raise ConfigError(f"{path}: must be >= {bound}")
-        return num
-    if kind is float:
-        if val is None:
-            raise ConfigError(f"{path}: value required")
-        num = _number(val, path)
-        if bound == "positive" and num <= 0 or bound == "nonnegative" and num < 0:
-            raise ConfigError(f"{path}: must be {bound}")
-        return num
-    return rule(val, path)
-
-
 def resolve_config(raw, preset=None):
     """Layer raw config over a preset and the defaults; validate everything."""
     # deep copy: resolution fills derived keys in place and must never
@@ -360,7 +349,7 @@ def resolve_config(raw, preset=None):
             if isinstance(rule, dict):
                 cfg[section][f"{key}_au"] = _quantity(val, path, rule)
             else:
-                cfg[section][key] = _check(rule, val, path)
+                cfg[section][key] = rule(val, path)
 
     # checks across keys
     _normal(2.0 * system["rot_const_au"], "system.rot_const")  # omega01
@@ -372,9 +361,6 @@ def resolve_config(raw, preset=None):
     for key in ("n_trace", "n_trajectory"):
         if exp[key] > _MAX_GRID:
             raise ConfigError(f"experiment.{key}: must be <= {_MAX_GRID}")
-    for key, cap in (("j_max", _MAX_DIM - 1), ("n_max", _MAX_DIM // 2 - 1)):
-        if system[key] > cap:
-            raise ConfigError(f"system.{key}: must be <= {cap}")
     if system["cavity"] and system["n_max"] < 1:
         raise ConfigError("system.n_max: a coupled cavity needs n_max >= 1")
     if field["kind"] == "composite" and field["carriers"] is None:
@@ -386,13 +372,16 @@ def resolve_config(raw, preset=None):
                 ("detunings_g", "cavity", "write_spectra")):
         if scan[key] != DEFAULTS["scan"][key]:
             raise ConfigError(f"scan.{key}: a {scan['kind']} scan does not read it")
+    # a composite scan keeps the default detunings and cavity: one record per bandwidth
+    records = len(scan["detunings_g"]) * len(scan["bandwidths_g"]) * len(scan["cavity"])
+    if records > _MAX_GRID:
+        raise ConfigError(f"scan: {records} records (detunings x bandwidths x cavity "
+                          f"settings) are above {_MAX_GRID}")
     if scan["kind"] == "detuning":
-        # each (cavity, bandwidth) group writes its own TSV
-        if len(set(scan["cavity"])) < len(scan["cavity"]):
-            raise ConfigError("scan.cavity: true and false may each appear once")
         names = [_orientation_tsv(True, bw) for bw in scan["bandwidths_g"]]
+        counts = Counter(names)
         for name in names:
-            if names.count(name) > 1:
+            if counts[name] > 1:
                 raise ConfigError(f"scan.bandwidths_g: two bandwidths would both write "
                                   f"{name.replace('cavon', 'cav*')}")
     return cfg

@@ -22,8 +22,8 @@ from rotpolariton import (
     scan_detuning_bandwidth,
 )
 from rotpolariton.cli import (
-    DEFAULTS, PRESETS, SCHEMA, _carriers, _flags, _plain, build_params, main,
-    resolve_config,
+    DEFAULTS, PRESETS, SCHEMA, _boolean, _carriers, _choice, _flags, _grid, _integer, _number,
+    _plain, build_params, main, resolve_config,
 )
 from rotpolariton.control import DESIGN_AREA
 from rotpolariton.errors import ConfigError
@@ -977,6 +977,34 @@ def test_scan_tsv_names_must_differ(tmp_path, capsys):
     assert composite["scan"]["bandwidths_g"] == [1.0, 1.0]
 
 
+def test_the_first_repeated_tsv_name_in_grid_order_is_named():
+    # bw0.2 and bw0.1 both repeat; bw0.2 comes first in the grid
+    with pytest.raises(ConfigError, match=r"^scan.bandwidths_g: two bandwidths would both "
+                                          r"write orientation_cav\*_bw0\.2\.tsv$"):
+        resolve_config({"scan": {"bandwidths_g": [0.2, 0.1, 0.1000001, 0.2000001]}})
+
+
+def test_a_scan_above_the_record_cap_exits_2(tmp_path, capsys):
+    # 100,000 detunings x 1000 bandwidths x 2 cavity settings: 2e8 records
+    scan = {"detunings_g": {"start": -2, "stop": 2, "num": 100_000},
+            "bandwidths_g": {"start": 0.1, "stop": 1.0, "num": 1000, "log": True},
+            "cavity": [True, False]}
+    with pytest.raises(ConfigError, match="^scan: 200000000 records .* above 100000$"):
+        resolve_config({"scan": scan})
+    out = tmp_path / "run"
+    assert main(["scan", "--config", write_cfg(tmp_path / "big.yaml", {"scan": scan}),
+                 "--out", str(out)]) == 2
+    assert "config error: scan: 200000000 records" in capsys.readouterr().err
+    assert not out.exists()
+    # exactly at the cap it resolves (and is never run here)
+    at_cap = {"detunings_g": {"start": -2, "stop": 2, "num": 50_000},
+              "bandwidths_g": [0.1, 1.0], "cavity": [True]}
+    assert len(resolve_config({"scan": at_cap})["scan"]["detunings_g"]) == 50_000
+    # a composite scan counts one record per bandwidth
+    at_cap = {"kind": "composite", "bandwidths_g": {"start": 0.1, "stop": 1.0, "num": 100_000}}
+    assert len(resolve_config({"scan": at_cap})["scan"]["bandwidths_g"]) == 100_000
+
+
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
     st.text(max_size=6),
@@ -1074,27 +1102,38 @@ _grids = st.one_of(
 
 def _key_values(rule):
     """Values for one SCHEMA key: mostly of its own type, sometimes of none."""
+    check = getattr(rule, "func", rule)  # a partial's check
     if isinstance(rule, dict):
         own = _numbers | st.fixed_dictionaries(
             {"value": _numbers}, optional={"unit": st.sampled_from([*rule, "eV"])})
-    elif rule is bool:
+    elif check is _boolean:
         own = st.booleans()
-    elif isinstance(rule, tuple) and isinstance(rule[0], str):
-        own = st.sampled_from([*rule, "other"])
-    elif rule in (float, int) or isinstance(rule, tuple):
+    elif check is _choice:
+        own = st.sampled_from([*rule.keywords["allowed"], "other"])
+    elif check in (_number, _integer):
         own = _numbers
-    elif rule is _carriers:
+    elif check is _carriers:
         own = st.lists(st.fixed_dictionaries({}, optional={"detuning_g": _numbers,
                                                            "phase": _numbers}), max_size=2)
-    elif rule is _flags:
+    elif check is _flags:
         own = st.lists(st.booleans(), max_size=3)
-    else:  # the two grids
+    elif check is _grid:
         own = _grids
+    else:
+        raise ValueError(f"no draws for the rule {rule!r}")
     return st.one_of(own, own, own, _scalars)
 
 
 _paths = [(section, key, rule) for section, rules in SCHEMA.items()
           for key, (_, rule) in rules.items() if key != "directory"]
+
+
+def test_every_drawn_key_has_draws_of_its_own_rule():
+    # a rule _key_values does not know raises, rather than drawing grids
+    for _, _, rule in _paths:
+        _key_values(rule)
+    with pytest.raises(ValueError, match="no draws"):
+        _key_values(lambda val, path: val)
 
 
 @st.composite
