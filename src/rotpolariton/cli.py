@@ -731,19 +731,10 @@ def cmd_scan(cfg, args):
             **kw,
         )
         # records come in job order: detunings within (cavity, bandwidth) groups
-        n = len(sc["detunings_g"])
-        groups = [(cav, bw) for cav in sc["cavity"] for bw in sc["bandwidths_g"]]
-        columns = ["detuning_g", "orientation_max", "orientation_snapshot",
-                   "t_max_tau", "revival_tau", "converged"]
-        # a missing value (None) reads nan, and the converged flag 1.0 or 0.0
-        table = np.array([(rec["detuning"], rec.get("orientation_max"),
-                           rec.get("orientation_snapshot"), rec.get("t_max"),
-                           rec.get("revival_period"), rec["converged"])
-                          for rec in records], dtype=float)
-        table[:, 0] /= g_ref
-        table[:, 3:5] /= tau
-        tables = [(_orientation_tsv(cav, bw), columns, table[k * n:(k + 1) * n])
-                  for k, (cav, bw) in enumerate(groups)]
+        names = [_orientation_tsv(cav, bw) for cav in sc["cavity"] for bw in sc["bandwidths_g"]]
+        columns = [("detuning_g", "detuning", g_ref), ("orientation_max", "orientation_max", 1.0),
+                   ("orientation_snapshot", "orientation_snapshot", 1.0),
+                   ("t_max_tau", "t_max", tau)]
     else:
         records, meta = scan_composite_bandwidth(
             params,
@@ -753,20 +744,20 @@ def cmd_scan(cfg, args):
             branch=cfg["field"]["branch"],
             **kw,
         )
-        table = np.array([(rec["bandwidth"], rec.get("orientation_max_exact"),
-                           rec.get("orientation_max_magnus"), rec.get("max_population_diff"),
-                           rec.get("revival_period"), rec["converged"])
-                          for rec in records], dtype=float)
-        table[:, 0] /= g_ref
-        table[:, 4] /= tau
-        tables = [("composite_bandwidth.tsv",
-                   ["bandwidth_g", "orientation_max_exact", "orientation_max_magnus",
-                    "max_population_diff", "revival_tau", "converged"],
-                   table)]
+        names = ["composite_bandwidth.tsv"]
+        columns = [("bandwidth_g", "bandwidth", g_ref),
+                   ("orientation_max_exact", "orientation_max_exact", 1.0),
+                   ("orientation_max_magnus", "orientation_max_magnus", 1.0),
+                   ("max_population_diff", "max_population_diff", 1.0)]
+    # each column is (header, record key, unit); a missing value (None) reads
+    # nan, and the converged flag 1.0 or 0.0
+    headers, keys, units = zip(*columns, ("revival_tau", "revival_period", tau),
+                               ("converged", "converged", 1.0))
+    table = np.array([[rec.get(k) for k in keys] for rec in records], dtype=float) / units
 
     outdir = _outdir(cfg, args, "scan")
-    for name, columns, rows in tables:
-        _write_tsv(os.path.join(outdir, name), columns, rows)
+    for name, rows in zip(names, np.split(table, len(names))):
+        _write_tsv(os.path.join(outdir, name), headers, rows)
     with open(os.path.join(outdir, "records.jsonl"), "w") as fh:
         for i, rec in enumerate(records):
             # spectra go to their own files, never into the records
@@ -862,6 +853,8 @@ def main(argv=None):
                 raise ConfigError(f"config {args.config!r} is not UTF-8 text") from None
             except yaml.YAMLError as exc:
                 raise ConfigError(f"config is not valid YAML: {exc}") from None
+            except RecursionError:  # PyYAML composes a node's children recursively
+                raise ConfigError("config nests too deeply") from None
         if args.threads is not None and not 1 <= args.threads <= _MAX_THREADS:
             raise ConfigError(f"--threads: must be between 1 and {_MAX_THREADS}, "
                               f"got {args.threads}")

@@ -18,12 +18,13 @@ populations that the first-order pulse map (magnus_wavefunction) predicts
 from the areas on the lowest five dressed states.
 
 Both scans run through one driver.  A scan job holds fields that share one
-window; the job propagates them as one batch and turns each trajectory into a
-record with the job's per-record function.  The detuning scan sends one job
-per 256 detunings of a (cavity, bandwidth) group, the composite scan one
-single-field job per bandwidth, whose record adds the first-order comparison.
-Jobs go to worker processes as they are, and the records come back in job
-order.  Both scans return (records, meta), plain lists and dicts.
+window, each with its axis keys; the job propagates them as one batch and
+turns each trajectory into a record with the job's per-record function and
+the row's axis keys.  The detuning scan sends one job per 256 detunings of a
+(cavity, bandwidth) group, the composite scan one single-field job per
+bandwidth, whose record adds the first-order comparison.  Jobs go to worker
+processes as they are, and the records come back in job order.  Both scans
+return (records, meta), plain lists and dicts.
 """
 
 from dataclasses import asdict, replace
@@ -421,31 +422,49 @@ def _composite_worker(params, fld, traj, model, **kw):
 def _kick_group_worker(job):
     """The records of one scan job: its fields, propagated as one batch.
 
-    A job is (params, fields that share one window, the step tolerance,
-    the per-record function's keywords, per-record function, which
-    summarizes a converged row); a failed row's record is its error alone.
+    A job is (params, fields that share one window, their axis keys, the step
+    tolerance, the per-record function's keywords, per-record function, which
+    summarizes a converged row); a failed row's record is its error and keys.
     """
-    params, fields, tol, kw, record = job
+    params, fields, axes, tol, kw, record = job
     h0, v, state0, model = _kick_setup(params)
     times = np.array([fields[0].t_start, fields[0].t_end])
     trajs = propagate_batch(h0, v, fields, [state0] * len(fields), times, tol=tol)
-    return [{"converged": False, "error": str(traj)} if isinstance(traj, NotConverged)
-            else {**record(params, fld, traj, model, **kw), "converged": True}
-            for fld, traj in zip(fields, trajs)]
+    return [{"converged": False, "error": str(traj), **ax} if isinstance(traj, NotConverged)
+            else {**record(params, fld, traj, model, **kw), "converged": True, **ax}
+            for fld, ax, traj in zip(fields, axes, trajs)]
 
 
 def _scan_groups(jobs, threads):
     """The records of all jobs, in job order.
 
     Where min(threads, jobs) is above 1, that many worker processes run the
-    jobs; the process pool is imported only then.
+    jobs, each with BLAS on one thread, not one per core; the process pool
+    is imported only then.
     """
     workers = min(threads or 1, len(jobs))
     if workers > 1:
+        import multiprocessing
+        import os
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_kick_group_worker, jobs, chunksize=1))
+        # a worker's BLAS reads these once, as numpy loads: a forked one would
+        # inherit the parent's loaded BLAS.  The forkserver lives as long as the
+        # interpreter and keeps the environment it started with
+        saved = {key: os.environ.get(key) for key in
+                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        os.environ.update(dict.fromkeys(saved, "1"))
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("forkserver" if "forkserver" in methods else "spawn")
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                groups = list(pool.map(_kick_group_worker, jobs, chunksize=1))
+        finally:
+            for key, val in saved.items():
+                if val is None:
+                    del os.environ[key]
+                else:
+                    os.environ[key] = val
     else:
         groups = [_kick_group_worker(job) for job in jobs]
     return [rec for group in groups for rec in group]
@@ -474,19 +493,17 @@ def scan_detuning_bandwidth(params, detunings, bandwidths, cavity=(True, False),
     kw = {"trace_window_tau": trace_window_tau, "n_trace": n_trace,
           "snapshot_tau": snapshot_tau, "keep_spectrum": keep_spectrum}
     jobs = []
-    axes = []
     for cav in cavity:
         run_params = params if cav else replace(params, coupling=0.0, n_max=0)
         for bw in bandwidths:
             fields = [gaussian_for_area(run_params, area, 1.0 / bw, params.omega01 + det)
                       for det in detunings]
-            jobs += [(run_params, fields[i:i + _JOB_ROWS], tol, kw, _kick_worker)
-                     for i in range(0, len(fields), _JOB_ROWS)]
-            axes += [(bool(cav), float(bw), float(det)) for det in detunings]
+            axes = [{"cavity": bool(cav), "bandwidth": float(bw), "detuning": float(det)}
+                    for det in detunings]
+            jobs += [(run_params, fields[i:i + _JOB_ROWS], axes[i:i + _JOB_ROWS], tol, kw,
+                      _kick_worker) for i in range(0, len(fields), _JOB_ROWS)]
 
     records = _scan_groups(jobs, threads)
-    for (cav, bw, det), rec in zip(axes, records):
-        rec.update({"cavity": cav, "bandwidth": bw, "detuning": det})
     meta = {
         "kind": "detuning_bandwidth",
         "area": float(area),
@@ -518,10 +535,8 @@ def scan_composite_bandwidth(params, bandwidths, reference_bandwidth, area=DESIG
     carriers = ref_pulse.components
     kw = {"trace_window_tau": trace_window_tau, "n_trace": n_trace}
     jobs = [(params, [composite_for_area(params, area, 1.0 / bw, carriers)],
-             tol, kw, _composite_worker) for bw in bandwidths]
+             [{"bandwidth": float(bw)}], tol, kw, _composite_worker) for bw in bandwidths]
     records = _scan_groups(jobs, threads)
-    for bw, rec in zip(bandwidths, records):
-        rec["bandwidth"] = float(bw)
     meta = {
         "kind": "composite_bandwidth",
         "area": float(area),

@@ -8,6 +8,7 @@ outputs, not the dynamics, are under test.
 import inspect
 import json
 import math
+import os
 import shutil
 import time
 from pathlib import Path
@@ -27,6 +28,9 @@ from rotpolariton.cli import (
 )
 from rotpolariton.control import DESIGN_AREA
 from rotpolariton.errors import ConfigError
+
+# the variables that set a worker's BLAS threads
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # small, fast run shared by several smoke tests
 FAST = {
@@ -370,6 +374,19 @@ def test_duplicate_yaml_keys_exit_2(tmp_path, capsys, text, key, line):
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"found duplicate key {key!r}\n  in \"{path}\", line {line}," in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "scan:\n  detunings_g: " + "[" * 1000 + "0" + "]" * 1000 + "\n",
+    "system:\n  j_max: " + "{a: " * 1000 + "0" + "}" * 1000 + "\n",
+])
+def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys, text):
+    # PyYAML reads a nested node recursively, past the interpreter's limit
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config nests too deeply" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1048,12 +1065,14 @@ def test_threads_above_the_cap_exit_2(tmp_path, capsys):
 
 
 class _RecordingPool:
-    """A stand-in for ProcessPoolExecutor that runs jobs in this process."""
+    """A stand-in for ProcessPoolExecutor that runs jobs in this process and
+    records each pool's workers, start method and BLAS thread variables."""
 
     made = []
 
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
+    def __init__(self, max_workers, mp_context):
+        self.made.append((max_workers, mp_context.get_start_method(),
+                          [os.environ.get(key) for key in _BLAS_THREADS]))
 
     def __enter__(self):
         return self
@@ -1067,17 +1086,29 @@ class _RecordingPool:
 
 def test_a_scan_starts_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
     import concurrent.futures
+    import multiprocessing
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
     cfg = merged(FAST, {"scan": {"detunings_g": [0.0], "bandwidths_g": [1.0, 2.0],
                                  "cavity": [True, False]}})
     path = write_cfg(tmp_path / "scan.yaml", cfg)
-    for threads, made in (("256", [4]), ("3", [3]), ("1", [])):
-        out = tmp_path / f"run{threads}"
-        assert main(["scan", "--config", path, "--threads", threads, "--out", str(out)]) == 0
-        assert _RecordingPool.made == made
-        _RecordingPool.made.clear()
+    # workers start from a fresh interpreter, so their BLAS reads the one
+    # thread set for them; the scan leaves the variables as it found them
+    method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    for value in (None, "7"):
+        for key in _BLAS_THREADS:
+            if value is None:
+                monkeypatch.delenv(key, raising=False)
+            else:
+                monkeypatch.setenv(key, value)
+        before = dict(os.environ)
+        for threads, made in (("256", [4]), ("3", [3]), ("1", [])):
+            out = tmp_path / f"run{threads}"
+            assert main(["scan", "--config", path, "--threads", threads, "--out", str(out)]) == 0
+            assert _RecordingPool.made == [(m, method, ["1"] * 3) for m in made]
+            assert dict(os.environ) == before
+            _RecordingPool.made.clear()
     capsys.readouterr()
     # the pool ran every job: its records are the in-process ones
     assert (tmp_path / "run256" / "records.jsonl").read_text() == \

@@ -349,6 +349,29 @@ def test_kick_equals_its_reference(model, request):
     _assert_matches_reference(p, fld, rp.kick_response(p, fld))
 
 
+@settings(max_examples=6, deadline=None)
+@given(cavity=st.booleans(), detuning_g=st.floats(-2.0, 2.0), bandwidth_g=st.floats(0.3, 1.0),
+       area=st.floats(0.01, 1.0))
+def test_the_sign_of_the_field_is_a_parity(p_cavity, p_bare, cavity, detuning_g, bandwidth_g,
+                                           area):
+    # (-1)^(J+n) commutes with h0, anticommutes with v and fixes the ground
+    # state, so the negated field negates the orientation and keeps every
+    # population.  A negative area negates e0 exactly: the pilot step sees the
+    # same field magnitudes, so both runs take the same steps
+    p = p_cavity if cavity else p_bare
+    plus, minus = (rp.kick_response(p, rp.gaussian_for_area(
+        p, a, 1.0 / (bandwidth_g * G), p.omega01 + detuning_g * G), n_trace=2048)
+        for a in (area, -area))
+    assert np.max(np.abs(minus["series"].values + plus["series"].values)) <= 1e-12
+    assert minus["populations"].keys() == plus["populations"].keys()
+    assert max(abs(minus["populations"][lab] - pop)
+               for lab, pop in plus["populations"].items()) <= 1e-12
+    assert minus["steps"] == plus["steps"]
+    # the certificate is the norm of a difference of two unit states, so it
+    # carries their roundoff: 6e-16 apart on a bare row certified at 1.2e-9
+    assert abs(minus["step_error"] - plus["step_error"]) <= 1e-14
+
+
 def test_uncoupled_kick_rejects_a_photon_ladder():
     p = unit_params(coupling=0.0)
     fld = rp.gaussian_for_area(p, rp.KICK_AREA, tau0=1.0 / G, omega0=p.omega01)
