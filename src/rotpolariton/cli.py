@@ -7,13 +7,14 @@ manifest together with its hash, so a directory is reproducible from its own
 manifest.  Outputs are tab-separated columns plus JSON summaries; nothing
 carries a timestamp, so identical configs produce bit-identical directories.
 
-Exit codes: 0 success, 2 invalid config or arguments (a grid or sample count
-above 100,000, --threads above 256 and sample times floating point cannot
-resolve included), a run above the propagation step cap, or an output
-directory that cannot be written, 3 the certified propagation failed to
-converge (a tol below the run's norm drift included), 4 requested design
-infeasible.  A failed run writes no output directory.  Pulse areas are
-closed forms and cannot fail.
+Exit codes: 0 success, 2 invalid config or arguments (a grid, sample count
+or scan records above 100,000, scan spectra above 10^7 values, --threads
+above 256 and sample times floating point cannot resolve included), a run
+above the propagation step cap, or a --out that already holds files or
+cannot be written, 3 the certified propagation failed to converge (a tol
+below the run's norm drift included), 4 requested design infeasible.  A
+failed run writes no output directory.  Pulse areas are closed forms and
+cannot fail.
 """
 
 import argparse
@@ -147,6 +148,9 @@ _MAX_THREADS = 256
 # basis states of a run: j_max + 1 on the rotor alone, 2 (n_max + 1) dressed;
 # the states of a trajectory of _MAX_GRID samples x 64 states take 102 MB
 _MAX_DIM = 64
+# spectrum values a scan holds until it writes them, each a row of three
+# float64 in its table: 240 MB at the cap
+_MAX_SPECTRA = 10_000_000
 
 
 def _grid(node, path, positive=False):
@@ -221,12 +225,6 @@ class _ConfigLoader(yaml.SafeLoader):
         return mapping
 
 
-def _directory(node, path):
-    if not isinstance(node, str) or not node:
-        raise ConfigError(f"{path}: expected a nonempty string")
-    return node
-
-
 # SCHEMA[section][key] = (default, rule).  A rule is a check(value, path)
 # returning the value to store, or a dict of unit factors, for a quantity
 # whose value in atomic units is stored as <key>_au.  A key whose default is
@@ -268,9 +266,6 @@ SCHEMA = {
     },
     "integrator": {
         "tol": (1e-8, partial(_number, sign="positive")),
-    },
-    "output": {
-        "directory": ("out", _directory),
     },
 }
 
@@ -377,6 +372,10 @@ def resolve_config(raw, preset=None):
     if records > _MAX_GRID:
         raise ConfigError(f"scan: {records} records (detunings x bandwidths x cavity "
                           f"settings) are above {_MAX_GRID}")
+    values = records * (exp["n_trace"] // 2 + 1) if scan["write_spectra"] else 0
+    if values > _MAX_SPECTRA:
+        raise ConfigError(f"scan: {values} spectrum values (records x (n_trace // 2 + 1)) "
+                          f"are above {_MAX_SPECTRA}")
     if scan["kind"] == "detuning":
         names = [_orientation_tsv(True, bw) for bw in scan["bandwidths_g"]]
         counts = Counter(names)
@@ -438,12 +437,6 @@ def _plain(obj):
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_plain)
-        fh.write("\n")
 
 
 # _write_tsv formats and writes this many values at a time (whole rows), so
@@ -601,32 +594,37 @@ def _write_tsv(path, columns, rows):
             fh.write(_tsv_text(chunk, ends[:chunk.size]))
 
 
-def _write_spectrum(path, spec, params):
+def _spectrum_table(spec, params):
+    """(columns, rows) of a spectrum TSV from its (omega, amplitude) pair."""
     omega, amp = spec
-    _write_tsv(path, ["omega_au", "omega_over_B", "amplitude"],
-               np.column_stack([omega, omega / params.rot_const, amp]))
+    return (["omega_au", "omega_over_B", "amplitude"],
+            np.column_stack([omega, omega / params.rot_const, amp]))
 
 
-def _outdir(cfg, args, command):
-    """Create the output directory and write its manifest, once the run succeeded.
+def _write_run(cfg, args, files):
+    """Make --out and write a finished run's files into it, then its manifest.
 
-    A run that fails before this call leaves no directory behind.
+    files maps each name to its body: (columns, rows) for a .tsv, a list of
+    records for a .jsonl, a JSON payload otherwise.  The manifest comes last,
+    so a directory without one holds no finished run; a run that fails before
+    this call leaves no directory behind.
     """
-    outdir = cfg["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=_plain)
-    manifest = {
-        "package": "rotpolariton",
-        "version": __version__,
-        "command": command,
-        "preset": args.preset,
-        "seed": args.seed,
-        "threads": args.threads,
-        "config": cfg,
-        "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
-    }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
-    return outdir
+    manifest = {"package": "rotpolariton", "version": __version__, "command": args.command,
+                "preset": args.preset, "seed": args.seed, "threads": args.threads,
+                "config": cfg, "config_sha256": hashlib.sha256(canon.encode()).hexdigest()}
+    for name, body in {**files, "manifest.json": manifest}.items():
+        path = os.path.join(args.out, name)
+        if name.endswith(".tsv"):
+            _write_tsv(path, *body)
+            continue
+        with open(path, "w") as fh:
+            if name.endswith(".jsonl"):
+                fh.writelines(json.dumps(r, sort_keys=True, default=_plain) + "\n" for r in body)
+            else:
+                json.dump(body, fh, sort_keys=True, indent=2, default=_plain)
+                fh.write("\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -665,37 +663,28 @@ def cmd_simulate(cfg, args):
         n_pulse_samples=exp["n_trajectory"],
         tol=cfg["integrator"]["tol"],
     )
-    outdir = _outdir(cfg, args, "simulate")
-    written = ["orientation.tsv", "spectrum.tsv", "trajectory.tsv"]
-
-    series = rec["series"]
-    _write_tsv(os.path.join(outdir, "orientation.tsv"),
-               ["time_au", "time_over_tau", "orientation"],
-               np.column_stack([series.times, series.times / tau, series.values]))
-
-    _write_spectrum(os.path.join(outdir, "spectrum.tsv"), rec["spectrum"], params)
-
-    traj = rec["trajectory"]
-    cols = ["time_au"] + [f"{part}({lab})" for lab in build_model(params).labels
-                          for part in ("re", "im")]
-    # a complex row viewed as floats is re, im of each amplitude in turn
-    _write_tsv(os.path.join(outdir, "trajectory.tsv"), cols,
-               np.column_stack([traj.times, traj.states.view(float)]))
-
+    series, traj = rec["series"], rec["trajectory"]
     summary = {k: v for k, v in rec.items() if k not in ("series", "spectrum", "trajectory")}
     if design_report is not None:
         summary["design_report"] = design_report
         summary["field"] = field_to_dict(fld)
-    _write_json(os.path.join(outdir, "populations.json"), summary)
-    written.append("populations.json")
 
     def in_tau(t):
         return "none" if t is None else f"{t / tau:.4f} tau"
 
     print(f"simulate: orientation max {rec['orientation_max']:.6f} "
           f"at {in_tau(rec['t_max'])} after the pulse; revival {in_tau(rec['revival_period'])}")
-    print(f"wrote {outdir}/" + ", ".join(written))
-    return 0
+    return {
+        "orientation.tsv": (["time_au", "time_over_tau", "orientation"],
+                            np.column_stack([series.times, series.times / tau, series.values])),
+        "spectrum.tsv": _spectrum_table(rec["spectrum"], params),
+        # the populations are keyed by the model's labels, in its order; a
+        # complex row viewed as floats is re, im of each amplitude in turn
+        "trajectory.tsv": (["time_au"] + [f"{part}({lab})" for lab in rec["populations"]
+                                          for part in ("re", "im")],
+                           np.column_stack([traj.times, traj.states.view(float)])),
+        "populations.json": summary,
+    }
 
 
 def cmd_scan(cfg, args):
@@ -755,36 +744,28 @@ def cmd_scan(cfg, args):
                                ("converged", "converged", 1.0))
     table = np.array([[rec.get(k) for k in keys] for rec in records], dtype=float) / units
 
-    outdir = _outdir(cfg, args, "scan")
-    for name, rows in zip(names, np.split(table, len(names))):
-        _write_tsv(os.path.join(outdir, name), headers, rows)
-    with open(os.path.join(outdir, "records.jsonl"), "w") as fh:
-        for i, rec in enumerate(records):
-            # spectra go to their own files, never into the records
-            body = {k: v for k, v in rec.items() if k != "spectrum"}
-            fh.write(json.dumps({"index": i, **body}, sort_keys=True, default=_plain) + "\n")
-            if rec.get("spectrum") is not None:
-                _write_spectrum(os.path.join(outdir, f"spectrum_{i:04d}.tsv"),
-                                rec["spectrum"], params)
-    _write_json(os.path.join(outdir, "scan_meta.json"), meta)
-
-    print(f"scan: {len(records)} records -> {outdir}")
-    return 0
+    files = {name: (headers, rows) for name, rows in zip(names, np.split(table, len(names)))}
+    for i, rec in enumerate(records):
+        # spectra go to their own files, never into the records; each pair is
+        # let go once its table is built
+        spec = rec.pop("spectrum", None)
+        if spec is not None:
+            files[f"spectrum_{i:04d}.tsv"] = _spectrum_table(spec, params)
+    files["records.jsonl"] = [{"index": i, **rec} for i, rec in enumerate(records)]
+    files["scan_meta.json"] = meta
+    print(f"scan: {len(records)} records")
+    return files
 
 
 def cmd_design(cfg, args):
     params, g_ref = build_params(cfg)
     pulse, report = build_field({"field": {**cfg["field"], "kind": "designed"}}, params, g_ref)
-    outdir = _outdir(cfg, args, "design")
-    _write_json(os.path.join(outdir, "field.json"), field_to_dict(pulse))
     report["carriers"] = [list(c) for c in pulse.components]
     report["solved_phase_up"] = pulse.components[0][1]
-    _write_json(os.path.join(outdir, "report.json"), report)
     print(f"design: solved upper-carrier phase {pulse.components[0][1]:.9f} rad "
           f"(phase functional {report['phase_value_g']:.6f} g, "
           f"residual {report['phase_residual_g']:.2e} g)")
-    print(f"wrote {outdir}/field.json, report.json")
-    return 0
+    return {"field.json": field_to_dict(pulse), "report.json": report}
 
 
 def cmd_oracle(cfg, args):
@@ -793,12 +774,10 @@ def cmd_oracle(cfg, args):
         raise ConfigError("oracle: needs the cavity on (dressed states undefined otherwise)")
     model = build_model(params)
     result = orientation_max_oracle(model.cos, model.energies, model.labels)
-    outdir = _outdir(cfg, args, "oracle")
-    _write_json(os.path.join(outdir, "oracle.json"), result)
     print(f"oracle: max orientation {result['max']:.8f} at populations "
           f"({result['populations'][0]:.4f}, {result['populations'][1]:.4f}, "
           f"{result['populations'][2]:.4f})")
-    return 0
+    return {"oracle.json": result}
 
 
 # ---------------------------------------------------------------- entry
@@ -814,7 +793,8 @@ def _build_parser():
     common.add_argument("--config", help="YAML run config")
     common.add_argument("--preset", choices=sorted(PRESETS),
                         help="named base config to layer --config over")
-    common.add_argument("--out", help="output directory (overrides output.directory)")
+    common.add_argument("--out", default="out",
+                        help="output directory, new or empty (default: out)")
     common.add_argument("--threads", type=int, default=None,
                         help=f"worker processes for scans (at most {_MAX_THREADS}, and "
                              "no more than the scan has jobs); a detuning scan gives "
@@ -858,10 +838,16 @@ def main(argv=None):
         if args.threads is not None and not 1 <= args.threads <= _MAX_THREADS:
             raise ConfigError(f"--threads: must be between 1 and {_MAX_THREADS}, "
                               f"got {args.threads}")
+        if not args.out:
+            raise ConfigError("--out: expected a nonempty string")
+        # an earlier run's files would mix with this run's
+        if os.path.isdir(args.out) and os.listdir(args.out):
+            raise ConfigError(f"--out: {args.out} already holds files; name a new or empty one")
         cfg = resolve_config(raw, preset=args.preset)
-        if args.out is not None:
-            cfg["output"]["directory"] = _directory(args.out, "--out")
-        return _COMMANDS[args.command][0](cfg, args)
+        files = _COMMANDS[args.command][0](cfg, args)
+        _write_run(cfg, args, files)
+        print(f"wrote {args.out}/" + ", ".join(files))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -67,8 +67,7 @@ def test_defaults_resolve():
 
 def test_presets_resolve():
     for name in PRESETS:
-        cfg = resolve_config({}, preset=name)
-        assert cfg["output"]["directory"] == "out"
+        resolve_config({}, preset=name)
     bare = resolve_config({}, preset="bare")
     assert bare["system"]["cavity"] is False
     fig2 = resolve_config({}, preset="fig2")
@@ -333,7 +332,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_an_empty_out_exits_2(tmp_path, capsys, monkeypatch):
-    # the rule of output.directory, not a silent fall back to it
+    # not a silent fall back to the default directory
     monkeypatch.chdir(tmp_path)
     assert main(["oracle", "--out", ""]) == 2
     assert "config error: --out: expected a nonempty string" in capsys.readouterr().err
@@ -348,10 +347,10 @@ def test_a_config_root_that_is_not_a_mapping_exits_2(tmp_path, capsys):
         assert "config error: config root must be a mapping" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
     # an empty file, a comment alone and null are empty documents: no overrides
-    for text in ("", "# nothing\n", "null\n"):
+    for i, text in enumerate(("", "# nothing\n", "null\n")):
         path.write_text(text)
-        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert (tmp_path / "o" / "manifest.json").exists()
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / f"o{i}")]) == 0
+        assert (tmp_path / f"o{i}" / "manifest.json").exists()
 
 
 def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -579,17 +578,62 @@ def test_simulate_zero_field_stays_in_the_ground_state(tmp_path, capsys):
     assert manifest["config"]["field"]["area"] == 0.0
 
 
-@pytest.mark.parametrize("n_trajectory", [2, 5])
-def test_simulate_names_the_files_it_wrote(tmp_path, capsys, n_trajectory):
-    cfg = merged(FAST, {"field": {"area": 0.0}, "experiment": {"n_trajectory": n_trajectory}})
+@pytest.mark.parametrize("command, n_trajectory", [
+    ("simulate", 2), ("simulate", 5), ("scan", None), ("design", None), ("oracle", None),
+], ids=["simulate-2", "simulate-5", "scan", "design", "oracle"])
+def test_each_command_names_the_files_it_wrote(tmp_path, capsys, command, n_trajectory):
+    cfg = {"simulate": merged(FAST, {"field": {"area": 0.0},
+                                     "experiment": {"n_trajectory": n_trajectory}}),
+           "scan": merged(FAST, {"scan": {"bandwidths_g": [1.0], "write_spectra": True}}),
+           }.get(command, {})
     out = tmp_path / "run"
-    assert main(["simulate", "--config", write_cfg(tmp_path / "zero.yaml", cfg),
+    assert main([command, "--config", write_cfg(tmp_path / "run.yaml", cfg),
                  "--out", str(out)]) == 0
     (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
     named = line[len(f"wrote {out}/"):].split(", ")
     assert sorted(named) == sorted(f.name for f in out.iterdir() if f.name != "manifest.json")
-    # every simulate writes its trajectory, down to the pulse's two ends
-    assert np.loadtxt(out / "trajectory.tsv").shape == (n_trajectory, 1 + 2 * 6)
+    assert (out / "manifest.json").exists()
+    if command == "simulate":
+        # every simulate writes its trajectory, down to the pulse's two ends
+        assert np.loadtxt(out / "trajectory.tsv").shape == (n_trajectory, 1 + 2 * 6)
+    if command == "scan":
+        assert "spectrum_0000.tsv" in named
+
+
+def test_a_failed_write_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    # the manifest is written last: a directory without one is no finished run
+    def fail(path, columns, rows):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli, "_write_tsv", fail)
+    out = tmp_path / "run"
+    cfg = merged(FAST, {"field": {"area": 0.0}})
+    assert main(["simulate", "--config", write_cfg(tmp_path / "zero.yaml", cfg),
+                 "--out", str(out)]) == 2
+    assert "output error: cannot write" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_used_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "orientation_cavon_bw0.1.tsv").write_text("# an earlier run\n")
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "kick_response", fail)
+    path = write_cfg(tmp_path / "zero.yaml", merged(FAST, {"field": {"area": 0.0}}))
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert f"config error: --out: {out} already holds files" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    # an empty directory is as good as a new one
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["oracle", "--out", str(empty)]) == 0
+    assert (empty / "manifest.json").exists()
+    capsys.readouterr()
 
 
 def test_simulate_reruns_are_bit_identical(tmp_path, capsys):
@@ -599,20 +643,13 @@ def test_simulate_reruns_are_bit_identical(tmp_path, capsys):
     out_a = tmp_path / "a"
     assert main(["simulate", "--config", path, "--out", str(out_a)]) == 0
     first = {f.name: f.read_bytes() for f in out_a.iterdir()}
-    assert main(["simulate", "--config", path, "--out", str(out_a)]) == 0
-    second = {f.name: f.read_bytes() for f in out_a.iterdir()}
-    assert first == second
-
-    # a different directory changes only the manifest (config embeds the path)
+    # a rerun goes to a new directory: a used one exits 2
     out_b = tmp_path / "b"
     assert main(["simulate", "--config", path, "--out", str(out_b)]) == 0
-    third = {f.name: f.read_bytes() for f in out_b.iterdir()}
-    assert set(third) == set(first)
-    for name in first:
-        if name == "manifest.json":
-            assert third[name] != first[name]
-        else:
-            assert third[name] == first[name]
+    second = {f.name: f.read_bytes() for f in out_b.iterdir()}
+    # the manifest names no directory, so it matches too
+    assert "manifest.json" in second
+    assert first == second
     capsys.readouterr()
 
 
@@ -1022,6 +1059,25 @@ def test_a_scan_above_the_record_cap_exits_2(tmp_path, capsys):
     assert len(resolve_config({"scan": at_cap})["scan"]["bandwidths_g"]) == 100_000
 
 
+def test_scan_spectra_above_the_value_cap_exit_2():
+    # a spectrum of n_trace 398 holds 200 values: 50,000 records reach 10^7;
+    # resolved only, never run
+    def spectra_scan(records):
+        return {"experiment": {"n_trace": 398},
+                "scan": {"detunings_g": {"start": -2, "stop": 2, "num": records},
+                         "write_spectra": True}}
+
+    assert len(resolve_config(spectra_scan(50_000))["scan"]["detunings_g"]) == 50_000
+    with pytest.raises(ConfigError, match=r"^scan: 10000200 spectrum values "
+                                          r"\(records x \(n_trace // 2 \+ 1\)\) are above "
+                                          r"10000000$"):
+        resolve_config(spectra_scan(50_001))
+    # without spectra the same scan holds only its table rows
+    raw = spectra_scan(50_001)
+    raw["scan"]["write_spectra"] = False
+    assert len(resolve_config(raw)["scan"]["detunings_g"]) == 50_001
+
+
 _scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
     st.text(max_size=6),
@@ -1096,7 +1152,7 @@ def test_a_scan_starts_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
     # workers start from a fresh interpreter, so their BLAS reads the one
     # thread set for them; the scan leaves the variables as it found them
     method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
-    for value in (None, "7"):
+    for i, value in enumerate((None, "7")):
         for key in _BLAS_THREADS:
             if value is None:
                 monkeypatch.delenv(key, raising=False)
@@ -1104,15 +1160,15 @@ def test_a_scan_starts_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
                 monkeypatch.setenv(key, value)
         before = dict(os.environ)
         for threads, made in (("256", [4]), ("3", [3]), ("1", [])):
-            out = tmp_path / f"run{threads}"
+            out = tmp_path / f"env{i}" / f"run{threads}"
             assert main(["scan", "--config", path, "--threads", threads, "--out", str(out)]) == 0
             assert _RecordingPool.made == [(m, method, ["1"] * 3) for m in made]
             assert dict(os.environ) == before
             _RecordingPool.made.clear()
     capsys.readouterr()
     # the pool ran every job: its records are the in-process ones
-    assert (tmp_path / "run256" / "records.jsonl").read_text() == \
-        (tmp_path / "run1" / "records.jsonl").read_text()
+    assert (tmp_path / "env1" / "run256" / "records.jsonl").read_text() == \
+        (tmp_path / "env1" / "run1" / "records.jsonl").read_text()
 
 
 # ----------------------------------------------------- main() never tracebacks
@@ -1156,7 +1212,7 @@ def _key_values(rule):
 
 
 _paths = [(section, key, rule) for section, rules in SCHEMA.items()
-          for key, (_, rule) in rules.items() if key != "directory"]
+          for key, (_, rule) in rules.items()]
 
 
 def test_every_drawn_key_has_draws_of_its_own_rule():

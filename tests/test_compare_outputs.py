@@ -37,7 +37,7 @@ def _run(a, b, *extra):
 
 def test_identical_directories_pass(outdir):
     other = _copy(outdir, "b")
-    # the manifest names its own directory, so it is never compared
+    # the manifest records how the run was called, so it is never compared
     (other / "manifest.json").write_text(json.dumps({"config": {"output": {"directory": "b"}}}))
     assert _run(outdir, other) == 0
 

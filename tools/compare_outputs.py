@@ -10,7 +10,8 @@ on either side: a spectrum or a trace is judged against its peak, not against
 its zeros.  --tol NAME=X sets atol and rtol to X for one column, so --tol
 t_max=0 demands exact equality.  nan agrees with nan.  Strings, booleans,
 nulls, the shape of a table or a JSON tree, and any other file type must
-match exactly.  manifest.json is skipped: it names its own directory.
+match exactly.  manifest.json is skipped: it records the run's --threads
+and --seed, and the config, whose changes the compared files show.
 
 Prints one line per file: "identical" when its bytes match, "equal" when
 its text differs but no value moved, else the worst difference per column
